@@ -22,7 +22,7 @@ keyed by ``_exec_network_key``, so a long-lived daemon pays
 deserialization once per spec, not per batch — and a TE ``rewire`` (same
 program key, new network key) reships only the small network half.  Shard
 batches execute on exactly the compiled lane
-(:class:`repro.dataplane.engine._Lane`) the in-process engines run, so a
+(:class:`repro.dataplane.network.Walker`) the in-process engines run, so a
 cluster run is field-for-field identical to a sequential one.
 
 Spawned daemons (see :func:`repro.cluster.coordinator

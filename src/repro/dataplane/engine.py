@@ -27,14 +27,16 @@ execution engine:
    *delivery-equivalent* to the sequential engine (and therefore to the
    OBS ``eval`` semantics) — the property tests assert exactly that.
 
-Each lane runs a *compiled* fast path rather than the generic
-:meth:`Network._run` hop loop: pure-forwarding hop chains are memoized as
-*segments* keyed by ``(switch, inport, outport, tag)`` (one dict hit and
-one counter bump per traversal instead of per-hop queue churn), and the
-xFDD's leading ``inport``-only branches are pre-resolved per shard port
+Each lane is the one scalar packet walker
+(:class:`repro.dataplane.network.Walker`) over its shard's batch — the
+same class the sequential engine runs inline over all ports: pure-
+forwarding hop chains are memoized as *segments* keyed by ``(switch,
+inport, outport, tag)`` (one dict hit and one counter bump per traversal
+instead of per-hop queue churn), and the xFDD's leading ``inport``-only
+branches are pre-resolved per ingress port
 (:meth:`SwitchProgram.resolve_inport_entry`).  Both are exact: segments
-replay the same routing lookups ``_forward`` performs, entry resolution
-runs the real lowered test closures.
+are built from :meth:`Network.next_hop`, entry resolution runs the real
+lowered test closures.
 
 Thread lanes share one interpreter, so CPU-bound packet processing still
 serializes on the GIL.  The :class:`ProcessPoolEngine` lifts that limit:
@@ -79,26 +81,17 @@ from repro.analysis.packet_state import (
     _path_reachable,
     _path_reads,
 )
-from repro.dataplane.header import (
-    DONE_TAG,
-    ROOT_TAG,
-    SNAP_INPORT,
-    SNAP_NODE,
-    SNAP_OUTPORT,
-)
 from repro.dataplane import replication
 from repro.dataplane.netasm import revive_programs
 from repro.dataplane.network import (
     _EXEC_KEYS,
-    MAX_HOPS,
-    DeliveryRecord,
     Network,
+    Walker,
     exec_network_spec,
     exec_program_spec,
     worker_network,
 )
 from repro.lang.errors import DataPlaneError
-from repro.lang.packet import Packet
 from repro.obs import postcards
 from repro.obs.runstats import RunStats
 from repro.obs.tracing import TRACER
@@ -452,30 +445,14 @@ def _lane_span_runner(runner, parent, shard_index: int, batch_size: int,
 
 
 class SequentialEngine:
-    """Run-to-completion in arrival order — delegates to ``inject_many``."""
+    """Run-to-completion in arrival order: one :class:`Walker` over all
+    ingress ports, inline (:meth:`Network.inject_many`)."""
 
     name = "sequential"
 
     def run(self, network: Network, arrivals) -> list:
         """One record list per injected packet, in arrival order."""
-        sampler = postcards.active_sampler()
-        if sampler is None:
-            return network.inject_many(arrivals)
-        # Postcard sampling: sampled packets run the generic traced walk
-        # (identical opcode effects and deliveries — see
-        # repro.obs.postcards); the rest take the normal path.
-        results: list = []
-        deliveries = network.deliveries
-        run = network._run
-        new_arrivals = network._new_arrivals
-        for index, (packet, port) in enumerate(arrivals):
-            if sampler.should(index):
-                records = postcards.run_traced(network, packet, port, index)
-            else:
-                records = run(new_arrivals(packet, port))
-            deliveries.extend(records)
-            results.append(records)
-        return results
+        return network.inject_many(arrivals)
 
     def __repr__(self):
         return "SequentialEngine()"
@@ -629,7 +606,7 @@ class ShardedEngine:
         per-packet interpreter lane for the columnar tier while reusing
         the same planning, batching, merge, and failure contract.
         """
-        return _Lane(network, shard, batch)
+        return Walker(network, batch)
 
     def __repr__(self):
         return f"ShardedEngine(max_workers={self.max_workers})"
@@ -723,7 +700,6 @@ class ProcessPoolEngine:
             state_bytes = 0
             try:
                 for shard_index, batch in batches:
-                    shard = plan.shards[shard_index]
                     variables = batch_footprint(plan, batch)
                     lane_vars = replication.lane_replicas(rplan, batch) \
                         if replicate else {}
@@ -746,7 +722,6 @@ class ProcessPoolEngine:
                         program_key,
                         network_key,
                         spec_bytes,
-                        shard.ports,
                         tuple(sorted(variables)),
                         replica_spec,
                         state_blob,
@@ -936,280 +911,14 @@ def make_lane(kind, network: "Network", shard: "Shard", batch):
     "vector-jit") — the cluster worker's entry point for lane opt-in.
     Degrades to the scalar lane when numpy is unavailable."""
     if kind in (None, "", "scalar"):
-        return _Lane(network, shard, batch)
+        return Walker(network, batch)
     if kind in ("vector", "vector-jit"):
         try:
             from repro.dataplane.vector import make_vector_lane
         except ImportError:  # pragma: no cover - only without numpy
-            return _Lane(network, shard, batch)
+            return Walker(network, batch)
         return make_vector_lane(kind, network, shard, batch)
     raise DataPlaneError(f"unknown lane kind {kind!r}")
-
-
-# -- the per-shard lane -------------------------------------------------------
-
-_STRIP = (SNAP_INPORT, SNAP_OUTPORT, SNAP_NODE)
-
-
-class _Lane:
-    """One shard's compiled execution lane.
-
-    Processes its batch in per-shard arrival order, producing exactly the
-    records the sequential engine would (same packets, egresses, and hop
-    counts — the equivalence property tests compare them field by field).
-    Forwarding hop chains are memoized as segments; per-segment traversal
-    counters are expanded into per-link packet counts at the end.
-    """
-
-    __slots__ = ("network", "shard", "batch", "_segments", "_seg_counts")
-
-    def __init__(self, network: Network, shard: Shard, batch):
-        self.network = network
-        self.shard = shard
-        self.batch = batch  # [(global_index, packet, port)]
-        self._segments: dict = {}  # (switch, u, v, tag) -> (stop, links)
-        self._seg_counts: dict = {}
-
-    def run(self):
-        """Returns ``({global_index: [DeliveryRecord]}, {link: count})``."""
-        results: dict = {}
-        run_packet = self._run_packet
-        sampler = postcards.active_sampler()
-        traced_links: dict = {}
-        if sampler is None:
-            for index, packet, port in self.batch:
-                results[index] = run_packet(packet, port)
-        else:
-            # Sampled packets take the generic traced walk (identical
-            # records and state effects; link counts land in the local
-            # ``traced_links`` so lanes never race on shared counters).
-            net = self.network
-            should = sampler.should
-            for index, packet, port in self.batch:
-                if should(index):
-                    results[index] = postcards.run_traced(
-                        net, packet, port, index, links=traced_links
-                    )
-                else:
-                    results[index] = run_packet(packet, port)
-        links: dict = {}
-        segments = self._segments
-        for key, count in self._seg_counts.items():
-            for link in segments[key][1]:
-                links[link] = links.get(link, 0) + count
-        for link, count in traced_links.items():
-            links[link] = links.get(link, 0) + count
-        return results, links
-
-    # -- per-packet interpreter -------------------------------------------
-
-    def _run_packet(self, packet: Packet, port: int) -> list:
-        net = self.network
-        ports = net.topology.ports
-        segments = self._segments
-        seg_counts = self._seg_counts
-        # Inlined add_header: one dict copy for tag + inport.
-        fields = dict(packet._fields)
-        fields["inport"] = port
-        fields[SNAP_INPORT] = port
-        fields[SNAP_NODE] = ROOT_TAG
-        tagged = Packet.__new__(Packet)
-        tagged._fields = fields
-        tagged._hash = None
-
-        program = net.switches[ports[port]]
-        entry = program.resolve_inport_entry(ROOT_TAG, tagged, port)
-
-        # Fast path: one outcome that emits to a valid egress — the
-        # overwhelmingly common case — needs no copy stack at all.
-        outcomes = program.process(tagged, entry=entry)
-        if len(outcomes) == 1 and outcomes[0].kind == "emit":
-            outcome = outcomes[0]
-            fields = outcome.packet._fields
-            egress = fields.get("outport")
-            if egress is not None and egress in ports:
-                switch = program.switch
-                total = 0
-                if ports[egress] != switch:
-                    key = (switch, port, egress, DONE_TAG)
-                    seg = segments.get(key)
-                    if seg is None:
-                        seg = self._walk(switch, port, egress, DONE_TAG)
-                        segments[key] = seg
-                    seg_counts[key] = seg_counts.get(key, 0) + 1
-                    total = len(seg[1])
-                    if total > MAX_HOPS:
-                        raise DataPlaneError(
-                            "packet exceeded hop limit (routing loop?)"
-                        )
-                stripped = dict(fields)
-                del stripped[SNAP_INPORT]
-                stripped.pop(SNAP_OUTPORT, None)
-                del stripped[SNAP_NODE]
-                out = Packet.__new__(Packet)
-                out._fields = stripped
-                out._hash = None
-                return [DeliveryRecord(out, egress, total)]
-
-        records: list = []
-        # Depth-first over packet copies, first-emitted first — the same
-        # order the (fixed) sequential ``_run`` processes them in.  Stack
-        # items are resume tuples or DeliveryRecords; a record on the
-        # stack is an already-computed delivery whose forwarding hops the
-        # sequential engine would still be walking, so it surfaces in the
-        # same depth-first position.  ``outcomes`` (already produced
-        # above — processing is stateful, never rerun) seeds the loop.
-        stack: list = []
-        switch = program.switch
-        hops = 0
-        while True:
-            in_flight = None
-            for outcome in outcomes:
-                kind = outcome.kind
-                if kind == "emit":
-                    # Inlined emit hot path.  A DONE packet is never
-                    # processed again, so the SNAP-header writes the
-                    # generic ``_handle_outcome`` makes before forwarding
-                    # would be stripped unread at the egress: deliver the
-                    # stripped packet directly and save both copies.
-                    fields = outcome.packet._fields
-                    egress = fields.get("outport")
-                    if egress is None or egress not in ports:
-                        records.append(
-                            DeliveryRecord(outcome.packet, None, hops)
-                        )
-                        continue
-                    local = ports[egress] == switch
-                    total = hops
-                    if not local:
-                        u = fields.get(SNAP_INPORT)
-                        key = (switch, u, egress, DONE_TAG)
-                        seg = segments.get(key)
-                        if seg is None:
-                            seg = self._walk(switch, u, egress, DONE_TAG)
-                            segments[key] = seg
-                        seg_counts[key] = seg_counts.get(key, 0) + 1
-                        total += len(seg[1])
-                        if total > MAX_HOPS:
-                            raise DataPlaneError(
-                                "packet exceeded hop limit (routing loop?)"
-                            )
-                    stripped = dict(fields)
-                    del stripped[SNAP_INPORT]
-                    stripped.pop(SNAP_OUTPORT, None)
-                    del stripped[SNAP_NODE]
-                    out = Packet.__new__(Packet)
-                    out._fields = stripped
-                    out._hash = None
-                    record = DeliveryRecord(out, egress, total)
-                    if local:
-                        # Delivered at this switch: surfaces before any
-                        # queued copy, exactly like Network._step.
-                        records.append(record)
-                    elif in_flight is None:
-                        in_flight = [record]
-                    else:
-                        in_flight.append(record)
-                elif kind == "drop":
-                    records.append(DeliveryRecord(outcome.packet, None, hops))
-                else:
-                    resume = self._handle_pause(outcome, switch, hops)
-                    if in_flight is None:
-                        in_flight = [resume]
-                    else:
-                        in_flight.append(resume)
-            if in_flight is not None:
-                stack.extend(reversed(in_flight))
-            while stack and type(stack[-1]) is DeliveryRecord:
-                records.append(stack.pop())
-            if not stack:
-                return records
-            program, pkt, entry, hops = stack.pop()
-            switch = program.switch
-            outcomes = program.process(pkt, entry=entry)
-
-    def _handle_pause(self, outcome, switch: str, hops: int):
-        """A pause outcome -> the next processing stop.
-
-        Mirrors :meth:`Network._handle_outcome`'s retag logic + the
-        pure-forwarding hops up to the variable's owner switch, with the
-        forwarding collapsed into a memoized segment.
-        """
-        pkt = outcome.packet
-        net = self.network
-        fields = pkt._fields
-        u = fields.get(SNAP_INPORT)
-        # Ensure the tagged egress candidate can reach the variable
-        # (identical logic to Network._handle_outcome).
-        var = outcome.var
-        v = fields.get(SNAP_OUTPORT)
-        needs_retag = True
-        if v is not None:
-            pos = net._path_pos.get((u, v))
-            if (
-                pos is not None
-                and switch in pos
-                and var in net.mapping.states_for(u, v)
-            ):
-                owner = net.placement[var]
-                if owner in pos and pos[owner] >= pos[switch]:
-                    needs_retag = False
-        if needs_retag:
-            candidate = net._candidate_egress(u, var, switch)
-            if candidate is None:
-                raise DataPlaneError(
-                    f"no candidate egress for flow from port {u} pausing on "
-                    f"{var!r} at {switch}"
-                )
-            pkt = pkt.modify(SNAP_OUTPORT, candidate)
-            v = candidate
-        tag = fields.get(SNAP_NODE)
-        key = (switch, u, v, tag)
-        seg = self._segments.get(key)
-        if seg is None:
-            seg = self._walk(switch, u, v, tag)
-            self._segments[key] = seg
-        self._seg_counts[key] = self._seg_counts.get(key, 0) + 1
-        hops += len(seg[1])
-        if hops > MAX_HOPS:
-            raise DataPlaneError("packet exceeded hop limit (routing loop?)")
-        program = net.switches[seg[0]]
-        return (program, pkt, program.entries[tag], hops)
-
-    def _walk(self, switch: str, u: int, v: int, tag: int):
-        """Replay ``Network._forward``'s hop decisions until the packet
-        reaches a switch that can act on it (process the tag, or deliver
-        a DONE packet at its egress)."""
-        net = self.network
-        switches = net.switches
-        rules = net.rules
-        done = tag == DONE_TAG
-        egress_switch = net.topology.port_switch(v)
-        links = []
-        current = switch
-        while True:
-            nxt = rules.next_hop(current, u, v)
-            if nxt is None:
-                chain = net._path_next.get((u, v))
-                if chain is not None:
-                    nxt = chain.get(current)
-            if nxt is None and done:
-                nxt = net._default_next_hop(current, egress_switch)
-            if nxt is None:
-                raise DataPlaneError(
-                    f"no route at {current} for flow ({u}, {v}) (tag={tag})"
-                )
-            links.append((current, nxt))
-            if len(links) > MAX_HOPS:
-                raise DataPlaneError(
-                    "packet exceeded hop limit (routing loop?)"
-                )
-            current = nxt
-            if done:
-                if current == egress_switch:
-                    return current, tuple(links)
-            elif tag in switches[current].entries:
-                return current, tuple(links)
 
 
 # -- process-pool worker side -------------------------------------------------
@@ -1269,11 +978,11 @@ def _process_lane(payload: tuple):
     recorded while the lane ran, for the parent to adopt.
     """
     (program_key, network_key, spec_bytes,
-     ports, variables, replica_spec, state_blob, batch, telemetry) = payload
+     variables, replica_spec, state_blob, batch, telemetry) = payload
     network = _worker_network(program_key, network_key, spec_bytes)
     seed = pickle.loads(state_blob)
     network.install_shard_state(seed)
-    lane = _Lane(network, Shard(tuple(ports), frozenset(variables)), batch)
+    lane = Walker(network, batch)
     if telemetry is None:
         records, links = lane.run()
         lane_obs = None

@@ -159,6 +159,10 @@ OP_STWRITE = 5
 OP_STDELTA = 6
 OP_DROP = 7
 OP_EMIT = 8
+#: A BRANCH whose test reads a local state table.  Same effect as
+#: OP_BRANCH; lowered apart so that only these branches (never the
+#: field tests that dominate a program) pay the recorder check.
+OP_STTEST = 9
 
 
 def _compile_getter(expr):
@@ -223,10 +227,15 @@ def _lower(instructions, store: Store) -> list:
     ops = []
     for instr in instructions:
         if isinstance(instr, IBranch):
-            ops.append(
-                (OP_BRANCH, _compile_test(instr.test, store),
-                 instr.on_true, instr.on_false)
-            )
+            test = instr.test
+            branch = (_compile_test(test, store), instr.on_true, instr.on_false)
+            if isinstance(test, StateVarTest):
+                ops.append(
+                    (OP_STTEST, *branch, test.var,
+                     _compile_exprs(test.index), store.variable(test.var))
+                )
+            else:
+                ops.append((OP_BRANCH, *branch))
         elif isinstance(instr, IPause):
             ops.append((OP_PAUSE, instr.tag, instr.var))
         elif isinstance(instr, IFork):
@@ -286,8 +295,6 @@ class SwitchProgram:
         self._ops = _lower(instructions, store)
         # (tag, inport) -> pre-resolved entry, see resolve_inport_entry.
         self._inport_entries: dict = {}
-        # idx -> traced-branch helpers, built on first process_traced.
-        self._traced_tests: dict | None = None
 
     def can_process(self, tag: int) -> bool:
         return tag in self.entries
@@ -320,13 +327,22 @@ class SwitchProgram:
         self._inport_entries[key] = idx
         return idx
 
-    def process(self, packet: Packet, entry: int | None = None) -> list:
+    def process(
+        self, packet: Packet, entry: int | None = None, recorder=None
+    ) -> list:
         """Run the packet (and its forked copies) to pause/emit/drop.
 
         Executes the lowered opcode table (see ``_lower``); a packet's run
         is atomic with respect to the switch's state tables.  ``entry``
         overrides the tag-derived entry point (for pre-resolved entries
         from :meth:`resolve_inport_entry`).
+
+        ``recorder`` is a :class:`repro.obs.postcards.PostcardRecorder`
+        for a sampled packet: the same loop then also reports the switch,
+        every state test/write/delta and each copy's outcome.  The hooks
+        sit only on state and terminal opcodes and read values the opcode
+        computes anyway (operand closures are pure), so a recorded run
+        has exactly the effects of an unrecorded one.
         """
         if entry is None:
             tag = packet.get(SNAP_NODE)
@@ -335,6 +351,8 @@ class SwitchProgram:
             raise DataPlaneError(
                 f"switch {self.switch} cannot process tag {tag!r}"
             )
+        if recorder is not None:
+            recorder.process(self.switch)
         outcomes: list[Outcome] = []
         ops = self._ops
         stack = [(entry, packet)]
@@ -348,11 +366,23 @@ class SwitchProgram:
                 elif code == OP_SET:
                     pkt = pkt.modify(op[1], op[2])
                     idx += 1
+                elif code == OP_STTEST:
+                    result = op[1](pkt)
+                    if recorder is not None:
+                        key = op[5](pkt)
+                        recorder.state_test(op[4], key, op[6].get(key), result)
+                    idx = op[2] if result else op[3]
                 elif code == OP_STWRITE:
-                    op[1].set(op[2](pkt), op[3](pkt))
+                    key, value = op[2](pkt), op[3](pkt)
+                    if recorder is not None:
+                        recorder.state_write(op[1].name, key, value)
+                    op[1].set(key, value)
                     idx += 1
                 elif code == OP_STDELTA:
-                    op[1].increment(op[2](pkt), op[3])
+                    key = op[2](pkt)
+                    if recorder is not None:
+                        recorder.state_delta(op[1].name, key, op[3])
+                    op[1].increment(key, op[3])
                     idx += 1
                 elif code == OP_JUMP:
                     idx = op[1]
@@ -374,104 +404,8 @@ class SwitchProgram:
                 else:  # OP_DROP
                     outcomes.append(Outcome("drop", pkt))
                     break
-        return outcomes
-
-    def _traced_table(self) -> dict:
-        """``idx -> (var, key_fn, want_fn, variable)`` for every branch
-        whose test reads a state table (the events a postcard records)."""
-        table = self._traced_tests
-        if table is None:
-            table = {}
-            for idx, instr in enumerate(self.instructions):
-                if isinstance(instr, IBranch) and isinstance(
-                    instr.test, StateVarTest
-                ):
-                    test = instr.test
-                    table[idx] = (
-                        test.var,
-                        _compile_exprs(test.index),
-                        _compile_packed(test.value),
-                        self.store.variable(test.var),
-                    )
-            self._traced_tests = table
-        return table
-
-    def process_traced(
-        self, packet: Packet, recorder, entry: int | None = None
-    ) -> list:
-        """:meth:`process`, with postcard events on the side.
-
-        Executes the *same* lowered opcode table with the same operand
-        closures in the same order — state reads/writes, branch
-        decisions, fork order, and outcomes are identical to
-        :meth:`process` (every operand closure is pure, so evaluating it
-        once and reusing the value for both the effect and the event
-        cannot diverge).  The only additions are calls on ``recorder``:
-        state tests/writes/deltas and the final outcome kind per copy.
-        Only sampled packets come through here; the hot path never pays
-        for it.
-        """
-        if entry is None:
-            tag = packet.get(SNAP_NODE)
-            entry = self.entries.get(tag)
-        if entry is None:
-            raise DataPlaneError(
-                f"switch {self.switch} cannot process tag {tag!r}"
-            )
-        recorder.process(self.switch)
-        traced = self._traced_table()
-        outcomes: list[Outcome] = []
-        ops = self._ops
-        stack = [(entry, packet)]
-        while stack:
-            idx, pkt = stack.pop()
-            while True:
-                op = ops[idx]
-                code = op[0]
-                if code == OP_BRANCH:
-                    state_test = traced.get(idx)
-                    if state_test is None:
-                        idx = op[2] if op[1](pkt) else op[3]
-                    else:
-                        var, key_fn, want_fn, variable = state_test
-                        key = key_fn(pkt)
-                        current = variable.get(key)
-                        result = current == want_fn(pkt)
-                        recorder.state_test(var, key, current, result)
-                        idx = op[2] if result else op[3]
-                elif code == OP_SET:
-                    pkt = pkt.modify(op[1], op[2])
-                    idx += 1
-                elif code == OP_STWRITE:
-                    key, value = op[2](pkt), op[3](pkt)
-                    recorder.state_write(self.instructions[idx].var, key, value)
-                    op[1].set(key, value)
-                    idx += 1
-                elif code == OP_STDELTA:
-                    key = op[2](pkt)
-                    recorder.state_delta(self.instructions[idx].var, key, op[3])
-                    op[1].increment(key, op[3])
-                    idx += 1
-                elif code == OP_JUMP:
-                    idx = op[1]
-                elif code == OP_EMIT:
-                    recorder.outcome("emit")
-                    outcomes.append(Outcome("emit", pkt))
-                    break
-                elif code == OP_PAUSE:
-                    recorder.outcome("pause", var=op[2])
-                    outcomes.append(
-                        Outcome("pause", pkt.modify(SNAP_NODE, op[1]), op[2])
-                    )
-                    break
-                elif code == OP_FORK:
-                    for target in reversed(op[1]):
-                        stack.append((target, pkt))
-                    break
-                else:  # OP_DROP
-                    recorder.outcome("drop")
-                    outcomes.append(Outcome("drop", pkt))
-                    break
+            if recorder is not None and code != OP_FORK:
+                recorder.outcome(outcomes[-1].kind, var=outcomes[-1].var)
         return outcomes
 
     def to_lowered(self) -> "LoweredProgram":

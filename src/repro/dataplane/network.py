@@ -11,13 +11,18 @@ assigns the real outport, the packet is re-tagged and continues along the
 new path from its current switch — which the MILP guarantees lies on that
 path too.
 
-Two delivery modes:
+Two delivery modes, one packet semantics:
 
 * sequential (default): each injected packet runs to completion before the
-  next — this must agree exactly with the OBS ``eval`` semantics, and the
-  property tests check that it does;
-* concurrent: hops of in-flight packets interleave round-robin, exposing
-  the §2.1 transaction hazards that ``atomic()`` exists to prevent.
+  next, on the :class:`Walker` — the one scalar walker, which every
+  engine lane and every sampled postcard packet also runs.  It must agree
+  exactly with the OBS ``eval`` semantics, and the property tests check
+  that it does;
+* concurrent: hops of in-flight packets interleave under a scheduler,
+  exposing the §2.1 transaction hazards that ``atomic()`` exists to
+  prevent.  A hop-granular loop over the same ``SwitchProgram.process``
+  and the same two routing decisions (:meth:`Network.pause_egress`,
+  :meth:`Network.next_hop`) the walker uses.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from repro.lang.errors import DataPlaneError
 from repro.lang.packet import Packet
 from repro.lang.state import Store
 from repro.milp.results import RoutingPaths
+from repro.obs import postcards
 from repro.topology.graph import Topology
 
 MAX_HOPS = 1000
+HOP_LIMIT_MESSAGE = "packet exceeded hop limit (routing loop?)"
 
 #: Monotonic tokens identifying (a) a compiled switch-program set and (b)
 #: one Network instance built around it.  The process-pool engine keys its
@@ -263,22 +270,57 @@ class Network:
 
         merge_state(self, state)
 
-    # -- egress selection (Appendix D) ----------------------------------------
+    # -- the two routing decisions (shared by every packet driver) ----------------
 
-    def _candidate_egress(self, u: int, var: str, current: str):
-        """Pick a candidate egress whose (u, v) flow needs ``var`` and whose
-        installed path passes through ``current``; weighted by demand.
+    def pause_egress(self, u: int, v, var: str, switch: str) -> int:
+        """The egress tag a packet pausing on ``var`` at ``switch`` keeps
+        travelling toward (Appendix D).
 
-        The per-(u, var) candidate list is precomputed in ``__init__`` and
-        kept sorted by demand, so this is a short scan for the first
-        candidate whose path covers ``current`` instead of a pass over the
-        whole packet-state mapping per pause."""
-        for _, fv, pos in self._egress_index.get((u, var), ()):
-            if current in pos:
-                return fv
-        return None
+        The current tag ``v`` stands when the installed ``(u, v)`` path
+        still reaches the variable's owner from here; otherwise the
+        packet is retagged to the highest-demand flow from ``u`` that
+        needs ``var`` and whose path passes through ``switch`` (the
+        per-``(u, var)`` candidate lists are precomputed, sorted by
+        demand).
+        """
+        if v is not None:
+            pos = self._path_pos.get((u, v))
+            if (
+                pos is not None
+                and switch in pos
+                and var in self.mapping.states_for(u, v)
+            ):
+                owner = self.placement[var]
+                if owner in pos and pos[owner] >= pos[switch]:
+                    return v
+        for _, candidate, pos in self._egress_index.get((u, var), ()):
+            if switch in pos:
+                return candidate
+        raise DataPlaneError(
+            f"no candidate egress for flow from port {u} pausing on "
+            f"{var!r} at {switch}"
+        )
 
-    # -- default routes -------------------------------------------------------
+    def next_hop(self, switch: str, u: int, v: int, tag: int) -> str:
+        """Where ``switch`` sends a packet of flow ``(u, v)`` carrying ``tag``.
+
+        The rule table first; a retagged packet may join the ``(u, v)``
+        path midway, where no rule matches, so the installed path chain
+        is second; a DONE packet has no state constraints left, so any
+        route to its egress will do and the default route is third.
+        """
+        nxt = self.rules.next_hop(switch, u, v)
+        if nxt is None:
+            chain = self._path_next.get((u, v))
+            if chain is not None:
+                nxt = chain.get(switch)
+        if nxt is None and tag == DONE_TAG:
+            nxt = self._default_next_hop(switch, self.topology.port_switch(v))
+        if nxt is None:
+            raise DataPlaneError(
+                f"no route at {switch} for flow ({u}, {v}) (tag={tag})"
+            )
+        return nxt
 
     def _default_next_hop(self, source: str, target: str):
         """Next hop from ``source`` on some shortest path toward ``target``.
@@ -304,196 +346,108 @@ class Network:
             self._default_done.add(target)
         return self._default_next.get((source, target))
 
-    # -- packet walking -----------------------------------------------------------
+    # -- packet drivers -----------------------------------------------------------
 
     def inject(self, packet: Packet, port: int) -> list[DeliveryRecord]:
         """Sequential mode: run one packet to completion."""
-        records = self._run(self._new_arrivals(packet, port))
-        self.deliveries.extend(records)
-        return records
+        return self.inject_many(((packet, port),))[0]
 
     def inject_many(self, packets_with_ports) -> list[list[DeliveryRecord]]:
-        """Batched sequential mode: each packet runs to completion in order.
+        """Sequential mode: each packet runs to completion, in order.
 
-        Semantically identical to calling :meth:`inject` per packet, but
-        amortizes per-call overhead for replay workloads; returns one
-        record list per injected packet.
+        One :class:`Walker` over all ingress ports, run inline; arrivals
+        stream straight into it and each packet's record list is appended
+        to the one result list returned.  Packets that ran before a
+        failure stay recorded in ``deliveries`` and ``link_packets``.
         """
+        walker = Walker(self)
+        run_packet = walker.run_packet
+        sampler = postcards.active_sampler()
         results: list[list[DeliveryRecord]] = []
-        run = self._run
-        arrivals = self._new_arrivals
-        deliveries = self.deliveries
-        for packet, port in packets_with_ports:
-            records = run(arrivals(packet, port))
-            deliveries.extend(records)
-            results.append(records)
+        append = results.append
+        try:
+            for index, (packet, port) in enumerate(packets_with_ports):
+                if sampler is not None and sampler.should(index):
+                    append(walker.run_sampled(packet, port, index))
+                else:
+                    append(run_packet(packet, port))
+        finally:
+            walker.add_link_counts(self.link_packets)
+            extend = self.deliveries.extend
+            for records in results:
+                extend(records)
         return results
 
     def inject_concurrent(self, packets_with_ports, scheduler=None) -> list[DeliveryRecord]:
         """Concurrent mode: all packets in flight, hops interleaved.
 
         ``scheduler(pending)`` picks which pending hop advances next (index
-        into the list); the default is FIFO.  Adversarial schedulers model
+        into the queue); the default is FIFO.  Adversarial schedulers model
         in-flight packet reordering — the hazard §2.1's transactions exist
         to contain.
+
+        A hop-granular scheduler over the same pieces the
+        run-to-completion :class:`Walker` is made of —
+        :meth:`SwitchProgram.process`, :meth:`pause_egress` and
+        :meth:`next_hop` — taking one step at a time where the walker
+        takes a whole segment.
         """
-        queue: deque = deque()
-        for packet, port in packets_with_ports:
-            queue.extend(self._new_arrivals(packet, port))
-        records = self._run(queue, interleave=True, scheduler=scheduler)
-        self.deliveries.extend(records)
-        return records
+        ports = self.topology.ports
+        switches = self.switches
+        links = self.link_packets
+        records: list[DeliveryRecord] = []
+        queue: deque = deque(
+            (add_header(packet, port), self.topology.port_switch(port), 0)
+            for packet, port in packets_with_ports
+        )
 
-    def _new_arrivals(self, packet: Packet, port: int):
-        switch = self.topology.port_switch(port)
-        tagged = add_header(packet, port)
-        return deque([(tagged, switch, 0)])
+        def advance(packet, switch, hops):
+            """Deliver a DONE packet at its egress switch, else one link."""
+            fields = packet._fields
+            v, tag = fields[SNAP_OUTPORT], fields[SNAP_NODE]
+            if tag == DONE_TAG and ports[v] == switch:
+                records.append(DeliveryRecord(strip_header(packet), v, hops))
+                return
+            nxt = self.next_hop(switch, fields[SNAP_INPORT], v, tag)
+            links[(switch, nxt)] = links.get((switch, nxt), 0) + 1
+            queue.append((packet, nxt, hops + 1))
 
-    def _run(
-        self,
-        queue: deque,
-        interleave: bool = False,
-        scheduler=None,
-        links=None,
-        recorder=None,
-    ) -> list[DeliveryRecord]:
-        """Drain the arrival queue; the generic (uncompiled) packet walk.
-
-        ``links`` redirects the per-link packet counters into a caller-
-        owned dict (thread lanes keep counts lane-local and merge once,
-        instead of racing on ``self.link_packets``); ``recorder`` is a
-        :class:`repro.obs.postcards.PostcardRecorder` for sampled
-        packets — when present, switch programs run through
-        ``process_traced`` (identical opcode effects, plus events).
-        """
-        records = []
-        step = self._step
-        if links is not None or recorder is not None:
-            step = lambda packet, switch, hops: self._step(  # noqa: E731
-                packet, switch, hops, links=links, recorder=recorder
-            )
-        while queue:
-            if scheduler is not None:
-                # The deque is handed to the scheduler directly (it only
-                # needs len() and indexing); copying it to a list every
-                # hop made adversarial-scheduler soaks quadratic.
-                index = scheduler(queue)
+        try:
+            while queue:
+                # The deque goes to the scheduler as is (it only needs
+                # len() and indexing); copying it to a list every hop made
+                # adversarial-scheduler soaks quadratic.
+                index = scheduler(queue) if scheduler is not None else 0
                 packet, switch, hops = queue[index]
                 del queue[index]
-            elif interleave:
-                packet, switch, hops = queue.popleft()
-            else:
-                packet, switch, hops = queue.pop()
-            if hops > MAX_HOPS:
-                raise DataPlaneError("packet exceeded hop limit (routing loop?)")
-            items = step(packet, switch, hops)
-            in_flight = []
-            for item in items:
-                if type(item) is DeliveryRecord:
-                    records.append(item)
-                else:
-                    in_flight.append(item)
-            if interleave or scheduler is not None:
-                queue.extend(in_flight)
-            else:
-                # Sequential mode pops from the right: push copies in
-                # reverse so they run depth-first in the order the switch
-                # emitted them, matching the OBS evaluation order.
-                queue.extend(reversed(in_flight))
+                if hops > MAX_HOPS:
+                    raise DataPlaneError(HOP_LIMIT_MESSAGE)
+                tag = packet._fields[SNAP_NODE]
+                if tag == DONE_TAG or tag not in switches[switch].entries:
+                    advance(packet, switch, hops)
+                    continue
+                for outcome in switches[switch].process(packet):
+                    packet = outcome.packet
+                    fields = packet._fields
+                    if outcome.kind == "pause":
+                        v = self.pause_egress(
+                            fields[SNAP_INPORT], fields.get(SNAP_OUTPORT),
+                            outcome.var, switch,
+                        )
+                        advance(packet.modify(SNAP_OUTPORT, v), switch, hops)
+                    elif outcome.kind == "emit" and fields.get("outport") in ports:
+                        advance(
+                            packet.modify_many({
+                                SNAP_OUTPORT: fields["outport"],
+                                SNAP_NODE: DONE_TAG,
+                            }),
+                            switch, hops,
+                        )
+                    else:
+                        records.append(DeliveryRecord(packet, None, hops))
+        finally:
+            self.deliveries.extend(records)
         return records
-
-    def _step(
-        self, packet: Packet, switch: str, hops: int, links=None, recorder=None
-    ) -> list:
-        """Process-or-forward one packet at one switch.
-
-        Returns a list of :class:`DeliveryRecord` (done) and
-        ``(packet, next_switch, hops)`` tuples (still in flight) — one item
-        per packet copy.
-        """
-        tag = packet.get(SNAP_NODE)
-        program = self.switches[switch]
-        if tag != DONE_TAG and program.can_process(tag):
-            handle = self._handle_outcome
-            outcomes = (
-                program.process(packet)
-                if recorder is None
-                else program.process_traced(packet, recorder)
-            )
-            return [
-                handle(outcome, switch, hops, links=links, recorder=recorder)
-                for outcome in outcomes
-            ]
-        return [self._forward(packet, switch, hops, links, recorder)]
-
-    def _handle_outcome(
-        self, outcome, switch: str, hops: int, links=None, recorder=None
-    ):
-        packet = outcome.packet
-        u = packet.get(SNAP_INPORT)
-        kind = outcome.kind
-        if kind == "drop":
-            return DeliveryRecord(packet, None, hops)
-        if kind == "emit":
-            egress = packet.get("outport")
-            if egress is None or egress not in self.topology.ports:
-                return DeliveryRecord(packet, None, hops)
-            packet = packet.modify_many({SNAP_OUTPORT: egress, SNAP_NODE: DONE_TAG})
-            return self._forward(packet, switch, hops, links, recorder)
-        # pause: ensure the tagged egress candidate can reach the variable.
-        var = outcome.var
-        v = packet.get(SNAP_OUTPORT)
-        needs_retag = True
-        if v is not None:
-            pos = self._path_pos.get((u, v))
-            if (
-                pos is not None
-                and switch in pos
-                and var in self.mapping.states_for(u, v)
-            ):
-                owner = self.placement[var]
-                if owner in pos and pos[owner] >= pos[switch]:
-                    needs_retag = False
-        if needs_retag:
-            candidate = self._candidate_egress(u, var, switch)
-            if candidate is None:
-                raise DataPlaneError(
-                    f"no candidate egress for flow from port {u} pausing on "
-                    f"{var!r} at {switch}"
-                )
-            packet = packet.modify(SNAP_OUTPORT, candidate)
-        return self._forward(packet, switch, hops, links, recorder)
-
-    def _forward(
-        self, packet: Packet, switch: str, hops: int, links=None, recorder=None
-    ):
-        fields = packet._fields
-        u = fields.get(SNAP_INPORT)
-        v = fields.get(SNAP_OUTPORT)
-        if v is None:
-            raise DataPlaneError(f"packet at {switch} has no egress tag")
-        if switch == self.topology.port_switch(v) and fields.get(SNAP_NODE) == DONE_TAG:
-            return DeliveryRecord(strip_header(packet), v, hops)
-        nxt = self.rules.next_hop(switch, u, v)
-        if nxt is None:
-            # Re-tagged packets may join the (u, v) path midway; recover by
-            # walking the installed path from the current switch.
-            chain = self._path_next.get((u, v))
-            if chain is not None:
-                nxt = chain.get(switch)
-        if nxt is None and fields.get(SNAP_NODE) == DONE_TAG:
-            # Processing finished: any route to the egress works.
-            nxt = self._default_next_hop(switch, self.topology.port_switch(v))
-        if nxt is None:
-            raise DataPlaneError(
-                f"no route at {switch} for flow ({u}, {v}) "
-                f"(tag={packet.get(SNAP_NODE)})"
-            )
-        counters = self.link_packets if links is None else links
-        counters[(switch, nxt)] = counters.get((switch, nxt), 0) + 1
-        if recorder is not None:
-            recorder.hop(switch, nxt)
-        return (packet, nxt, hops + 1)
 
     # -- reporting -------------------------------------------------------------
 
@@ -507,6 +461,198 @@ class Network:
             f"Network({self.topology.name}, switches={len(self.switches)}, "
             f"rules={self.rules.total_rules()})"
         )
+
+
+# -- the scalar packet walker --------------------------------------------------
+
+
+class Walker:
+    """The one scalar packet walker: a packet runs to completion.
+
+    Every run-to-completion driver is this class — ``inject`` /
+    ``inject_many`` and the sequential engine (one walker over all
+    ingress ports), each thread, process and cluster lane (one walker
+    per shard batch), and sampled postcard packets (the same walk with a
+    recorder).  Its records agree with the OBS ``eval`` semantics; the
+    property tests check that they do.
+
+    Pure-forwarding hop chains are memoized as *segments* keyed
+    ``(switch, inport, outport, tag)``: one dict hit and one counter
+    bump per traversal instead of a queue round per hop.  Segments are
+    built from :meth:`Network.next_hop`, so hop counts and per-link
+    packet counts are exactly those of a hop-by-hop walk; the traversal
+    counters expand into link counts on demand.  A walker is private to
+    its caller, so lanes never race on counters.
+    """
+
+    __slots__ = ("network", "batch", "_segments", "_seg_counts")
+
+    def __init__(self, network: Network, batch=()):
+        self.network = network
+        self.batch = batch  # [(global_index, packet, port)], for run()
+        self._segments: dict = {}  # (switch, u, v, tag) -> (stop, links)
+        self._seg_counts: dict = {}
+
+    def run(self):
+        """The lane contract: the batch, in order.  Returns
+        ``({global_index: [DeliveryRecord]}, {link: count})`` — keyed by
+        index because the engines merge several lanes' results back
+        into global arrival order."""
+        results: dict = {}
+        run_packet = self.run_packet
+        sampler = postcards.active_sampler()
+        for index, packet, port in self.batch:
+            if sampler is not None and sampler.should(index):
+                results[index] = self.run_sampled(packet, port, index)
+            else:
+                results[index] = run_packet(packet, port)
+        links: dict = {}
+        self.add_link_counts(links)
+        return results, links
+
+    def run_sampled(self, packet: Packet, port: int, index: int) -> list:
+        """:meth:`run_packet` for a postcard-sampled packet."""
+        recorder = postcards.PostcardRecorder(index, port)
+        records = self.run_packet(packet, port, recorder)
+        recorder.finish(records)
+        return records
+
+    def add_link_counts(self, links: dict) -> None:
+        """Add this walker's per-link packet counts to ``links`` (once,
+        after its last walk: the traversal counters are not reset)."""
+        segments = self._segments
+        for key, count in self._seg_counts.items():
+            for link in segments[key][1]:
+                links[link] = links.get(link, 0) + count
+
+    def run_packet(self, packet: Packet, port: int, recorder=None) -> list:
+        """One packet from its ingress port to every copy's fate.
+
+        ``recorder`` (a postcard recorder) sees the same walk: state and
+        outcome events come from the hook inside ``process``, hop events
+        are replayed from each memoized segment's link tuple.
+        """
+        net = self.network
+        ports = net.topology.ports
+        try:
+            program = net.switches[ports[port]]
+        except KeyError:
+            raise DataPlaneError(f"no OBS port {port} in the topology") from None
+        # Inlined add_header: one dict copy for tag + inport.
+        fields = dict(packet._fields)
+        fields["inport"] = port
+        fields[SNAP_INPORT] = port
+        fields[SNAP_NODE] = ROOT_TAG
+        pkt = Packet.__new__(Packet)
+        pkt._fields = fields
+        pkt._hash = None
+        # Leading inport-only branches are resolved once per port.
+        entry = program.resolve_inport_entry(ROOT_TAG, pkt, port)
+        hops = 0
+        records: list = []
+        # Depth-first over packet copies, first-emitted first: the OBS
+        # evaluation order.  Stack items are resume tuples or
+        # DeliveryRecords; a record on the stack is a delivery whose
+        # forwarding hops a hop-by-hop walk would still be taking, so it
+        # surfaces in the same depth-first position.
+        stack: list = []
+        while True:
+            switch = program.switch
+            in_flight = None
+            for outcome in program.process(pkt, entry, recorder):
+                kind = outcome.kind
+                if kind == "pause":
+                    item = self._resume(outcome, switch, hops, recorder)
+                else:
+                    fields = outcome.packet._fields
+                    egress = fields.get("outport")
+                    if kind == "drop" or egress not in ports:
+                        records.append(DeliveryRecord(outcome.packet, None, hops))
+                        continue
+                    # A DONE packet is never processed again, so the
+                    # SNAP-header writes a switch would make before
+                    # forwarding it would be stripped unread at the
+                    # egress: deliver the stripped packet directly.
+                    stripped = dict(fields)
+                    del stripped[SNAP_INPORT]
+                    stripped.pop(SNAP_OUTPORT, None)
+                    del stripped[SNAP_NODE]
+                    out = Packet.__new__(Packet)
+                    out._fields = stripped
+                    out._hash = None
+                    if ports[egress] == switch:
+                        # Delivered here: ahead of any copy still in flight.
+                        records.append(DeliveryRecord(out, egress, hops))
+                        continue
+                    _, total = self._traverse(
+                        switch, fields[SNAP_INPORT], egress, DONE_TAG,
+                        hops, recorder,
+                    )
+                    item = DeliveryRecord(out, egress, total)
+                if in_flight is None:
+                    in_flight = [item]
+                else:
+                    in_flight.append(item)
+            if in_flight is not None:
+                stack.extend(reversed(in_flight))
+            while stack and type(stack[-1]) is DeliveryRecord:
+                records.append(stack.pop())
+            if not stack:
+                return records
+            program, pkt, entry, hops = stack.pop()
+
+    def _resume(self, outcome, switch: str, hops: int, recorder):
+        """A pause outcome -> where and how processing resumes: the
+        packet, tagged with an egress that reaches the variable, carried
+        over the forwarding segment to the first switch that can act on
+        its tag."""
+        pkt = outcome.packet
+        fields = pkt._fields
+        u, tag, tagged = fields[SNAP_INPORT], fields[SNAP_NODE], fields.get(SNAP_OUTPORT)
+        v = self.network.pause_egress(u, tagged, outcome.var, switch)
+        if v != tagged:
+            pkt = pkt.modify(SNAP_OUTPORT, v)
+        stop, hops = self._traverse(switch, u, v, tag, hops, recorder)
+        program = self.network.switches[stop]
+        return (program, pkt, program.entries[tag], hops)
+
+    def _traverse(self, switch: str, u: int, v: int, tag: int, hops: int,
+                  recorder):
+        """Take the forwarding segment from ``switch``; returns the
+        switch it ends at and the hop count on arrival."""
+        key = (switch, u, v, tag)
+        segment = self._segments.get(key)
+        if segment is None:
+            segment = self._segments[key] = self._walk(switch, u, v, tag)
+        self._seg_counts[key] = self._seg_counts.get(key, 0) + 1
+        stop, links = segment
+        hops += len(links)
+        if hops > MAX_HOPS:
+            raise DataPlaneError(HOP_LIMIT_MESSAGE)
+        if recorder is not None:
+            for link in links:
+                recorder.hop(*link)
+        return stop, hops
+
+    def _walk(self, switch: str, u: int, v: int, tag: int):
+        """Follow :meth:`Network.next_hop` until the packet reaches a
+        switch that can act on it (process the tag, or deliver a DONE
+        packet at its egress).  Returns ``(stop, links)``."""
+        net = self.network
+        switches = net.switches
+        egress_switch = net.topology.port_switch(v)
+        links = []
+        while True:
+            nxt = net.next_hop(switch, u, v, tag)
+            links.append((switch, nxt))
+            if len(links) > MAX_HOPS:
+                raise DataPlaneError(HOP_LIMIT_MESSAGE)
+            switch = nxt
+            if tag == DONE_TAG:
+                if switch == egress_switch:
+                    return switch, tuple(links)
+            elif tag in switches[switch].entries:
+                return switch, tuple(links)
 
 
 # -- execution-spec serialization (worker processes and cluster daemons) ------

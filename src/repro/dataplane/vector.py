@@ -26,7 +26,7 @@ How each opcode vectorizes:
 
 ``PAUSE``, ``STWRITE``, and branches on state (``StateVarTest``) do not
 vectorize: rows whose resolved entry can reach one fall back to the
-scalar :class:`repro.dataplane.engine._Lane`, and if the fallback rows'
+scalar :class:`repro.dataplane.network.Walker`, and if the fallback rows'
 state footprint overlaps the vectorized rows' the whole batch runs
 scalar (deferred deltas may not be reordered around scalar state
 reads).  One exception, opt-in via ``VectorEngine(commute_fastpath=
@@ -70,7 +70,7 @@ try:  # optional dependency — see module docstring
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
-from repro.dataplane.engine import Shard, ShardedEngine, _Lane
+from repro.dataplane.engine import Shard, ShardedEngine
 from repro.dataplane.header import (
     DONE_TAG,
     ROOT_TAG,
@@ -100,7 +100,12 @@ from repro.obs.tracing import TRACER
 from repro.util.ipaddr import IPPrefix
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest
 
-from repro.dataplane.network import MAX_HOPS, DeliveryRecord
+from repro.dataplane.network import (
+    HOP_LIMIT_MESSAGE,
+    MAX_HOPS,
+    DeliveryRecord,
+    Walker,
+)
 
 #: Why vector lanes demoted work to the scalar interpreter.  Labeled by
 #: cause so a parallelism flatline is explainable from a metrics scrape
@@ -709,7 +714,7 @@ def _compiled_kernel(kernel: _Kernel):
 
 
 class VectorLane:
-    """One shard's columnar execution lane (drop-in for ``_Lane``).
+    """One shard's columnar execution lane (drop-in for ``Walker``).
 
     Same contract as the scalar lane: :meth:`run` returns
     ``({global_index: [DeliveryRecord]}, {link: count})`` with exactly
@@ -727,7 +732,7 @@ class VectorLane:
         self.jit = jit
         #: opt-in commutative-overlap fast path (see :meth:`run`)
         self.commute = commute
-        self._scalar = _Lane(network, shard, [])
+        self._scalar = Walker(network)
         self._counter = 0
 
     # -- group planning ----------------------------------------------------
@@ -826,7 +831,7 @@ class VectorLane:
             # form does not apply — rerun everything on the scalar lane
             # (no state was touched yet; deltas are deferred).
             _demote("unhashable-field", len(self.batch))
-            self._scalar = _Lane(self.network, self.shard, self.batch)
+            self._scalar = Walker(self.network, self.batch)
             return self._scalar.run()
         _apply_delta_events(delta_events)
         for gidx, entries in out.items():
@@ -922,10 +927,7 @@ class VectorLane:
                             key, segment = self._segment(switch, port, egress)
                             hops = len(segment[1])
                             if hops > MAX_HOPS:
-                                raise DataPlaneError(
-                                    "packet exceeded hop limit "
-                                    "(routing loop?)"
-                                )
+                                raise DataPlaneError(HOP_LIMIT_MESSAGE)
                             cached = seg_cache[port] = (key, hops)
                         key, hops = cached
                         seg_counts[key] = seg_counts.get(key, 0) + 1
@@ -1111,5 +1113,5 @@ def make_vector_lane(kind: str, network, shard: Shard, batch):
     """A lane for the cluster worker's opt-in (scalar when numpy is
     missing on the worker host — semantics are identical either way)."""
     if np is None:
-        return _Lane(network, shard, batch)
+        return Walker(network, batch)
     return VectorLane(network, shard, batch, jit=(kind == "vector-jit"))

@@ -29,7 +29,7 @@ class Packet:
 
     def get(self, field: str):
         # The data-plane fast path (dataplane/netasm.py lowered closures,
-        # Network._forward) reads self._fields.get(...) directly for speed;
+        # dataplane/network.py Walker) reads self._fields directly for speed;
         # any semantics added here must be mirrored there.
         return self._fields.get(field)
 

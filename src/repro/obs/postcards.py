@@ -13,13 +13,11 @@ every == 0``), never random, for two reasons:
 * the same packets are sampled no matter which engine runs the trace or
   how it was sharded (batch entries carry their global index end to
   end, including across the cluster wire);
-* a sampled run is **byte-identical** to an unsampled one — the traced
-  path executes exactly the same lowered opcodes against the same state
-  (see :meth:`repro.dataplane.netasm.SwitchProgram.process_traced` and
-  the generic :meth:`repro.dataplane.network.Network._run` walk, which
-  the compiled lanes are property-tested equivalent to), so turning
-  postcards on can never change what the network does, only what it
-  remembers.
+* a sampled run is **byte-identical** to an unsampled one — a sampled
+  packet runs the same :class:`repro.dataplane.network.Walker` and the
+  same :meth:`repro.dataplane.netasm.SwitchProgram.process` opcode loop
+  as every other packet, with a recorder argument, so turning postcards
+  on can never change what the network does, only what it remembers.
 
 When no sampler is configured (the default), every hook is a single
 ``None`` check on a module global — the per-packet hot paths pay
@@ -90,8 +88,9 @@ def _jsonable(value):
 class PostcardRecorder:
     """Collects one sampled packet's events while it executes.
 
-    Handed to :meth:`Network._run` as ``recorder=``; the traced
-    interpreter and the forwarding loop call the event methods below.
+    Handed to :meth:`Walker.run_packet` as ``recorder``: the opcode loop
+    reports process/state/outcome events, the walker replays each
+    forwarding segment's links as hop events.
     """
 
     __slots__ = ("index", "port", "events")
@@ -135,48 +134,28 @@ class PostcardRecorder:
 
     # -- finalization ------------------------------------------------------
 
-    def to_dict(self, records) -> dict:
-        deliveries = [
-            {"egress": r.egress, "hops": r.hops} for r in records
-        ]
-        return {
+    def finish(self, records) -> None:
+        """The packet is done: file the postcard."""
+        card = {
             "index": self.index,
             "port": self.port,
             "events": self.events,
-            "deliveries": deliveries,
+            "deliveries": [
+                {"egress": r.egress, "hops": r.hops} for r in records
+            ],
         }
-
-
-def _record(card: dict) -> None:
-    with _RING_LOCK:
-        _RING.append(card)
-        overflow = len(_RING) - RING_SIZE
-        if overflow > 0:
-            del _RING[:overflow]
-    _POSTCARDS_TOTAL.inc()
-    # Mirror onto the current span (engine lane / worker job), so traces
-    # and postcards cross-reference without a join key.
-    TRACER.add_event(
-        "postcard", index=card["index"], port=card["port"],
-        events=len(card["events"]),
-    )
-
-
-def run_traced(network, packet, port: int, index: int, links=None) -> list:
-    """Run one sampled packet through the generic traced walk.
-
-    Returns exactly the delivery records the untraced path produces (the
-    compiled lanes are property-tested equivalent to this walk, and the
-    traced interpreter executes the identical opcode effects).  Link
-    counts go to ``links`` when given (thread lanes keep them local and
-    merge once) or to the network's own counters.
-    """
-    recorder = PostcardRecorder(index, port)
-    records = network._run(
-        network._new_arrivals(packet, port), links=links, recorder=recorder
-    )
-    _record(recorder.to_dict(records))
-    return records
+        with _RING_LOCK:
+            _RING.append(card)
+            overflow = len(_RING) - RING_SIZE
+            if overflow > 0:
+                del _RING[:overflow]
+        _POSTCARDS_TOTAL.inc()
+        # Mirror onto the current span (engine lane / worker job), so traces
+        # and postcards cross-reference without a join key.
+        TRACER.add_event(
+            "postcard", index=self.index, port=self.port,
+            events=len(self.events),
+        )
 
 
 def record_summary(index: int, port: int, records, lane: str) -> None:
@@ -189,7 +168,7 @@ def record_summary(index: int, port: int, records, lane: str) -> None:
     """
     card = PostcardRecorder(index, port)
     card.events.append({"ev": "lane", "kind": lane})
-    _record(card.to_dict(records))
+    card.finish(records)
 
 
 def postcards() -> list:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
+from repro.dataplane.engine import SequentialEngine, ShardedEngine
 from repro.dataplane.header import DONE_TAG, ROOT_TAG, SNAP_NODE
 from repro.dataplane.netasm import compile_switch
 from repro.dataplane.network import Network
@@ -238,6 +239,34 @@ class TestNetworkConcurrent:
         assert len(records) == 4
         assert all(type(pending) is deque for pending in seen)
         assert all(pending is seen[0] for pending in seen)
+
+
+class TestHopLimit:
+    """A routing loop ends in ``DataPlaneError`` from every packet
+    driver, not in a hang: the walker bounds each forwarding segment
+    and each packet's total, the hop-granular driver each packet's
+    count."""
+
+    def _looping_network(self):
+        topo = line_topology(3)
+        xfdd, _, mapping, demands, solution, routing = compile_case(
+            ast.Mod("outport", 2), topo
+        )
+        net = Network(topo, xfdd, solution.placement, routing, mapping, demands, {})
+        net.rules.tables["s1"][(1, 2)] = "s0"  # s0 -> s1 -> s0 -> ...
+        return net
+
+    @pytest.mark.parametrize("drive", [
+        lambda net, arrivals: net.inject(*arrivals[0]),
+        lambda net, arrivals: net.inject_concurrent(arrivals),
+        lambda net, arrivals: SequentialEngine().run(net, arrivals),
+        lambda net, arrivals: ShardedEngine().run(net, arrivals),
+    ], ids=["inject", "inject_concurrent", "sequential", "sharded"])
+    def test_rule_table_cycle_raises(self, drive):
+        net = self._looping_network()
+        with pytest.raises(DataPlaneError, match="hop limit"):
+            drive(net, [(make_packet(srcip=1), 1)])
+        assert net.deliveries == []
 
 
 def star_topology():

@@ -28,11 +28,11 @@ from repro.dataplane import vector
 from repro.dataplane.engine import (
     SequentialEngine,
     Shard,
-    _Lane,
     get_engine,
     make_lane,
     plan_for,
 )
+from repro.dataplane.network import Walker
 from repro.dataplane.vector import (
     VectorEngine,
     VectorJitEngine,
@@ -267,8 +267,8 @@ class TestScalarFallback:
         # sound; it is the only way to get a genuinely mixed batch here.
         shard = Shard((1, 2), frozenset({"v", "w"}))
         net_scalar = snapshot.build_network()
-        scalar_results, scalar_links = _Lane(
-            net_scalar, shard, list(batch)
+        scalar_results, scalar_links = Walker(
+            net_scalar, list(batch)
         ).run()
         for jit in (False, True):
             before = kernel_cache_stats()
@@ -470,13 +470,13 @@ class TestOptionalNumpy:
         network = snapshot.build_network()
         shard = plan_for(network).shards[0]
         lane = vector.make_vector_lane("vector", network, shard, [])
-        assert isinstance(lane, _Lane)
+        assert isinstance(lane, Walker)
 
     def test_make_lane_kinds(self):
         snapshot, _ = sharded_monitor()
         network = snapshot.build_network()
         shard = plan_for(network).shards[0]
-        assert isinstance(make_lane(None, network, shard, []), _Lane)
+        assert isinstance(make_lane(None, network, shard, []), Walker)
         assert isinstance(
             make_lane("vector", network, shard, []), VectorLane
         )

@@ -247,6 +247,75 @@ class TestPostcards:
             for delivery in card["deliveries"]
         )
 
+    def test_golden_card_pause_and_resume_on_the_owner_switch(self):
+        """One pinned card: a packet tests state at its ingress, pauses
+        on a variable owned two hops away, resumes there and is emitted
+        one hop short of its egress.  The recorder hooks sit in the
+        walker and the opcode loop; this is the event order they must
+        keep (recorded from the two-walker implementation)."""
+        from repro.analysis.dependency import analyze_dependencies
+        from repro.analysis.packet_state import packet_state_mapping
+        from repro.dataplane.network import Network
+        from repro.lang import ast, make_packet
+        from repro.milp.results import RoutingPaths
+        from repro.topology.graph import Topology
+        from repro.topology.traffic import uniform_traffic_matrix
+        from repro.xfdd.build import build_xfdd
+
+        topo = Topology("line")
+        for name in "abcd":
+            topo.add_switch(name)
+        for left, right in ("ab", "bc", "cd"):
+            topo.add_link(left, right, 100.0)
+        topo.attach_port(1, "a")
+        topo.attach_port(2, "d")
+        topo.validate()
+        policy = ast.Seq(
+            ast.If(
+                ast.StateTest("flag", ast.Field("srcip"), ast.Value(False)),
+                ast.Seq(
+                    ast.StateMod("last", ast.Field("srcip"), ast.Field("dstport")),
+                    ast.StateIncr("hits", ast.Field("srcip")),
+                ),
+                ast.Id(),
+            ),
+            ast.Mod("outport", 2),
+        )
+        placement = {"flag": "a", "last": "c", "hits": "c"}
+        deps = analyze_dependencies(policy)
+        xfdd = build_xfdd(policy, state_rank=deps.state_rank)
+        network = Network(
+            topo, xfdd, placement,
+            RoutingPaths({(1, 2): tuple("abcd"), (2, 1): tuple("dcba")}, placement),
+            packet_state_mapping(xfdd, (1, 2), (1, 2)),
+            uniform_traffic_matrix((1, 2), 1.0),
+            {"flag": False, "hits": 0},
+        )
+        with postcards.sampling(1):
+            (records,) = SequentialEngine().run(
+                network, [(make_packet(srcip=7, dstport=80), 1)]
+            )
+        assert [(r.egress, r.hops) for r in records] == [(2, 3)]
+        (card,) = postcards.postcards()
+        assert card == {
+            "index": 0,
+            "port": 1,
+            "events": [
+                {"ev": "process", "switch": "a"},
+                {"ev": "state_test", "var": "flag", "key": [7],
+                 "value": False, "result": True},
+                {"ev": "pause", "var": "last"},
+                {"ev": "hop", "link": ["a", "b"]},
+                {"ev": "hop", "link": ["b", "c"]},
+                {"ev": "process", "switch": "c"},
+                {"ev": "state_write", "var": "last", "key": [7], "value": 80},
+                {"ev": "state_delta", "var": "hits", "key": [7], "delta": 1},
+                {"ev": "emit"},
+                {"ev": "hop", "link": ["c", "d"]},
+            ],
+            "deliveries": [{"egress": 2, "hops": 3}],
+        }
+
     def test_sharded_sampled_run_identical(self):
         assert_sampled_run_identical(ShardedEngine)
 
@@ -300,19 +369,22 @@ class TestEngineTelemetry:
         assert lanes.labels(engine="t-pub").value == 3
 
     def test_disabled_telemetry_keeps_the_sequential_fast_path(self):
-        obs.configure(False)
+        """Telemetry off: no spans, no postcards, and exactly the records,
+        state and link counts of a run with telemetry on."""
         snapshot, _ = compiled(policy=workloads_noop_policy())
-        network = snapshot.build_network()
-        calls = []
-        original = network.inject_many
-        network.inject_many = lambda arrivals: (
-            calls.append(len(list(arrivals))) or original(arrivals)
-        )
         trace = list(workloads.background_traffic(SUBNETS, count=12, seed=1))
-        SequentialEngine().run(network, trace)
-        assert calls == [12]  # one batch call, no per-packet branching
+        net_on = snapshot.build_network()
+        on = SequentialEngine().run(net_on, trace)
+
+        obs.configure(False)
+        TRACER.reset()
+        net_off = snapshot.build_network()
+        off = SequentialEngine().run(net_off, trace)
         assert TRACER.spans() == []
         assert postcards.postcards() == []
+        assert [record_view(r) for r in off] == [record_view(r) for r in on]
+        assert net_off.global_store() == net_on.global_store()
+        assert net_off.link_packets == net_on.link_packets
 
 
 def workloads_noop_policy():

@@ -8,6 +8,8 @@ placement, routing, per-switch NetASM splitting, SNAP-header steering, and
 Appendix D's candidate-egress trick.
 """
 
+from collections import Counter
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, given, settings
 
@@ -32,7 +34,8 @@ from repro.xfdd.order import TestOrder
 from repro.xfdd.compose import Composer
 from repro.xfdd.build import to_xfdd
 
-from tests.strategies import FIELDS, STATE_VARS, VALUES, packets, registry
+from tests.test_engine import record_view
+from tests.strategies import STATE_VARS, VALUES, packets, policies, registry
 
 PORTS = (1, 2, 3)
 
@@ -90,27 +93,20 @@ def stateful_bodies():
     return st.lists(body, min_size=1, max_size=2).map(ast.seq_all)
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-@given(
-    body=stateful_bodies(),
-    arrivals=st.lists(
-        st.tuples(packets(), st.sampled_from(PORTS)), min_size=1, max_size=6
-    ),
-)
-def test_distributed_execution_matches_obs_eval(body, arrivals):
+DEFAULTS = {var: 0 for var in STATE_VARS}
+
+
+def compile_onto_diamond(body):
+    """``body ; egress_policy`` compiled for the diamond: the policy and
+    a factory of fresh networks for it (rejected examples are assumed
+    away)."""
     policy = ast.Seq(body, egress_policy())
-    reg = registry()
     try:
         deps = analyze_dependencies(policy)
-        order = TestOrder(reg, deps.state_rank)
+        order = TestOrder(registry(), deps.state_rank)
         xfdd = to_xfdd(policy, Composer(order))
     except (RaceConditionError, CompileError):
         assume(False)
-        return
     topo = diamond_topology()
     mapping = packet_state_mapping(xfdd, PORTS, PORTS)
     demands = uniform_traffic_matrix(PORTS, 1.0)
@@ -120,11 +116,28 @@ def test_distributed_execution_matches_obs_eval(body, arrivals):
         validate_solution(routing, topo, mapping, deps)
     except PlacementError:
         assume(False)
-        return
-    defaults = {var: 0 for var in STATE_VARS}
-    net = Network(topo, xfdd, solution.placement, routing, mapping, demands, defaults)
+    return policy, lambda: Network(
+        topo, xfdd, solution.placement, routing, mapping, demands, DEFAULTS
+    )
 
-    ref_store = Store(defaults)
+
+ARRIVALS = st.lists(
+    st.tuples(packets(), st.sampled_from(PORTS)), min_size=1, max_size=6
+)
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@SETTINGS
+@given(body=stateful_bodies(), arrivals=ARRIVALS)
+def test_distributed_execution_matches_obs_eval(body, arrivals):
+    policy, make_network = compile_onto_diamond(body)
+    net = make_network()
+
+    ref_store = Store(DEFAULTS)
     for packet, port in arrivals:
         tagged = packet.modify("inport", port)
         try:
@@ -145,3 +158,30 @@ def test_distributed_execution_matches_obs_eval(body, arrivals):
             if record.egress is not None:
                 assert record.packet.get("outport") == record.egress
     assert net.global_store() == ref_store
+
+
+def copies(records) -> Counter:
+    """A packet's records as a multiset."""
+    return Counter(record_view(records))
+
+
+@SETTINGS
+@given(body=st.one_of(stateful_bodies(), policies(4)), arrivals=ARRIVALS)
+def test_run_to_completion_matches_the_hop_granular_driver(body, arrivals):
+    """The walker takes memoized forwarding segments; ``inject_concurrent``
+    moves one link per step over the same routing functions.  Fed the
+    trace one packet at a time it must leave the same records, hop
+    counts, per-link packet counts and state.  (Copies of one multicast
+    packet finish depth-first in the walker and breadth-first here, so
+    each packet's records compare as a multiset; their order is pinned
+    against ``eval_policy`` in test_dataplane.py.)"""
+    _, make_network = compile_onto_diamond(body)
+    walked, stepped = make_network(), make_network()
+    per_packet = walked.inject_many(arrivals)
+    for records, arrival in zip(per_packet, arrivals):
+        assert copies(records) == copies(
+            stepped.inject_concurrent([arrival])
+        )
+    assert walked.link_packets == stepped.link_packets
+    assert walked.global_store() == stepped.global_store()
+    assert copies(walked.deliveries) == copies(stepped.deliveries)
