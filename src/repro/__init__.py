@@ -20,17 +20,14 @@ Public API highlights::
     snap = controller.restore_link("C1", "C5")
     snap = controller.set_demands(matrix)
 
-Each event returns an immutable, generation-numbered ``Snapshot``.
-``Compiler`` (``cold_start`` / ``policy_change`` / ``topology_change``)
-remains as a deprecated shim over the controller; see ``docs/api.md``
-for the lifecycle and the migration guide, and README.md for a tour.
+Each event returns an immutable, generation-numbered ``Snapshot``; see
+``docs/api.md`` for the lifecycle, and README.md for a tour.
 """
 
 __version__ = "1.1.0"
 
 from repro.core import (  # noqa: F401
     CompilationResult,
-    Compiler,
     CompilerOptions,
     Program,
     Snapshot,

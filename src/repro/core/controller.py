@@ -308,8 +308,7 @@ class SnapController:
 
         ``failed_links=None`` keeps the current set; ``[]`` restores
         everything.  This is the bulk form of ``fail_link`` /
-        ``restore_link`` / ``set_demands`` (and what the legacy
-        ``Compiler.topology_change`` delegates to).  ``event`` labels the
+        ``restore_link`` / ``set_demands``.  ``event`` labels the
         snapshot's provenance and must map to the topology/TM-change
         scenario.
         """
@@ -340,10 +339,7 @@ class SnapController:
         The next ST event (``submit``/``update_policy``) compiles it.
         The standing TE model and the solve-retention key are dropped:
         they describe the previous program, and a later TE event must
-        not re-route against inputs the session no longer holds.  (The
-        deprecated ``Compiler.program`` setter used to poke
-        ``_program`` directly with no invalidation — this is the
-        sanctioned spelling.)
+        not re-route against inputs the session no longer holds.
         """
         self._program = program
         self._invalidate_te()
@@ -724,7 +720,9 @@ class SnapController:
             effects = self._session.effect_report(program.policy)
         else:
             effects = analyze_effects(program.policy)
-        stats = {**stats, "effects": effects}
+        # ... and what the solver said about its answer (status 1 is a
+        # time-limited incumbent, not an optimum; {} for the heuristic).
+        stats = {**stats, "effects": effects, "solver": dict(solution.solver)}
         self._generation += 1
         _CONTROLLER_EVENTS.labels(event=event).inc()
         _GENERATION.set(self._generation)

@@ -21,7 +21,9 @@ from ``definitions`` (a named sub-policy such as ``assign-egress``), a
 
 ``#`` and ``//`` start comments.  The notation follows the paper exactly,
 including hyphenated identifiers (``susp-client``), dotted protocol fields
-(``dns.rdata``), IP prefixes, and the ``s[e]`` boolean sugar.
+(``dns.rdata``), IP prefixes, and the ``s[e]`` boolean sugar.  A name may
+end in one ``@suffix`` — the per-port shards ``count@1`` that
+:func:`repro.analysis.sharding.shard_by_inport` generates.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ _TOKEN_RE = re.compile(
   | (?P<decr>--)
   | (?P<op>[=;+&|!()\[\],])
   | (?P<neg>¬)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:[.-][A-Za-z0-9_]+)*)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:[.-][A-Za-z0-9_]+)*(?:@[A-Za-z0-9_]+)?)
     """,
     re.VERBOSE,
 )

@@ -9,7 +9,7 @@ from repro.milp.backends import (
     register_backend,
 )
 from repro.milp.heuristic import greedy_placement, greedy_solution
-from repro.milp.modeling import Model, Solution, Variable
+from repro.milp.modeling import Model, Solution
 from repro.milp.placement import (
     PlacementInputs,
     PlacementModel,
@@ -29,7 +29,7 @@ __all__ = [
     "BACKENDS", "GreedyBackend", "MilpBackend", "SolverBackend",
     "get_backend", "register_backend",
     "greedy_placement", "greedy_solution",
-    "Model", "Solution", "Variable",
+    "Model", "Solution",
     "PlacementInputs", "PlacementModel", "PlacementSolution",
     "build_placement_model",
     "PortSplit", "split_port",

@@ -1,11 +1,18 @@
 """A small MILP modeling layer over ``scipy.optimize.milp`` (HiGHS).
 
 The paper uses the Gurobi Python API; offline we provide the minimal
-equivalent: named variables, linear expressions, ==/<=/>= constraints,
-and a minimize objective, compiled to the sparse matrix form HiGHS wants.
+equivalent, stored the way HiGHS consumes it: one columnar store of
+bound / integrality / cost vectors, and the constraint rows as a
+canonical CSR with ``lo`` / ``hi`` vectors, grown by COO blocks
+``(rows, cols, data)``.  A variable is its column index.
 
-Kept intentionally lean — constraint rows are plain ``(var, coef)`` lists
-to make building the ~10^5-row placement programs fast.
+Builders append whole constraint families with :meth:`Model.add_vars` /
+:meth:`Model.add_rows`; the scalar ``add_var`` / ``add_constraint`` calls
+are one-element blocks of the same store.  A standing model is patched by
+writing into ``lb`` / ``ub`` / ``cost`` / ``lo`` / ``hi`` / ``matrix.data``
+in place (§6.2.2: "incremental additions and modifications of variables
+and constraints in a few milliseconds") — nothing is assembled at solve
+time.
 """
 
 from __future__ import annotations
@@ -17,89 +24,122 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from repro.lang.errors import PlacementError
 
 
-class Variable:
-    """A model variable; use ``solution[var]`` to read its value."""
-
-    __slots__ = ("index", "name", "lower", "upper", "integer")
-
-    def __init__(self, index: int, name: str, lower: float, upper: float, integer: bool):
-        self.index = index
-        self.name = name
-        self.lower = lower
-        self.upper = upper
-        self.integer = integer
-
-    def __repr__(self):
-        kind = "int" if self.integer else "cont"
-        return f"Variable({self.name}, {kind}, [{self.lower}, {self.upper}])"
+def _extended(vector: np.ndarray, count: int, values) -> np.ndarray:
+    """``vector`` plus ``count`` entries: one scalar for all, or one each."""
+    return np.concatenate([vector, np.broadcast_to(np.asarray(values, vector.dtype), (count,))])
 
 
 class Solution:
-    """Solved variable values plus objective and solver status."""
+    """Solved variable values plus objective and solver status.
 
-    def __init__(self, values: np.ndarray, objective: float, status: int, message: str):
+    ``status`` is HiGHS's: 0 optimal, 1 iteration/time limit reached with
+    an incumbent — ``mip_gap`` (``None`` when SciPy reports none) tells
+    the two apart in numbers.
+    """
+
+    def __init__(self, values: np.ndarray, objective: float, status: int,
+                 message: str, mip_gap: float | None = None):
         self._values = values
         self.objective = objective
         self.status = status
         self.message = message
+        self.mip_gap = mip_gap
 
-    def __getitem__(self, var: Variable) -> float:
-        return float(self._values[var.index])
+    def __getitem__(self, var: int) -> float:
+        return float(self._values[var])
 
     def value_array(self) -> np.ndarray:
         return self._values
 
 
 class Model:
-    """An LP/MILP under construction."""
+    """An LP/MILP under construction, and the standing model afterwards."""
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._vars: list[Variable] = []
-        self._rows: list[tuple] = []  # (terms, lower, upper)
-        self._objective: list[tuple] = []
+        # The store.  Each is the live array the next solve reads (write
+        # into it to patch); growing the model replaces it.
+        self.lb = np.empty(0)
+        self.ub = np.empty(0)
+        self.cost = np.empty(0)
+        self.integrality = np.empty(0, dtype=np.uint8)
+        #: ``lo <= matrix @ x <= hi``; canonical CSR (sorted, duplicates
+        #: summed).  Coefficient patches go into ``matrix.data``.
+        self.matrix = sparse.csr_matrix((0, 0))
+        self.lo = np.empty(0)
+        self.hi = np.empty(0)
+        #: (first, stop, name or ``offset -> name``): names are derived
+        #: on demand, never stored per variable.
+        self._names: list = []
 
     # -- variables ----------------------------------------------------------
 
-    def add_var(
-        self,
-        name: str = "",
-        lower: float = 0.0,
-        upper: float = float("inf"),
-        integer: bool = False,
-    ) -> Variable:
-        var = Variable(len(self._vars), name or f"x{len(self._vars)}", lower, upper, integer)
-        self._vars.append(var)
-        return var
+    def add_vars(self, count: int, lower=0.0, upper=np.inf,
+                 integer: bool = False, name=None) -> int:
+        """Append ``count`` variables; returns the first column index.
 
-    def add_binary(self, name: str = "") -> Variable:
+        ``lower`` / ``upper`` are scalars or ``count``-vectors.  ``name``
+        is a string or a callable ``offset -> str``, consulted only by
+        :meth:`var_name`.
+        """
+        first = self.num_vars
+        self.lb = _extended(self.lb, count, lower)
+        self.ub = _extended(self.ub, count, upper)
+        self.cost = _extended(self.cost, count, 0.0)
+        self.integrality = _extended(self.integrality, count, int(integer))
+        self.matrix.resize(self.num_constraints, self.num_vars)
+        if name is not None:
+            self._names.append((first, first + count, name))
+        return first
+
+    def add_var(self, name: str = "", lower: float = 0.0,
+                upper: float = float("inf"), integer: bool = False) -> int:
+        return self.add_vars(1, lower, upper, integer, name or None)
+
+    def add_binary(self, name: str = "") -> int:
         return self.add_var(name, 0.0, 1.0, integer=True)
+
+    def var_name(self, var: int) -> str:
+        """The name given at creation (``x<index>`` when none was)."""
+        for first, stop, name in self._names:
+            if first <= var < stop:
+                return name(var - first) if callable(name) else name
+        return f"x{var}"
+
+    def var_bounds(self, var: int) -> tuple:
+        return float(self.lb[var]), float(self.ub[var])
+
+    def set_var_bounds(self, var: int, lower: float, upper: float) -> None:
+        self.lb[var] = lower
+        self.ub[var] = upper
 
     # -- constraints ----------------------------------------------------------
 
-    def add_constraint(self, terms, lower: float, upper: float) -> int:
-        """``lower <= sum(coef * var) <= upper`` with terms ``(var, coef)``.
+    def add_rows(self, count: int, rows, cols, data, lower, upper) -> int:
+        """Append ``count`` rows ``lower <= A x <= upper`` as one COO block.
 
-        Returns the row index, usable with :meth:`set_row_bounds` and
-        :meth:`set_row_terms` for incremental model updates.
+        ``rows`` are block-local (``0 .. count-1``), ``cols`` variable
+        indices, ``data`` a scalar or per-entry coefficients; ``lower`` /
+        ``upper`` are scalars or ``count``-vectors.  Returns the first
+        row index.
         """
-        self._rows.append((tuple(terms), float(lower), float(upper)))
-        return len(self._rows) - 1
+        first = self.num_constraints
+        cols = np.asarray(cols, dtype=np.intp)
+        data = np.broadcast_to(np.asarray(data, dtype=np.float64), cols.shape)
+        block = sparse.csr_matrix((data, (rows, cols)), shape=(count, self.num_vars))
+        self.matrix = sparse.vstack([self.matrix, block], format="csr")
+        self.lo = _extended(self.lo, count, lower)
+        self.hi = _extended(self.hi, count, upper)
+        return first
 
-    # -- incremental updates (§6.2.2: "incremental additions and
-    # modifications of variables and constraints in a few milliseconds") --
-
-    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
-        terms, _, _ = self._rows[row]
-        self._rows[row] = (terms, float(lower), float(upper))
-
-    def set_row_terms(self, row: int, terms) -> None:
-        _, lower, upper = self._rows[row]
-        self._rows[row] = (tuple(terms), lower, upper)
-
-    def set_var_bounds(self, var: Variable, lower: float, upper: float) -> None:
-        var.lower = float(lower)
-        var.upper = float(upper)
+    def add_constraint(self, terms, lower: float, upper: float) -> int:
+        """``lower <= sum(coef * var) <= upper`` with terms ``(var, coef)``."""
+        terms = list(terms)
+        return self.add_rows(
+            1, np.zeros(len(terms), dtype=np.intp),
+            [var for var, _ in terms], [coef for _, coef in terms],
+            lower, upper,
+        )
 
     def add_eq(self, terms, rhs: float) -> int:
         return self.add_constraint(terms, rhs, rhs)
@@ -112,66 +152,48 @@ class Model:
 
     def minimize(self, terms) -> None:
         """Set the objective to ``sum(coef * var)`` (minimization)."""
-        self._objective = list(terms)
+        terms = list(terms)
+        self.cost[:] = 0.0
+        np.add.at(self.cost, [var for var, _ in terms],
+                  [coef for _, coef in terms])
 
     # -- stats ------------------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self._vars)
+        return self.lb.size
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
+        return self.lo.size
 
     @property
     def num_integer_vars(self) -> int:
-        return sum(1 for v in self._vars if v.integer)
+        return int(np.count_nonzero(self.integrality))
 
     # -- solving ----------------------------------------------------------------
 
     def solve(self, time_limit: float | None = None, mip_rel_gap: float | None = None) -> Solution:
-        n = len(self._vars)
-        cost = np.zeros(n)
-        for var, coef in self._objective:
-            cost[var.index] += coef
-
-        row_idx, col_idx, data = [], [], []
-        lo = np.empty(len(self._rows))
-        hi = np.empty(len(self._rows))
-        for r, (terms, lower, upper) in enumerate(self._rows):
-            lo[r] = lower
-            hi[r] = upper
-            for var, coef in terms:
-                row_idx.append(r)
-                col_idx.append(var.index)
-                data.append(coef)
-        matrix = sparse.csr_matrix(
-            (data, (row_idx, col_idx)), shape=(len(self._rows), n)
-        )
-        constraints = LinearConstraint(matrix, lo, hi)
-        bounds = Bounds(
-            np.array([v.lower for v in self._vars]),
-            np.array([v.upper for v in self._vars]),
-        )
-        integrality = np.array([1 if v.integer else 0 for v in self._vars])
         options = {}
         if time_limit is not None:
             options["time_limit"] = time_limit
         if mip_rel_gap is not None:
             options["mip_rel_gap"] = mip_rel_gap
         result = milp(
-            c=cost,
-            constraints=constraints,
-            bounds=bounds,
-            integrality=integrality,
+            c=self.cost,
+            constraints=LinearConstraint(self.matrix, self.lo, self.hi),
+            bounds=Bounds(self.lb, self.ub),
+            integrality=self.integrality,
             options=options,
         )
         if result.x is None:
             raise PlacementError(
                 f"{self.name}: solver failed (status={result.status}): {result.message}"
             )
-        return Solution(result.x, float(result.fun), int(result.status), result.message)
+        return Solution(
+            result.x, float(result.fun), int(result.status), result.message,
+            result.get("mip_gap"),
+        )
 
     def __repr__(self):
         return (

@@ -33,17 +33,22 @@ not transit the virtual port nodes of other OBS ports.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.analysis.dependency import DependencyInfo
 from repro.analysis.packet_state import PacketStateMapping
 from repro.lang.errors import PlacementError
-from repro.milp.modeling import Model, Solution, Variable
+from repro.milp.modeling import Model, Solution
 from repro.topology.graph import Topology, port_node
 
 
 class PlacementInputs:
-    """Everything Table 1 lists as MILP input, preprocessed."""
+    """Everything Table 1 lists as MILP input, preprocessed to index form.
+
+    Nodes, links, flows, state variables and stateful switches are
+    numbered in the order the graph / sorted inputs give them; ``mask``
+    is the shared ``(flow x link)`` table of which links a flow may use.
+    """
 
     def __init__(
         self,
@@ -79,10 +84,6 @@ class PlacementInputs:
             self.state_capacity = {
                 n: int(state_capacity) for n in self.stateful_switches
             }
-        self.links = [(a, b) for a, b in self.graph.edges]
-        self.capacities = {
-            (a, b): data["capacity"] for a, b, data in self.graph.edges(data=True)
-        }
         # dep pairs restricted to variables that exist here.
         known = set(self.state_vars)
         self.dep_pairs = sorted(
@@ -94,54 +95,110 @@ class PlacementInputs:
         )
         #: per flow: the state variables that need PS tracking — every
         #: variable the flow uses (Table 2; see module docstring).
-        self.ps_vars: dict = {}
-        for flow in self.flows:
-            needed = mapping.states_for(*flow)
-            self.ps_vars[flow] = sorted(s for s in needed if s in known)
+        self.ps_vars = {
+            flow: sorted(s for s in mapping.states_for(*flow) if s in known)
+            for flow in self.flows
+        }
+
+        # -- index form --------------------------------------------------
+        self.state_id = {s: i for i, s in enumerate(self.state_vars)}
+        self.switch_id = {n: k for k, n in enumerate(self.stateful_switches)}
+        self.nodes = list(self.graph.nodes)
+        node_id = {n: i for i, n in enumerate(self.nodes)}
+        self.links = list(self.graph.edges)
+        self.link_id = {link: i for i, link in enumerate(self.links)}
+        self.link_src = np.array([node_id[a] for a, _ in self.links], dtype=np.intp)
+        self.link_dst = np.array([node_id[b] for _, b in self.links], dtype=np.intp)
+        self.capacity = np.array([self.graph.edges[link]["capacity"] for link in self.links])
+
+        def node_ids(names):  # -1: not in the graph (such a node has no links)
+            return np.array([node_id.get(n, -1) for n in names], dtype=np.intp)
+
+        self.flow_src = node_ids(port_node(u) for u, _ in self.flows)
+        self.flow_dst = node_ids(port_node(v) for _, v in self.flows)
+        #: port nodes are hosts: sources and sinks, never transit.
+        self.is_port = np.zeros(len(self.nodes), dtype=bool)
+        self.is_port[node_ids(map(port_node, topology.ports))] = True
+        #: per stateful switch its node, and per node its rank among the
+        #: stateful switches (-1: not one).
+        self.switch_node = node_ids(self.stateful_switches)
+        self.switch_rank = np.full(len(self.nodes), -1, dtype=np.intp)
+        in_graph = self.switch_node >= 0
+        self.switch_rank[self.switch_node[in_graph]] = np.nonzero(in_graph)[0]
+
         # Per-flow usable links: a flow may not transit the virtual port
         # nodes of other OBS ports (they are hosts, not switches).
-        self._flow_links: dict = {}
-        port_nodes = {port_node(p) for p in topology.ports}
-        for flow in self.flows:
-            own = {port_node(flow[0]), port_node(flow[1])}
-            banned = port_nodes - own
-            self._flow_links[flow] = [
-                (a, b)
-                for a, b in self.links
-                if a not in banned and b not in banned
-            ]
+        def own_or_switch(end):
+            return (
+                ~self.is_port[end]
+                | (end == self.flow_src[:, None])
+                | (end == self.flow_dst[:, None])
+            )
 
-        # Per-flow adjacency over the usable links.
-        self._flow_in: dict = {}
-        self._flow_out: dict = {}
-        for flow in self.flows:
-            fin: dict = {}
-            fout: dict = {}
-            for a, b in self._flow_links[flow]:
-                fout.setdefault(a, []).append((a, b))
-                fin.setdefault(b, []).append((a, b))
-            self._flow_in[flow] = fin
-            self._flow_out[flow] = fout
+        self.mask = own_or_switch(self.link_src) & own_or_switch(self.link_dst)
 
-    def flow_links(self, flow):
-        return self._flow_links[flow]
+    def demand_vector(self) -> np.ndarray:
+        return np.array([self.demands[flow] for flow in self.flows], dtype=np.float64)
 
-    def flow_nodes(self, flow):
-        """Graph nodes this flow may touch (excludes foreign port nodes)."""
-        own = {port_node(flow[0]), port_node(flow[1])}
-        port_nodes = {port_node(p) for p in self.topology.ports}
-        banned = port_nodes - own
-        return [n for n in self.graph.nodes if n not in banned]
 
-    def in_edges(self, node, flow):
-        return self._flow_in[flow].get(node, [])
+class _Rows:
+    """Constraint rows declared by key and laid out in key order.
 
-    def out_edges(self, node, flow):
-        return self._flow_out[flow].get(node, [])
+    Table 2's families interleave per flow and per (flow, s), so a family
+    names its rows ``(section, group, kind, sub)`` and the sort recovers
+    the row-by-row order; entries name the row they belong to.
+    """
+
+    RADIX = 1 << 20  # bound on groups per section and on ``sub``
+
+    def __init__(self):
+        self._rows: list = []  # (keys, lo, hi)
+        self._entries: list = []  # (keys, cols, coefficients)
+
+    def key(self, section, group=0, kind=0, sub=0):
+        return ((section * self.RADIX + group) * 8 + kind) * self.RADIX + sub
+
+    def add(self, keys, lo, hi) -> None:
+        self._rows.append((keys, lo, hi))
+
+    def put(self, keys, cols, coef) -> None:
+        self._entries.append((keys, cols, coef))
+
+    def emit(self, model: Model) -> np.ndarray:
+        """Append everything declared to ``model``; returns the sorted keys."""
+        def column(parts, position):
+            return np.concatenate(
+                [np.broadcast_to(part[position], part[0].shape) for part in parts]
+            )
+
+        keys = column(self._rows, 0)
+        order = np.argsort(keys)
+        keys = keys[order]
+        model.add_rows(
+            keys.size,
+            np.searchsorted(keys, column(self._entries, 0)),
+            column(self._entries, 1),
+            column(self._entries, 2),
+            column(self._rows, 1)[order],
+            column(self._rows, 2)[order],
+        )
+        return keys
+
+
+ROUTING, CAPACITY, PLACEMENT, VISIT, PASSED = range(5)
 
 
 class PlacementModel:
-    """The built MILP plus variable handles for answer extraction."""
+    """The built MILP plus the column layout for patching and extraction.
+
+    Columns: ``P[s, n]`` (ST only; state-major), then ``R[f, l]`` over the
+    set bits of ``inputs.mask`` (flow-major), then ``PS[s, f, l]`` per
+    (flow, tracked variable) over the flow's links.  Rows: routing per
+    flow, link capacity, placement, visit, then per (flow, variable) the
+    PS coupling / source / sink / conservation / ordering rows.  The
+    order is the row-by-row builder's (``tests/reference_milp.py``) and
+    is pinned: among equally cheap optima HiGHS's answer depends on it.
+    """
 
     def __init__(self, inputs: PlacementInputs, fixed_placement: dict | None = None):
         self.inputs = inputs
@@ -149,217 +206,238 @@ class PlacementModel:
             dict(fixed_placement) if fixed_placement is not None else None
         )
         self.model = Model("snap-te" if fixed_placement else "snap-st")
-        self.route_vars: dict = {}
-        self.place_vars: dict = {}
-        #: (flow, link) -> original bounds, recorded by :meth:`fail_link`
-        #: so :meth:`restore_link` reinstates exactly those.
+        #: link -> the (lb, ub) of its routing columns, recorded by
+        #: :meth:`fail_link` so :meth:`restore_link` reinstates exactly those.
         self._saved_bounds: dict = {}
         self._build()
-
-    # -- placement value helpers (variable in ST, constant in TE) -----------
-
-    def _p_terms(self, s: str, n: str):
-        """(terms, constant) contribution of P[s, n]."""
-        if self.fixed_placement is not None:
-            return [], 1.0 if self.fixed_placement.get(s) == n else 0.0
-        return [(self.place_vars[s, n], 1.0)], 0.0
 
     def _build(self) -> None:
         inputs = self.inputs
         model = self.model
+        mask, tail, head = inputs.mask, inputs.link_src, inputs.link_dst
+        state_vars, switches, flows, links = (
+            inputs.state_vars, inputs.stateful_switches, inputs.flows, inputs.links
+        )
+        state_id, rank = inputs.state_id, inputs.switch_rank
+        S, K = len(state_vars), len(switches)
+        k = np.arange(K)
+        inner, on_switch = ~inputs.is_port, rank >= 0
+
+        # -- columns ----------------------------------------------------------
+        #: ST: the (state x switch) table of P[s, n] columns.  TE: P is a
+        #: constant; ``home`` is per state variable the rank of its switch
+        #: (-1: outside ``stateful_switches``) and ``home_node`` its node.
+        P = home = home_node = None
         if self.fixed_placement is None:
-            for s in inputs.state_vars:
-                for n in inputs.stateful_switches:
-                    self.place_vars[s, n] = model.add_binary(f"P[{s},{n}]")
+            first = model.add_vars(
+                S * K, 0.0, 1.0, integer=True,
+                name=lambda i: f"P[{state_vars[i // K]},{switches[i % K]}]",
+            )
+            P = first + np.arange(S * K).reshape(S, K)
         else:
-            missing = [s for s in inputs.state_vars if s not in self.fixed_placement]
+            missing = [s for s in state_vars if s not in self.fixed_placement]
             if missing:
                 raise PlacementError(f"fixed placement missing variables {missing}")
-
-        for flow in inputs.flows:
-            for link in inputs.flow_links(flow):
-                self.route_vars[flow, link] = model.add_var(
-                    f"R[{flow},{link}]", 0.0, 1.0
-                )
-
-        self._routing_constraints()
-        self._placement_constraints()
-        self._ordering_constraints()
-        self._objective()
-
-    # -- Table 2, left column -------------------------------------------------
-
-    def _routing_constraints(self) -> None:
-        inputs = self.inputs
-        model = self.model
-        for flow in inputs.flows:
-            u, v = flow
-            src = port_node(u)
-            dst = port_node(v)
-            model.add_eq(
-                [(self.route_vars[flow, e], 1.0) for e in inputs.out_edges(src, flow)],
-                1.0,
+            home = np.array(
+                [inputs.switch_id.get(self.fixed_placement[s], -1) for s in state_vars],
+                dtype=np.intp,
             )
-            model.add_eq(
-                [(self.route_vars[flow, e], 1.0) for e in inputs.in_edges(src, flow)],
-                0.0,
-            )
-            model.add_eq(
-                [(self.route_vars[flow, e], 1.0) for e in inputs.in_edges(dst, flow)],
-                1.0,
-            )
-            model.add_eq(
-                [(self.route_vars[flow, e], 1.0) for e in inputs.out_edges(dst, flow)],
-                0.0,
-            )
-            for n in inputs.flow_nodes(flow):
-                if n in (src, dst):
-                    continue
-                incoming = [
-                    (self.route_vars[flow, e], 1.0) for e in inputs.in_edges(n, flow)
-                ]
-                outgoing = [
-                    (self.route_vars[flow, e], -1.0)
-                    for e in inputs.out_edges(n, flow)
-                ]
-                if incoming or outgoing:
-                    model.add_eq(incoming + outgoing, 0.0)
-                if incoming:
-                    model.add_le(incoming, 1.0)
-        self.capacity_rows: dict = {}
-        for link in inputs.links:
-            capacity = inputs.capacities[link]
-            if math.isinf(capacity):
-                continue
-            terms = [
-                (self.route_vars[flow, link], inputs.demands[flow])
-                for flow in inputs.flows
-                if (flow, link) in self.route_vars
-            ]
-            if terms:
-                self.capacity_rows[link] = model.add_le(terms, capacity)
+            home_node = np.append(inputs.switch_node, -1)[home]
+        self._place_index = P
 
-    # -- Table 2, right column: placement ---------------------------------------
+        # R[f, l]: one column per set bit of the mask, flow-major.
+        f, l = np.nonzero(mask)
+        self._route_flow, self._route_link = f, l
+        first = model.add_vars(
+            f.size, 0.0, 1.0, name=lambda i: f"R[{flows[f[i]]},{links[l[i]]}]"
+        )
+        self._routes = slice(first, first + f.size)
+        r = np.arange(first, first + f.size)
+        #: (flow x link) -> routing column, -1 where the flow may not use it.
+        self.route_index = np.full(mask.shape, -1, dtype=np.intp)
+        self.route_index[f, l] = r
 
-    def _placement_constraints(self) -> None:
-        inputs = self.inputs
-        model = self.model
-        if self.fixed_placement is None:
-            for s in inputs.state_vars:
-                model.add_eq(
-                    [(self.place_vars[s, n], 1.0) for n in inputs.stateful_switches],
-                    1.0,
-                )
-            for s, t in inputs.tied_pairs:
-                for n in inputs.stateful_switches:
-                    model.add_eq(
-                        [(self.place_vars[s, n], 1.0), (self.place_vars[t, n], -1.0)],
-                        0.0,
-                    )
-            # Optional switch-memory budget (§7.3 extension).
-            for n, capacity in inputs.state_capacity.items():
-                if n not in inputs.stateful_switches:
-                    continue
-                model.add_le(
-                    [(self.place_vars[s, n], 1.0) for s in inputs.state_vars],
-                    float(capacity),
-                )
-        # Flows visit the switches of the variables they need.
-        known = set(inputs.state_vars)
-        for flow in inputs.flows:
+        # The (flow, s) pairs: ``visits`` in S_uv's set order (the
+        # row-by-row builder's), ``pairs`` sorted, each with its
+        # ``orderings`` (pair, t) for the dependencies (s, t) it must honour.
+        visits, pairs, orderings = [], [], []
+        for i, flow in enumerate(flows):
             needed = inputs.mapping.states_for(*flow)
-            for s in needed:
-                if s not in known:
-                    continue
-                for n in inputs.stateful_switches:
-                    p_terms, p_const = self._p_terms(s, n)
-                    if not p_terms and p_const == 0.0:
-                        continue
-                    incoming = [
-                        (self.route_vars[flow, e], 1.0)
-                        for e in inputs.in_edges(n, flow)
-                    ]
-                    negated = [(var, -coef) for var, coef in p_terms]
-                    model.add_ge(incoming + negated, p_const)
+            visits += [(i, state_id[s]) for s in needed if s in state_id]
+            for s in inputs.ps_vars[flow]:
+                orderings += [
+                    (len(pairs), state_id[t])
+                    for s2, t in inputs.dep_pairs if s2 == s and t in needed
+                ]
+                pairs.append((i, state_id[s]))
+        vflow, vstate = np.array(visits, dtype=np.intp).reshape(-1, 2).T
+        pflow, pstate = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        opair, later = np.array(orderings, dtype=np.intp).reshape(-1, 2).T
 
-    # -- Table 2, right column: PS flow and ordering ------------------------------
+        # PS[s, f, l]: a pair's columns mirror its flow's R columns.
+        def ps_name(i):
+            # Recomputed per call: a name is for a message, and the model
+            # should not keep per-column arrays alive for it.
+            q, ql = np.nonzero(mask[pflow])
+            return f"PS[{state_vars[pstate[q[i]]]},{flows[pflow[q[i]]]},{links[ql[i]]}]"
 
-    def _ordering_constraints(self) -> None:
+        q, ql = np.nonzero(mask[pflow])
+        ps = np.arange(q.size) + model.add_vars(q.size, 0.0, 1.0, name=ps_name)
+        ps_index = np.full((pflow.size, len(links)), -1, dtype=np.intp)
+        ps_index[q, ql] = ps
+
+        # -- rows ---------------------------------------------------------------
+        rows = _Rows()
+        key = rows.key
+
+        # Table 2, left column.  Per flow: the source emits all of it and
+        # takes none back, the sink absorbs all and emits none ...
+        a, b = tail[l], head[l]
+        ends = [
+            (a, inputs.flow_src, 1.0), (b, inputs.flow_src, 0.0),
+            (b, inputs.flow_dst, 1.0), (a, inputs.flow_dst, 0.0),
+        ]
+        for kind, (end, terminal, rhs) in enumerate(ends):
+            rows.add(key(ROUTING, np.arange(len(flows)), kind), rhs, rhs)
+            at = end == terminal[f]
+            rows.put(key(ROUTING, f[at], kind), r[at], 1.0)
+        # ... and per inner node, conservation (if it has a usable edge),
+        # then visit-at-most-once (if it has an in-edge).
+        has_in = np.zeros((len(flows), len(inputs.nodes)), dtype=bool)
+        has_out = np.zeros_like(has_in)
+        has_in[f, b] = has_out[f, a] = True
+        has_edge = has_in | has_out
+        cf, cn = np.nonzero(inner & has_edge)
+        rows.add(key(ROUTING, cf, 4, 2 * cn), 0.0, 0.0)
+        vf, vn = np.nonzero(inner & has_in)
+        rows.add(key(ROUTING, vf, 4, 2 * vn + 1), -np.inf, 1.0)
+        into, out_of = inner[b], inner[a]
+        rows.put(key(ROUTING, f[into], 4, 2 * b[into]), r[into], 1.0)
+        rows.put(key(ROUTING, f[out_of], 4, 2 * a[out_of]), r[out_of], -1.0)
+        rows.put(key(ROUTING, f[into], 4, 2 * b[into] + 1), r[into], 1.0)
+
+        # Link capacity: sum_uv d_uv R[uv, ij] <= c_ij.
+        capped = mask.any(axis=0) & np.isfinite(inputs.capacity)
+        rows.add(key(CAPACITY, np.nonzero(capped)[0]), -np.inf, inputs.capacity[capped])
+        on = capped[l]
+        rows.put(key(CAPACITY, l[on]), r[on], inputs.demand_vector()[f[on]])
+
+        # Table 2, right column: placement (ST only).
+        if P is not None:
+            # Each s on exactly one switch.
+            rows.add(key(PLACEMENT, 0, 0, np.arange(S)), 1.0, 1.0)
+            rows.put(key(PLACEMENT, 0, 0, np.repeat(np.arange(S), K)), P.ravel(), 1.0)
+            # Tied variables share a switch: P[s, n] - P[t, n] = 0.
+            tied = np.array(
+                [(state_id[s], state_id[t]) for s, t in inputs.tied_pairs], dtype=np.intp
+            ).reshape(-1, 2)
+            every = key(PLACEMENT, 1, 0, np.arange(len(tied) * K))
+            rows.add(every, 0.0, 0.0)
+            rows.put(every, P[tied[:, 0]].ravel(), 1.0)
+            rows.put(every, P[tied[:, 1]].ravel(), -1.0)
+            # Optional switch-memory budget (§7.3 extension).
+            budgets = [
+                (inputs.switch_id[n], float(capacity))
+                for n, capacity in inputs.state_capacity.items()
+                if n in inputs.switch_id
+            ]
+            hosts = np.array([n for n, _ in budgets], dtype=np.intp)
+            rows.add(
+                key(PLACEMENT, 2, 0, np.arange(hosts.size)),
+                -np.inf, np.array([capacity for _, capacity in budgets]),
+            )
+            rows.put(
+                key(PLACEMENT, 2, 0, np.repeat(np.arange(hosts.size), S)),
+                P[:, hosts].T.ravel(), 1.0,
+            )
+
+        # Flows visit the switches of the variables they need:
+        # sum_i R[uv, i->n] >= P[s, n] — per (flow, s) a row per stateful
+        # switch (ST), or the one row at s's switch (TE).
+        if P is not None:
+            every = key(VISIT, np.repeat(np.arange(vflow.size), K), 0, np.tile(k, vflow.size))
+            rows.add(every, 0.0, np.inf)
+            rows.put(every, P[vstate].ravel(), -1.0)
+            v, vl = np.nonzero(mask[vflow] & on_switch[head])
+            rows.put(key(VISIT, v, 0, rank[head[vl]]), self.route_index[vflow[v], vl], 1.0)
+        else:
+            rows.add(key(VISIT, np.nonzero(home[vstate] >= 0)[0]), 1.0, np.inf)
+            v, vl = np.nonzero(mask[vflow] & (head == home_node[vstate][:, None]))
+            rows.put(key(VISIT, v), self.route_index[vflow[v], vl], 1.0)
+
+        # "Passed s", per (flow, s).  PS <= R, link for link ...
+        a, b = tail[ql], head[ql]
+        coupling = key(PASSED, q, 0, ql)
+        rows.add(coupling, -np.inf, 0.0)
+        rows.put(coupling, ps, 1.0)
+        rows.put(coupling, self.route_index[pflow[q], ql], -1.0)
+        # ... nothing has passed s leaving the source, everything has
+        # reaching the sink ...
+        rows.add(key(PASSED, np.arange(pflow.size), 1), 0.0, 0.0)
+        rows.add(key(PASSED, np.arange(pflow.size), 2), 1.0, 1.0)
+        at = a == inputs.flow_src[pflow[q]]
+        rows.put(key(PASSED, q[at], 1), ps[at], 1.0)
+        at = b == inputs.flow_dst[pflow[q]]
+        rows.put(key(PASSED, q[at], 2), ps[at], 1.0)
+        # ... conservation at inner nodes, growing by P[s, n] at s's switch
+        # (ST: a term of every stateful switch's row, edges or not) ...
+        cq, cn = np.nonzero(inner & (has_edge[pflow] | (on_switch if P is not None else False)))
+        grows = 0.0 if P is not None else (home_node[pstate[cq]] == cn).astype(float)
+        rows.add(key(PASSED, cq, 3, cn), grows, grows)
+        out_of, into = inner[a], inner[b]
+        rows.put(key(PASSED, q[out_of], 3, a[out_of]), ps[out_of], 1.0)
+        rows.put(key(PASSED, q[into], 3, b[into]), ps[into], -1.0)
+        # ... and ordering: for (s, t) in dep with t needed, at every
+        # stateful switch P[s, n] + sum_i PS[s, uv, i->n] >= P[t, n].
+        every = key(PASSED, np.repeat(opair, K), 4, (later[:, None] * K + k).ravel())
+        o, ol = np.nonzero(mask[pflow[opair]] & on_switch[head])
+        rows.put(key(PASSED, opair[o], 4, later[o] * K + rank[head[ol]]), ps_index[opair[o], ol], 1.0)
+        if P is not None:
+            at = on_switch[cn]
+            rows.put(key(PASSED, cq[at], 3, cn[at]), P[pstate[cq[at]], rank[cn[at]]], -1.0)
+            rows.add(every, 0.0, np.inf)
+            rows.put(every, P[pstate[opair]].ravel(), 1.0)
+            rows.put(every, P[later].ravel(), -1.0)
+        else:
+            behind = (home[later][:, None] == k).astype(float) - (home[pstate[opair]][:, None] == k)
+            rows.add(every, behind.ravel(), np.inf)
+
+        keys = rows.emit(model)
+        #: the capacity rows are one contiguous block: [first, stop).
+        self._capacity_block = np.searchsorted(keys, [key(CAPACITY), key(PLACEMENT)])
+        model.cost[self._routes] = self._route_costs()
+
+    def _route_costs(self) -> np.ndarray:
+        """Objective: total link utilization sum R[uv, ij] * d_uv / c_ij
+        (an uncapacitated link costs nothing)."""
         inputs = self.inputs
-        model = self.model
-        self.ps_vars_handle: dict = {}
-        for flow in inputs.flows:
-            tracked = inputs.ps_vars[flow]
-            if not tracked:
-                continue
-            u, v = flow
-            src = port_node(u)
-            dst = port_node(v)
-            needed = inputs.mapping.states_for(u, v)
-            for s in tracked:
-                ps: dict = {}
-                for link in inputs.flow_links(flow):
-                    var = model.add_var(f"PS[{s},{flow},{link}]", 0.0, 1.0)
-                    ps[link] = var
-                    model.add_le(
-                        [(var, 1.0), (self.route_vars[flow, link], -1.0)], 0.0
-                    )
-                self.ps_vars_handle[s, flow] = ps
-                # Nothing has passed s when leaving the source.
-                model.add_eq(
-                    [(ps[e], 1.0) for e in inputs.out_edges(src, flow)], 0.0
-                )
-                # Everything has passed s when reaching the sink.
-                model.add_eq(
-                    [(ps[e], 1.0) for e in inputs.in_edges(dst, flow)], 1.0
-                )
-                # Conservation with injection at s's switch.
-                for n in inputs.flow_nodes(flow):
-                    if n in (src, dst):
-                        continue
-                    p_terms, p_const = (
-                        self._p_terms(s, n)
-                        if n in inputs.stateful_switches
-                        else ([], 0.0)
-                    )
-                    outgoing = [(ps[e], 1.0) for e in inputs.out_edges(n, flow)]
-                    incoming = [(ps[e], -1.0) for e in inputs.in_edges(n, flow)]
-                    if not outgoing and not incoming and not p_terms:
-                        continue
-                    model.add_eq(
-                        outgoing + incoming + [(v_, -c) for v_, c in p_terms],
-                        p_const,
-                    )
-                # Ordering: at t's switch, flow must already have passed s.
-                for s2, t in inputs.dep_pairs:
-                    if s2 != s or t not in needed:
-                        continue
-                    for n in inputs.stateful_switches:
-                        pt_terms, pt_const = self._p_terms(t, n)
-                        ps_terms, ps_const = self._p_terms(s, n)
-                        incoming = [(ps[e], 1.0) for e in inputs.in_edges(n, flow)]
-                        lhs = incoming + ps_terms + [(v_, -c) for v_, c in pt_terms]
-                        model.add_ge(lhs, pt_const - ps_const)
-
-    def _objective(self) -> None:
-        inputs = self.inputs
-        terms = []
-        for flow in inputs.flows:
-            demand = inputs.demands[flow]
-            for link in inputs.flow_links(flow):
-                capacity = inputs.capacities[link]
-                if math.isinf(capacity):
-                    continue
-                terms.append((self.route_vars[flow, link], demand / capacity))
-        self.model.minimize(terms)
+        return (
+            inputs.demand_vector()[self._route_flow]
+            / inputs.capacity[self._route_link]
+        )
 
     # -- incremental updates (§6.2.2) ---------------------------------------------
+
+    def route_var(self, flow, link):
+        """The column of ``R[flow, link]``; None if the flow may not use it."""
+        inputs = self.inputs
+        if link not in inputs.link_id:
+            return None
+        col = int(self.route_index[inputs.flows.index(flow), inputs.link_id[link]])
+        return col if col >= 0 else None
+
+    def _link_columns(self, a: str, b: str, bidirectional: bool):
+        for link in [(a, b)] + ([(b, a)] if bidirectional else []):
+            index = self.inputs.link_id.get(link)
+            if index is not None:
+                cols = self.route_index[:, index]
+                yield link, cols[cols >= 0]
 
     def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:
         """Take a link out of service by pinning its routing variables to 0.
 
         This is the paper's "incremental modification" path: the standing
-        model is patched in O(flows) time instead of being rebuilt.
+        model is patched by two vector writes instead of being rebuilt.
         PS variables follow automatically through ``PS <= R``.
 
         The variables' original bounds are recorded (once — repeated
@@ -367,15 +445,10 @@ class PlacementModel:
         zeros) so :meth:`restore_link` can reinstate exactly what the
         model had before, making fail/restore cycles idempotent.
         """
-        saved = self._saved_bounds
-        links = [(a, b)] + ([(b, a)] if bidirectional else [])
-        for link in links:
-            for flow in self.inputs.flows:
-                var = self.route_vars.get((flow, link))
-                if var is not None:
-                    if (flow, link) not in saved:
-                        saved[(flow, link)] = (var.lower, var.upper)
-                    self.model.set_var_bounds(var, 0.0, 0.0)
+        lb, ub = self.model.lb, self.model.ub
+        for link, cols in self._link_columns(a, b, bidirectional):
+            self._saved_bounds.setdefault(link, (lb[cols], ub[cols]))
+            lb[cols] = ub[cols] = 0.0
 
     def restore_link(self, a: str, b: str, bidirectional: bool = True) -> None:
         """Undo :meth:`fail_link`, restoring the recorded original bounds.
@@ -383,92 +456,88 @@ class PlacementModel:
         A no-op for links that were never failed: restoring such a link
         must not touch bounds the model never changed.
         """
-        saved = self._saved_bounds
-        links = [(a, b)] + ([(b, a)] if bidirectional else [])
-        for link in links:
-            for flow in self.inputs.flows:
-                bounds = saved.pop((flow, link), None)
-                if bounds is None:
-                    continue
-                var = self.route_vars.get((flow, link))
-                if var is not None:
-                    self.model.set_var_bounds(var, *bounds)
+        for link, cols in self._link_columns(a, b, bidirectional):
+            if link in self._saved_bounds:
+                self.model.lb[cols], self.model.ub[cols] = self._saved_bounds.pop(link)
 
     def set_demands(self, new_demands: dict) -> None:
         """Patch the traffic matrix in place (same flow set required).
 
-        Updates the demand coefficients in every capacity row and in the
-        objective, without regenerating the model.
+        Rewrites the demand coefficients of the capacity rows inside the
+        assembled matrix, and the cost vector; nothing is regenerated.
         """
+        flows = set(self.inputs.flows)
         missing = [f for f in self.inputs.flows if new_demands.get(f, 0.0) <= 0.0]
-        extra = [
-            f for f, d in new_demands.items()
-            if d > 0.0 and f not in set(self.inputs.flows)
-        ]
+        extra = [f for f, d in new_demands.items() if d > 0.0 and f not in flows]
         if missing or extra:
             raise PlacementError(
                 "incremental demand update requires the same flow set "
                 f"(missing={missing[:3]}, extra={extra[:3]}); rebuild instead"
             )
         self.inputs.demands = {f: float(new_demands[f]) for f in self.inputs.flows}
-        inputs = self.inputs
-        for link, row in self.capacity_rows.items():
-            terms = [
-                (self.route_vars[flow, link], inputs.demands[flow])
-                for flow in inputs.flows
-                if (flow, link) in self.route_vars
-            ]
-            self.model.set_row_terms(row, terms)
-        self._objective()
+        matrix = self.model.matrix
+        first, stop = self._capacity_block
+        entries = slice(matrix.indptr[first], matrix.indptr[stop])
+        matrix.data[entries] = self.inputs.demand_vector()[
+            self._route_flow[matrix.indices[entries] - self._routes.start]
+        ]
+        self.model.cost[self._routes] = self._route_costs()
 
     # -- solving -----------------------------------------------------------------
 
     def solve(self, time_limit: float | None = None, mip_rel_gap: float | None = None):
         solution = self.model.solve(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-        placement = self._extract_placement(solution)
-        routing = self._extract_routing(solution)
         return PlacementSolution(
-            placement=placement,
-            routing=routing,
+            placement=self._extract_placement(solution),
+            routing=self._extract_routing(solution),
             objective=solution.objective,
             inputs=self.inputs,
+            solver={
+                "status": solution.status,
+                "message": solution.message,
+                "mip_gap": solution.mip_gap,
+            },
         )
 
     def _extract_placement(self, solution: Solution) -> dict:
         if self.fixed_placement is not None:
             return dict(self.fixed_placement)
+        inputs = self.inputs
+        chosen = solution.value_array()[self._place_index]
         placement = {}
-        for s in self.inputs.state_vars:
-            best, best_val = None, -1.0
-            for n in self.inputs.stateful_switches:
-                val = solution[self.place_vars[s, n]]
-                if val > best_val:
-                    best, best_val = n, val
-            if best is None or best_val < 0.5:
+        for s, values in zip(inputs.state_vars, chosen):
+            if values.size == 0 or values.max() < 0.5:
                 raise PlacementError(f"no placement chosen for {s!r}")
-            placement[s] = best
+            placement[s] = inputs.stateful_switches[int(values.argmax())]
         return placement
 
     def _extract_routing(self, solution: Solution) -> dict:
-        routing: dict = {}
-        for flow in self.inputs.flows:
-            fractions = {}
-            for link in self.inputs.flow_links(flow):
-                val = solution[self.route_vars[flow, link]]
-                if val > 1e-6:
-                    fractions[link] = val
-            routing[flow] = fractions
+        inputs = self.inputs
+        values = solution.value_array()[self._routes]
+        used = np.nonzero(values > 1e-6)[0]
+        routing: dict = {flow: {} for flow in inputs.flows}
+        for f, l, value in zip(
+            self._route_flow[used].tolist(),
+            self._route_link[used].tolist(),
+            values[used].tolist(),
+        ):
+            routing[inputs.flows[f]][inputs.links[l]] = value
         return routing
 
 
 class PlacementSolution:
     """Placement + per-flow link fractions; see results.py for paths."""
 
-    def __init__(self, placement: dict, routing: dict, objective: float, inputs):
+    def __init__(self, placement: dict, routing: dict, objective: float, inputs,
+                 solver: dict | None = None):
         self.placement = placement
         self.routing = routing
         self.objective = objective
         self.inputs = inputs
+        #: what the solver said about this answer (``status`` 0 optimal,
+        #: 1 a time-limited incumbent; ``message``; ``mip_gap`` or None).
+        #: Empty for solutions no solver produced (the heuristic).
+        self.solver = solver or {}
 
     def __repr__(self):
         return (
@@ -478,20 +547,11 @@ class PlacementSolution:
 
 
 def build_placement_model(
-    topology: Topology,
-    demands: dict,
-    mapping: PacketStateMapping,
-    dependencies: DependencyInfo,
-    stateful_switches=None,
-    state_capacity=None,
+    topology: Topology, demands: dict, mapping: PacketStateMapping,
+    dependencies: DependencyInfo, stateful_switches=None, state_capacity=None,
 ) -> PlacementModel:
     """Phase P4 for the ST problem: construct (but do not solve) the MILP."""
-    inputs = PlacementInputs(
-        topology,
-        demands,
-        mapping,
-        dependencies,
-        stateful_switches,
+    return PlacementModel(PlacementInputs(
+        topology, demands, mapping, dependencies, stateful_switches,
         state_capacity=state_capacity,
-    )
-    return PlacementModel(inputs)
+    ))

@@ -9,8 +9,7 @@ from repro.apps.fast import stateful_firewall
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
 from repro.core.controller import SnapController
 from repro.core.options import CompilerOptions
-from repro.core.pipeline import Compiler
-from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES, Snapshot
+from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES
 from repro.core.program import Program
 from repro.lang import ast
 from repro.lang.errors import SnapError
@@ -223,6 +222,22 @@ class TestEventSequence:
         assert dict(controller.demands) == demands_before
         assert controller.generation == 0
 
+    def test_reroute_replaces_the_failure_set(self):
+        """The bulk TE event: ``failed_links`` is the whole new set (``[]``
+        restores everything, ``None`` keeps it) on one standing model."""
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        failed = controller.reroute(failed_links=[("C1", "C5")])
+        assert failed.event == "topology_change"
+        assert controller.failed_links == {("C1", "C5")}
+        doubled = {k: v * 2 for k, v in controller.demands.items()}
+        assert controller.reroute(demands=doubled).demands[(1, 6)] == doubled[(1, 6)]
+        assert controller.failed_links == {("C1", "C5")}
+        restored = controller.reroute(failed_links=[])
+        assert controller.failed_links == frozenset()
+        assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
+        assert controller.backend.calls["te_model_builds"] == 1
+
     def test_history_records_every_snapshot(self, session):
         controller, snapshots = session
         assert controller.history() == tuple(snapshots)
@@ -392,69 +407,50 @@ class TestOptions:
         )
 
 
-class TestCompilerShim:
-    def test_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        assert isinstance(compiler.controller, SnapController)
+class TestSolverStatus:
+    """``model_stats["solver"]``: an incumbent returned at the time limit
+    (HiGHS status 1) must not look like an optimum."""
 
-    def test_shim_equivalent_to_controller(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        old = compiler.cold_start()
-        new = SnapController(campus_topology(), campus_program()).submit()
-        assert dict(old.placement) == dict(new.placement)
-        assert old.objective == pytest.approx(new.objective)
-        assert old.routing.path(1, 6) == new.routing.path(1, 6)
-        assert isinstance(old, Snapshot)
-
-    def test_shim_policy_change_works_as_first_compilation(self):
-        """Legacy Compiler.policy_change had no cold-start precondition."""
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        result = compiler.policy_change()
-        assert result.scenario == "policy_change"
-        assert result.generation == 0
-        assert "susp-client" in dict(result.placement)
-
-    def test_shim_keeps_legacy_attributes(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(
-                campus_topology(), campus_program(), solver_time_limit=60.0
-            )
-        assert compiler.validate is True
-        assert compiler.solver_time_limit == 60.0
-        assert compiler.mip_rel_gap is None
-        assert compiler.stateful_switches is None
-        assert compiler.use_heuristic is False
-        # Legacy mutation patterns: assign, then run a scenario.
-        compiler.cold_start()
-        compiler.program = campus_program(stateful_firewall())
-        result = compiler.policy_change()
-        assert "established" in dict(result.placement)
-        compiler.demands = {k: v * 0.5 for k, v in compiler.demands.items()}
-        compiler.demands[(1, 6)] *= 1.5  # legacy in-place mutation pattern
-        compiler.topology = campus_topology().without_link("C1", "C5")
-        rerouted = compiler.topology_change()
-        path = rerouted.routing.path(1, 6)
-        assert ("C1", "C5") not in set(zip(path, path[1:]))
-        assert rerouted.demands[(1, 6)] == compiler.demands[(1, 6)]
-
-    def test_shim_topology_change_maps_onto_events(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        compiler.cold_start()
-        failed = compiler.topology_change(failed_links=[("C1", "C5")])
-        assert failed.event == "topology_change"
-        assert compiler._te_failed == {("C1", "C5")}
-        restored = compiler.topology_change(failed_links=[])
-        assert compiler._te_failed == set()
-        assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
-        # The legacy no-failed-links demand change resets failures (old
-        # `wanted = failed_links or ()` semantics), unlike set_demands.
-        compiler.topology_change(failed_links=[("C1", "C5")])
-        shifted = compiler.topology_change(
-            new_demands={k: v * 2 for k, v in compiler.demands.items()}
+    def test_optimum_is_recorded_for_st_and_te(self):
+        controller = SnapController(
+            campus_topology(), campus_program(), solver_time_limit=60.0
         )
-        assert compiler._te_failed == set()
-        assert shifted.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
+        for snapshot in (controller.submit(), controller.fail_link("C1", "C5")):
+            solver = snapshot.model_stats["solver"]
+            assert solver["status"] == 0
+            assert "Optimal" in solver["message"]
+        # The ST MILP proves its gap; the TE LP has none to report.
+        assert controller.history()[0].model_stats["solver"]["mip_gap"] == 0.0
+        assert set(solver) == {"status", "message", "mip_gap"}
+
+    def test_time_limited_incumbent_is_distinguishable(self, monkeypatch):
+        from repro.milp import modeling
+
+        real_milp = modeling.milp
+
+        def at_the_limit(**problem):
+            # What HiGHS returns when `time_limit` strikes with a feasible
+            # point in hand (deterministically, unlike a real tiny limit).
+            assert problem["options"] == {"time_limit": 0.5}
+            result = real_milp(**problem)
+            result.status = 1
+            result.message = "Time limit reached. (HiGHS Status 13: Time limit reached)"
+            result.mip_gap = 0.9
+            return result
+
+        monkeypatch.setattr(modeling, "milp", at_the_limit)
+        controller = SnapController(
+            campus_topology(), campus_program(), solver_time_limit=0.5
+        )
+        assert controller.submit().model_stats["solver"] == {
+            "status": 1,
+            "message": "Time limit reached. (HiGHS Status 13: Time limit reached)",
+            "mip_gap": 0.9,
+        }
+        assert controller.fail_link("C1", "C5").model_stats["solver"]["status"] == 1
+
+    def test_heuristic_reports_no_solver(self):
+        controller = SnapController(
+            campus_topology(), campus_program(), solver="greedy"
+        )
+        assert controller.submit().model_stats["solver"] == {}

@@ -149,32 +149,27 @@ class TestModelPatchingDirect:
         changed — previously it reset every route variable to [0, 1]."""
         model = self._model(compiled)
         flow = model.inputs.flows[0]
-        target = next(
-            var for (f, link), var in model.route_vars.items()
-            if f == flow and link == ("C1", "C5")
-        )
+        target = model.route_var(flow, ("C1", "C5"))
         # A caller-customized bound (e.g. a pinned route) survives a
         # restore of a link that was never failed.
         model.model.set_var_bounds(target, 0.0, 0.5)
         model.restore_link("C1", "C5")
-        assert (target.lower, target.upper) == (0.0, 0.5)
+        assert model.model.var_bounds(target) == (0.0, 0.5)
 
     def test_restore_reinstates_recorded_bounds(self, compiled):
         """fail/restore reinstates exactly the pre-failure bounds, and a
         double failure doesn't overwrite the recording with zeros."""
         model = self._model(compiled)
         flow = model.inputs.flows[0]
-        target = next(
-            var for (f, link), var in model.route_vars.items()
-            if f == flow and link == ("C1", "C5")
-        )
+        target = model.route_var(flow, ("C1", "C5"))
+        bounds = model.model.var_bounds
         model.model.set_var_bounds(target, 0.0, 0.5)
         model.fail_link("C1", "C5")
         model.fail_link("C1", "C5")  # repeated failure: still recorded once
-        assert (target.lower, target.upper) == (0.0, 0.0)
+        assert bounds(target) == (0.0, 0.0)
         model.restore_link("C1", "C5")
-        assert (target.lower, target.upper) == (0.0, 0.5)
+        assert bounds(target) == (0.0, 0.5)
         # A second restore is a no-op, not another reset.
         model.model.set_var_bounds(target, 0.0, 0.25)
         model.restore_link("C1", "C5")
-        assert (target.lower, target.upper) == (0.0, 0.25)
+        assert bounds(target) == (0.0, 0.25)

@@ -1,5 +1,6 @@
 """Tests for the MILP layer: modeling, placement, TE, decomposition."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.dependency import analyze_dependencies
@@ -53,6 +54,54 @@ class TestModel:
         x = model.add_var("x", 0, 10)
         model.add_eq([(x, 2.0)], 6.0)
         model.minimize([(x, 1.0)])
+        assert model.solve()[x] == pytest.approx(3.0)
+
+
+class TestModelStore:
+    """The block API and the standing-model patches of the columnar store."""
+
+    def test_blocks_and_scalars_share_one_store(self):
+        model = Model("blocks")
+        first = model.add_vars(3, 0.0, [1.0, 2.0, 3.0], name=lambda k: f"v[{k}]")
+        extra = model.add_var("extra", 0.0, 10.0)
+        assert (first, extra, model.num_vars) == (0, 3, 4)
+        # x0 + x1 >= 1; x1 + x2 >= 2 as one block, then one scalar row.
+        assert model.add_rows(2, [0, 0, 1, 1], [0, 1, 1, 2], 1.0, [1.0, 2.0], np.inf) == 0
+        assert model.add_ge([(extra, 1.0), (first, 1.0)], 4.0) == 2
+        model.cost[:] = [1.0, 1.0, 2.0, 5.0]
+        solution = model.solve()
+        assert solution.value_array() == pytest.approx([1.0, 2.0, 0.0, 3.0])
+        assert solution.objective == pytest.approx(1.0 + 2.0 + 5.0 * 3.0)
+        assert [model.var_name(i) for i in range(4)] == ["v[0]", "v[1]", "v[2]", "extra"]
+        assert model.add_var() == 4 and model.var_name(4) == "x4"
+
+    def test_patches_are_in_place_and_nothing_is_reassembled(self):
+        model = Model("standing")
+        x = model.add_var("x", 0.0, 10.0)
+        row = model.add_ge([(x, 2.0)], 6.0)
+        model.minimize([(x, 1.0)])
+        assert model.solve()[x] == pytest.approx(3.0)
+        matrix = model.matrix
+        model.lo[row] = 8.0
+        matrix.data[0] = 4.0
+        model.set_var_bounds(x, 2.5, 10.0)
+        assert model.var_bounds(x) == (2.5, 10.0)
+        assert model.solve()[x] == pytest.approx(2.5)
+        assert model.matrix is matrix
+        # Growing an assembled model keeps the patched coefficients.
+        y = model.add_var("y", 0.0, 10.0)
+        model.add_eq([(x, 1.0), (y, -1.0)], 0.0)
+        model.cost[y] = 1.0
+        solution = model.solve()
+        assert (solution[x], solution[y]) == pytest.approx((2.5, 2.5))
+        assert model.matrix.toarray().tolist() == [[4.0, 0.0], [1.0, -1.0]]
+
+    def test_duplicate_entries_are_summed(self):
+        model = Model("dups")
+        x = model.add_var("x", 0.0, 10.0)
+        model.add_ge([(x, 1.0), (x, 1.0)], 6.0)
+        model.minimize([(x, 1.0)])
+        assert model.matrix.nnz == 1
         assert model.solve()[x] == pytest.approx(3.0)
 
 

@@ -55,6 +55,19 @@ class TestTransformation:
         _, out, _ = eval_policy(sharded, store, make_packet(inport=9, fa=0))
         assert not out
 
+    def test_sharded_policy_survives_pretty_parse(self):
+        """The ``s@p`` shard names are part of the surface syntax."""
+        from repro.lang.parser import parse
+        from repro.lang.pretty import pretty
+        from tests.strategies import registry
+
+        sharded = shard_by_inport(count_policy(), "count", [1, 2])
+        assert parse(pretty(sharded), fields=registry()) == sharded
+        hyphenated = shard_by_inport(
+            ast.StateIncr("susp-client", ast.Field("inport")), "susp-client", [3]
+        )
+        assert parse(pretty(hyphenated)) == hyphenated
+
     def test_rejects_non_inport_indexed_var(self):
         policy = ast.StateIncr("c", ast.Field("srcip"))
         with pytest.raises(CompileError):
