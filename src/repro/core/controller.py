@@ -689,7 +689,7 @@ class SnapController:
             None,
             timer,
             event,
-            {},
+            model.stats(),
             previous.diagram_factory,
             artifacts=previous.artifacts,
         )
@@ -713,7 +713,7 @@ class SnapController:
         # Every snapshot carries the static effect report (update-kind
         # classification + race findings) — the merge-safety oracle for
         # replication/sharding consumers; the AST walk is microseconds,
-        # so re-deriving it on reoptimize paths (which pass stats={}) is
+        # so re-deriving it on reoptimize paths (which pass only sizes) is
         # cheaper than threading it through every caller.  The session
         # memoizes it by fingerprint across generations.
         if self._session is not None:

@@ -63,7 +63,9 @@ class SolverBackend(Protocol):
         self, topology, demands, mapping, dependencies, placement,
         stateful_switches=None,
     ):
-        """Construct the standing TE model (placement fixed)."""
+        """Construct the standing TE model (placement fixed): an object
+        with ``fail_link`` / ``restore_link`` / ``set_demands`` patches and
+        a ``stats()`` dict that TE snapshots record as ``model_stats``."""
         ...  # pragma: no cover - protocol
 
     def solve_te(self, model, *, time_limit: float | None = None):
@@ -106,11 +108,7 @@ class MilpBackend(_TERoutingMixin):
                 topology, demands, mapping, dependencies, stateful_switches
             )
             model = PlacementModel(inputs)
-        stats = {
-            "variables": model.model.num_vars,
-            "integer_variables": model.model.num_integer_vars,
-            "constraints": model.model.num_constraints,
-        }
+        stats = model.stats()
         with timer.phase("P5"):
             solution = model.solve(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
         self.calls["st_solves"] += 1

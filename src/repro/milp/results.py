@@ -18,19 +18,20 @@ from repro.lang.errors import PlacementError
 from repro.topology.graph import Topology, port_node
 
 
-def decompose_flow(fractions: dict, source: str, sink: str):
-    """Decompose edge fractions into simple paths with weights.
+def _peel(residual: dict, source: str, sink: str, amount: float = float("inf")):
+    """Take up to ``amount`` of source->sink path flow out of ``residual``.
 
-    Standard flow decomposition: repeatedly find a source->sink path over
-    positive-residual edges (BFS — flow conservation guarantees one exists
-    while residual flow remains), subtract the bottleneck.  Returns a list
-    of ``(path_nodes, weight)`` sorted by descending weight.
+    Repeatedly find a path over positive-residual edges (BFS — flow
+    conservation guarantees one exists while residual flow remains) and
+    subtract the bottleneck.  Returns ``(path_nodes, weight)`` in the
+    order found; ``residual`` is updated in place.
     """
-    residual = {e: f for e, f in fractions.items() if f > 1e-9}
     paths = []
     for _ in range(1000):
+        if amount <= 1e-9 or not residual or source == sink:
+            break
         adjacency: dict = {}
-        for (i, j), f in residual.items():
+        for i, j in residual:
             adjacency.setdefault(i, []).append(j)
         parent = {source: None}
         frontier = [source]
@@ -48,16 +49,50 @@ def decompose_flow(fractions: dict, source: str, sink: str):
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
         path.reverse()
-        bottleneck = min(residual[(a, b)] for a, b in zip(path, path[1:]))
-        for a, b in zip(path, path[1:]):
-            residual[(a, b)] -= bottleneck
-            if residual[(a, b)] <= 1e-9:
-                del residual[(a, b)]
+        hops = list(zip(path, path[1:]))
+        bottleneck = min(amount, min(residual[hop] for hop in hops))
+        for hop in hops:
+            residual[hop] -= bottleneck
+            if residual[hop] <= 1e-9:
+                del residual[hop]
+        amount -= bottleneck
         paths.append((tuple(path), bottleneck))
-        if not residual:
-            break
+    return paths
+
+
+def decompose_flow(fractions: dict, source: str, sink: str):
+    """Decompose edge fractions into simple paths with weights.
+
+    Standard flow decomposition (:func:`_peel` until nothing is left);
+    returns a list of ``(path_nodes, weight)`` sorted by descending weight.
+    """
+    paths = _peel({e: f for e, f in fractions.items() if f > 1e-9}, source, sink)
     paths.sort(key=lambda p: -p[1])
     return paths
+
+
+def split_aggregate(volumes: dict, sink: str, sources) -> list:
+    """Per-source link fractions of a single-sink aggregate.
+
+    ``volumes`` maps each link to the aggregate's volume on it and
+    ``sources`` lists the ``(node, volume)`` supplies.  Each source in
+    turn takes its volume out of what the earlier ones left, along the
+    paths :func:`decompose_flow` walks (conservation of the aggregate
+    guarantees they exist); what remains at the end is circulation.
+    Returns one ``{link: fraction}`` per source, fractions of that
+    source's volume.
+    """
+    total = sum(volume for _, volume in sources)
+    residual = {e: v / total for e, v in volumes.items() if v > 1e-9 * total}
+    split = []
+    for node, volume in sources:
+        share = volume / total
+        fractions: dict = {}
+        for path, weight in _peel(residual, node, sink, share):
+            for hop in zip(path, path[1:]):
+                fractions[hop] = fractions.get(hop, 0.0) + weight / share
+        split.append(fractions)
+    return split
 
 
 def _state_sequence(flow, mapping, dependencies, placement):

@@ -5,9 +5,11 @@ This is the builder ``repro.milp`` shipped before the columnar store: one
 constraint, assembled into a canonical CSR by walking every row.  It is
 slow and it is the specification: ``tests/test_milp_assembly.py`` asserts
 that the vectorised builder in ``src/repro/milp/placement.py`` hands HiGHS
-an array-equal problem (same column order, same row order, same
-coefficients), cold and after every patch.  Nothing in ``src/`` imports
-this module; do not "fix" or speed it up.
+an array-equal ST problem (same column order, same row order, same
+coefficients), cold and after every patch, and a TE program — smaller
+than this module's, which is Table 2 with ``P`` fixed and nothing else —
+with the same optimum (:func:`assert_te_equivalent`).  Nothing in
+``src/`` imports this module; do not "fix" or speed it up.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.lang.errors import PlacementError
+from repro.milp.results import extract_paths, validate_solution
 from repro.topology.graph import port_node
 
 
@@ -361,7 +366,7 @@ class ReferenceModel:
         known = set(inputs.state_vars)
         for flow in inputs.flows:
             needed = inputs.mapping.states_for(*flow)
-            for s in needed:
+            for s in sorted(needed):
                 if s not in known:
                     continue
                 for n in inputs.stateful_switches:
@@ -513,3 +518,63 @@ class ReferenceModel:
             ]
             self.model.set_row_terms(row, terms)
         self._objective()
+
+
+# -- the TE contract ------------------------------------------------------------
+
+
+def reference_optimum(reference: ReferenceModel):
+    """The reference program's optimum; None when it is infeasible."""
+    arrays = reference.model.assemble()
+    result = milp(
+        c=arrays["c"],
+        constraints=LinearConstraint(arrays["A"], arrays["lo"], arrays["hi"]),
+        bounds=Bounds(arrays["lb"], arrays["ub"]),
+        integrality=arrays["integrality"],
+    )
+    assert result.status in (0, 2), result.message
+    return float(result.fun) if result.status == 0 else None
+
+
+def assert_te_equivalent(model, reference: ReferenceModel, failed=()):
+    """``model`` (the reduced TE program) answers as ``reference`` does.
+
+    Both are infeasible, or: the optima agree to 1e-9; every OBS flow's
+    ``routing[flow]`` is a unit flow from its port to its port on no
+    ``failed`` link; the fractions reproduce the objective and respect
+    every capacity; and P6 (``extract_paths`` + ``validate_solution``)
+    accepts the answer.  Returns the solution (None when infeasible).
+    """
+    inputs = reference.inputs
+    expected = reference_optimum(reference)
+    try:
+        solution = model.solve()
+    except PlacementError:
+        assert expected is None, "the reference program is feasible"
+        return None
+    assert expected is not None, "the reference program is infeasible"
+    assert solution.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    dead = {link for a, b in failed for link in ((a, b), (b, a))}
+    assert list(solution.routing) == inputs.flows
+    loads: dict = {}
+    for (u, v), fractions in solution.routing.items():
+        balance = {port_node(u): -1.0, port_node(v): 1.0}
+        for (a, b), share in fractions.items():
+            assert (a, b) not in dead, f"flow {(u, v)} uses failed link {(a, b)}"
+            assert share > 0.0
+            balance[a] = balance.get(a, 0.0) + share
+            balance[b] = balance.get(b, 0.0) - share
+            loads[a, b] = loads.get((a, b), 0.0) + share * inputs.demands[u, v]
+        assert max(map(abs, balance.values())) < 1e-6, f"flow {(u, v)}: {balance}"
+    for link, load in loads.items():
+        assert load <= inputs.capacities[link] * (1 + 1e-7) + 1e-7, link
+    cost = sum(load / inputs.capacities[link] for link, load in loads.items())
+    assert cost == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+    topology = inputs.topology
+    for link in failed:
+        topology = topology.without_link(*link)
+    routing = extract_paths(solution, topology, inputs.mapping, inputs.dependencies)
+    validate_solution(routing, topology, inputs.mapping, inputs.dependencies)
+    return solution

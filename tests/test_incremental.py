@@ -126,6 +126,15 @@ class TestModelPatchingDirect:
             cold.dependencies, dict(cold.placement),
         )
 
+    @staticmethod
+    def _own_column(model, link):
+        """A column of a flow that has its own (a stateful one: the
+        stateless flows ride per-destination aggregates)."""
+        flow = next(f for f in model.inputs.flows if model.inputs.ps_vars[f])
+        stateless = next(f for f in model.inputs.flows if not model.inputs.ps_vars[f])
+        assert model.route_var(stateless, link) is None
+        return model.route_var(flow, link)
+
     def test_fail_and_restore_roundtrip(self, compiled):
         model = self._model(compiled)
         before = model.solve().objective
@@ -148,8 +157,7 @@ class TestModelPatchingDirect:
         """Restoring a healthy link must not touch bounds the model never
         changed — previously it reset every route variable to [0, 1]."""
         model = self._model(compiled)
-        flow = model.inputs.flows[0]
-        target = model.route_var(flow, ("C1", "C5"))
+        target = self._own_column(model, ("C1", "C5"))
         # A caller-customized bound (e.g. a pinned route) survives a
         # restore of a link that was never failed.
         model.model.set_var_bounds(target, 0.0, 0.5)
@@ -160,8 +168,7 @@ class TestModelPatchingDirect:
         """fail/restore reinstates exactly the pre-failure bounds, and a
         double failure doesn't overwrite the recording with zeros."""
         model = self._model(compiled)
-        flow = model.inputs.flows[0]
-        target = model.route_var(flow, ("C1", "C5"))
+        target = self._own_column(model, ("C1", "C5"))
         bounds = model.model.var_bounds
         model.model.set_var_bounds(target, 0.0, 0.5)
         model.fail_link("C1", "C5")

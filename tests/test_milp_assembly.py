@@ -1,12 +1,19 @@
-"""The columnar builder hands HiGHS the row-by-row builder's exact problem.
+"""The columnar builder against the row-by-row builder, the oracle.
 
-``tests/reference_milp.py`` is the previous ``repro.milp`` builder, kept
-as the oracle.  For ST and TE, cold and after every kind of patch, the
-objective, canonical CSR, row bounds, variable bounds and integrality
+``tests/reference_milp.py`` is the previous ``repro.milp`` builder: Table 2
+verbatim, for ST and for TE.  **ST**, cold and after every kind of patch:
+the objective, canonical CSR, row bounds, variable bounds and integrality
 must be array-equal — same column order, same row order — because among
 equally cheap optima HiGHS's answer depends on the order it is handed.
+**TE** is a smaller program (per-destination aggregates, PS per waypoint
+switch), so there the contract is the optimum: equal to the reference's
+to 1e-9, cold and after every patch, with a routing that is a unit flow
+per OBS flow, inside every capacity, off every failed link.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,14 +26,18 @@ from repro.apps.routing import assign_egress, default_subnets, port_assumption
 from repro.core.controller import SnapController
 from repro.core.program import Program
 from repro.lang import ast
+from repro.lang.errors import PlacementError
 from repro.milp.placement import PlacementInputs, PlacementModel
+from repro.milp.te import build_te_model
 from repro.topology.campus import campus_topology
 from repro.topology.igen import igen_topology
 from repro.topology.traffic import gravity_traffic_matrix
 from repro.xfdd.build import build_xfdd
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
-from reference_milp import ReferenceInputs, ReferenceModel  # noqa: E402
+from reference_milp import (  # noqa: E402
+    ReferenceInputs, ReferenceModel, assert_te_equivalent,
+)
 from workloads import composed_program, dns_tunnel_program  # noqa: E402
 
 
@@ -51,10 +62,19 @@ CASES = {
     "igen12-3apps": lambda: (igen_topology(12, num_ports=12, seed=0), composed_program(3, 12)),
 }
 
+#: Fixed placements TE is feasible on, beside the ST optimum: variables
+#: that share a waypoint switch and owe an ordering to one on another
+#: (orphan -> susp-client -> blacklist).  ``some_placement`` spreads the
+#: variables over switches no simple path visits in order; there the two
+#: programs must agree that nothing is feasible.
+FEASIBLE_SPREADS = [
+    {"orphan": "C5", "susp-client": "C5", "blacklist": "D4"},  # campus
+    {"orphan": "C6", "susp-client": "C5", "blacklist": "C5"},
+    {"orphan": "r12", "susp-client": "r12", "blacklist": "r2"},  # igen14
+]
 
-@pytest.fixture(scope="module", params=sorted(CASES))
-def case(request):
-    topology, program = CASES[request.param]()
+
+def problem_inputs(topology, program):
     policy = program.full_policy()
     dependencies = analyze_dependencies(policy)
     xfdd = build_xfdd(policy, state_rank=dependencies.state_rank)
@@ -62,6 +82,27 @@ def case(request):
     mapping = packet_state_mapping(xfdd, ports, ports)
     demands = gravity_traffic_matrix(ports, total_demand=1000.0, seed=0)
     return topology, demands, mapping, dependencies
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    return problem_inputs(*CASES[request.param]())
+
+
+@pytest.fixture(scope="module")
+def te_placements(case):
+    """``some_placement``, the case's feasible spreads, the ST optimum."""
+    placements = [some_placement(case)]
+    placements += [
+        spread for spread in FEASIBLE_SPREADS
+        if set(spread) == set(placements[0])
+        and set(spread.values()) <= set(case[0].switches())
+    ]
+    try:
+        placements.append(PlacementModel(PlacementInputs(*case)).solve().placement)
+    except PlacementError:
+        pass  # campus-tied: no switch is on a simple path of every flow
+    return placements
 
 
 def assert_same_problem(model: PlacementModel, reference: ReferenceModel):
@@ -102,9 +143,12 @@ class TestAssemblyOracle:
     def test_st(self, case):
         assert_same_problem(*both(case))
 
-    def test_te(self, case):
-        assert_same_problem(*both(case, some_placement(case)))
-        assert_same_problem(*both(case, some_placement(case, offset=5)))
+    def test_te(self, case, te_placements):
+        feasible = [
+            assert_te_equivalent(*both(case, placement)) is not None
+            for placement in te_placements
+        ]
+        assert any(feasible) or len(te_placements) == 1
 
     def test_st_with_state_capacity_and_stateful_switches(self, case):
         switches = case[0].switches()
@@ -114,31 +158,36 @@ class TestAssemblyOracle:
             state_capacity={switches[1]: 1, switches[0]: 4},
         ))
 
-    def test_te_with_stateful_switches(self, case):
-        # Some variables sit outside the stateful set: no visit row, no
-        # injection, as in the reference.
+    def test_te_with_stateful_switches(self, case, te_placements):
+        # A variable placed outside the stateful set has no visit row and
+        # no injection, as in the reference (so a flow that needs it is
+        # infeasible in both); inside a set given in another order, the
+        # waypoint ranks are not the node order.
         switches = case[0].switches()
-        assert_same_problem(*both(
-            case, some_placement(case), stateful_switches=switches[::2]
-        ))
+        for placement in te_placements:
+            assert_te_equivalent(*both(case, placement, stateful_switches=switches[::2]))
+            assert_te_equivalent(*both(case, placement, stateful_switches=switches[::-1][:-1]))
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["st", "te"])
-    def test_patch_sequence(self, case, fixed):
+    def test_patch_sequence(self, case, te_placements, fixed):
         topology, demands = case[0], case[1]
-        model, reference = both(case, some_placement(case) if fixed else None)
+        model, reference = both(case, te_placements[-1] if fixed else None)
         links = sorted((a, b) for a, b, _ in topology.links())
         first, second = links[0], links[len(links) // 2]
         shifted = {
             flow: demand * (1.5 if i % 2 else 0.25)
             for i, (flow, demand) in enumerate(sorted(demands.items()))
         }
-        for name, args in [
-            ("fail_link", first), ("restore_link", first),
-            ("fail_link", second), ("set_demands", (shifted,)),
+        for name, args, failed in [
+            ("fail_link", first, [first]), ("restore_link", first, []),
+            ("fail_link", second, [second]), ("set_demands", (shifted,), [second]),
         ]:
             getattr(model, name)(*args)
             getattr(reference, name)(*args)
-            assert_same_problem(model, reference)
+            if fixed:
+                assert_te_equivalent(model, reference, failed)
+            else:
+                assert_same_problem(model, reference)
 
     def test_variable_names_are_derived_on_demand(self, case):
         model, reference = both(case)
@@ -169,16 +218,66 @@ class TestStandingModelReuse:
                 kept is now for kept, now in
                 zip(layout, (matrix, matrix.indptr, matrix.indices, matrix.data))
             )
-            fresh = PlacementModel(
-                PlacementInputs(
-                    campus_topology(), dict(controller.demands),
-                    cold.mapping, cold.dependencies,
-                ),
-                dict(cold.placement),
+            inputs = (
+                campus_topology(), dict(controller.demands),
+                cold.mapping, cold.dependencies,
             )
+            fresh = build_te_model(*inputs, dict(cold.placement))
+            reference = ReferenceModel(ReferenceInputs(*inputs), dict(cold.placement))
             for link in failed:
                 fresh.fail_link(*link)
+                reference.fail_link(*link)
             expected = fresh.solve()
             assert snapshot.objective == expected.objective
-            routing = controller._te_model.solve().routing
-            assert routing == expected.routing
+            standing = assert_te_equivalent(controller._te_model, reference, failed)
+            assert standing.routing == expected.routing
+
+    def test_te_snapshot_records_the_size_of_its_program(self):
+        topology, program = CASES["igen14-dns"]()
+        controller = SnapController(topology, program)
+        cold = controller.submit()
+        a, b = sorted((a, b) for a, b, _ in topology.links())[0]
+        stats = controller.fail_link(a, b).model_stats
+        model = controller._te_model.model
+        assert (stats["variables"], stats["constraints"]) == (
+            model.num_vars, model.num_constraints,
+        )
+        commodities = stats["te_commodities"]
+        flows = len(controller._te_model.inputs.flows)
+        assert commodities["stateful_flows"] + commodities["aggregated_flows"] == flows
+        assert 0 < commodities["destinations"] <= len(topology.ports)
+        assert commodities["stateful_flows"] <= commodities["waypoint_families"]
+        reference = ReferenceModel(
+            ReferenceInputs(topology, dict(controller.demands), cold.mapping,
+                            cold.dependencies),
+            dict(cold.placement),
+        )
+        assert stats["variables"] < len(reference.model._vars) / 2
+
+
+HASH_SEED_PROBE = """
+import hashlib, json, sys
+sys.path.insert(0, {tests!r})
+from test_milp_assembly import CASES, PlacementInputs, PlacementModel, problem_inputs
+model = PlacementModel(PlacementInputs(*problem_inputs(*CASES["igen14-dns"]())))
+store, digest = model.model, hashlib.sha256()
+for array in (store.cost, store.matrix.indptr, store.matrix.indices,
+              store.matrix.data, store.lo, store.hi):
+    digest.update(array.tobytes())
+print(json.dumps([digest.hexdigest(), model.solve().placement], sort_keys=True))
+"""
+
+
+def test_st_program_and_placement_do_not_depend_on_the_hash_seed():
+    """Set order must not reach the solver: the ST arrays and the solved
+    placement are the same under every ``PYTHONHASHSEED``."""
+    probe = HASH_SEED_PROBE.format(tests=str(Path(__file__).parent))
+    answers = [
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "2")
+    ]
+    assert answers[0] == answers[1]
+    assert json.loads(answers[0])[1]
