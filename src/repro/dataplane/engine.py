@@ -35,16 +35,16 @@ inport, outport, tag)`` (one dict hit and one counter bump per traversal
 instead of per-hop queue churn), and the xFDD's leading ``inport``-only
 branches are pre-resolved per ingress port
 (:meth:`SwitchProgram.resolve_inport_entry`).  Both are exact: segments
-are built from :meth:`Network.next_hop`, entry resolution runs the real
-lowered test closures.
+are built from :meth:`Network.next_hop`, entry resolution evaluates the
+program's own ``inport`` tests.
 
 Thread lanes share one interpreter, so CPU-bound packet processing still
 serializes on the GIL.  The :class:`ProcessPoolEngine` lifts that limit:
 each lane's batch ships to a *worker process* together with the shard's
 private state (:meth:`Network.extract_shard_state`), runs there against a
 rehydrated copy of the compiled data plane (see
-:class:`repro.dataplane.netasm.LoweredProgram` — the compiled closures do
-not pickle, the lowered pure-data form does), and the parent merges
+:class:`repro.dataplane.netasm.LoweredProgram` — the generated executor
+does not pickle, the lowered pure-data form does), and the parent merges
 delivery records, link counters, and state-store deltas back
 deterministically (:meth:`Network.merge_shard_state`).  Workers cache the
 rehydrated programs per ``(program_key, generation)`` token, so a
@@ -927,8 +927,8 @@ def make_lane(kind, network: "Network", shard: "Shard", batch):
 # pickled dict of pure data (see network.exec_network_spec /
 # exec_program_spec) — and rehydrates a lane-capable Network from it.
 # Rehydration happens once per process per network token; the per-program
-# half (closure re-closing, the expensive part) is cached separately so
-# TE rewires reuse it.
+# half (the revived programs and, once run, their generated executors)
+# is cached separately so TE rewires reuse it.
 
 
 def _network_spec_bytes(network: Network) -> bytes:

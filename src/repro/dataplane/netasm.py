@@ -19,13 +19,15 @@ Instruction set (one list per switch, entry points by xFDD tag):
     DROP
     EMIT
 
-The interpreter (:meth:`SwitchProgram.process`) executes a packet's run
-atomically with respect to the switch's state tables, mirroring NetASM's
-atomic table updates.
+A program executes as generated straight-line Python
+(:meth:`SwitchProgram.functions`); a packet's run is atomic with respect
+to the switch's state tables, mirroring NetASM's atomic table updates.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.dataplane.header import SNAP_NODE
@@ -35,6 +37,7 @@ from repro.lang.errors import DataPlaneError
 from repro.lang.packet import Packet
 from repro.lang.state import Store
 from repro.lang.values import matches
+from repro.obs.metrics import counter, histogram
 from repro.util.ipaddr import IPPrefix
 from repro.xfdd.actions import DropAction, FieldAssign, StateAssign, StateDelta
 from repro.xfdd.diagram import Branch, Leaf, XFDD
@@ -139,16 +142,7 @@ class IEmit(Instr):
         return "EMIT"
 
 
-# -- fast-path lowering --------------------------------------------------------
-#
-# The instruction objects above are the readable, reportable program.  For
-# execution we lower them once, at program build time, into flat opcode
-# tuples whose operands are *precompiled closures*: test nodes become
-# predicate functions with their fields/values/state tables already bound,
-# and expression tuples become getter functions.  The interpreter then runs
-# a tight integer-dispatch loop with no isinstance chains and no
-# per-packet expression re-interpretation — the table-driven discipline of
-# a real switch pipeline.
+# -- wire opcodes: the tags of the pure-data LoweredProgram form (below) ---------
 
 OP_BRANCH = 0
 OP_PAUSE = 1
@@ -159,108 +153,236 @@ OP_STWRITE = 5
 OP_STDELTA = 6
 OP_DROP = 7
 OP_EMIT = 8
-#: A BRANCH whose test reads a local state table.  Same effect as
-#: OP_BRANCH; lowered apart so that only these branches (never the
-#: field tests that dominate a program) pay the recorder check.
-OP_STTEST = 9
 
 
-def _compile_getter(expr):
-    """One scalar expression -> ``f(pkt) -> value``."""
-    if isinstance(expr, ast.Field):
-        name = expr.name
-        # Reach into the packet's field dict directly: this closure runs
-        # per packet per instruction and Packet.get is pure indirection.
-        return lambda pkt: pkt._fields.get(name)
-    value = expr.value
-    return lambda pkt: value
+# -- the generated executor ------------------------------------------------------
+#
+# The instruction objects above are the readable, reportable program.  To
+# run, a program is compiled on its first packet to one module of
+# straight-line Python: a function ``b<idx>(f, out)`` per *function root*
+# runs the packet copy that owns the mutable field dict ``f`` from
+# instruction ``idx`` and appends a raw ``(kind, fields, var)`` outcome per
+# copy to ``out``.  Field tests are inline comparisons, a branch's false
+# arm continues at the same indent (every true arm returns), SET writes
+# ``f`` in place, state instructions call the bound ``StateVariable``
+# methods and FORK makes the only dict copies.  Roots are the entries,
+# whatever :meth:`SwitchProgram.resolve_inport_entry` can return, fork
+# targets, instructions with several predecessors and branches nested
+# deeper than ``_MAX_NEST``; the rest is inlined into its one predecessor.
+# State tables and non-literal constants reach the code through the
+# ``exec`` namespace, never the text, so the text can key the code cache.
+
+#: Deepest ``if`` nest inside one generated function (CPython's tokenizer
+#: stops at 100 indent levels).
+_MAX_NEST = 40
+#: ``compile()`` is most of the cost of generating a program; rebuilt
+#: networks regenerate the same text, so code objects are kept
+#: process-wide, keyed by source, oldest evicted first.
+_CODE_CACHE: dict = {}
+_CODE_CACHE_LIMIT = 256
+_CODE_LOCK = threading.Lock()
+#: Values emitted as ``repr()`` literals; any other constant is bound by name.
+_LITERAL_TYPES = (int, str, bool, type(None))
+
+_CODEGEN_TOTAL = counter(
+    "snap_netasm_codegen_total",
+    "Switch-program executors generated, by whether compile() ran",
+)
+_CODEGEN_SECONDS = histogram(
+    "snap_netasm_codegen_seconds",
+    "Wall-clock time to generate one switch program's executor",
+)
 
 
-def _compile_exprs(exprs: tuple):
-    """An expression tuple -> ``f(pkt) -> tuple`` (state-table key)."""
-    getters = tuple(_compile_getter(e) for e in exprs)
-    if len(getters) == 1:
-        g = getters[0]
-        return lambda pkt: (g(pkt),)
-    return lambda pkt: tuple(g(pkt) for g in getters)
+def _is_inport_branch(instr) -> bool:
+    return (
+        type(instr) is IBranch
+        and type(instr.test) is FieldValueTest
+        and instr.test.field == "inport"
+    )
 
 
-def _compile_packed(exprs: tuple):
-    """An expression tuple -> ``f(pkt) -> packed value`` (see pack_value)."""
-    if len(exprs) == 1:
-        return _compile_getter(exprs[0])
-    return _compile_exprs(exprs)
-
-
-def _compile_test(test, store: Store):
-    """Lower one xFDD test to a ``f(pkt) -> bool`` closure.
-
-    Must agree exactly with :func:`repro.xfdd.diagram.eval_test`.
-    """
-    if isinstance(test, FieldValueTest):
-        field, value = test.field, test.value
-        if isinstance(value, IPPrefix):
-            network, mask = value.network, value.mask
-
-            def prefix_test(pkt):
-                v = pkt._fields.get(field)
-                if type(v) is int:  # exact: bool is not an address
-                    return (v & mask) == network
-                return matches(v, value)
-
-            return prefix_test
-        # For non-prefix values `matches` is plain equality.
-        return lambda pkt: pkt._fields.get(field) == value
-    if isinstance(test, FieldFieldTest):
-        f1, f2 = test.field1, test.field2
-        return lambda pkt: pkt._fields.get(f1) == pkt._fields.get(f2)
-    if isinstance(test, StateVarTest):
-        variable = store.variable(test.var)
-        key_fn = _compile_exprs(test.index)
-        want_fn = _compile_packed(test.value)
-        return lambda pkt: variable.get(key_fn(pkt)) == want_fn(pkt)
-    raise DataPlaneError(f"cannot compile test {test!r}")
-
-
-def _lower(instructions, store: Store) -> list:
-    """Lower Instr objects to flat opcode tuples (same indices)."""
-    ops = []
-    for instr in instructions:
-        if isinstance(instr, IBranch):
-            test = instr.test
-            branch = (_compile_test(test, store), instr.on_true, instr.on_false)
-            if isinstance(test, StateVarTest):
-                ops.append(
-                    (OP_STTEST, *branch, test.var,
-                     _compile_exprs(test.index), store.variable(test.var))
-                )
-            else:
-                ops.append((OP_BRANCH, *branch))
-        elif isinstance(instr, IPause):
-            ops.append((OP_PAUSE, instr.tag, instr.var))
-        elif isinstance(instr, IFork):
-            ops.append((OP_FORK, instr.targets))
-        elif isinstance(instr, IJump):
-            ops.append((OP_JUMP, instr.target))
-        elif isinstance(instr, ISet):
-            ops.append((OP_SET, instr.field, instr.value))
-        elif isinstance(instr, IStateWrite):
-            ops.append(
-                (OP_STWRITE, store.variable(instr.var),
-                 _compile_exprs(instr.index), _compile_packed(instr.value))
-            )
-        elif isinstance(instr, IStateDelta):
-            ops.append(
-                (OP_STDELTA, store.variable(instr.var),
-                 _compile_exprs(instr.index), instr.delta)
-            )
-        elif isinstance(instr, IDrop):
-            ops.append((OP_DROP,))
-        elif isinstance(instr, IEmit):
-            ops.append((OP_EMIT,))
+def _function_roots(instructions, entries: dict) -> set:
+    """Indices that get a generated function of their own."""
+    roots: set = set()
+    seen: set = set()
+    for idx, instr in enumerate(instructions):
+        if type(instr) is IBranch:
+            successors = (instr.on_true, instr.on_false)
+        elif type(instr) is IFork:
+            successors = instr.targets
+            roots.update(successors)
+        elif type(instr) is IJump:
+            successors = (instr.target,)
+        elif type(instr) in (ISet, IStateWrite, IStateDelta):
+            successors = (idx + 1,)
         else:
-            raise DataPlaneError(f"unknown instruction {instr!r}")
-    return ops
+            continue
+        for successor in successors:
+            (roots if successor in seen else seen).add(successor)  # 2nd edge in
+    stack = list(entries.values())
+    while stack:
+        idx = stack.pop()
+        roots.add(idx)
+        if _is_inport_branch(instructions[idx]):
+            stack += (instructions[idx].on_true, instructions[idx].on_false)
+    return roots
+
+
+def _generate_source(program: "SwitchProgram", traced: bool):
+    """``(source, namespace, roots)`` of ``program``'s executor.
+
+    ``traced`` selects the postcard specialisation: every function takes
+    a recorder ``rec`` and reports state tests/writes/deltas and each
+    copy's outcome, reading only values the plain code computes anyway.
+    """
+    instructions, store = program.instructions, program.store
+    roots = _function_roots(instructions, program.entries)
+    pending = sorted(roots)
+    namespace: dict = {"matches": matches}
+    slots: dict = {}  # state variable -> suffix of its bound accessors
+    lines: list = []
+    args = "out, rec" if traced else "out"
+
+    def const(value) -> str:
+        if type(value) in _LITERAL_TYPES:
+            return repr(value)
+        name = f"c{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def slot(var: str) -> int:
+        if var not in slots:
+            slots[var] = len(slots)
+            variable = store.variable(var)
+            namespace[f"get{slots[var]}"] = variable.get
+            namespace[f"put{slots[var]}"] = variable.set
+            namespace[f"add{slots[var]}"] = variable.increment
+        return slots[var]
+
+    def field(name) -> str:
+        return f"f.get({const(name)})"
+
+    def expr(e) -> str:
+        return field(e.name) if isinstance(e, ast.Field) else const(e.value)
+
+    def key(exprs) -> str:
+        return "(" + "".join(expr(e) + "," for e in exprs) + ")"
+
+    def packed(exprs) -> str:
+        return expr(exprs[0]) if len(exprs) == 1 else key(exprs)
+
+    def condition(test, pad: str) -> str:
+        """The test as an expression (after any statements it needs)."""
+        if isinstance(test, FieldValueTest):
+            value = test.value
+            if not isinstance(value, IPPrefix):
+                return f"{field(test.field)} == {const(value)}"
+            lines.append(f"{pad}v = {field(test.field)}")
+            return (  # exact type: a bool is not an address
+                f"(v & {value.mask}) == {value.network} if type(v) is int "
+                f"else matches(v, {const(value)})"
+            )
+        if isinstance(test, FieldFieldTest):
+            return f"{field(test.field1)} == {field(test.field2)}"
+        if not isinstance(test, StateVarTest):
+            raise DataPlaneError(f"cannot compile test {test!r}")
+        get = f"get{slot(test.var)}"
+        if not traced:
+            return f"{get}({key(test.index)}) == {packed(test.value)}"
+        lines.append(f"{pad}k = {key(test.index)}")
+        lines.append(f"{pad}v = {get}(k)")
+        lines.append(f"{pad}r = v == {packed(test.value)}")
+        lines.append(f"{pad}rec.state_test({const(test.var)}, k, v, r)")
+        return "r"
+
+    def finish(pad: str, kind: str, var=None) -> None:
+        lines.append(f"{pad}out.append(({kind!r}, f, {const(var)}))")
+        if traced:
+            lines.append(f"{pad}rec.outcome({kind!r}, {const(var)})")
+        lines.append(f"{pad}return")
+
+    def block(idx: int, pad: str, root: bool = False) -> None:
+        """Emit the code that runs from ``idx`` to every terminal."""
+        while True:
+            instr = instructions[idx]
+            kind = type(instr)
+            if kind is IBranch and len(pad) > _MAX_NEST and idx not in roots:
+                roots.add(idx)
+                pending.append(idx)
+            if idx in roots and not root:
+                lines.append(f"{pad}return b{idx}(f, {args})")
+                return
+            root = False
+            if kind is IBranch:
+                lines.append(f"{pad}if {condition(instr.test, pad)}:")
+                block(instr.on_true, pad + " ")
+                idx = instr.on_false
+            elif kind is IJump:
+                idx = instr.target
+            elif kind is ISet:
+                lines.append(
+                    f"{pad}f[{const(instr.field)}] = {const(instr.value)}"
+                )
+                idx += 1
+            elif kind is IStateWrite:
+                k, v = key(instr.index), packed(instr.value)
+                if traced:
+                    lines.append(f"{pad}k = {k}")
+                    lines.append(f"{pad}v = {v}")
+                    lines.append(
+                        f"{pad}rec.state_write({const(instr.var)}, k, v)"
+                    )
+                    k, v = "k", "v"
+                lines.append(f"{pad}put{slot(instr.var)}({k}, {v})")
+                idx += 1
+            elif kind is IStateDelta:
+                k, delta = key(instr.index), const(instr.delta)
+                if traced:
+                    lines.append(f"{pad}k = {k}")
+                    lines.append(
+                        f"{pad}rec.state_delta({const(instr.var)}, k, {delta})"
+                    )
+                    k = "k"
+                lines.append(f"{pad}add{slot(instr.var)}({k}, {delta})")
+                idx += 1
+            elif kind is IFork:
+                for target in instr.targets[:-1]:
+                    lines.append(f"{pad}b{target}(dict(f), {args})")
+                lines.append(f"{pad}return b{instr.targets[-1]}(f, {args})")
+                return
+            elif kind is IPause:
+                lines.append(f"{pad}f[{SNAP_NODE!r}] = {const(instr.tag)}")
+                return finish(pad, "pause", instr.var)
+            elif kind is IEmit:
+                return finish(pad, "emit")
+            elif kind is IDrop:
+                return finish(pad, "drop")
+            else:
+                raise DataPlaneError(f"unknown instruction {instr!r}")
+
+    for idx in pending:  # grows while nests are split off
+        lines.append(f"def b{idx}(f, {args}):")
+        block(idx, " ", root=True)
+    return "\n".join(lines) + "\n", namespace, roots
+
+
+def _generate_functions(program: "SwitchProgram", traced: bool) -> dict:
+    """``{root index: function}``: generate, compile (or reuse), bind."""
+    started = time.perf_counter()
+    source, namespace, roots = _generate_source(program, traced)
+    with _CODE_LOCK:
+        code = _CODE_CACHE.get(source)
+        result = "cache_hit"
+        if code is None:
+            result = "compiled"
+            code = _CODE_CACHE[source] = compile(source, "<netasm>", "exec")
+            while len(_CODE_CACHE) > _CODE_CACHE_LIMIT:
+                del _CODE_CACHE[next(iter(_CODE_CACHE))]
+    exec(code, namespace)  # noqa: S102 - our own generated source
+    _CODEGEN_TOTAL.labels(result=result).inc()
+    _CODEGEN_SECONDS.observe(time.perf_counter() - started)
+    return {idx: namespace[f"b{idx}"] for idx in roots}
 
 
 # -- outcomes ------------------------------------------------------------------
@@ -291,8 +413,16 @@ class SwitchProgram:
         self.instructions = instructions
         self.entries = entries  # xFDD tag -> instruction index
         self.store = store
-        # Lowered once; `process` only ever touches the flat form.
-        self._ops = _lower(instructions, store)
+        # A table for every variable the program touches, whether or not
+        # it ever runs: global_store() names them before any traffic.
+        for instr in instructions:
+            if type(instr) in (IStateWrite, IStateDelta):
+                store.variable(instr.var)
+            elif type(instr) is IBranch and type(instr.test) is StateVarTest:
+                store.variable(instr.test.var)
+        # The generated executor, plain and traced; built by `functions`
+        # on the first packet, so a program that is never run costs nothing.
+        self._functions: list = [None, None]
         # (tag, inport) -> pre-resolved entry, see resolve_inport_entry.
         self._inport_entries: dict = {}
 
@@ -305,108 +435,70 @@ class SwitchProgram:
         Packets of one ingress port all take the same side of every
         branch whose test reads only the ``inport`` field (the shape
         :func:`~repro.analysis.sharding.shard_by_inport` compiles to), so
-        the resolution is computed once per (tag, port) — by running the
-        *actual lowered test closures* on the first such packet — and
-        cached.  Used by the sharded engine's per-shard lanes.
+        the resolution is computed once per (tag, port) — on the first
+        such packet — and cached.  Every walker enters a program through
+        it; each index it can return has a generated function.
         """
         key = (tag, port)
         cached = self._inport_entries.get(key)
         if cached is not None:
             return cached
         idx = self.entries[tag]
-        instructions, ops = self.instructions, self._ops
-        while True:
+        instructions = self.instructions
+        while _is_inport_branch(instructions[idx]):
             instr = instructions[idx]
-            if not (
-                type(instr) is IBranch
-                and type(instr.test) is FieldValueTest
-                and instr.test.field == "inport"
-            ):
-                break
-            idx = instr.on_true if ops[idx][1](packet) else instr.on_false
+            taken = matches(packet.get("inport"), instr.test.value)
+            idx = instr.on_true if taken else instr.on_false
         self._inport_entries[key] = idx
         return idx
+
+    def functions(self, traced: bool = False) -> dict:
+        """The generated executor: ``{index: b(f, out)}`` (``traced``:
+        ``b(f, out, rec)``), one function per entry, resolved entry and
+        internal function root.  ``b`` runs the copy that owns the field
+        dict ``f`` — mutating it — and appends a raw ``(kind, fields,
+        var)`` outcome per copy to ``out``, in emission order.
+        """
+        functions = self._functions[traced]
+        if functions is None:
+            functions = self._functions[traced] = _generate_functions(self, traced)
+        return functions
 
     def process(
         self, packet: Packet, entry: int | None = None, recorder=None
     ) -> list:
         """Run the packet (and its forked copies) to pause/emit/drop.
 
-        Executes the lowered opcode table (see ``_lower``); a packet's run
-        is atomic with respect to the switch's state tables.  ``entry``
-        overrides the tag-derived entry point (for pre-resolved entries
-        from :meth:`resolve_inport_entry`).
+        A thin adapter over :meth:`functions` for callers that hold
+        packets (``inject_concurrent``, tests); a packet's run is atomic
+        with respect to the switch's state tables.  ``entry`` overrides
+        the tag-derived entry point (for pre-resolved entries from
+        :meth:`resolve_inport_entry`).
 
         ``recorder`` is a :class:`repro.obs.postcards.PostcardRecorder`
-        for a sampled packet: the same loop then also reports the switch,
-        every state test/write/delta and each copy's outcome.  The hooks
-        sit only on state and terminal opcodes and read values the opcode
-        computes anyway (operand closures are pure), so a recorded run
-        has exactly the effects of an unrecorded one.
+        for a sampled packet: the traced specialisation then also reports
+        the switch, every state test/write/delta and each copy's
+        outcome, with exactly the effects of an unrecorded run.
         """
         if entry is None:
             tag = packet.get(SNAP_NODE)
             entry = self.entries.get(tag)
-        if entry is None:
+            if entry is None:
+                raise DataPlaneError(
+                    f"switch {self.switch} cannot process tag {tag!r}"
+                )
+        run = self.functions(recorder is not None).get(entry)
+        if run is None:
             raise DataPlaneError(
-                f"switch {self.switch} cannot process tag {tag!r}"
+                f"switch {self.switch} has no entry at instruction @{entry}"
             )
-        if recorder is not None:
+        out: list = []
+        if recorder is None:
+            run(dict(packet._fields), out)
+        else:
             recorder.process(self.switch)
-        outcomes: list[Outcome] = []
-        ops = self._ops
-        stack = [(entry, packet)]
-        while stack:
-            idx, pkt = stack.pop()
-            while True:
-                op = ops[idx]
-                code = op[0]
-                if code == OP_BRANCH:
-                    idx = op[2] if op[1](pkt) else op[3]
-                elif code == OP_SET:
-                    pkt = pkt.modify(op[1], op[2])
-                    idx += 1
-                elif code == OP_STTEST:
-                    result = op[1](pkt)
-                    if recorder is not None:
-                        key = op[5](pkt)
-                        recorder.state_test(op[4], key, op[6].get(key), result)
-                    idx = op[2] if result else op[3]
-                elif code == OP_STWRITE:
-                    key, value = op[2](pkt), op[3](pkt)
-                    if recorder is not None:
-                        recorder.state_write(op[1].name, key, value)
-                    op[1].set(key, value)
-                    idx += 1
-                elif code == OP_STDELTA:
-                    key = op[2](pkt)
-                    if recorder is not None:
-                        recorder.state_delta(op[1].name, key, op[3])
-                    op[1].increment(key, op[3])
-                    idx += 1
-                elif code == OP_JUMP:
-                    idx = op[1]
-                elif code == OP_EMIT:
-                    outcomes.append(Outcome("emit", pkt))
-                    break
-                elif code == OP_PAUSE:
-                    outcomes.append(
-                        Outcome("pause", pkt.modify(SNAP_NODE, op[1]), op[2])
-                    )
-                    break
-                elif code == OP_FORK:
-                    # Reversed push: the LIFO stack then explores targets
-                    # in order, so outcomes come out in the leaf's
-                    # deterministic trie (emission) order.
-                    for target in reversed(op[1]):
-                        stack.append((target, pkt))
-                    break
-                else:  # OP_DROP
-                    outcomes.append(Outcome("drop", pkt))
-                    break
-            if recorder is not None and code != OP_FORK:
-                recorder.outcome(outcomes[-1].kind, var=outcomes[-1].var)
-        return outcomes
+            run(dict(packet._fields), out, recorder)
+        return [Outcome(kind, Packet._wrap(fields), var) for kind, fields, var in out]
 
     def to_lowered(self) -> "LoweredProgram":
         """The pure-data serialization of this program (see
@@ -430,6 +522,10 @@ class SwitchProgram:
             lines.append(f"{prefix:>12}  @{idx:<4} {instr!r}")
         return "\n".join(lines)
 
+    def source(self) -> str:
+        """The Python text this program executes as (see :meth:`functions`)."""
+        return _generate_source(self, False)[0]
+
     def __repr__(self):
         return (
             f"SwitchProgram({self.switch}, {len(self.instructions)} instrs, "
@@ -439,7 +535,7 @@ class SwitchProgram:
 
 # -- the lowered, shippable program form ---------------------------------------
 #
-# The compiled fast path above holds precompiled closures, which do not
+# The generated executor above is bound to live state tables and does not
 # pickle.  Following Open Packet Processor's observation that a lowered,
 # platform-independent stateful program form is what makes shipping
 # programs to independent execution units tractable, `LoweredProgram` is a
@@ -447,9 +543,9 @@ class SwitchProgram:
 # are constants (test/expression descriptors, literal values, jump
 # targets) plus the local store's default table.  `from_lowered` rebuilds
 # a behaviorally identical `SwitchProgram` — reconstructing the readable
-# instruction objects and *re-closing* the test/expression closures — so a
-# worker process can rehydrate a shipped program once and run the same
-# tight dispatch loop the parent does.
+# instruction objects, from which the worker generates (lazily, like the
+# parent) the same executor text — so a worker process can rehydrate a
+# shipped program once and run the same code the parent does.
 #
 # Descriptor grammar (every leaf is a picklable constant):
 #
@@ -565,10 +661,10 @@ def from_lowered(lowered: LoweredProgram) -> SwitchProgram:
     """Rehydrate a :class:`SwitchProgram` from its pure-data form.
 
     Rebuilds the instruction objects and a fresh local store (defaults
-    only — shard state is installed separately), then lets
-    ``SwitchProgram.__init__`` re-close the fast-path closures.  The
-    result is behaviorally identical to the program ``to_lowered`` was
-    called on, and ``to_lowered`` of the result round-trips equal.
+    only — shard state is installed separately); the executor is
+    generated on the program's first packet.  The result is
+    behaviorally identical to the program ``to_lowered`` was called on,
+    and ``to_lowered`` of the result round-trips equal.
     """
     instructions = [_revive_instr(op) for op in lowered.ops]
     store = Store(lowered.state_defaults)

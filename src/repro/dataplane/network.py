@@ -485,11 +485,12 @@ class Walker:
     its caller, so lanes never race on counters.
     """
 
-    __slots__ = ("network", "batch", "_segments", "_seg_counts")
+    __slots__ = ("network", "batch", "_ingress", "_segments", "_seg_counts")
 
     def __init__(self, network: Network, batch=()):
         self.network = network
         self.batch = batch  # [(global_index, packet, port)], for run()
+        self._ingress: dict = {}  # port -> (program, resolved root entry)
         self._segments: dict = {}  # (switch, u, v, tag) -> (stop, links)
         self._seg_counts: dict = {}
 
@@ -528,26 +529,32 @@ class Walker:
     def run_packet(self, packet: Packet, port: int, recorder=None) -> list:
         """One packet from its ingress port to every copy's fate.
 
-        ``recorder`` (a postcard recorder) sees the same walk: state and
-        outcome events come from the hook inside ``process``, hop events
-        are replayed from each memoized segment's link tuple.
+        Each copy is a mutable field dict that belongs to this walk: one
+        copy of the packet's fields at ingress, forked only by the
+        switch programs, SNAP header written and stripped in place; a
+        ``Packet`` is wrapped around it only for its final record.
+
+        ``recorder`` (a postcard recorder) sees the same walk through
+        the programs' traced functions; hop events are replayed from
+        each memoized segment's link tuple.
         """
         net = self.network
         ports = net.topology.ports
-        try:
-            program = net.switches[ports[port]]
-        except KeyError:
-            raise DataPlaneError(f"no OBS port {port} in the topology") from None
-        # Inlined add_header: one dict copy for tag + inport.
         fields = dict(packet._fields)
         fields["inport"] = port
         fields[SNAP_INPORT] = port
         fields[SNAP_NODE] = ROOT_TAG
-        pkt = Packet.__new__(Packet)
-        pkt._fields = fields
-        pkt._hash = None
-        # Leading inport-only branches are resolved once per port.
-        entry = program.resolve_inport_entry(ROOT_TAG, pkt, port)
+        ingress = self._ingress.get(port)
+        if ingress is None:
+            try:
+                program = net.switches[ports[port]]
+            except KeyError:
+                raise DataPlaneError(f"no OBS port {port} in the topology") from None
+            # Leading inport-only branches are resolved once per port.
+            entry = program.resolve_inport_entry(ROOT_TAG, Packet._wrap(fields), port)
+            ingress = self._ingress[port] = (program, entry)
+        program, entry = ingress
+        wrap = Packet._wrap
         hops = 0
         records: list = []
         # Depth-first over packet copies, first-emitted first: the OBS
@@ -558,37 +565,40 @@ class Walker:
         stack: list = []
         while True:
             switch = program.switch
+            out: list = []
+            if recorder is None:
+                program.functions()[entry](fields, out)
+            else:
+                recorder.process(switch)
+                program.functions(True)[entry](fields, out, recorder)
             in_flight = None
-            for outcome in program.process(pkt, entry, recorder):
-                kind = outcome.kind
+            for kind, fields, var in out:
                 if kind == "pause":
-                    item = self._resume(outcome, switch, hops, recorder)
+                    item = self._resume(fields, var, switch, hops, recorder)
                 else:
-                    fields = outcome.packet._fields
                     egress = fields.get("outport")
                     if kind == "drop" or egress not in ports:
-                        records.append(DeliveryRecord(outcome.packet, None, hops))
+                        records.append(DeliveryRecord(wrap(fields), None, hops))
                         continue
                     # A DONE packet is never processed again, so the
                     # SNAP-header writes a switch would make before
                     # forwarding it would be stripped unread at the
-                    # egress: deliver the stripped packet directly.
-                    stripped = dict(fields)
-                    del stripped[SNAP_INPORT]
-                    stripped.pop(SNAP_OUTPORT, None)
-                    del stripped[SNAP_NODE]
-                    out = Packet.__new__(Packet)
-                    out._fields = stripped
-                    out._hash = None
+                    # egress: strip now and deliver directly.
+                    u = fields.pop(SNAP_INPORT)
+                    fields.pop(SNAP_OUTPORT, None)
+                    del fields[SNAP_NODE]
                     if ports[egress] == switch:
                         # Delivered here: ahead of any copy still in flight.
-                        records.append(DeliveryRecord(out, egress, hops))
+                        records.append(DeliveryRecord(wrap(fields), egress, hops))
                         continue
                     _, total = self._traverse(
-                        switch, fields[SNAP_INPORT], egress, DONE_TAG,
-                        hops, recorder,
+                        switch, u, egress, DONE_TAG, hops, recorder
                     )
-                    item = DeliveryRecord(out, egress, total)
+                    item = DeliveryRecord(wrap(fields), egress, total)
+                    if not stack and len(out) == 1:
+                        # Unicast: nothing else in flight to order against.
+                        records.append(item)
+                        return records
                 if in_flight is None:
                     in_flight = [item]
                 else:
@@ -599,22 +609,20 @@ class Walker:
                 records.append(stack.pop())
             if not stack:
                 return records
-            program, pkt, entry, hops = stack.pop()
+            program, fields, entry, hops = stack.pop()
 
-    def _resume(self, outcome, switch: str, hops: int, recorder):
+    def _resume(self, fields: dict, var: str, switch: str, hops: int, recorder):
         """A pause outcome -> where and how processing resumes: the
-        packet, tagged with an egress that reaches the variable, carried
+        copy, tagged with an egress that reaches the variable, carried
         over the forwarding segment to the first switch that can act on
         its tag."""
-        pkt = outcome.packet
-        fields = pkt._fields
-        u, tag, tagged = fields[SNAP_INPORT], fields[SNAP_NODE], fields.get(SNAP_OUTPORT)
-        v = self.network.pause_egress(u, tagged, outcome.var, switch)
-        if v != tagged:
-            pkt = pkt.modify(SNAP_OUTPORT, v)
+        u, tag = fields[SNAP_INPORT], fields[SNAP_NODE]
+        v = fields[SNAP_OUTPORT] = self.network.pause_egress(
+            u, fields.get(SNAP_OUTPORT), var, switch
+        )
         stop, hops = self._traverse(switch, u, v, tag, hops, recorder)
         program = self.network.switches[stop]
-        return (program, pkt, program.entries[tag], hops)
+        return (program, fields, program.entries[tag], hops)
 
     def _traverse(self, switch: str, u: int, v: int, tag: int, hops: int,
                   recorder):

@@ -531,8 +531,8 @@ def apply_replica_log(network, replicated: dict, log: dict,
 #
 # The process and cluster engines get replica isolation for free (each
 # worker already runs a rehydrated private network); thread lanes share
-# the parent's compiled programs — and NetASM lowering binds
-# StateVariable objects directly into opcode closures, so isolation
+# the parent's compiled programs — and a program's generated executor
+# is bound to its StateVariable objects, so isolation
 # needs a *per-slot worker network* revived from the lowered pure-data
 # form, exactly like a process worker but in-process.  Revived programs
 # are cached per (parent, slot): rebuilding them is the expensive part,

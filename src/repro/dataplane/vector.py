@@ -1,8 +1,8 @@
 """Vectorized batch execution tier (``engine="vector"`` / ``"vector-jit"``).
 
-Every existing engine parallelizes the same per-packet interpreter loop
-(:meth:`repro.dataplane.netasm.SwitchProgram.process`); this module lowers
-a :class:`SwitchProgram` one level further, to *columnar* execution in the
+Every other engine parallelizes the same per-packet executor (the scalar
+code :meth:`repro.dataplane.netasm.SwitchProgram.functions` generates);
+this module compiles a :class:`SwitchProgram` to *columnar* execution in the
 style of Open Packet Processor's mechanically-vectorizable stateful
 match/action stages and DPDK's run-to-completion batching: a whole
 batch's header fields are packed into NumPy column arrays and each opcode
@@ -164,11 +164,11 @@ def _kernel_for(network, program: SwitchProgram, entry: int) -> "_Kernel":
     return kernel
 
 
-# -- scalar predicates (must agree exactly with netasm._compile_test) ---------
+# -- scalar predicates (must agree exactly with the tests netasm generates) --
 
 
 def _value_predicate(test: FieldValueTest):
-    """``f(value) -> bool`` mirroring the lowered closure's semantics."""
+    """``f(value) -> bool`` mirroring the generated inline test's semantics."""
     value = test.value
     if isinstance(value, IPPrefix):
         network, mask = value.network, value.mask
@@ -756,10 +756,9 @@ class VectorLane:
                 fields["inport"] = port
                 fields[SNAP_INPORT] = port
                 fields[SNAP_NODE] = ROOT_TAG
-                tagged = Packet.__new__(Packet)
-                tagged._fields = fields
-                tagged._hash = None
-                entry = program.resolve_inport_entry(ROOT_TAG, tagged, port)
+                entry = program.resolve_inport_entry(
+                    ROOT_TAG, Packet._wrap(fields), port
+                )
                 cached = resolved[port] = (switch, entry, program)
             switch, entry, program = cached
             bucket = groups.get((switch, entry))
@@ -941,10 +940,7 @@ class VectorLane:
                     fields[SNAP_INPORT] = port
                     fields[SNAP_NODE] = ROOT_TAG
                     egress = None
-                packet = Packet.__new__(Packet)
-                packet._fields = fields
-                packet._hash = None
-                record = DeliveryRecord(packet, egress, hops)
+                record = DeliveryRecord(Packet._wrap(fields), egress, hops)
                 if direct:
                     results[gidx[row]] = [record]
                     continue

@@ -27,10 +27,21 @@ class Packet:
         self._fields = merged
         self._hash = None
 
+    @classmethod
+    def _wrap(cls, fields: dict) -> "Packet":
+        """Adopt ``fields`` as the packet's own dict, without the
+        constructor's defensive copy.  Internal: the caller must have
+        built the dict itself and must not touch it afterwards."""
+        packet = cls.__new__(cls)
+        packet._fields = fields
+        packet._hash = None
+        return packet
+
     def get(self, field: str):
-        # The data-plane fast path (dataplane/netasm.py lowered closures,
-        # dataplane/network.py Walker) reads self._fields directly for speed;
-        # any semantics added here must be mirrored there.
+        # The data plane (the executor dataplane/netasm.py generates and
+        # dataplane/network.py Walker) works on the field dict directly,
+        # reading absent fields as ``dict.get`` does; any semantics added
+        # here must be mirrored there.
         return self._fields.get(field)
 
     def __getitem__(self, field: str):
@@ -43,19 +54,19 @@ class Packet:
         """Functional update: a new packet with ``field`` set to ``value``."""
         updated = dict(self._fields)
         updated[field] = value
-        return Packet(updated)
+        return Packet._wrap(updated)
 
     def modify_many(self, assignments: dict) -> "Packet":
         if not assignments:
             return self
         updated = dict(self._fields)
         updated.update(assignments)
-        return Packet(updated)
+        return Packet._wrap(updated)
 
     def without(self, *fields: str) -> "Packet":
         """A new packet with the given fields removed (SNAP-header strip)."""
         updated = {k: v for k, v in self._fields.items() if k not in fields}
-        return Packet(updated)
+        return Packet._wrap(updated)
 
     def fields(self):
         return dict(self._fields)

@@ -284,10 +284,15 @@ class MetricsRegistry:
         """The Prometheus text exposition format (version 0.0.4)."""
         lines: list = []
         for family in self.families():
+            children = family.children()
+            if not children:
+                # Registered, never recorded: a bare ``# TYPE`` would
+                # announce a histogram without its mandatory samples.
+                continue
             if family.help:
                 lines.append(f"# HELP {family.name} {family.help}")
             lines.append(f"# TYPE {family.name} {family.kind}")
-            for child in family.children():
+            for child in children:
                 suffix = _label_suffix(child.labels)
                 with child._lock:
                     if family.kind == "histogram":

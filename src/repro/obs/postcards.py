@@ -14,10 +14,12 @@ every == 0``), never random, for two reasons:
   how it was sharded (batch entries carry their global index end to
   end, including across the cluster wire);
 * a sampled run is **byte-identical** to an unsampled one — a sampled
-  packet runs the same :class:`repro.dataplane.network.Walker` and the
-  same :meth:`repro.dataplane.netasm.SwitchProgram.process` opcode loop
-  as every other packet, with a recorder argument, so turning postcards
-  on can never change what the network does, only what it remembers.
+  packet runs the same :class:`repro.dataplane.network.Walker` as
+  every other packet, over the *traced* specialisation of the same
+  generated switch code
+  (:meth:`repro.dataplane.netasm.SwitchProgram.functions`), which adds
+  recorder calls and nothing else, so turning postcards on can never
+  change what the network does, only what it remembers.
 
 When no sampler is configured (the default), every hook is a single
 ``None`` check on a module global — the per-packet hot paths pay
@@ -88,9 +90,10 @@ def _jsonable(value):
 class PostcardRecorder:
     """Collects one sampled packet's events while it executes.
 
-    Handed to :meth:`Walker.run_packet` as ``recorder``: the opcode loop
-    reports process/state/outcome events, the walker replays each
-    forwarding segment's links as hop events.
+    Handed to :meth:`Walker.run_packet` as ``recorder``: the traced
+    switch code reports state/outcome events, the walker reports each
+    switch it enters and replays each forwarding segment's links as hop
+    events.
     """
 
     __slots__ = ("index", "port", "events")

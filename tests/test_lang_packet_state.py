@@ -50,6 +50,26 @@ class TestPacket:
     def test_repr_mentions_fields(self):
         assert "srcip=5" in repr(make_packet(srcip=5))
 
+    def test_constructor_copies_the_callers_dict(self):
+        fields = {"a": 1}
+        pkt = Packet(fields)
+        fields["a"] = 2
+        fields["b"] = 3
+        assert pkt.get("a") == 1 and pkt.get("b") is None
+        assert pkt.fields() is not pkt._fields
+
+    def test_wrap_adopts_the_dict_and_updates_copy_once(self):
+        fields = {"a": 1}
+        pkt = Packet._wrap(fields)
+        assert pkt._fields is fields
+        assert pkt == make_packet(a=1) and hash(pkt) == hash(make_packet(a=1))
+        for updated in (
+            pkt.modify("a", 2), pkt.modify_many({"b": 2}), pkt.without("a")
+        ):
+            assert type(updated) is Packet
+            assert updated._fields is not fields
+        assert fields == {"a": 1}
+
 
 class TestStateVariable:
     def test_default_read(self):

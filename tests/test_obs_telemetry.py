@@ -8,8 +8,8 @@ The load-bearing properties:
   wire (worker spans adopt the coordinator's trace id);
 * postcard sampling is **behaviour-preserving**: a sampled replay is
   field-for-field identical to an unsampled one — records, stores,
-  link counters — on every engine, because the traced walk executes
-  the same lowered opcodes;
+  link counters — on every engine, because the traced switch code is
+  the plain generated code plus recorder calls;
 * telemetry off means the fast paths stay fast: the sequential engine
   takes its batch path, record methods are branch-only, and a replay
   stays within a loose factor of the disabled run (the precise ≤2 %
@@ -496,6 +496,20 @@ class TestCli:
     def test_check_prom_passes(self, capsys):
         assert obs_cli.main(["check-prom"]) == 0
         assert "prometheus exporter ok" in capsys.readouterr().out
+
+    def test_registered_but_never_observed_families_are_not_exported(self):
+        # What a fresh `python -m repro.obs check-prom` process holds:
+        # module-level handles nothing has recorded on yet.  A bare
+        # `# TYPE ... histogram` line would fail the validator.
+        registry = obs.MetricsRegistry()
+        registry.histogram("snap_idle_seconds", "never observed")
+        registry.counter("snap_idle_total", "never incremented")
+        assert registry.render_prometheus() == ""
+        registry.histogram("snap_idle_seconds").observe(0.5)
+        text = registry.render_prometheus()
+        assert "# TYPE snap_idle_seconds histogram" in text
+        assert "snap_idle_total" not in text
+        assert validate_prometheus_text(text) == []
 
     def test_dump_renders_compile_spans_metrics_and_postcards(
         self, tmp_path, capsys
