@@ -51,12 +51,14 @@ rehydrated programs per ``(program_key, generation)`` token, so a
 long-lived pool pays the deserialization cost once per program, not per
 batch — and a TE ``rewire`` (same programs, new routing) reuses them.
 
-Every engine honors one *lane failure contract*: if a lane raises, the
-results of lanes that completed are still merged into the network
-(records, link counters, and — for the process engine — state deltas)
-before the error is re-raised wrapped in a :class:`DataPlaneError` naming
-the failing shard.  The network is therefore never silently
-half-updated: what ran is recorded, and the exception says what did not.
+Every engine honors one *lane failure contract*: if a lane raises, what
+the lanes that completed leave behind is still merged into the network —
+their link counters and (in place for thread lanes, as deltas from the
+process engine's workers) their state writes — before the error is
+re-raised wrapped in a :class:`DataPlaneError` naming the failing shard.
+No network keeps a per-packet log, so the records of a failed run are
+gone with it; the network is still never silently half-updated: what
+ran is counted, and the exception says what did not.
 
 Engines are *pluggable*: :func:`register_engine` adds a named engine to
 the registry :func:`get_engine` and ``CompilerOptions`` validation
@@ -392,22 +394,16 @@ def _merge_lane_outcomes(network: Network, lane_results, total: int,
                          complete: bool):
     """Deterministic merge: records in global arrival order, link counters
     summed.  With ``complete=False`` (a lane failed) the completed lanes'
-    records and counters are still merged — the failure contract — and
-    ``None`` is returned instead of a result list."""
+    counters are still merged — the failure contract — and ``None`` is
+    returned instead of a result list."""
     by_index: dict = {}
     link_packets = network.link_packets
     for records_by_index, links in lane_results:
         by_index.update(records_by_index)
         for link, count in links.items():
             link_packets[link] = link_packets.get(link, 0) + count
-    deliveries = network.deliveries
     if complete:
-        results = [by_index[index] for index in range(total)]
-        for records in results:
-            deliveries.extend(records)
-        return results
-    for index in sorted(by_index):
-        deliveries.extend(by_index[index])
+        return [by_index[index] for index in range(total)]
     return None
 
 
@@ -446,13 +442,18 @@ def _lane_span_runner(runner, parent, shard_index: int, batch_size: int,
 
 class SequentialEngine:
     """Run-to-completion in arrival order: one :class:`Walker` over all
-    ingress ports, inline (:meth:`Network.inject_many`)."""
+    ingress ports, inline (:meth:`Network.stream`)."""
 
     name = "sequential"
 
     def run(self, network: Network, arrivals) -> list:
         """One record list per injected packet, in arrival order."""
         return network.inject_many(arrivals)
+
+    def stream(self, network: Network, arrivals):
+        """:meth:`run`, lazily: each packet's record list as its walk
+        ends, none kept — what :func:`repro.workloads.replay` folds."""
+        return network.stream(arrivals)
 
     def __repr__(self):
         return "SequentialEngine()"
@@ -640,8 +641,8 @@ class ProcessPoolEngine:
     inline on the calling thread with identical semantics.
 
     Lane failures follow the engine failure contract (see module
-    docstring): completed lanes' records, counters, *and state deltas*
-    are merged before the wrapped :class:`DataPlaneError` is raised.
+    docstring): completed lanes' counters *and state deltas* are merged
+    before the wrapped :class:`DataPlaneError` is raised.
     """
 
     name = "process"

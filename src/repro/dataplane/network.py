@@ -61,14 +61,19 @@ _EXEC_KEYS = itertools.count(1)
 
 
 class DeliveryRecord:
-    """One packet's fate: delivered at a port, or dropped."""
+    """One packet copy's fate: delivered at a port, or dropped."""
 
-    __slots__ = ("packet", "egress", "hops")
+    __slots__ = ("fields", "egress", "hops")
 
-    def __init__(self, packet: Packet, egress: int | None, hops: int):
-        self.packet = packet
+    def __init__(self, fields: dict, egress: int | None, hops: int):
+        self.fields = fields  # the copy's own field dict, never touched again
         self.egress = egress  # None = dropped
         self.hops = hops
+
+    @property
+    def packet(self) -> Packet:
+        """The copy as a :class:`Packet`, wrapped on demand."""
+        return Packet._wrap(self.fields)
 
     def __repr__(self):
         where = f"port {self.egress}" if self.egress is not None else "dropped"
@@ -109,7 +114,6 @@ class Network:
             for name in topology.switches()
         }
         self.link_packets: dict = {}
-        self.deliveries: list[DeliveryRecord] = []
         #: Engine :func:`repro.workloads.replay` uses when none is passed
         #: explicitly (a name or an engine instance; the controller sets
         #: it from ``CompilerOptions.engine``).
@@ -182,7 +186,6 @@ class Network:
         dup.state_defaults = self.state_defaults
         dup.switches = self.switches
         dup.link_packets = {}
-        dup.deliveries = []
         dup.default_engine = self.default_engine
         dup.replicate_state = getattr(self, "replicate_state", True)
         # Same compiled programs -> same program key (process-pool workers
@@ -353,30 +356,31 @@ class Network:
         return self.inject_many(((packet, port),))[0]
 
     def inject_many(self, packets_with_ports) -> list[list[DeliveryRecord]]:
-        """Sequential mode: each packet runs to completion, in order.
+        """Sequential mode: each packet runs to completion, in order;
+        one record list per packet (:meth:`stream`, materialised)."""
+        return list(self.stream(packets_with_ports))
+
+    def stream(self, packets_with_ports):
+        """Sequential mode, one packet at a time: yields each packet's
+        record list as its walk ends and keeps none of them.
 
         One :class:`Walker` over all ingress ports, run inline; arrivals
-        stream straight into it and each packet's record list is appended
-        to the one result list returned.  Packets that ran before a
-        failure stay recorded in ``deliveries`` and ``link_packets``.
+        stream straight into it.  When the stream ends — exhausted,
+        closed early by its consumer, or on a packet that raises — what
+        the packets that ran leave behind is their state writes and
+        their link counts in ``link_packets``.
         """
         walker = Walker(self)
         run_packet = walker.run_packet
         sampler = postcards.active_sampler()
-        results: list[list[DeliveryRecord]] = []
-        append = results.append
         try:
             for index, (packet, port) in enumerate(packets_with_ports):
                 if sampler is not None and sampler.should(index):
-                    append(walker.run_sampled(packet, port, index))
+                    yield walker.run_sampled(packet, port, index)
                 else:
-                    append(run_packet(packet, port))
+                    yield run_packet(packet, port)
         finally:
             walker.add_link_counts(self.link_packets)
-            extend = self.deliveries.extend
-            for records in results:
-                extend(records)
-        return results
 
     def inject_concurrent(self, packets_with_ports, scheduler=None) -> list[DeliveryRecord]:
         """Concurrent mode: all packets in flight, hops interleaved.
@@ -406,47 +410,46 @@ class Network:
             fields = packet._fields
             v, tag = fields[SNAP_OUTPORT], fields[SNAP_NODE]
             if tag == DONE_TAG and ports[v] == switch:
-                records.append(DeliveryRecord(strip_header(packet), v, hops))
+                records.append(
+                    DeliveryRecord(strip_header(packet)._fields, v, hops)
+                )
                 return
             nxt = self.next_hop(switch, fields[SNAP_INPORT], v, tag)
             links[(switch, nxt)] = links.get((switch, nxt), 0) + 1
             queue.append((packet, nxt, hops + 1))
 
-        try:
-            while queue:
-                # The deque goes to the scheduler as is (it only needs
-                # len() and indexing); copying it to a list every hop made
-                # adversarial-scheduler soaks quadratic.
-                index = scheduler(queue) if scheduler is not None else 0
-                packet, switch, hops = queue[index]
-                del queue[index]
-                if hops > MAX_HOPS:
-                    raise DataPlaneError(HOP_LIMIT_MESSAGE)
-                tag = packet._fields[SNAP_NODE]
-                if tag == DONE_TAG or tag not in switches[switch].entries:
-                    advance(packet, switch, hops)
-                    continue
-                for outcome in switches[switch].process(packet):
-                    packet = outcome.packet
-                    fields = packet._fields
-                    if outcome.kind == "pause":
-                        v = self.pause_egress(
-                            fields[SNAP_INPORT], fields.get(SNAP_OUTPORT),
-                            outcome.var, switch,
-                        )
-                        advance(packet.modify(SNAP_OUTPORT, v), switch, hops)
-                    elif outcome.kind == "emit" and fields.get("outport") in ports:
-                        advance(
-                            packet.modify_many({
-                                SNAP_OUTPORT: fields["outport"],
-                                SNAP_NODE: DONE_TAG,
-                            }),
-                            switch, hops,
-                        )
-                    else:
-                        records.append(DeliveryRecord(packet, None, hops))
-        finally:
-            self.deliveries.extend(records)
+        while queue:
+            # The deque goes to the scheduler as is (it only needs
+            # len() and indexing); copying it to a list every hop made
+            # adversarial-scheduler soaks quadratic.
+            index = scheduler(queue) if scheduler is not None else 0
+            packet, switch, hops = queue[index]
+            del queue[index]
+            if hops > MAX_HOPS:
+                raise DataPlaneError(HOP_LIMIT_MESSAGE)
+            tag = packet._fields[SNAP_NODE]
+            if tag == DONE_TAG or tag not in switches[switch].entries:
+                advance(packet, switch, hops)
+                continue
+            for outcome in switches[switch].process(packet):
+                packet = outcome.packet
+                fields = packet._fields
+                if outcome.kind == "pause":
+                    v = self.pause_egress(
+                        fields[SNAP_INPORT], fields.get(SNAP_OUTPORT),
+                        outcome.var, switch,
+                    )
+                    advance(packet.modify(SNAP_OUTPORT, v), switch, hops)
+                elif outcome.kind == "emit" and fields.get("outport") in ports:
+                    advance(
+                        packet.modify_many({
+                            SNAP_OUTPORT: fields["outport"],
+                            SNAP_NODE: DONE_TAG,
+                        }),
+                        switch, hops,
+                    )
+                else:
+                    records.append(DeliveryRecord(fields, None, hops))
         return records
 
     # -- reporting -------------------------------------------------------------
@@ -490,7 +493,8 @@ class Walker:
     def __init__(self, network: Network, batch=()):
         self.network = network
         self.batch = batch  # [(global_index, packet, port)], for run()
-        self._ingress: dict = {}  # port -> (program, resolved root entry)
+        # port -> (program, resolved root entry, its generated function)
+        self._ingress: dict = {}
         self._segments: dict = {}  # (switch, u, v, tag) -> (stop, links)
         self._seg_counts: dict = {}
 
@@ -531,8 +535,8 @@ class Walker:
 
         Each copy is a mutable field dict that belongs to this walk: one
         copy of the packet's fields at ingress, forked only by the
-        switch programs, SNAP header written and stripped in place; a
-        ``Packet`` is wrapped around it only for its final record.
+        switch programs, SNAP header written and stripped in place, and
+        handed as is to the copy's final :class:`DeliveryRecord`.
 
         ``recorder`` (a postcard recorder) sees the same walk through
         the programs' traced functions; hop events are replayed from
@@ -552,9 +556,10 @@ class Walker:
                 raise DataPlaneError(f"no OBS port {port} in the topology") from None
             # Leading inport-only branches are resolved once per port.
             entry = program.resolve_inport_entry(ROOT_TAG, Packet._wrap(fields), port)
-            ingress = self._ingress[port] = (program, entry)
-        program, entry = ingress
-        wrap = Packet._wrap
+            ingress = self._ingress[port] = (
+                program, entry, program.functions()[entry]
+            )
+        program, entry, run = ingress
         hops = 0
         records: list = []
         # Depth-first over packet copies, first-emitted first: the OBS
@@ -567,7 +572,7 @@ class Walker:
             switch = program.switch
             out: list = []
             if recorder is None:
-                program.functions()[entry](fields, out)
+                run(fields, out)
             else:
                 recorder.process(switch)
                 program.functions(True)[entry](fields, out, recorder)
@@ -578,7 +583,7 @@ class Walker:
                 else:
                     egress = fields.get("outport")
                     if kind == "drop" or egress not in ports:
-                        records.append(DeliveryRecord(wrap(fields), None, hops))
+                        records.append(DeliveryRecord(fields, None, hops))
                         continue
                     # A DONE packet is never processed again, so the
                     # SNAP-header writes a switch would make before
@@ -589,12 +594,12 @@ class Walker:
                     del fields[SNAP_NODE]
                     if ports[egress] == switch:
                         # Delivered here: ahead of any copy still in flight.
-                        records.append(DeliveryRecord(wrap(fields), egress, hops))
+                        records.append(DeliveryRecord(fields, egress, hops))
                         continue
                     _, total = self._traverse(
                         switch, u, egress, DONE_TAG, hops, recorder
                     )
-                    item = DeliveryRecord(wrap(fields), egress, total)
+                    item = DeliveryRecord(fields, egress, total)
                     if not stack and len(out) == 1:
                         # Unicast: nothing else in flight to order against.
                         records.append(item)
@@ -609,7 +614,7 @@ class Walker:
                 records.append(stack.pop())
             if not stack:
                 return records
-            program, fields, entry, hops = stack.pop()
+            (program, entry, run), fields, hops = stack.pop()
 
     def _resume(self, fields: dict, var: str, switch: str, hops: int, recorder):
         """A pause outcome -> where and how processing resumes: the
@@ -620,14 +625,13 @@ class Walker:
         v = fields[SNAP_OUTPORT] = self.network.pause_egress(
             u, fields.get(SNAP_OUTPORT), var, switch
         )
-        stop, hops = self._traverse(switch, u, v, tag, hops, recorder)
-        program = self.network.switches[stop]
-        return (program, fields, program.entries[tag], hops)
+        target, hops = self._traverse(switch, u, v, tag, hops, recorder)
+        return (target, fields, hops)
 
     def _traverse(self, switch: str, u: int, v: int, tag: int, hops: int,
                   recorder):
-        """Take the forwarding segment from ``switch``; returns the
-        switch it ends at and the hop count on arrival."""
+        """Take the forwarding segment from ``switch``; returns where
+        it stops (see :meth:`_walk`) and the hop count on arrival."""
         key = (switch, u, v, tag)
         segment = self._segments.get(key)
         if segment is None:
@@ -645,7 +649,9 @@ class Walker:
     def _walk(self, switch: str, u: int, v: int, tag: int):
         """Follow :meth:`Network.next_hop` until the packet reaches a
         switch that can act on it (process the tag, or deliver a DONE
-        packet at its egress).  Returns ``(stop, links)``."""
+        packet at its egress).  Returns ``(stop, links)``: ``stop`` is
+        the egress switch of a DONE packet, else where processing
+        resumes — ``(program, entry, generated function)``."""
         net = self.network
         switches = net.switches
         egress_switch = net.topology.port_switch(v)
@@ -660,7 +666,9 @@ class Walker:
                 if switch == egress_switch:
                     return switch, tuple(links)
             elif tag in switches[switch].entries:
-                return switch, tuple(links)
+                program = switches[switch]
+                entry = program.entries[tag]
+                return (program, entry, program.functions()[entry]), tuple(links)
 
 
 # -- execution-spec serialization (worker processes and cluster daemons) ------
@@ -755,7 +763,6 @@ def worker_network(
     network.state_defaults = spec["state_defaults"]
     network.switches = programs
     network.link_packets = {}
-    network.deliveries = []
     network.default_engine = "sequential"
     network.replicate_state = False  # worker lanes never re-plan
     network._exec_program_key = program_key

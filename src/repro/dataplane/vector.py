@@ -940,7 +940,7 @@ class VectorLane:
                     fields[SNAP_INPORT] = port
                     fields[SNAP_NODE] = ROOT_TAG
                     egress = None
-                record = DeliveryRecord(Packet._wrap(fields), egress, hops)
+                record = DeliveryRecord(fields, egress, hops)
                 if direct:
                     results[gidx[row]] = [record]
                     continue

@@ -45,6 +45,16 @@ class ReplayStats:
 
     def record(self, records) -> None:
         self.sent += 1
+        if len(records) == 1:  # unicast, almost every packet: no loop
+            egress = records[0].egress
+            if egress is None:
+                self.dropped += 1
+            else:
+                self.delivered += 1
+                self.packets_delivered += 1
+                self.per_egress[egress] = self.per_egress.get(egress, 0) + 1
+                self.total_hops += records[0].hops
+            return
         any_delivered = False
         for record in records:
             if record.egress is None:
@@ -96,19 +106,28 @@ def replay(trace: Trace, network: Network, engine=None) -> ReplayStats:
     (``CompilerOptions.engine`` for networks obtained from
     :meth:`SnapController.network`).  Every engine is
     delivery-equivalent to per-packet :meth:`~Network.inject` calls.
+
+    The statistics are folded from the engine's ``stream`` when it has
+    one (the sequential engine: one packet's records alive at a time),
+    else from the list its ``run`` returns.  If a packet raises, the
+    packets the fold saw before it still reach the span and
+    ``snap_replay_packets_total``.
     """
     if engine is None:
         engine = getattr(network, "default_engine", "sequential")
     runner = get_engine(engine)
+    run = getattr(runner, "stream", runner.run)
     stats = ReplayStats()
     with TRACER.span(
         "replay", engine=getattr(runner, "name", str(engine))
     ) as span:
-        for records in runner.run(network, trace):
-            stats.record(records)
-        span.set_attr("packets", stats.sent)
-        span.set_attr("delivered", stats.delivered)
-    _REPLAY_PACKETS.inc(stats.sent)
+        try:
+            for records in run(network, trace):
+                stats.record(records)
+        finally:
+            span.set_attr("packets", stats.sent)
+            span.set_attr("delivered", stats.delivered)
+            _REPLAY_PACKETS.inc(stats.sent)
     return stats
 
 

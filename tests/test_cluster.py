@@ -53,6 +53,7 @@ from repro.workloads.obs_engine import obs_engine_names
 from tests.test_engine import (
     SUBNETS,
     compiled,
+    flat,
     ip,
     record_view,
     sharded_monitor,
@@ -105,7 +106,7 @@ def assert_cluster_equivalent(snapshot, trace, engine=None):
         assert record_view(per_seq) == record_view(per_clu)
     assert net_seq.global_store() == net_clu.global_store()
     assert net_seq.link_packets == net_clu.link_packets
-    assert record_view(net_seq.deliveries) == record_view(net_clu.deliveries)
+    assert record_view(flat(seq)) == record_view(flat(clu))
 
 
 # -- wire protocol ------------------------------------------------------------

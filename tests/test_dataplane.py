@@ -247,10 +247,10 @@ class TestHopLimit:
     and each packet's total, the hop-granular driver each packet's
     count."""
 
-    def _looping_network(self):
+    def _looping_network(self, policy=ast.Mod("outport", 2)):
         topo = line_topology(3)
         xfdd, _, mapping, demands, solution, routing = compile_case(
-            ast.Mod("outport", 2), topo
+            policy, topo
         )
         net = Network(topo, xfdd, solution.placement, routing, mapping, demands, {})
         net.rules.tables["s1"][(1, 2)] = "s0"  # s0 -> s1 -> s0 -> ...
@@ -266,7 +266,22 @@ class TestHopLimit:
         net = self._looping_network()
         with pytest.raises(DataPlaneError, match="hop limit"):
             drive(net, [(make_packet(srcip=1), 1)])
-        assert net.deliveries == []
+
+    def test_stream_keeps_the_link_counts_of_packets_before_the_loop(self):
+        """A packet that raises ends the stream; the packets that ran
+        before it stay counted on their links, the ones after it never
+        ran."""
+        net = self._looping_network(ast.If(
+            ast.Test("inport", 1), ast.Mod("outport", 2), ast.Mod("outport", 1)
+        ))
+        packet = make_packet(srcip=1)
+        stream = net.stream([(packet, 2), (packet, 2), (packet, 1), (packet, 2)])
+        assert [[r.egress for r in next(stream)] for _ in range(2)] == [[1], [1]]
+        assert net.link_packets == {}  # merged when the stream ends
+        with pytest.raises(DataPlaneError, match="hop limit"):
+            next(stream)
+        assert net.link_packets == {("s2", "s1"): 2, ("s1", "s0"): 2}
+        assert list(stream) == []
 
 
 def star_topology():

@@ -82,6 +82,12 @@ def record_view(records):
     return [(r.egress, r.hops, r.packet) for r in records]
 
 
+def flat(results):
+    """Every record of a run, in arrival order: the one sequence an
+    engine that drops, duplicates or reorders a record changes."""
+    return [record for records in results for record in records]
+
+
 def assert_engines_equivalent(snapshot, program, trace, sharded=None):
     """Sequential ≡ sharded ≡ OBS eval, field by field."""
     net_seq = snapshot.build_network()
@@ -95,7 +101,7 @@ def assert_engines_equivalent(snapshot, program, trace, sharded=None):
         assert record_view(per_seq) == record_view(per_shard)
     assert net_seq.global_store() == net_shard.global_store()
     assert net_seq.link_packets == net_shard.link_packets
-    assert record_view(net_seq.deliveries) == record_view(net_shard.deliveries)
+    assert record_view(flat(seq)) == record_view(flat(shard))
 
     obs_store, obs_outputs = replay_obs(
         trace, program.full_policy(), Store(program.state_defaults)
@@ -241,10 +247,19 @@ def one_packet_per_port():
     ]
 
 
+def links_after(snapshot, arrivals) -> dict:
+    """``link_packets`` of a fresh network that carried exactly these."""
+    reference = snapshot.build_network()
+    reference.inject_many(arrivals)
+    return reference.link_packets
+
+
 class TestLaneFailureContract:
     """A failing lane merges what completed, then raises a wrapped
     DataPlaneError naming the shard — the network is never silently
-    half-updated."""
+    half-updated.  No network keeps a packet log, so what completed
+    lanes leave behind is their state (the per-port counters) and their
+    link counts."""
 
     def test_inline_failure_merges_completed_lanes_only(self):
         snapshot, _ = sharded_monitor()
@@ -259,8 +274,8 @@ class TestLaneFailureContract:
         assert store.read("count@2", (2,)) == 1
         assert store.read("count@3", (3,)) == "corrupt"
         assert store.read("count@4", (4,)) == 0
-        assert len(network.deliveries) == 2
-        assert sum(network.link_packets.values()) > 0
+        arrivals = one_packet_per_port()
+        assert network.link_packets == links_after(snapshot, arrivals[:2])
 
     def test_thread_pool_failure_merges_completed_lanes(self):
         snapshot, _ = sharded_monitor()
@@ -273,7 +288,10 @@ class TestLaneFailureContract:
         for port in (1, 2, 4, 5, 6):
             assert store.read(f"count@{port}", (port,)) == 1
         assert store.read("count@3", (3,)) == "corrupt"
-        assert len(network.deliveries) == 5
+        arrivals = one_packet_per_port()
+        assert network.link_packets == links_after(
+            snapshot, arrivals[:2] + arrivals[3:]
+        )
 
     def test_process_pool_failure_merges_completed_lanes(self):
         snapshot, _ = sharded_monitor()
@@ -289,9 +307,50 @@ class TestLaneFailureContract:
             for port in (1, 2, 4, 5, 6):
                 assert store.read(f"count@{port}", (port,)) == 1
             assert store.read("count@3", (3,)) == "corrupt"
-            assert len(network.deliveries) == 5
+            arrivals = one_packet_per_port()
+            assert network.link_packets == links_after(
+                snapshot, arrivals[:2] + arrivals[3:]
+            )
         finally:
             engine.close()
+
+
+class TestStreamContract:
+    """``SequentialEngine.stream`` is ``run`` one packet at a time: the
+    same records, state and link counts, with nothing kept."""
+
+    @pytest.mark.parametrize("case", [
+        sharded_monitor,
+        lambda: compiled(app=stateful_firewall()),
+        lambda: compiled(app=dns_tunnel_detect(threshold=3)),
+    ], ids=["monitor", "firewall", "dns-tunnel"])
+    def test_stream_equals_run_record_for_record(self, case):
+        snapshot, _ = case()
+        arrivals = list(workloads.background_traffic(SUBNETS, count=200, seed=3))
+        net_run, net_stream = snapshot.build_network(), snapshot.build_network()
+        ran = SequentialEngine().run(net_run, arrivals)
+        stream = SequentialEngine().stream(net_stream, iter(arrivals))
+        # Lazy: no packet has run yet.
+        assert net_stream.global_store() == snapshot.build_network().global_store()
+        streamed = list(stream)
+        assert len(streamed) == len(ran) == len(arrivals)
+        assert [record_view(r) for r in streamed] == [record_view(r) for r in ran]
+        assert net_stream.global_store() == net_run.global_store()
+        assert net_stream.link_packets == net_run.link_packets
+
+    def test_early_stop_leaves_the_link_counts_of_the_packets_that_ran(self):
+        snapshot, _ = sharded_monitor()
+        arrivals = list(workloads.background_traffic(SUBNETS, count=50, seed=3))
+        network = snapshot.build_network()
+        stream = SequentialEngine().stream(network, arrivals)
+        for _ in range(20):
+            next(stream)
+        stream.close()  # what dropping the last reference does
+        assert network.link_packets == links_after(snapshot, arrivals[:20])
+        store = network.global_store()
+        assert sum(
+            store.read(f"count@{port}", (port,)) for port in PORTS
+        ) == 20
 
 
 class TestEngineEquivalence:

@@ -50,6 +50,7 @@ from tests.test_engine import (
     PORTS,
     SUBNETS,
     compiled,
+    flat,
     ip,
     record_view,
     sharded_monitor,
@@ -85,7 +86,7 @@ def assert_process_equivalent(snapshot, trace, engine=None):
         assert record_view(per_seq) == record_view(per_proc)
     assert net_seq.global_store() == net_proc.global_store()
     assert net_seq.link_packets == net_proc.link_packets
-    assert record_view(net_seq.deliveries) == record_view(net_proc.deliveries)
+    assert record_view(flat(seq)) == record_view(flat(proc))
 
 
 class TestLoweredProgram:
@@ -171,7 +172,7 @@ class TestProcessEquivalence:
             assert record_view(a) == record_view(b)
         assert nets[0].global_store() == nets[1].global_store()
         assert nets[0].link_packets == nets[1].link_packets
-        assert record_view(nets[0].deliveries) == record_view(nets[1].deliveries)
+        assert record_view(flat(runs[0])) == record_view(flat(runs[1]))
 
     def test_single_worker_budget_runs_inline(self):
         snapshot, _ = sharded_monitor()
@@ -254,7 +255,6 @@ class TestPoolLifecycle:
                 setattr(network, attr, getattr(donor, attr))
             network._init_routing_indices()
             network.link_packets = {}
-            network.deliveries = []
             out = engine.run(network, trace)
 
             reference = snap_b.build_network()

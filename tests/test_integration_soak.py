@@ -8,18 +8,26 @@ match exactly; also exercises TE re-optimization mid-stream and the
 compilation report.
 """
 
+import gc
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
 from repro.core.controller import SnapController
 from repro.core.program import Program
 from repro.core.report import compilation_report
+from repro.dataplane.network import DeliveryRecord
 from repro.apps import assign_egress, default_subnets, dns_tunnel_detect, port_assumption
 from repro.lang import ast, make_packet
 from repro.lang.semantics import eval_policy
 from repro.lang.state import Store
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
+from repro.workloads import background_traffic, replay
+
+from tests.test_engine import SUBNETS, sharded_monitor
 
 
 def build_program():
@@ -132,3 +140,88 @@ def test_report_renders():
     assert "D4" in text
     assert "routing rules" in text
     assert "P5" in text
+
+
+# -- bounded memory: one packet at a time --------------------------------------
+
+
+def monitor_case(count):
+    """The sharded monitor (``count@p[inport]++``, six disjoint shards)
+    and ``count`` packets of background traffic, materialised so trace
+    generation stays out of the measurements."""
+    snapshot, _ = sharded_monitor()
+    return snapshot, list(background_traffic(SUBNETS, count=count, seed=5))
+
+
+def live_records() -> int:
+    gc.collect()
+    return sum(type(obj) is DeliveryRecord for obj in gc.get_objects())
+
+
+def reachable_objects(root) -> int:
+    """How many objects ``root`` keeps alive through containers and
+    instances (classes, modules and code are the program, not data)."""
+    program = (type, types.ModuleType, types.FunctionType, types.MethodType,
+               types.BuiltinFunctionType, types.CodeType)
+    seen = {id(root)}
+    frontier = [root]
+    while frontier:
+        for ref in gc.get_referents(frontier.pop()):
+            if id(ref) not in seen and not isinstance(ref, program):
+                seen.add(id(ref))
+                frontier.append(ref)
+    return len(seen)
+
+
+def test_replay_leaves_no_delivery_record_alive():
+    snapshot, trace = monitor_case(2000)
+    network = snapshot.build_network()
+    before = live_records()
+    stats = replay(trace, network)
+    assert stats.sent == stats.delivered == 2000
+    assert live_records() == before
+    # ... whereas the eager drivers hand theirs to the caller.
+    held = network.inject_many(trace[:50])
+    assert live_records() == before + 50
+    del held
+    assert live_records() == before
+
+
+def test_replay_peak_memory_does_not_grow_with_the_trace():
+    """Replay streams: the ``tracemalloc`` peak of 20k packets is that of
+    5k (memoised segments, six counters, one packet's records) — not
+    four times it, as when every record was kept until the end."""
+    snapshot, trace = monitor_case(20000)
+
+    def peak(arrivals) -> int:
+        network = snapshot.build_network()
+        replay(arrivals[:500], network)  # generated code, memos: warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            replay(arrivals, network)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(trace[:5000]), peak(trace)
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_a_network_keeps_nothing_per_packet():
+    """What traffic leaves on a ``Network`` is its state tables and
+    ``link_packets``: the same object graph after 500 packets and after
+    6 500 more through every driver."""
+    snapshot, trace = monitor_case(6500)
+    network = snapshot.build_network()
+    replay(trace[:500], network)
+    warm = reachable_objects(network)
+    replay(trace[:3000], network)
+    network.inject_many(trace[3000:6000])
+    network.inject_concurrent(trace[6000:])
+    # Slack for counters outgrowing CPython's shared small ints.
+    assert reachable_objects(network) <= warm + 64
+    assert sum(
+        network.global_store().read(f"count@{port}", (port,))
+        for port in range(1, 7)
+    ) == 500 + 6500

@@ -28,6 +28,7 @@ from repro.dataplane.engine import (
     ShardedEngine,
     get_engine,
 )
+from repro.lang.errors import DataPlaneError
 from repro.obs import postcards
 from repro.obs.metrics import MetricsRegistry, validate_prometheus_text
 from repro.obs.runstats import RunStats
@@ -35,7 +36,14 @@ from repro.obs.tracing import NOOP_SPAN, TRACER, Tracer
 from repro.obs import __main__ as obs_cli
 from repro.workloads import replay
 
-from tests.test_engine import SUBNETS, compiled, record_view, sharded_monitor
+from tests.test_engine import (
+    SUBNETS,
+    compiled,
+    flat,
+    links_after,
+    record_view,
+    sharded_monitor,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -211,13 +219,12 @@ def assert_sampled_run_identical(make_engine, every=3, count=60):
     with postcards.sampling(every):
         sampled = make_engine().run(net_sampled, trace)
 
+    assert len(plain) == len(sampled) == len(trace)
     for per_plain, per_sampled in zip(plain, sampled):
         assert record_view(per_plain) == record_view(per_sampled)
     assert net_plain.global_store() == net_sampled.global_store()
     assert net_plain.link_packets == net_sampled.link_packets
-    assert record_view(net_plain.deliveries) == record_view(
-        net_sampled.deliveries
-    )
+    assert record_view(flat(plain)) == record_view(flat(sampled))
 
     cards = postcards.postcards()
     assert {card["index"] for card in cards} == set(range(0, count, every))
@@ -316,6 +323,23 @@ class TestPostcards:
             "deliveries": [{"egress": 2, "hops": 3}],
         }
 
+    def test_streamed_sampled_run_files_the_same_postcards(self):
+        """``stream`` under an active sampler: the records, sampled
+        indices and postcards of the eager ``run``."""
+        snapshot = _monitor_nets()
+        trace = list(workloads.background_traffic(SUBNETS, count=40, seed=4))
+        net_run, net_stream = snapshot.build_network(), snapshot.build_network()
+        with postcards.sampling(3):
+            ran = SequentialEngine().run(net_run, trace)
+        run_cards = postcards.postcards()
+        postcards.reset()
+        with postcards.sampling(3):
+            streamed = list(SequentialEngine().stream(net_stream, trace))
+        assert [record_view(r) for r in streamed] == [record_view(r) for r in ran]
+        assert net_stream.link_packets == net_run.link_packets
+        assert [card["index"] for card in run_cards] == list(range(0, 40, 3))
+        assert postcards.postcards() == run_cards
+
     def test_sharded_sampled_run_identical(self):
         assert_sampled_run_identical(ShardedEngine)
 
@@ -367,6 +391,23 @@ class TestEngineTelemetry:
         assert packets.labels(engine="t-pub").value >= 17
         lanes = obs.REGISTRY.gauge("snap_engine_lanes")
         assert lanes.labels(engine="t-pub").value == 3
+
+    def test_failed_replay_reports_the_packets_that_ran(self):
+        """A packet that raises ends a streamed replay; the packets
+        folded before it still reach the ``replay`` span and
+        ``snap_replay_packets_total``."""
+        snapshot, _ = sharded_monitor()
+        network = snapshot.build_network()
+        good = list(workloads.background_traffic(SUBNETS, count=7, seed=2))
+        trace = good + [(good[0][0], 99)] + good  # port 99 does not exist
+        total = obs.REGISTRY.counter("snap_replay_packets_total").labels()
+        before = total.value
+        with pytest.raises(DataPlaneError, match="no OBS port 99"):
+            replay(trace, network)
+        assert total.value == before + 7
+        attrs = TRACER.spans("replay")[-1]["attrs"]
+        assert (attrs["packets"], attrs["delivered"]) == (7, 7)
+        assert network.link_packets == links_after(snapshot, good)
 
     def test_disabled_telemetry_keeps_the_sequential_fast_path(self):
         """Telemetry off: no spans, no postcards, and exactly the records,

@@ -34,7 +34,7 @@ from repro.xfdd.order import TestOrder
 from repro.xfdd.compose import Composer
 from repro.xfdd.build import to_xfdd
 
-from tests.test_engine import record_view
+from tests.test_engine import flat, record_view
 from tests.strategies import STATE_VARS, VALUES, packets, policies, registry
 
 PORTS = (1, 2, 3)
@@ -178,10 +178,10 @@ def test_run_to_completion_matches_the_hop_granular_driver(body, arrivals):
     _, make_network = compile_onto_diamond(body)
     walked, stepped = make_network(), make_network()
     per_packet = walked.inject_many(arrivals)
-    for records, arrival in zip(per_packet, arrivals):
-        assert copies(records) == copies(
-            stepped.inject_concurrent([arrival])
-        )
+    per_step = [stepped.inject_concurrent([arrival]) for arrival in arrivals]
+    assert len(per_packet) == len(per_step) == len(arrivals)
+    for records, step_records in zip(per_packet, per_step):
+        assert copies(records) == copies(step_records)
     assert walked.link_packets == stepped.link_packets
     assert walked.global_store() == stepped.global_store()
-    assert copies(walked.deliveries) == copies(stepped.deliveries)
+    assert copies(flat(per_packet)) == copies(flat(per_step))
