@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from repro.lang.values import matches
 from repro.xfdd.actions import DropAction, FieldAssign
-from repro.xfdd.diagram import XFDD, Leaf, iter_paths
+from repro.xfdd.diagram import XFDD, Leaf
 from repro.xfdd.tests import FieldValueTest, StateVarTest
 
 INPORT = "inport"
@@ -73,37 +73,11 @@ class PacketStateMapping:
         return f"PacketStateMapping({rows})"
 
 
-def _path_inports(path, inports):
-    """Ingress ports compatible with the path's inport tests."""
-    allowed = set(inports)
-    for test, result in path:
-        if isinstance(test, FieldValueTest) and test.field == INPORT:
-            if result:
-                allowed = {p for p in allowed if matches(p, test.value)}
-            else:
-                allowed = {p for p in allowed if not matches(p, test.value)}
-    return allowed
-
-
-def _path_reachable(path) -> bool:
-    """False when the path needs a positive outport test (fresh packets
-    carry no outport)."""
-    for test, result in path:
-        if isinstance(test, FieldValueTest) and test.field == OUTPORT and result:
-            return False
-    return True
-
-
-def _path_reads(path) -> frozenset:
-    return frozenset(
-        test.var for test, _ in path if isinstance(test, StateVarTest)
-    )
-
-
-def _leaf_egresses(leaf, outports):
-    """(egress ports, needs_all) for the leaf's emitting sequences."""
-    egresses = set()
-    unknown = False
+def _leaf_targets(leaf):
+    """Outport values the leaf's emitting sequences assign (empty for a
+    pure-drop leaf), or ``None`` when one of them assigns none: its
+    egress is unknown."""
+    targets = set()
     for seq in leaf.seqs:
         if any(isinstance(action, DropAction) for action in seq):
             continue
@@ -112,26 +86,28 @@ def _leaf_egresses(leaf, outports):
             if isinstance(action, FieldAssign) and action.field == OUTPORT:
                 assigned = action.value
         if assigned is None:
-            unknown = True
-        else:
-            egresses.add(assigned)
-    return egresses & set(outports), unknown
+            return None
+        targets.add(assigned)
+    return frozenset(targets)
 
 
 def path_summaries(xfdd: XFDD, memo: dict | None = None) -> frozenset:
     """Port-independent digest of every reachable root-to-leaf path.
 
-    Returns a frozenset of ``(constraints, reads, leaf)`` triples, where
+    Returns a frozenset of ``(constraints, states, targets)`` triples:
     ``constraints`` is a frozenset of ``(value, positive)`` inport tests
-    taken along the path and ``reads`` the state variables tested.  Paths
-    through a *positive* outport test are pruned (fresh packets carry no
-    outport), and paths that differ only in state-irrelevant tests
-    collapse into one triple — which is both the speedup (the diagram is
-    walked as a DAG, one visit per node) and the memoization hook: the
-    summary of a shared sub-diagram is computed once and, with a
-    caller-supplied ``memo`` keyed by node identity, survives across
-    compilations that splice the same interned subtrees (node identity is
-    pinned by the owning :class:`~repro.xfdd.diagram.DiagramFactory`).
+    taken along the path, ``states`` the variables its tests read and
+    its leaf writes, ``targets`` the leaf's :func:`_leaf_targets`.
+    Paths through a *positive* outport test are pruned (fresh packets
+    carry no outport), and paths that attribute the same states to the
+    same flows collapse into one triple — which is both the speedup (the
+    diagram is walked as a DAG, one visit per node, over sets that stay
+    a few dozen triples however many leaves there are) and the
+    memoization hook: the summary of a shared sub-diagram is computed
+    once and, with a caller-supplied ``memo`` keyed by node identity,
+    survives across compilations that splice the same interned subtrees
+    (node identity is pinned by the owning
+    :class:`~repro.xfdd.diagram.DiagramFactory`).
     """
     if memo is None:
         memo = {}
@@ -142,7 +118,9 @@ def path_summaries(xfdd: XFDD, memo: dict | None = None) -> frozenset:
         if hit is not None:
             return hit
         if isinstance(node, Leaf):
-            result = frozenset(((frozenset(), frozenset(), node),))
+            result = frozenset(
+                ((frozenset(), node.written_state_vars(), _leaf_targets(node)),)
+            )
         else:
             hi = summarize(node.hi)
             lo = summarize(node.lo)
@@ -150,24 +128,18 @@ def path_summaries(xfdd: XFDD, memo: dict | None = None) -> frozenset:
             if isinstance(test, StateVarTest):
                 # Both branches read the variable: deciding the test
                 # requires it regardless of which way the packet goes.
-                hi = frozenset(
-                    (c, reads | {test.var}, leaf) for c, reads, leaf in hi
-                )
-                lo = frozenset(
-                    (c, reads | {test.var}, leaf) for c, reads, leaf in lo
-                )
+                read = frozenset((test.var,))
+                result = frozenset((c, s | read, t) for c, s, t in hi | lo)
             elif isinstance(test, FieldValueTest) and test.field == INPORT:
-                hi = frozenset(
-                    (c | {(test.value, True)}, reads, leaf)
-                    for c, reads, leaf in hi
-                )
-                lo = frozenset(
-                    (c | {(test.value, False)}, reads, leaf)
-                    for c, reads, leaf in lo
+                result = frozenset(
+                    (c | {(test.value, positive)}, s, t)
+                    for side, positive in ((hi, True), (lo, False))
+                    for c, s, t in side
                 )
             elif isinstance(test, FieldValueTest) and test.field == OUTPORT:
-                hi = frozenset()  # positive outport test: unreachable
-            result = hi | lo
+                result = lo  # positive outport test: unreachable
+            else:
+                result = hi | lo
         memo[key] = result
         return result
 
@@ -178,16 +150,8 @@ def _constrained_inports(constraints, inports):
     """Ingress ports compatible with a summary's inport constraints."""
     allowed = set(inports)
     for value, positive in constraints:
-        if positive:
-            allowed = {p for p in allowed if matches(p, value)}
-        else:
-            allowed = {p for p in allowed if not matches(p, value)}
+        allowed = {p for p in allowed if matches(p, value) == positive}
     return allowed
-
-
-def _summary_sort_key(entry):
-    constraints, reads, leaf = entry
-    return (sorted(map(repr, constraints)), sorted(reads), repr(leaf))
 
 
 def packet_state_mapping(
@@ -195,48 +159,47 @@ def packet_state_mapping(
 ) -> PacketStateMapping:
     """Compute S_uv for every OBS port pair from the xFDD's path summaries.
 
-    Equivalent to enumerating every root-to-leaf path (the previous
-    implementation, kept as :func:`packet_state_mapping_paths` for the
-    equivalence property): summaries merge exactly the paths that
-    contribute identical ``(sources, states, leaf)`` attributions, and
-    both the attribution and the deferred pure-drop fallback are
-    idempotent set unions, so collapsing duplicates cannot change the
-    result.  ``memo`` (optional, node-id keyed) lets a long-lived session
-    reuse sub-diagram summaries across recompilations.
+    A fold over :func:`path_summaries`: each triple attributes its states
+    to (its sources) x (its targets), pure-drop triples deferred (see
+    module docstring).  Attribution and the deferred fallback are
+    idempotent set unions into per-pair frozensets, so neither the order
+    the triples arrive in nor how many paths collapsed into one can
+    change the result (``tests/reference_packet_state.py`` enumerates
+    the paths instead; the suite holds the two equal).  ``memo``
+    (optional) is whatever a long-lived session lets this function keep:
+    sub-diagram summaries by node identity, and the finished mapping by
+    ``(root identity, ports)`` — a recompilation that splices the same
+    interned subtrees re-summarises only the spine above the edit, and
+    one that rebuilds the same root pays a lookup.
     """
+    if memo is None:
+        memo = {}
+    inports, outports = tuple(inports), tuple(outports)
+    done = memo.get((id(xfdd), inports, outports))
+    if done is not None:
+        return done
     needed: dict = {}
-    outport_set = list(outports)
+    everywhere = frozenset(outports)
     deferred: list = []  # (sources, states) of pure-drop summaries
+    sources_of: dict = {}
 
     def attribute(sources, targets, states):
         for u in sources:
             for v in targets:
-                if u == v:
-                    continue
-                key = (u, v)
-                needed[key] = needed.get(key, frozenset()) | states
+                if u != v:
+                    needed[(u, v)] = needed.get((u, v), frozenset()) | states
 
-    # Sorted iteration: the final mapping is order-independent (see
-    # docstring) but dict insertion order — which downstream model
-    # construction sees — should not depend on set-hash order.
-    summaries = sorted(path_summaries(xfdd, memo), key=_summary_sort_key)
-    egress_cache: dict = {}
-    for constraints, reads, leaf in summaries:
-        states = reads | leaf.written_state_vars()
+    for constraints, states, targets in path_summaries(xfdd, memo):
         if not states:
             continue
-        sources = _constrained_inports(constraints, inports)
-        if not sources:
-            continue
-        cached = egress_cache.get(id(leaf))
-        if cached is None:
-            cached = _leaf_egresses(leaf, outport_set)
-            egress_cache[id(leaf)] = cached
-        egresses, unknown = cached
-        if egresses and not unknown:
-            attribute(sources, egresses, states)
-        elif unknown:
-            attribute(sources, set(outport_set), states)
+        sources = sources_of.get(constraints)
+        if sources is None:
+            sources = sources_of[constraints] = _constrained_inports(
+                constraints, inports
+            )
+        reach = everywhere if targets is None else targets & everywhere
+        if reach:
+            attribute(sources, reach, states)
         else:
             # Pure-drop path: defer — it only needs an existing flow to
             # ride to the state switch (see module docstring).
@@ -246,60 +209,13 @@ def packet_state_mapping(
         for u in sources:
             for s in states:
                 covered = any(
-                    s in needed.get((u, v), frozenset())
-                    for v in outport_set
-                    if v != u
+                    s in needed.get((u, v), ()) for v in outports if v != u
                 )
                 if not covered:
-                    attribute((u,), set(outport_set), frozenset((s,)))
-    return PacketStateMapping(
+                    attribute((u,), everywhere, frozenset((s,)))
+    # Sorted pairs: the dict's insertion order — which downstream model
+    # construction sees — must not depend on set-hash order.
+    done = memo[(id(xfdd), inports, outports)] = PacketStateMapping(
         dict(sorted(needed.items())), inports, outports
     )
-
-
-def packet_state_mapping_paths(xfdd: XFDD, inports, outports) -> PacketStateMapping:
-    """Reference implementation: explicit path enumeration (pre-memo).
-
-    Kept for the equivalence property in the test suite; production code
-    uses :func:`packet_state_mapping`.
-    """
-    needed: dict = {}
-    outport_set = list(outports)
-    deferred: list = []  # (sources, states) of pure-drop paths
-
-    def attribute(sources, targets, states):
-        for u in sources:
-            for v in targets:
-                if u == v:
-                    continue
-                key = (u, v)
-                needed[key] = needed.get(key, frozenset()) | states
-
-    for path, leaf in iter_paths(xfdd):
-        if not _path_reachable(path):
-            continue
-        states = _path_reads(path) | leaf.written_state_vars()
-        if not states:
-            continue
-        sources = _path_inports(path, inports)
-        if not sources:
-            continue
-        egresses, unknown = _leaf_egresses(leaf, outport_set)
-        if egresses and not unknown:
-            attribute(sources, egresses, states)
-        elif unknown:
-            attribute(sources, set(outport_set), states)
-        else:
-            deferred.append((sources, states))
-
-    for sources, states in deferred:
-        for u in sources:
-            for s in states:
-                covered = any(
-                    s in needed.get((u, v), frozenset())
-                    for v in outport_set
-                    if v != u
-                )
-                if not covered:
-                    attribute((u,), set(outport_set), frozenset((s,)))
-    return PacketStateMapping(needed, inports, outports)
+    return done

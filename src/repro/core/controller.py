@@ -600,13 +600,16 @@ class SnapController:
             # (deterministic solver — recompute would be byte-identical).
             # P4/P5 are entered so the snapshot's phase set still follows
             # Table 4; they record ~0, which is the honest cost.
-            solution, routing, solve_stats = cached
+            # Every input of P6's extraction, validation and rule tables
+            # is in the key too, so those are the memo's, not redone.
+            solution, routing, solve_stats, rules = cached
             with timer.phase("P4"):
                 pass
             with timer.phase("P5"):
                 pass
             self._solve_memo.move_to_end(solve_key)
         else:
+            rules = None
             solution, routing, solve_stats = self._backend.solve_st(
                 topology,
                 self._demands,
@@ -634,10 +637,12 @@ class SnapController:
         snapshot = self._finish(
             topology, self._program, analysis.dependencies, analysis.xfdd,
             analysis.mapping, solution, routing, timer, event, stats,
-            analysis.factory, artifacts=analysis.artifacts,
+            analysis.factory, artifacts=analysis.artifacts, rules=rules,
         )
         if use_incremental and cached is None:
-            self._solve_memo[solve_key] = (solution, routing, dict(solve_stats))
+            self._solve_memo[solve_key] = (
+                solution, snapshot.routing, dict(solve_stats), snapshot.rules
+            )
             while len(self._solve_memo) > SOLVE_MEMO_CAP:
                 self._solve_memo.popitem(last=False)
         return snapshot
@@ -697,19 +702,23 @@ class SnapController:
     def _finish(
         self, topology, program, dependencies, xfdd, mapping, solution,
         routing, timer, event, stats, diagram_factory, artifacts=None,
+        rules=None,
     ) -> Snapshot:
         """P6 + snapshot construction + live-network hot swap.
 
         ``topology`` is the effective topology this solve ran against,
         threaded explicitly — the session's base topology is never
-        temporarily mutated to smuggle it in.
+        temporarily mutated to smuggle it in.  ``rules`` come with a
+        routing that was validated when they were built (a solve-memo
+        hit); without them P6 extracts, validates and builds.
         """
         with timer.phase("P6"):
             if routing is None:
                 routing = extract_paths(solution, topology, mapping, dependencies)
-            if self._options.validate:
-                validate_solution(routing, topology, mapping, dependencies)
-            rules = build_rule_tables(routing)
+            if rules is None:
+                if self._options.validate:
+                    validate_solution(routing, topology, mapping, dependencies)
+                rules = build_rule_tables(routing)
         # Every snapshot carries the static effect report (update-kind
         # classification + race findings) — the merge-safety oracle for
         # replication/sharding consumers; the AST walk is microseconds,
@@ -769,6 +778,8 @@ class SnapController:
             snapshot.event != "cold_start"
             and snapshot.xfdd is live.index.root
             and dict(snapshot.placement) == live.placement
+            # rewire keeps the stores, and a store keeps its defaults.
+            and dict(snapshot.program.state_defaults) == live.state_defaults
             # The compiled switch set is only reusable if the new graph
             # has the same switches and the same port attachments (link
             # failures qualify; a replacement topology may not).

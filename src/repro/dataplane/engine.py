@@ -78,11 +78,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.analysis.packet_state import (
-    _path_inports,
-    _path_reachable,
-    _path_reads,
-)
+from repro.analysis.packet_state import _constrained_inports, path_summaries
 from repro.dataplane import replication
 from repro.dataplane.netasm import revive_programs
 from repro.dataplane.network import (
@@ -98,7 +94,6 @@ from repro.obs import postcards
 from repro.obs.runstats import RunStats
 from repro.obs.tracing import TRACER
 from repro.util.registry import EngineRegistry
-from repro.xfdd.diagram import iter_paths
 
 
 # -- shard analysis -----------------------------------------------------------
@@ -114,14 +109,10 @@ def ingress_state_footprint(xfdd, inports) -> dict:
     that actually races.
     """
     footprint: dict = {port: set() for port in inports}
-    for path, leaf in iter_paths(xfdd):
-        if not _path_reachable(path):
-            continue
-        states = _path_reads(path) | leaf.written_state_vars()
-        if not states:
-            continue
-        for port in _path_inports(path, inports):
-            footprint[port] |= states
+    for constraints, states, _ in path_summaries(xfdd):
+        if states:
+            for port in _constrained_inports(constraints, inports):
+                footprint[port] |= states
     return {port: frozenset(states) for port, states in footprint.items()}
 
 

@@ -31,7 +31,12 @@ import time
 from dataclasses import dataclass, field
 
 from repro.dataplane.header import SNAP_NODE
-from repro.dataplane.split import NodeIndex, _ordered_seqs, leaf_groups, state_owner
+from repro.dataplane.split import (
+    NodeIndex,
+    _ordered_seqs,
+    owned_entries,
+    state_owner,
+)
 from repro.lang import ast
 from repro.lang.errors import DataPlaneError
 from repro.lang.packet import Packet
@@ -696,13 +701,17 @@ def compile_switch(
     placement: dict,
     state_defaults: dict,
     has_ports: bool,
+    owned=None,
 ) -> SwitchProgram:
     """Compile the per-switch program.
 
     Entry points: the root (switches with attached OBS ports) and every
-    node whose state variable lives on this switch.  Stateless tests and
-    field writes compile anywhere; a remote state test or state action
-    compiles to PAUSE with the node's tag.
+    node whose state variable lives on this switch — ``owned``, this
+    switch's list from :func:`~repro.dataplane.split.owned_entries` (a
+    network makes that walk once for all its switches).  Stateless tests
+    and field writes compile anywhere; a remote state test or state
+    action compiles to PAUSE with the node's tag.  A switch with no port
+    that owns nothing compiles nothing and never looks at the xFDD.
     """
     instructions: list[Instr] = []
     entries: dict[int, int] = {}
@@ -744,21 +753,11 @@ def compile_switch(
         key = ("g", id(leaf), members, depth)
         if key in compiled:
             return compiled[key]
-        groups: dict = {}
-        ends = False
-        for member in members:
-            seq = seqs[member]
-            if len(seq) > depth:
-                groups.setdefault(seq[depth], []).append(member)
-            else:
-                ends = True
         targets = []
-        if ends:
+        if any(len(seqs[member]) <= depth for member in members):
             targets.append(emit(IEmit()))
-        for action in sorted(groups, key=repr):
-            targets.append(
-                compile_chain(leaf, seqs, tuple(groups[action]), depth)
-            )
+        for _, subgroup in leaf.trie()[(members, depth)]:
+            targets.append(compile_chain(leaf, seqs, subgroup, depth))
         idx = targets[0] if len(targets) == 1 else emit(IFork(targets))
         compiled[key] = idx
         return idx
@@ -809,26 +808,11 @@ def compile_switch(
         entries[0] = root_idx  # ROOT_TAG
 
     # Entries for every node this switch owns.
-    stack = [index.root]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Branch):
-            test = node.test
-            if isinstance(test, StateVarTest) and state_owner(placement, test.var) == switch:
-                tag = index.branch_tag(node)
-                entries[tag] = compile_branch(node)
-            stack.append(node.hi)
-            stack.append(node.lo)
+    if owned is None:
+        owned = owned_entries(index.root, index, placement).get(switch, ())
+    for tag, node, *group in owned:
+        if group:
+            entries[tag] = compile_chain(node, _ordered_seqs(node), *group)
         else:
-            seqs = _ordered_seqs(node)
-            for members, depth in leaf_groups(node):
-                action = seqs[members[0]][depth]
-                var = action.writes_state()
-                if var is not None and state_owner(placement, var) == switch:
-                    tag = index.cont_tag(node, min(members), depth)
-                    entries[tag] = compile_chain(node, seqs, members, depth)
+            entries[tag] = compile_branch(node)
     return SwitchProgram(switch, instructions, entries, store)

@@ -41,7 +41,7 @@ from repro.dataplane.header import (
 )
 from repro.dataplane.netasm import SwitchProgram, compile_switch
 from repro.dataplane.rules import RuleTables, build_rule_tables
-from repro.dataplane.split import NodeIndex
+from repro.dataplane.split import NodeIndex, owned_entries
 from repro.lang.errors import DataPlaneError
 from repro.lang.packet import Packet
 from repro.lang.state import Store
@@ -106,10 +106,11 @@ class Network:
         port_switches = set(topology.ports.values())
         defaults = dict(state_defaults or {})
         self.state_defaults = defaults
+        owned = owned_entries(xfdd, self.index, self.placement)
         self.switches: dict[str, SwitchProgram] = {
             name: compile_switch(
                 name, xfdd, self.index, self.placement, defaults,
-                has_ports=name in port_switches,
+                has_ports=name in port_switches, owned=owned.get(name, ()),
             )
             for name in topology.switches()
         }

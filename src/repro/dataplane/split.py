@@ -22,37 +22,25 @@ from repro.dataplane.header import ROOT_TAG
 
 
 def _ordered_seqs(leaf: Leaf):
-    """Deterministic ordering of a leaf's parallel action sequences.
-
-    Delegates to the leaf's own cached ordering — the splitter, the NetASM
-    compiler, and the evaluator all ask for it repeatedly per leaf.
-    """
+    """Deterministic ordering of a leaf's parallel action sequences (the
+    leaf's own cached ordering)."""
     return leaf.ordered_seqs()
 
 
 def leaf_groups(leaf: Leaf):
-    """Enumerate the leaf's execution trie.
-
-    A leaf's sequences share common prefixes (the program's sequential
-    part), so execution forms a trie: shared actions run once, copies fork
-    at divergence points.  Yields ``(members, depth)`` for every trie node
-    where an action executes — ``members`` is the tuple of sequence indices
-    (into ``_ordered_seqs``) sharing the action at ``depth``.
+    """Enumerate the leaf's execution trie (:meth:`Leaf.trie`), parents
+    first.  Yields ``(members, depth)`` for every trie node where an
+    action executes — ``members`` is the tuple of sequence indices (into
+    ``_ordered_seqs``) sharing the action at ``depth``.
     """
-    seqs = _ordered_seqs(leaf)
+    trie = leaf.trie()
 
     def walk(members: tuple, depth: int):
-        groups: dict = {}
-        for index in members:
-            seq = seqs[index]
-            if len(seq) > depth:
-                groups.setdefault(seq[depth], []).append(index)
-        for action in sorted(groups, key=repr):
-            subgroup = tuple(groups[action])
+        for _, subgroup in trie[(members, depth)]:
             yield subgroup, depth
             yield from walk(subgroup, depth + 1)
 
-    yield from walk(tuple(range(len(seqs))), 0)
+    yield from walk(tuple(range(len(leaf.seqs))), 0)
 
 
 class NodeIndex:
@@ -112,9 +100,12 @@ def state_owner(placement: dict, var: str) -> str:
         raise DataPlaneError(f"state variable {var!r} has no placement") from None
 
 
-def split_summary(xfdd: XFDD, index: NodeIndex, placement: dict) -> dict:
-    """For reporting: per switch, which branch/continuation tags it owns."""
-    owners: dict[str, set] = {}
+def owned_entries(xfdd: XFDD, index: NodeIndex, placement: dict) -> dict:
+    """One walk of the xFDD: per owner switch, where processing resumes
+    there, in the walk's order — ``(tag, branch)`` for a test of a
+    variable the switch stores, ``(tag, leaf, members, depth)`` for the
+    trie edge of an action that writes one."""
+    owners: dict[str, list] = {}
     stack = [xfdd]
     seen = set()
     while stack:
@@ -125,17 +116,26 @@ def split_summary(xfdd: XFDD, index: NodeIndex, placement: dict) -> dict:
         if isinstance(node, Branch):
             if isinstance(node.test, StateVarTest):
                 owner = state_owner(placement, node.test.var)
-                owners.setdefault(owner, set()).add(index.branch_tag(node))
+                owners.setdefault(owner, []).append(
+                    (index.branch_tag(node), node)
+                )
             stack.append(node.hi)
             stack.append(node.lo)
         else:
             seqs = _ordered_seqs(node)
             for members, depth in leaf_groups(node):
-                action = seqs[members[0]][depth]
-                var = action.writes_state()
+                var = seqs[members[0]][depth].writes_state()
                 if var is not None:
-                    owner = state_owner(placement, var)
-                    owners.setdefault(owner, set()).add(
-                        index.cont_tag(node, min(members), depth)
+                    owners.setdefault(state_owner(placement, var), []).append(
+                        (index.cont_tag(node, min(members), depth),
+                         node, members, depth)
                     )
     return owners
+
+
+def split_summary(xfdd: XFDD, index: NodeIndex, placement: dict) -> dict:
+    """For reporting: per switch, which branch/continuation tags it owns."""
+    return {
+        owner: {entry[0] for entry in entries}
+        for owner, entries in owned_entries(xfdd, index, placement).items()
+    }

@@ -168,6 +168,16 @@ def seq_written_vars(seq: tuple) -> frozenset:
     return frozenset(a.writes_state() for a in seq if a.writes_state() is not None)
 
 
+def seq_read_fields(seq: tuple) -> frozenset:
+    """Packet fields the sequence's state actions index or store."""
+    return frozenset(
+        e.name
+        for a in seq if a.writes_state() is not None
+        for e in a.index + getattr(a, "value", ())
+        if isinstance(e, ast.Field)
+    )
+
+
 def field_map(seq: tuple) -> dict:
     """Algorithm 2 ``field-map``: net field assignments of a sequence."""
     fmap: dict = {}

@@ -33,6 +33,7 @@ from repro.xfdd.actions import (
     StateAssign,
     StateDelta,
     field_map,
+    seq_read_fields,
     state_ops_substituted,
 )
 from repro.xfdd.context import Context
@@ -48,26 +49,6 @@ from repro.xfdd.diagram import (
 )
 from repro.xfdd.order import TestOrder
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
-
-#: Adaptive apply-cache opt-out.  The largest Table 3 compositions (the
-#: TCP state machine, flow-size sampling, elephant-flow detection) front-
-#: load their cache hits: once the shared shallow subproblems are done,
-#: the remaining lookups are deep, context-specific, and almost never
-#: recur — observed per-window hit rates collapse to ~1% while the cache
-#: keeps paying ``ctx.cache_key()`` construction and dict hashing on
-#: every call (the TCP state machine composes ~1.6x *slower* with the
-#: cache than without it).  The composer therefore samples its hit rate
-#: over each window of :data:`CACHE_BYPASS_WINDOW` lookups and switches
-#: the cache off for the rest of the session when a window falls below
-#: :data:`CACHE_BYPASS_THRESHOLD`.  Bypassing is semantically invisible
-#: (the cache only memoizes; results are hash-consed by the factory
-#: either way) and the already-populated cache is kept so counters stay
-#: meaningful.  Workloads whose windows keep recurring subproblems —
-#: every other Table 3 app stays in the 0.12–0.17 band per window —
-#: never trip it.
-CACHE_BYPASS_THRESHOLD = 0.11
-CACHE_BYPASS_WINDOW = 1024
-
 
 def _int_const(exprs: tuple):
     """The integer constant an expression tuple denotes, if any."""
@@ -94,19 +75,19 @@ class Composer:
     Beyond the structural recursion of Figures 7–8, the engine keeps an
     *apply-cache* (in BDD terminology): results of ``union``, ``sequence``,
     ``negate``, ``restrict``, and the Algorithm 1 action-sequence helper are
-    memoized keyed on ``(op, id(operands), ctx.cache_key())``.  Keying on
-    ``id()`` is sound because operands are hash-consed by ``self.factory``,
-    whose intern table pins them alive for the composer's lifetime, and
-    equal context keys decide every implication question identically.
+    memoized keyed on ``(op, id(operands), projected context)``.  Keying
+    on ``id()`` is sound because operands are hash-consed by
+    ``self.factory``, whose intern table pins them alive for the
+    composer's lifetime.  The context enters the key *projected onto the
+    operands' support* (:meth:`Context.projected_key`): contexts that
+    agree there decide every question the step can ask identically, so
+    a subtree an edit left alone hits under a spine the edit changed.
     Without this cache, structurally identical subproblems recur
     exponentially often in deep compositions.
 
     Pass ``use_cache=False`` for a reference engine that recomputes
     everything; the property tests assert both produce the *same interned
-    nodes* when sharing a factory.  A cached composer also watches its own
-    hit rate and opts out mid-session when the workload's subproblems
-    demonstrably never recur (see :data:`CACHE_BYPASS_THRESHOLD`);
-    ``cache_stats()["cache_bypassed"]`` records that it did.
+    nodes* when sharing a factory.
     """
 
     def __init__(
@@ -122,11 +103,9 @@ class Composer:
         self.factory = factory if factory is not None else default_factory()
         self.factory.register_composer(self)
         self.use_cache = use_cache
-        self.cache_bypassed = False
         self._cache: dict = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self._hits_at_checkpoint = 0
         # Apply-cache operand key: ``id`` (the production key — interning
         # makes it injective per factory and it costs one C call) or
         # ``structural`` (the fingerprint key measured by the cache-key
@@ -149,47 +128,19 @@ class Composer:
             "cache_misses": self.cache_misses,
             "cache_entries": len(self._cache),
             "cache_hit_rate": self.cache_hits / total if total else 0.0,
-            "cache_bypassed": self.cache_bypassed,
             "cache_key_mode": self.key_mode,
         }
         stats.update(self.factory.stats())
         return stats
 
-    def reset_bypass(self) -> None:
-        """Re-arm a tripped bypass for a fresh compilation.
-
-        A persistent (cross-generation) composer that bypassed on one
-        workload should give the cache a fresh window on the next, since
-        incremental recompilation is exactly the regime where earlier
-        entries recur.  The populated cache and lifetime counters are
-        kept; only the sticky off-switch and the window checkpoint reset.
-        """
-        if self.cache_bypassed:
-            self.cache_bypassed = False
-            self.use_cache = True
-            self._hits_at_checkpoint = self.cache_hits
-
     def _cache_lookup(self, key):
-        """One cached-operation probe: count it, maybe trip the bypass.
-
-        Returns the cached result or ``None``; the caller stores a fresh
-        result under ``key`` on a miss.  Every probe advances exactly one
-        counter, so the window boundary check visits each checkpoint
-        exactly once; after a bypass the cached entry points stop calling
-        this, freezing the counters at their trip-time values.
-        """
+        """One cached-operation probe, counted; ``None`` on a miss (the
+        caller stores its fresh result under ``key``)."""
         hit = self._cache.get(key)
         if hit is not None:
             self.cache_hits += 1
         else:
             self.cache_misses += 1
-        total = self.cache_hits + self.cache_misses
-        if total & (CACHE_BYPASS_WINDOW - 1) == 0:
-            window_hits = self.cache_hits - self._hits_at_checkpoint
-            self._hits_at_checkpoint = self.cache_hits
-            if window_hits < CACHE_BYPASS_WINDOW * CACHE_BYPASS_THRESHOLD:
-                self.use_cache = False
-                self.cache_bypassed = True
         return hit
 
     def clear_cache(self) -> None:
@@ -215,7 +166,8 @@ class Composer:
             ctx = self.root_context
         if not self.use_cache:
             return self._union(d1, d2, ctx)
-        key = ("u", self._node_key(d1), self._node_key(d2), ctx.cache_key())
+        key = ("u", self._node_key(d1), self._node_key(d2),
+               ctx.projected_key(d1._support | d2._support))
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -229,6 +181,8 @@ class Composer:
         if d1 is d2:
             return d1
         if isinstance(d1, Leaf) and isinstance(d2, Leaf):
+            if d1 is DROP or d2 is DROP:  # the unit of ⊕ on leaves
+                return d2 if d1 is DROP else d1
             return self.factory.leaf(d1.seqs | d2.seqs)
         if isinstance(d1, Leaf):
             d1, d2 = d2, d1
@@ -322,7 +276,8 @@ class Composer:
             ctx = self.root_context
         if not self.use_cache:
             return self._sequence(d1, d2, ctx)
-        key = ("s", self._node_key(d1), self._node_key(d2), ctx.cache_key())
+        key = ("s", self._node_key(d1), self._node_key(d2),
+               ctx.projected_key(d1._support | d2._support))
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -353,7 +308,8 @@ class Composer:
     def _seq_actions(self, seq: tuple, d: XFDD, ctx: Context) -> XFDD:
         if not self.use_cache:
             return self._seq_actions_impl(seq, d, ctx)
-        key = ("a", seq, self._node_key(d), ctx.cache_key())
+        key = ("a", seq, self._node_key(d),
+               ctx.projected_key(seq_read_fields(seq) | d._support))
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -367,7 +323,7 @@ class Composer:
             # The left sequence already dropped the packet; d never runs.
             return self.factory.leaf({seq})
         if isinstance(d, Leaf):
-            return self.factory.leaf({seq + rest for rest in d.seqs})
+            return self.factory.leaf({seq + rest for rest in d.seqs}) if seq else d
         fmap = field_map(seq)
         post = ctx.with_assignments(fmap)
         test = d.test

@@ -59,7 +59,7 @@ _CHILD_MEMO_LIMIT = 1024
 class Context:
     __slots__ = (
         "exact", "pos", "neg", "eq_pairs", "neq_pairs", "state",
-        "_key", "_implies_memo", "_children",
+        "_projected", "_implies_memo", "_children",
     )
 
     def __init__(
@@ -71,37 +71,63 @@ class Context:
         neq_pairs=frozenset(),
         state=(),
     ):
-        self.exact = dict(exact or {})
-        self.pos = {k: tuple(v) for k, v in (pos or {}).items()}
-        self.neg = {k: tuple(v) for k, v in (neg or {}).items()}
-        self.eq_pairs = frozenset(eq_pairs)
-        self.neq_pairs = frozenset(neq_pairs)
-        self.state = tuple(state)
-        self._key = None
+        # Owned, never mutated: extensions copy only the table they change.
+        self.exact = exact if exact is not None else {}
+        self.pos = pos if pos is not None else {}
+        self.neg = neg if neg is not None else {}
+        self.eq_pairs = eq_pairs
+        self.neq_pairs = neq_pairs
+        self.state = state
+        self._projected: dict = {}
         self._implies_memo: dict = {}
         self._children: dict = {}
 
-    def cache_key(self) -> _ContextKey:
-        """A stable, hashable key capturing the full logical content.
+    def projected_key(self, support: frozenset) -> _ContextKey:
+        """A hashable key over the facts that can matter below ``support``.
 
-        Two contexts with equal keys decide every ``implies``/``resolve``
-        question identically, so composition results may be shared between
-        them — this is what the :class:`~repro.xfdd.compose.Composer`
-        apply-caches key on.  Computed once per context (contexts are
-        immutable).
+        ``support`` is what the operands of one composition step test:
+        field names and ``(state variable,)`` 1-tuples (see
+        :func:`repro.xfdd.diagram.Branch`).  The step asks this context
+        only about those — ``implies`` on their tests, ``resolve`` on the
+        fields of their expressions — and every fact it adds on the way
+        down is again about them, so two contexts whose *projections*
+        onto the support agree compose to the same node.  The projection
+        keeps the state records of supported variables, and the
+        constraints of every supported field, every field those records
+        mention, and every field this context knows equal to one of
+        them.  An ancestor fact about anything else — the reason a clean
+        subtree used to miss under an edited spine — is not in the key.
+        Memoized per (immutable) context and support.
         """
-        key = self._key
+        key = self._projected.get(support)
         if key is None:
-            key = _ContextKey((
-                tuple(sorted(self.exact.items(), key=lambda kv: kv[0])),
-                tuple(sorted(self.pos.items(), key=lambda kv: kv[0])),
-                tuple(sorted(self.neg.items(), key=lambda kv: kv[0])),
-                self.eq_pairs,
-                self.neq_pairs,
-                self.state,
-            ))
-            self._key = key
+            key = self._projected[support] = self._project(support)
         return key
+
+    def _project(self, support: frozenset) -> _ContextKey:
+        state = tuple(rec for rec in self.state if (rec[0],) in support)
+        fields = set(support)  # its ``(var,)`` members are inert below
+        for _, index, value, _ in state:
+            fields.update(e.name for e in index + value if isinstance(e, ast.Field))
+        eq_pairs, neq_pairs = self.eq_pairs, self.neq_pairs
+        grew = bool(eq_pairs)
+        while grew:  # close over the known field-field equalities
+            grew = False
+            for a, b in eq_pairs:
+                if (a in fields) != (b in fields):
+                    fields.update((a, b))
+                    grew = True
+        return _ContextKey((
+            *(
+                tuple(sorted(kv for kv in table.items() if kv[0] in fields))
+                for table in (self.exact, self.pos, self.neg)
+            ),
+            eq_pairs and frozenset(p for p in eq_pairs if p[0] in fields),
+            neq_pairs and frozenset(
+                p for p in neq_pairs if p[0] in fields and p[1] in fields
+            ),
+            state,
+        ))
 
     # -- equality classes over fields --------------------------------------
 
@@ -278,9 +304,7 @@ class Context:
         return child
 
     def _extend(self, test: XTest, result: bool) -> "Context":
-        exact = dict(self.exact)
-        pos = {k: v for k, v in self.pos.items()}
-        neg = {k: v for k, v in self.neg.items()}
+        exact, pos, neg = self.exact, self.pos, self.neg
         eq_pairs = self.eq_pairs
         neq_pairs = self.neq_pairs
         state = self.state
@@ -288,13 +312,13 @@ class Context:
             value = test.value
             if result:
                 if isinstance(value, IPPrefix) and not value.is_host:
-                    pos[test.field] = pos.get(test.field, ()) + (value,)
+                    pos = {**pos, test.field: pos.get(test.field, ()) + (value,)}
                 else:
                     if isinstance(value, IPPrefix):
                         value = value.network
-                    exact[test.field] = value
+                    exact = {**exact, test.field: value}
             else:
-                neg[test.field] = neg.get(test.field, ()) + (value,)
+                neg = {**neg, test.field: neg.get(test.field, ()) + (value,)}
         elif isinstance(test, FieldFieldTest):
             pair = (test.field1, test.field2)
             if result:

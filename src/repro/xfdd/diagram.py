@@ -27,6 +27,7 @@ from repro.xfdd.actions import (
     FieldAssign,
     StateAssign,
     StateDelta,
+    seq_read_fields,
     seq_written_vars,
 )
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
@@ -35,7 +36,11 @@ from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
 class XFDD:
     """Base class; nodes are interned — compare with ``is`` or ``==``."""
 
-    __slots__ = ("_tested_vars", "_written_vars", "_size", "_skey")
+    #: ``_support``: what composing below this node can ask a context
+    #: about — the fields and ``(state variable,)`` 1-tuples its tests
+    #: mention and the fields its leaves' state actions read (see
+    #: :meth:`repro.xfdd.context.Context.projected_key`).
+    __slots__ = ("_tested_vars", "_written_vars", "_size", "_skey", "_support")
 
     def tested_state_vars(self) -> frozenset:
         raise NotImplementedError
@@ -47,7 +52,7 @@ class XFDD:
 class Leaf(XFDD):
     """A set of parallel action sequences."""
 
-    __slots__ = ("seqs", "_ordered")
+    __slots__ = ("seqs", "_ordered", "_trie")
 
     def __init__(self, seqs: frozenset):
         object.__setattr__(self, "seqs", seqs)
@@ -56,8 +61,12 @@ class Leaf(XFDD):
         for seq in seqs:
             written |= seq_written_vars(seq)
         object.__setattr__(self, "_written_vars", written)
+        object.__setattr__(
+            self, "_support", frozenset().union(*map(seq_read_fields, seqs))
+        )
         object.__setattr__(self, "_size", 1)
         object.__setattr__(self, "_ordered", None)
+        object.__setattr__(self, "_trie", None)
         object.__setattr__(self, "_skey", None)
 
     def tested_state_vars(self):
@@ -73,6 +82,32 @@ class Leaf(XFDD):
             ordered = tuple(sorted(self.seqs, key=repr))
             object.__setattr__(self, "_ordered", ordered)
         return ordered
+
+    def trie(self) -> dict:
+        """The execution trie of :meth:`ordered_seqs`, computed once per
+        leaf: ``{(members, depth): ((action, submembers), ...)}`` — the
+        distinct actions the sequences ``members`` (indices into the
+        ordering) take at ``depth``, in deterministic order, each with
+        the members that share it.  Shared prefixes run once; copies
+        fork where the sequences diverge."""
+        trie = self._trie
+        if trie is None:
+            seqs = self.ordered_seqs()
+            trie = {}
+            pending = [(tuple(range(len(seqs))), 0)]
+            while pending:
+                members, depth = pending.pop()
+                groups: dict = {}
+                for member in members:
+                    if len(seqs[member]) > depth:
+                        groups.setdefault(seqs[member][depth], []).append(member)
+                edges = trie[(members, depth)] = tuple(
+                    (action, tuple(groups[action]))
+                    for action in sorted(groups, key=repr)
+                )
+                pending.extend((sub, depth + 1) for _, sub in edges)
+            object.__setattr__(self, "_trie", trie)
+        return trie
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -101,6 +136,9 @@ class Branch(XFDD):
         object.__setattr__(self, "_tested_vars", tested)
         object.__setattr__(
             self, "_written_vars", hi.written_state_vars() | lo.written_state_vars()
+        )
+        object.__setattr__(
+            self, "_support", hi._support | lo._support | test.support()
         )
         object.__setattr__(self, "_size", 1 + hi._size + lo._size)
         object.__setattr__(self, "_skey", None)
@@ -411,25 +449,17 @@ def apply_leaf(leaf: Leaf, packet: Packet, store: Store) -> list:
     packets.
     """
     outputs: list = []
+    seqs, trie = leaf.ordered_seqs(), leaf.trie()
 
-    def run(suffixes: list, pkt: Packet) -> None:
-        remaining = []
-        emitted = False
-        for suffix in suffixes:
-            if suffix:
-                remaining.append(suffix)
-            elif not emitted:
-                outputs.append(pkt)
-                emitted = True
-        groups: dict = {}
-        for suffix in remaining:
-            groups.setdefault(suffix[0], []).append(suffix[1:])
-        for action in sorted(groups, key=repr):
+    def run(members: tuple, depth: int, pkt: Packet) -> None:
+        if any(len(seqs[member]) == depth for member in members):
+            outputs.append(pkt)
+        for action, sharing in trie[(members, depth)]:
             next_pkt = apply_action(action, pkt, store)
             if next_pkt is not None:
-                run(groups[action], next_pkt)
+                run(sharing, depth + 1, next_pkt)
 
-    run(leaf.ordered_seqs(), packet)
+    run(tuple(range(len(seqs))), 0, packet)
     return outputs
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 from repro.analysis.dependency import DependencySlicer
 from repro.analysis.effects import analyze_effects
 from repro.lang import ast
-from repro.lang.ast import state_variables
 from repro.lang.fields import FieldRegistry
 from repro.lang.fingerprint import fingerprint
 from repro.xfdd.build import to_xfdd
@@ -46,9 +45,10 @@ from repro.xfdd.compose import Composer
 from repro.xfdd.diagram import DiagramFactory, XFDD
 from repro.xfdd.order import TestOrder
 
-#: Intern-table size above which ``begin_compile`` resets the session.
-#: A 6-app composite interns a few thousand nodes per generation; the cap
-#: only trips after hundreds of structurally novel generations, bounding
+#: Intern-table (or apply-cache) size above which ``begin_compile``
+#: resets the session.  A 6-app composite interns a few thousand nodes
+#: and caches about as many operations per generation; the cap only
+#: trips after hundreds of structurally novel generations, bounding
 #: long-controller memory without ever firing in a steady-state workload.
 FACTORY_SIZE_CAP = 400_000
 
@@ -95,14 +95,15 @@ class CompileSession:
         """Bind this generation's test order; return the composer to use.
 
         Resets the whole session on a field-registry change or when the
-        intern table exceeds :data:`FACTORY_SIZE_CAP`; rebuilds only the
+        intern table or the apply-cache (which never switches itself
+        off) exceeds :data:`FACTORY_SIZE_CAP`; rebuilds only the
         Composer (same factory, fresh apply-cache) when the global state
-        order changed; otherwise re-arms a tripped cache bypass and keeps
-        everything.
+        order changed; otherwise keeps everything.
         """
         names = registry.names()
+        cached = self.composer.cache_stats()["cache_entries"] if self.composer else 0
         if (self._registry_names is not None and names != self._registry_names) or (
-            len(self.factory) > FACTORY_SIZE_CAP
+            max(len(self.factory), cached) > FACTORY_SIZE_CAP
         ):
             self.reset()
         self._registry_names = names
@@ -111,8 +112,6 @@ class CompileSession:
         if self.composer is None or sig != self._order_sig:
             order = TestOrder(registry, self._state_rank)
             self.composer = Composer(order, factory=self.factory)
-        else:
-            self.composer.reset_bypass()
         self._order_sig = sig
         self.compile_no += 1
         return self.composer
@@ -135,9 +134,10 @@ class CompileSession:
             return entry.xfdd
         self.memo_misses += 1
         diagram = self._compose(policy)
-        ranks = tuple(
-            sorted((v, self._state_rank.get(v)) for v in state_variables(policy))
-        )
+        touched = self.dep_slicer.slice(policy)  # memoized: P1 ran it
+        ranks = tuple(sorted(
+            (v, self._state_rank.get(v)) for v in touched.reads | touched.writes
+        ))
         self._xfdd_memo[key] = _MemoEntry(diagram, ranks, self.compile_no)
         return diagram
 

@@ -24,6 +24,8 @@ from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
 class TestOrder:
     """Total order over tests: FV < FF < state; see module docstring."""
 
+    __test__ = False  # not a pytest class, whatever module imports it
+
     def __init__(self, registry: FieldRegistry | None = None, state_rank: dict | None = None):
         self.registry = registry or DEFAULT_REGISTRY
         self.state_rank = dict(state_rank or {})

@@ -43,6 +43,10 @@ class XTest:
 
     __slots__ = ()
 
+    def support(self) -> frozenset:
+        """Field names and ``(state variable,)`` 1-tuples the test reads."""
+        raise NotImplementedError
+
 
 class FieldValueTest(XTest):
     """``f = v`` — the packet's field ``f`` matches value ``v``."""
@@ -63,6 +67,9 @@ class FieldValueTest(XTest):
 
     def __hash__(self):
         return self._hash
+
+    def support(self):
+        return frozenset((self.field,))
 
     def __repr__(self):
         return f"{self.field}={self.value}"
@@ -99,6 +106,9 @@ class FieldFieldTest(XTest):
     def __hash__(self):
         return self._hash
 
+    def support(self):
+        return frozenset((self.field1, self.field2))
+
     def __repr__(self):
         return f"{self.field1}={self.field2}"
 
@@ -127,6 +137,12 @@ class StateVarTest(XTest):
 
     def __hash__(self):
         return self._hash
+
+    def support(self):
+        fields = [
+            e.name for e in self.index + self.value if isinstance(e, ast.Field)
+        ]
+        return frozenset(fields + [(self.var,)])
 
     def __repr__(self):
         idx = "][".join(str(e) for e in self.index)

@@ -14,9 +14,11 @@ from repro.core.program import Program
 from repro.lang import ast
 from repro.lang.errors import SnapError
 from repro.lang.packet import make_packet
+from repro.lang.state import Store
 from repro.milp.backends import GreedyBackend, MilpBackend, get_backend
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
+from repro.workloads import replay_obs
 
 
 def campus_program(app_program=None, num_ports=6, threshold=3):
@@ -312,6 +314,58 @@ class TestHotSwap:
         assert swapped.global_store().read("susp-client", (client,)) == 1
         records = swapped.inject(dns_response(client, 1), 1)
         assert records and records[0].egress == 6
+
+    def test_defaults_only_update_reaches_the_data_plane(self):
+        """Same policy, new ``state_defaults``: xFDD root and placement
+        are unchanged, but a state table keeps the default it was built
+        with — the swap must rebuild and adopt, not rewire.  Checked
+        against the OBS oracle on seen and unseen keys."""
+        ip = lambda s: IPPrefix(s).network
+        base = campus_program()
+        controller = SnapController(campus_topology(), base)
+        controller.submit()
+        network = controller.network()
+        seen = ip("10.0.6.10")
+        before = [(dns_response(seen, 0), 1)]
+        network.inject(*before[0])
+        obs, _ = replay_obs(before, base.full_policy(), Store(base.state_defaults))
+
+        # `orphan` now defaults to True: every unseen (client, server)
+        # pair counts as an orphaned response and decrements on contact.
+        defaults = {**base.state_defaults, "blacklist": 7, "orphan": True}
+        changed = Program(
+            base.policy, assumption=base.assumption,
+            state_defaults=defaults, name=base.name,
+        )
+        snapshot = controller.update_policy(changed)
+        swapped = controller.network()
+        assert snapshot.xfdd is network.index.root
+        assert dict(snapshot.placement) == network.placement
+        assert swapped.switches is not network.switches
+        assert swapped.global_store().variable("blacklist").default == 7
+        carried = Store(defaults)
+        for name in obs.names():
+            for key, value in obs.variable(name).items():
+                carried.write(name, key, value)
+
+        contact = make_packet(
+            srcip=ip("10.0.6.77"), dstip=ip("10.0.2.9"), srcport=4000, dstport=80
+        )
+        after = [(contact, 6), (dns_response(ip("10.0.6.77"), 1), 1)]
+        results = swapped.inject_many(after)
+        carried, outputs = replay_obs(after, changed.full_policy(), carried)
+        for records, expected in zip(results, outputs):
+            delivered = frozenset(
+                r.packet.without("inport") for r in records if r.egress is not None
+            )
+            assert delivered == frozenset(p.without("inport") for p in expected)
+        store = swapped.global_store()
+        assert store == carried
+        assert store.read("susp-client", (ip("10.0.6.77"),)) == 0  # -1, then +1
+        assert store.read("susp-client", (seen,)) == 1  # adopted
+        # A TE event after it keeps the new defaults (and takes the fast path).
+        controller.fail_link("C1", "C5")
+        assert controller.network().switches is swapped.switches
 
     def test_resubmit_is_a_genuine_cold_start(self):
         controller = SnapController(campus_topology(), campus_program())

@@ -1,9 +1,11 @@
 """Tests for the data plane: splitting, NetASM, rules, and the simulator."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.dependency import analyze_dependencies
-from repro.analysis.packet_state import packet_state_mapping
+from repro.analysis.packet_state import PacketStateMapping, packet_state_mapping
 from repro.dataplane.engine import SequentialEngine, ShardedEngine
 from repro.dataplane.header import DONE_TAG, ROOT_TAG, SNAP_NODE
 from repro.dataplane.netasm import compile_switch
@@ -11,6 +13,7 @@ from repro.dataplane.network import Network
 from repro.dataplane.rules import build_rule_tables
 from repro.dataplane.split import NodeIndex, split_summary
 from repro.lang import ast
+from repro.lang.ast import state_variables
 from repro.lang.errors import DataPlaneError
 from repro.lang.packet import make_packet
 from repro.milp.placement import build_placement_model
@@ -18,6 +21,8 @@ from repro.milp.results import RoutingPaths, extract_paths
 from repro.topology.graph import Topology
 from repro.topology.traffic import uniform_traffic_matrix
 from repro.xfdd.build import build_xfdd
+
+from tests.snapbench_programs import WORKLOADS, workload
 
 
 def line_topology(num=3, capacity=100.0):
@@ -130,6 +135,81 @@ class TestCompileSwitch:
         program = compile_switch("s0", xfdd, index, {"s": "s1"}, {"s": False}, True)
         text = program.to_text()
         assert "BRANCH" in text or "PAUSE" in text
+
+
+#: blake2b-16 over every switch's ``to_lowered()`` (ops, entry tags,
+#: defaults) and the instruction total, per snapbench program under the
+#: solver-free placement below — taken at the commit before the shared
+#: ownership walk (b719151), where every switch walked the xFDD itself.
+LOWERED_AT_PARENT = {
+    "campus-ops": ("31d4e96001d3935b931e68fd305937c8", 425),
+    "isp-compile": ("8eab310d43895ccf40f00fd8759dfa79", 1336),
+    "policy-churn": ("1820bd7b3b9c53a30385889d11690159", 1711),
+    "monitor-replay": ("58d3240eee673082a85252796bf2be4a", 744),
+}
+
+
+def snapbench_network(name):
+    """A snapbench program lowered onto its topology: variable ``i`` (in
+    sorted order) on switch ``i`` (in sorted order, wrapping)."""
+    wl = workload(name)
+    program = wl.program()
+    full = program.full_policy()
+    xfdd = build_xfdd(full, program.registry)
+    switches = sorted(wl.topology.switches())
+    placement = {
+        var: switches[i % len(switches)]
+        for i, var in enumerate(sorted(state_variables(full)))
+    }
+    ports = sorted(wl.topology.ports)
+    return Network(
+        wl.topology, xfdd, placement, RoutingPaths({}, placement),
+        PacketStateMapping({}, ports, ports), {}, program.state_defaults,
+    )
+
+
+class TestSharedLowering:
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_programs_equal_the_per_switch_walk(self, name):
+        """Same instructions, same entry tags, same ``netasm_instrs`` as
+        when each switch found its own nodes; and the network's programs
+        (one ownership walk for all) equal ``compile_switch`` on its own."""
+        network = snapbench_network(name)
+        hasher = hashlib.blake2b(digest_size=16)
+        port_switches = set(network.topology.ports.values())
+        for switch in sorted(network.switches):
+            lowered = network.switches[switch].to_lowered()
+            hasher.update(repr((
+                switch, lowered.ops, sorted(lowered.entries.items()),
+                sorted(lowered.state_defaults.items()),
+            )).encode())
+            alone = compile_switch(
+                switch, network.index.root, network.index, network.placement,
+                network.state_defaults, switch in port_switches,
+            )
+            assert alone.to_lowered() == lowered
+        total = sum(network.instruction_counts().values())
+        assert (hasher.hexdigest(), total) == LOWERED_AT_PARENT[name]
+
+    def test_transit_switch_compiles_without_the_xfdd(self):
+        """No port, nothing owned: an empty program, and no node visited."""
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"transit switch looked at index.{name}")
+
+        network = snapbench_network("isp-compile")
+        transit = [
+            switch for switch, program in network.switches.items()
+            if not program.instructions
+        ]
+        assert len(transit) > 100
+        program = compile_switch(
+            transit[0], None, Untouchable(), network.placement,
+            network.state_defaults, has_ports=False, owned=(),
+        )
+        assert program.instructions == [] and program.entries == {}
+        assert program.to_lowered() == network.switches[transit[0]].to_lowered()
 
 
 class TestRuleTables:

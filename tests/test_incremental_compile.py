@@ -20,10 +20,7 @@ from repro.analysis.dependency import (
     analyze_dependencies,
     st_dep,
 )
-from repro.analysis.packet_state import (
-    packet_state_mapping,
-    packet_state_mapping_paths,
-)
+from repro.analysis.packet_state import packet_state_mapping
 from repro.core.controller import SnapController
 from repro.core.program import Program
 from repro.lang import ast, make_packet
@@ -35,6 +32,8 @@ from repro.xfdd.incremental import CompileSession
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import composed_program, dns_tunnel_program  # noqa: E402
+
+from tests.reference_packet_state import packet_state_mapping_paths  # noqa: E402
 
 NUM_APPS = 4
 NUM_PORTS = 6

@@ -225,3 +225,79 @@ def test_a_network_keeps_nothing_per_packet():
         network.global_store().read(f"count@{port}", (port,))
         for port in range(1, 7)
     ) == 500 + 6500
+
+
+# -- bounded memory per event ---------------------------------------------------
+
+
+def test_caches_plateau_over_alternating_events(monkeypatch):
+    """300 alternating ``update_policy`` / ``fail_link`` / ``restore_link``
+    events on the six-app campus composite: every cross-generation cache
+    of the compile session — the apply-cache (always on: nothing switches
+    it off mid-compile), the arm memo, the effects memo, the S_uv memo
+    (node summaries and finished mappings) and the intern table — stops
+    growing once each edit has been seen, and events 200–300 peak within
+    1.2x of events 100–200.  Structurally novel generations are bounded
+    by the session reset instead, apply-cache included."""
+    from repro.xfdd import incremental
+
+    from tests.snapbench_programs import workload
+
+    wl = workload("campus-ops")
+    controller = SnapController(wl.topology, wl.program())
+    controller.submit()
+    controller.network()
+    session = controller._session
+
+    def sizes() -> dict:
+        return {
+            "apply_cache": len(session.composer._cache),
+            "xfdd_memo": len(session._xfdd_memo),
+            "effects_memo": len(session._effects_memo),
+            "mapping_memo": len(session.mapping_memo),
+            "factory": len(session.factory),
+            "history": len(controller.history()),
+            "solve_memo": len(controller._solve_memo),
+        }
+
+    def run_events(first: int, last: int, traced: bool = True) -> int:
+        """Events ``first..last``; returns their ``tracemalloc`` peak."""
+        gc.collect()
+        if traced:
+            tracemalloc.start()
+        try:
+            for event in range(first, last):
+                if event % 3 == 0:
+                    controller.update_policy(wl.edits[event // 3 % len(wl.edits)])
+                elif event % 3 == 1:
+                    controller.fail_link(*wl.link)
+                else:
+                    controller.restore_link(*wl.link)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    try:
+        run_events(0, 100, traced=False)
+        warm = sizes()
+        middle = run_events(100, 200)
+        assert sizes() == warm
+        late = run_events(200, 300)
+        assert sizes() == warm
+        assert late <= 1.2 * middle, (middle, late)
+        assert warm["apply_cache"] < 20_000 and warm["factory"] < 20_000
+
+        # The apply-cache answers to the session's reset rule like the
+        # intern table: past the cap, the next compile starts fresh.
+        assert warm["apply_cache"] > warm["factory"]
+        monkeypatch.setattr(incremental, "FACTORY_SIZE_CAP", warm["apply_cache"])
+        controller.update_policy(wl.edits[0])
+        assert sizes() == warm  # at the cap: kept
+        monkeypatch.setattr(
+            incremental, "FACTORY_SIZE_CAP", warm["apply_cache"] - 1
+        )
+        controller.update_policy(wl.edits[1])  # the intern table is under it
+        assert len(session.composer._cache) < warm["apply_cache"]
+        assert len(session.mapping_memo) < warm["mapping_memo"]
+    finally:
+        controller.close()

@@ -9,8 +9,13 @@ Two guarantees:
   alias into) the intern table of another.
 """
 
+import hashlib
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.analysis.dependency import analyze_dependencies
+from repro.apps import ALL_APPS
 from repro.apps.chimera import dns_tunnel_detect
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
 from repro.core.controller import SnapController
@@ -22,8 +27,13 @@ from repro.xfdd.actions import FieldAssign
 from repro.xfdd.build import to_xfdd
 from repro.xfdd.compose import Composer
 from repro.xfdd.diagram import DROP, IDENTITY, DiagramFactory, default_factory
+from repro.xfdd.incremental import CompileSession
 from repro.xfdd.order import TestOrder as XFDDTestOrder
+from repro.xfdd.tests import FieldFieldTest, FieldValueTest
+from repro.workloads import replay
 
+from tests.snapbench_programs import store_digest, traffic, workload
+from tests.test_packet_state_equivalence import compile_in
 from tests.strategies import policies, registry
 
 SETTINGS = settings(
@@ -80,36 +90,58 @@ class TestCacheEquivalence:
         assert cached.union(dp, dq) is u_ref
         assert cached.sequence(dp, dq) is s_ref
 
-    def test_low_hit_window_trips_bypass(self):
-        """A full window of misses flips the cache off, visibly and stickily."""
-        from repro.xfdd.compose import CACHE_BYPASS_WINDOW
-
-        comp = Composer(_order(), factory=DiagramFactory())
-        assert comp.cache_stats()["cache_bypassed"] is False
-        for i in range(CACHE_BYPASS_WINDOW):
-            comp._cache_lookup(("probe", i))
-        assert comp.use_cache is False
-        assert comp.cache_stats()["cache_bypassed"] is True
-        # Bypassing is invisible: composition still hash-conses to the
-        # same node a reference composer produces.
+    @pytest.mark.parametrize("name", list(ALL_APPS))
+    def test_every_app_is_node_identical(self, name):
+        """Each Table-3 app, sequenced with the egress assignment."""
+        app = ALL_APPS[name]()
+        policy = ast.Seq(app.policy, assign_egress(default_subnets(6)))
+        order = XFDDTestOrder(
+            state_rank=analyze_dependencies(policy).state_rank
+        )
         factory = DiagramFactory()
-        bypassed = Composer(_order(), factory=factory)
-        bypassed.use_cache = False
-        bypassed.cache_bypassed = True
-        reference = Composer(_order(), factory=factory, use_cache=False)
-        policy = ast.Seq(ast.Test("fa", 1), ast.Mod("fb", 2))
-        assert to_xfdd(policy, bypassed) is to_xfdd(policy, reference)
+        cached = to_xfdd(policy, Composer(order, factory=factory))
+        reference = Composer(order, factory=factory, use_cache=False)
+        assert to_xfdd(policy, reference) is cached
 
-    def test_recurring_window_keeps_the_cache(self):
-        """Windows above the threshold leave the cache on."""
-        from repro.xfdd.compose import CACHE_BYPASS_WINDOW
+    def test_churn_edits_in_one_session_are_node_identical(self):
+        """The twelve ``policy-churn`` edits, in the benchmark's order,
+        through one session: each generation's root — assembled from
+        memoised arms and apply-cache entries of every generation before
+        it, hit under contexts projected onto operand supports — is the
+        node an uncached composer builds from scratch on the same
+        factory."""
+        wl = workload("policy-churn")
+        session = CompileSession()
+        for program in [wl.program(), *wl.edits]:
+            root = compile_in(session, program)
+            reference = Composer(
+                session.composer.order, factory=session.factory, use_cache=False
+            )
+            assert to_xfdd(program.full_policy(), reference) is root
+        assert session.composer.cache_stats()["cache_hits"] > 0
 
+    def test_projected_key_keeps_what_the_operands_can_ask(self):
+        """Facts about the operands' support decide the result and stay
+        in the key; a fact about anything else shares the entry."""
         comp = Composer(_order(), factory=DiagramFactory())
-        comp._cache[("hot",)] = DROP
-        for _ in range(2 * CACHE_BYPASS_WINDOW):
-            comp._cache_lookup(("hot",))
-        assert comp.use_cache is True
-        assert comp.cache_stats()["cache_bypassed"] is False
+        d = to_xfdd(
+            ast.If(ast.Test("fa", 1), ast.Mod("fb", 2), ast.Mod("fb", 3)), comp
+        )
+        root = comp.root_context
+        is_one = FieldValueTest("fa", 1)
+        assert comp.union(d, DROP, root) is d
+        assert comp.union(d, DROP, root.add(is_one, True)) is d.hi
+        assert comp.union(d, DROP, root.add(is_one, False)) is d.lo
+        # fa is known only through fc: the equality pulls fc's facts in.
+        via_fc = root.add(FieldFieldTest("fa", "fc"), True)
+        assert comp.union(d, DROP, via_fc.add(FieldValueTest("fc", 1), True)) is d.hi
+        assert comp.union(d, DROP, via_fc.add(FieldValueTest("fc", 7), True)) is d.lo
+        sequenced = comp.sequence(d, IDENTITY)
+        hits = comp.cache_hits
+        elsewhere = root.add(FieldValueTest("fc", 9), False)
+        assert comp.union(d, DROP, elsewhere) is d
+        assert comp.sequence(d, IDENTITY, elsewhere) is sequenced
+        assert comp.cache_hits == hits + 2
 
     def test_cache_counters_advance(self):
         factory = DiagramFactory()
@@ -123,6 +155,41 @@ class TestCacheEquivalence:
         assert stats["cache_misses"] > 0
         assert stats["cache_entries"] == stats["cache_misses"]
         assert stats["intern_size"] == len(factory)
+
+
+def _outcome(controller, trace) -> str:
+    """What a replay leaves observable, as snapbench digests a round."""
+    network = controller.network()
+    stats = replay(trace, network)
+    hasher = hashlib.blake2b(digest_size=16)
+    hasher.update(repr((stats.delivered, stats.dropped, stats.total_hops)).encode())
+    store_digest(hasher, network.global_store())
+    return hasher.hexdigest()
+
+
+def test_incremental_updates_match_forced_cold_after_replay():
+    """``update_policy(edit)`` on the warm session against
+    ``update_policy(edit, incremental=False)``: same diagram size, same
+    placement, and the same deliveries and state after replaying the
+    same traffic through the live, state-carrying data plane."""
+    wl = workload("campus-ops")
+    trace = list(traffic.mixed(default_subnets(6), 400, seed=3).trace)
+    warm = SnapController(wl.topology, wl.program())
+    cold = SnapController(wl.topology, wl.program())
+    try:
+        for controller in (warm, cold):
+            controller.submit()
+        assert _outcome(warm, trace) == _outcome(cold, trace)
+        for edit in wl.edits:
+            a = warm.update_policy(edit)
+            b = cold.update_policy(edit, incremental=False)
+            assert a.model_stats["incremental"] and not b.model_stats["incremental"]
+            assert dict(a.placement) == dict(b.placement)
+            assert a.routing.paths == b.routing.paths
+            assert _outcome(warm, trace) == _outcome(cold, trace)
+    finally:
+        warm.close()
+        cold.close()
 
 
 class TestFactoryScoping:

@@ -178,3 +178,67 @@ class TestExprsCompare:
             (ast.Field("a"), ast.Value(1)), (ast.Field("a"), ast.Value(2))
         )
         assert verdict is False
+
+
+class TestProjectedKey:
+    """``projected_key(support)``: what an apply-cache entry is keyed by."""
+
+    def test_unrelated_facts_drop_out(self):
+        base = Context().add(fv("a", 1), True)
+        noisy = base.add(fv("z", 9), False).add(fv("y", IPPrefix("10.0.0.0/8")), True)
+        support = frozenset(("a", "b"))
+        assert noisy.projected_key(support) == base.projected_key(support)
+        assert noisy.projected_key(support) != Context().projected_key(support)
+        assert noisy.projected_key(frozenset("q")) == Context().projected_key(
+            frozenset("q")
+        )
+
+    def test_each_kind_of_fact_about_the_support_is_kept(self):
+        support = frozenset(("a",))
+        empty = Context().projected_key(support)
+        for test, result in (
+            (fv("a", 1), True), (fv("a", 1), False),
+            (fv("a", IPPrefix("10.0.0.0/8")), True), (ff("a", "b"), True),
+        ):
+            assert Context().add(test, result).projected_key(support) != empty
+
+    def test_equalities_pull_in_the_other_field(self):
+        support = frozenset(("a",))
+        linked = Context().add(ff("a", "b"), True).add(ff("b", "c"), True)
+        assert linked.add(fv("c", 5), True).projected_key(support) != (
+            linked.projected_key(support)
+        )
+        assert linked.add(fv("d", 5), True).projected_key(support) == (
+            linked.projected_key(support)
+        )
+
+    def test_inequality_needs_both_ends(self):
+        apart = Context().add(ff("a", "b"), False)
+        assert apart.projected_key(frozenset(("a",))) == Context().projected_key(
+            frozenset(("a",))
+        )
+        both = frozenset(("a", "b"))
+        assert apart.projected_key(both) != Context().projected_key(both)
+
+    def test_state_records_follow_their_variable(self):
+        record = st("s", ast.Field("k"), ast.Value(True))
+        ctx = Context().add(record, True)
+        tests_s = frozenset((("s",),))
+        assert ctx.projected_key(tests_s) != Context().projected_key(tests_s)
+        # A field named like the variable is not the variable.
+        assert ctx.projected_key(frozenset(("s",))) == Context().projected_key(
+            frozenset(("s",))
+        )
+        # The record's index field comes with it: a fact about ``k``
+        # decides whether ``s[k]`` and ``s[7]`` are the same cell.
+        assert ctx.add(fv("k", 7), True).projected_key(tests_s) != (
+            ctx.projected_key(tests_s)
+        )
+        assert ctx.add(fv("j", 7), True).projected_key(tests_s) == (
+            ctx.projected_key(tests_s)
+        )
+
+    def test_memoised_per_context_and_support(self):
+        ctx = Context().add(fv("a", 1), True)
+        support = frozenset(("a",))
+        assert ctx.projected_key(support) is ctx.projected_key(frozenset(("a",)))
