@@ -29,14 +29,14 @@ execution engine:
 
 Each lane is the one scalar packet walker
 (:class:`repro.dataplane.network.Walker`) over its shard's batch — the
-same class the sequential engine runs inline over all ports: pure-
-forwarding hop chains are memoized as *segments* keyed by ``(switch,
-inport, outport, tag)`` (one dict hit and one counter bump per traversal
-instead of per-hop queue churn), and the xFDD's leading ``inport``-only
-branches are pre-resolved per ingress port
-(:meth:`SwitchProgram.resolve_inport_entry`).  Both are exact: segments
-are built from :meth:`Network.next_hop`, entry resolution evaluates the
-program's own ``inport`` tests.
+same class the sequential engine runs inline over all ports: what a
+copy does after a switch's program is memoized in per-``(switch,
+inport)`` *continuation cells* (one dict hit and one counter bump per
+outcome instead of per-hop queue churn), and the xFDD's leading
+``inport``-only branches are pre-resolved per ingress port
+(:meth:`SwitchProgram.resolve_inport_entry`).  Both are exact: cells
+are built from :meth:`Network.pause_egress` and :meth:`Network.next_hop`,
+entry resolution evaluates the program's own ``inport`` tests.
 
 Thread lanes share one interpreter, so CPU-bound packet processing still
 serializes on the GIL.  The :class:`ProcessPoolEngine` lifts that limit:

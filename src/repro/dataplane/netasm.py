@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.dataplane.header import SNAP_NODE
+from repro.dataplane.header import DONE_TAG, SNAP_NODE
 from repro.dataplane.split import (
     NodeIndex,
     _ordered_seqs,
@@ -166,14 +166,18 @@ OP_EMIT = 8
 # run, a program is compiled on its first packet to one module of
 # straight-line Python: a function ``b<idx>(f, out)`` per *function root*
 # runs the packet copy that owns the mutable field dict ``f`` from
-# instruction ``idx`` and appends a raw ``(kind, fields, var)`` outcome per
-# copy to ``out``.  Field tests are inline comparisons, a branch's false
-# arm continues at the same indent (every true arm returns), SET writes
-# ``f`` in place, state instructions call the bound ``StateVariable``
-# methods and FORK makes the only dict copies.  Roots are the entries,
-# whatever :meth:`SwitchProgram.resolve_inport_entry` can return, fork
-# targets, instructions with several predecessors and branches nested
-# deeper than ``_MAX_NEST``; the rest is inlined into its one predecessor.
+# instruction ``idx`` and appends a raw ``(fields, tag)`` outcome per copy
+# to ``out`` — ``tag`` is the PAUSE tag, ``DONE_TAG`` for EMIT, ``None``
+# for DROP; the SNAP header is the walker's business, the text never
+# names it.  Field tests are inline comparisons (a field tested again on
+# the same straight-line path is loaded once, into ``v``), a branch's
+# false arm continues at the same indent (every true arm returns), SET
+# writes ``f`` in place, state instructions call the bound
+# ``StateVariable`` methods and FORK makes the only dict copies.  Roots
+# are the entries, whatever :meth:`SwitchProgram.resolve_inport_entry`
+# can return, fork targets, instructions with several predecessors and
+# branches nested deeper than ``_MAX_NEST``; the rest is inlined into its
+# one predecessor.
 # State tables and non-literal constants reach the code through the
 # ``exec`` namespace, never the text, so the text can key the code cache.
 
@@ -277,38 +281,44 @@ def _generate_source(program: "SwitchProgram", traced: bool):
     def packed(exprs) -> str:
         return expr(exprs[0]) if len(exprs) == 1 else key(exprs)
 
-    def condition(test, pad: str) -> str:
-        """The test as an expression (after any statements it needs)."""
+    def condition(test, pad: str, held) -> tuple:
+        """The test as an expression (after any statements it needs) and
+        the field the local ``v`` holds once it has been evaluated."""
         if isinstance(test, FieldValueTest):
-            value = test.value
+            value, loaded = test.value, field(test.field)
+            if held == test.field:
+                loaded = "v"
+            elif isinstance(value, IPPrefix):
+                lines.append(f"{pad}v = {loaded}")
+                held = test.field
             if not isinstance(value, IPPrefix):
-                return f"{field(test.field)} == {const(value)}"
-            lines.append(f"{pad}v = {field(test.field)}")
+                return f"{loaded} == {const(value)}", held
             return (  # exact type: a bool is not an address
                 f"(v & {value.mask}) == {value.network} if type(v) is int "
                 f"else matches(v, {const(value)})"
-            )
+            ), held
         if isinstance(test, FieldFieldTest):
-            return f"{field(test.field1)} == {field(test.field2)}"
+            return f"{field(test.field1)} == {field(test.field2)}", held
         if not isinstance(test, StateVarTest):
             raise DataPlaneError(f"cannot compile test {test!r}")
         get = f"get{slot(test.var)}"
         if not traced:
-            return f"{get}({key(test.index)}) == {packed(test.value)}"
+            return f"{get}({key(test.index)}) == {packed(test.value)}", held
         lines.append(f"{pad}k = {key(test.index)}")
         lines.append(f"{pad}v = {get}(k)")
         lines.append(f"{pad}r = v == {packed(test.value)}")
         lines.append(f"{pad}rec.state_test({const(test.var)}, k, v, r)")
-        return "r"
+        return "r", None
 
-    def finish(pad: str, kind: str, var=None) -> None:
-        lines.append(f"{pad}out.append(({kind!r}, f, {const(var)}))")
+    def finish(pad: str, kind: str, tag, var=None) -> None:
+        lines.append(f"{pad}out.append((f, {const(tag)}))")
         if traced:
             lines.append(f"{pad}rec.outcome({kind!r}, {const(var)})")
         lines.append(f"{pad}return")
 
-    def block(idx: int, pad: str, root: bool = False) -> None:
-        """Emit the code that runs from ``idx`` to every terminal."""
+    def block(idx: int, pad: str, root: bool = False, held=None) -> None:
+        """Emit the code that runs from ``idx`` to every terminal;
+        ``held`` is the field whose value the local ``v`` holds here."""
         while True:
             instr = instructions[idx]
             kind = type(instr)
@@ -320,8 +330,9 @@ def _generate_source(program: "SwitchProgram", traced: bool):
                 return
             root = False
             if kind is IBranch:
-                lines.append(f"{pad}if {condition(instr.test, pad)}:")
-                block(instr.on_true, pad + " ")
+                test, held = condition(instr.test, pad, held)
+                lines.append(f"{pad}if {test}:")
+                block(instr.on_true, pad + " ", held=held)
                 idx = instr.on_false
             elif kind is IJump:
                 idx = instr.target
@@ -329,6 +340,8 @@ def _generate_source(program: "SwitchProgram", traced: bool):
                 lines.append(
                     f"{pad}f[{const(instr.field)}] = {const(instr.value)}"
                 )
+                if instr.field == held:
+                    held = None
                 idx += 1
             elif kind is IStateWrite:
                 k, v = key(instr.index), packed(instr.value)
@@ -338,7 +351,7 @@ def _generate_source(program: "SwitchProgram", traced: bool):
                     lines.append(
                         f"{pad}rec.state_write({const(instr.var)}, k, v)"
                     )
-                    k, v = "k", "v"
+                    k, v, held = "k", "v", None
                 lines.append(f"{pad}put{slot(instr.var)}({k}, {v})")
                 idx += 1
             elif kind is IStateDelta:
@@ -357,12 +370,11 @@ def _generate_source(program: "SwitchProgram", traced: bool):
                 lines.append(f"{pad}return b{instr.targets[-1]}(f, {args})")
                 return
             elif kind is IPause:
-                lines.append(f"{pad}f[{SNAP_NODE!r}] = {const(instr.tag)}")
-                return finish(pad, "pause", instr.var)
+                return finish(pad, "pause", instr.tag, instr.var)
             elif kind is IEmit:
-                return finish(pad, "emit")
+                return finish(pad, "emit", DONE_TAG)
             elif kind is IDrop:
-                return finish(pad, "drop")
+                return finish(pad, "drop", None)
             else:
                 raise DataPlaneError(f"unknown instruction {instr!r}")
 
@@ -418,6 +430,7 @@ class SwitchProgram:
         self.instructions = instructions
         self.entries = entries  # xFDD tag -> instruction index
         self.store = store
+        self.pause_vars: dict = {}  # PAUSE tag -> the variable awaited
         # A table for every variable the program touches, whether or not
         # it ever runs: global_store() names them before any traffic.
         for instr in instructions:
@@ -425,6 +438,8 @@ class SwitchProgram:
                 store.variable(instr.var)
             elif type(instr) is IBranch and type(instr.test) is StateVarTest:
                 store.variable(instr.test.var)
+            elif type(instr) is IPause:
+                self.pause_vars[instr.tag] = instr.var
         # The generated executor, plain and traced; built by `functions`
         # on the first packet, so a program that is never run costs nothing.
         self._functions: list = [None, None]
@@ -434,7 +449,7 @@ class SwitchProgram:
     def can_process(self, tag: int) -> bool:
         return tag in self.entries
 
-    def resolve_inport_entry(self, tag: int, packet: Packet, port: int) -> int:
+    def resolve_inport_entry(self, tag: int, port: int) -> int:
         """Entry index with leading ``inport``-only branches pre-resolved.
 
         Packets of one ingress port all take the same side of every
@@ -452,7 +467,7 @@ class SwitchProgram:
         instructions = self.instructions
         while _is_inport_branch(instructions[idx]):
             instr = instructions[idx]
-            taken = matches(packet.get("inport"), instr.test.value)
+            taken = matches(port, instr.test.value)
             idx = instr.on_true if taken else instr.on_false
         self._inport_entries[key] = idx
         return idx
@@ -461,8 +476,10 @@ class SwitchProgram:
         """The generated executor: ``{index: b(f, out)}`` (``traced``:
         ``b(f, out, rec)``), one function per entry, resolved entry and
         internal function root.  ``b`` runs the copy that owns the field
-        dict ``f`` — mutating it — and appends a raw ``(kind, fields,
-        var)`` outcome per copy to ``out``, in emission order.
+        dict ``f`` — mutating it — and appends a raw ``(fields, tag)``
+        outcome per copy to ``out``, in emission order: ``tag`` is the
+        PAUSE tag (see :attr:`pause_vars`), ``DONE_TAG`` for an emitted
+        copy, ``None`` for a dropped one.
         """
         functions = self._functions[traced]
         if functions is None:
@@ -476,8 +493,9 @@ class SwitchProgram:
 
         A thin adapter over :meth:`functions` for callers that hold
         packets (``inject_concurrent``, tests); a packet's run is atomic
-        with respect to the switch's state tables.  ``entry`` overrides
-        the tag-derived entry point (for pre-resolved entries from
+        with respect to the switch's state tables; a paused copy comes
+        back carrying its tag in ``snap.node``.  ``entry`` overrides the
+        tag-derived entry point (for pre-resolved entries from
         :meth:`resolve_inport_entry`).
 
         ``recorder`` is a :class:`repro.obs.postcards.PostcardRecorder`
@@ -503,7 +521,17 @@ class SwitchProgram:
         else:
             recorder.process(self.switch)
             run(dict(packet._fields), out, recorder)
-        return [Outcome(kind, Packet._wrap(fields), var) for kind, fields, var in out]
+        outcomes = []
+        for fields, tag in out:
+            if tag is None or tag == DONE_TAG:
+                kind = "drop" if tag is None else "emit"
+                outcomes.append(Outcome(kind, Packet._wrap(fields)))
+            else:
+                fields[SNAP_NODE] = tag
+                outcomes.append(
+                    Outcome("pause", Packet._wrap(fields), self.pause_vars[tag])
+                )
+        return outcomes
 
     def to_lowered(self) -> "LoweredProgram":
         """The pure-data serialization of this program (see

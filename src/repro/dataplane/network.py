@@ -395,7 +395,7 @@ class Network:
         run-to-completion :class:`Walker` is made of —
         :meth:`SwitchProgram.process`, :meth:`pause_egress` and
         :meth:`next_hop` — taking one step at a time where the walker
-        takes a whole segment.
+        takes a whole memoized leg.
         """
         ports = self.topology.ports
         switches = self.switches
@@ -480,24 +480,33 @@ class Walker:
     recorder).  Its records agree with the OBS ``eval`` semantics; the
     property tests check that they do.
 
-    Pure-forwarding hop chains are memoized as *segments* keyed
-    ``(switch, inport, outport, tag)``: one dict hit and one counter
-    bump per traversal instead of a queue round per hop.  Segments are
-    built from :meth:`Network.next_hop`, so hop counts and per-link
-    packet counts are exactly those of a hop-by-hop walk; the traversal
-    counters expand into link counts on demand.  A walker is private to
-    its caller, so lanes never race on counters.
+    Between two events everything the walk looks up is a constant, so it
+    is kept in *continuation cells*: per ``(switch, ingress port u)``
+    one pair of dicts, ``done[egress] -> [count, hops, links]`` and
+    ``pause[(v, tag)] -> [count, hops, links, egress, resume]`` — the
+    links to the egress switch, or (Appendix D) the kept-or-retagged
+    egress and the links to the first switch that can act on ``tag``,
+    with ``resume = (generated function, program, entry, that switch's
+    own dict pair, tag)``.  A cell is built on first use from
+    :meth:`Network.pause_egress` and :meth:`Network.next_hop`, so hop
+    counts and per-link packet counts are exactly those of a hop-by-hop
+    walk; a lookup that raises leaves no cell behind.  An outcome then
+    costs one probe, one counter bump and one add, and the counters
+    expand into link counts on demand.  A walker is private to its
+    caller, so lanes never race on counters.
+
+    The SNAP header is walk-local: ``u`` is the ingress port, ``v`` and
+    the tag ride the stack with each copy; only a dropped copy's record
+    has the three ``snap.*`` fields written out.
     """
 
-    __slots__ = ("network", "batch", "_ingress", "_segments", "_seg_counts")
+    __slots__ = ("network", "batch", "_ingress", "_cells")
 
     def __init__(self, network: Network, batch=()):
         self.network = network
         self.batch = batch  # [(global_index, packet, port)], for run()
-        # port -> (program, resolved root entry, its generated function)
-        self._ingress: dict = {}
-        self._segments: dict = {}  # (switch, u, v, tag) -> (stop, links)
-        self._seg_counts: dict = {}
+        self._ingress: dict = {}  # port -> resume at ROOT_TAG
+        self._cells: dict = {}  # (switch, u) -> (done, pause)
 
     def run(self):
         """The lane contract: the batch, in order.  Returns
@@ -525,81 +534,92 @@ class Walker:
 
     def add_link_counts(self, links: dict) -> None:
         """Add this walker's per-link packet counts to ``links`` (once,
-        after its last walk: the traversal counters are not reset)."""
-        segments = self._segments
-        for key, count in self._seg_counts.items():
-            for link in segments[key][1]:
-                links[link] = links.get(link, 0) + count
+        after its last walk: the cell counters are not reset)."""
+        for pair in self._cells.values():
+            for cells in pair:
+                for cell in cells.values():
+                    for link in cell[2]:
+                        links[link] = links.get(link, 0) + cell[0]
 
     def run_packet(self, packet: Packet, port: int, recorder=None) -> list:
         """One packet from its ingress port to every copy's fate.
 
         Each copy is a mutable field dict that belongs to this walk: one
         copy of the packet's fields at ingress, forked only by the
-        switch programs, SNAP header written and stripped in place, and
-        handed as is to the copy's final :class:`DeliveryRecord`.
+        switch programs and handed as is to the copy's final
+        :class:`DeliveryRecord`.
+
+        Depth-first over packet copies, first-emitted first: the OBS
+        evaluation order.  Stack items are ``(resume, fields, hops, v)``
+        or DeliveryRecords; a record on the stack is a delivery whose
+        forwarding hops a hop-by-hop walk would still be taking, so it
+        surfaces in the same depth-first position.
 
         ``recorder`` (a postcard recorder) sees the same walk through
         the programs' traced functions; hop events are replayed from
-        each memoized segment's link tuple.
+        each cell's link tuple.
         """
-        net = self.network
-        ports = net.topology.ports
-        fields = dict(packet._fields)
-        fields["inport"] = port
-        fields[SNAP_INPORT] = port
-        fields[SNAP_NODE] = ROOT_TAG
-        ingress = self._ingress.get(port)
-        if ingress is None:
+        resume = self._ingress.get(port)
+        if resume is None:
+            net = self.network
             try:
-                program = net.switches[ports[port]]
+                program = net.switches[net.topology.ports[port]]
             except KeyError:
                 raise DataPlaneError(f"no OBS port {port} in the topology") from None
             # Leading inport-only branches are resolved once per port.
-            entry = program.resolve_inport_entry(ROOT_TAG, Packet._wrap(fields), port)
-            ingress = self._ingress[port] = (
-                program, entry, program.functions()[entry]
+            entry = program.resolve_inport_entry(ROOT_TAG, port)
+            resume = self._ingress[port] = self._continuation(
+                program, entry, port, ROOT_TAG
             )
-        program, entry, run = ingress
-        hops = 0
+        run, program, entry, (done, pause), tag = resume
+        fields = dict(packet._fields)
+        fields["inport"] = port
+        hops, v = 0, None
         records: list = []
-        # Depth-first over packet copies, first-emitted first: the OBS
-        # evaluation order.  Stack items are resume tuples or
-        # DeliveryRecords; a record on the stack is a delivery whose
-        # forwarding hops a hop-by-hop walk would still be taking, so it
-        # surfaces in the same depth-first position.
         stack: list = []
         while True:
-            switch = program.switch
             out: list = []
             if recorder is None:
                 run(fields, out)
             else:
-                recorder.process(switch)
+                recorder.process(program.switch)
                 program.functions(True)[entry](fields, out, recorder)
             in_flight = None
-            for kind, fields, var in out:
-                if kind == "pause":
-                    item = self._resume(fields, var, switch, hops, recorder)
-                else:
+            for fields, outcome in out:
+                if outcome == DONE_TAG:
                     egress = fields.get("outport")
-                    if kind == "drop" or egress not in ports:
-                        records.append(DeliveryRecord(fields, None, hops))
-                        continue
-                    # A DONE packet is never processed again, so the
-                    # SNAP-header writes a switch would make before
-                    # forwarding it would be stripped unread at the
-                    # egress: strip now and deliver directly.
-                    u = fields.pop(SNAP_INPORT)
-                    fields.pop(SNAP_OUTPORT, None)
-                    del fields[SNAP_NODE]
-                    if ports[egress] == switch:
-                        # Delivered here: ahead of any copy still in flight.
-                        records.append(DeliveryRecord(fields, egress, hops))
-                        continue
-                    _, total = self._traverse(
-                        switch, u, egress, DONE_TAG, hops, recorder
-                    )
+                    cell = done.get(egress)
+                    if cell is None and egress in self.network.topology.ports:
+                        cell = self.done_cell(program.switch, port, egress)
+                elif outcome is None:
+                    cell = None
+                else:
+                    cell = pause.get((v, outcome))
+                    if cell is None:
+                        cell = self._pause_cell(pause, program, port, v, outcome)
+                if cell is None:
+                    # Dropped, or emitted toward no port: the one place
+                    # the header is observable.
+                    fields[SNAP_INPORT] = port
+                    if v is not None:
+                        fields[SNAP_OUTPORT] = v
+                    fields[SNAP_NODE] = tag
+                    records.append(DeliveryRecord(fields, None, hops))
+                    continue
+                cell[0] += 1
+                total = hops + cell[1]
+                if total > MAX_HOPS:
+                    raise DataPlaneError(HOP_LIMIT_MESSAGE)
+                if recorder is not None:
+                    for link in cell[2]:
+                        recorder.hop(*link)
+                if outcome != DONE_TAG:
+                    item = (cell[4], fields, total, cell[3])
+                elif total == hops:
+                    # Delivered here: ahead of any copy still in flight.
+                    records.append(DeliveryRecord(fields, egress, hops))
+                    continue
+                else:
                     item = DeliveryRecord(fields, egress, total)
                     if not stack and len(out) == 1:
                         # Unicast: nothing else in flight to order against.
@@ -615,44 +635,43 @@ class Walker:
                 records.append(stack.pop())
             if not stack:
                 return records
-            (program, entry, run), fields, hops = stack.pop()
+            (run, program, entry, (done, pause), tag), fields, hops, v = stack.pop()
 
-    def _resume(self, fields: dict, var: str, switch: str, hops: int, recorder):
-        """A pause outcome -> where and how processing resumes: the
-        copy, tagged with an egress that reaches the variable, carried
-        over the forwarding segment to the first switch that can act on
-        its tag."""
-        u, tag = fields[SNAP_INPORT], fields[SNAP_NODE]
-        v = fields[SNAP_OUTPORT] = self.network.pause_egress(
-            u, fields.get(SNAP_OUTPORT), var, switch
-        )
-        target, hops = self._traverse(switch, u, v, tag, hops, recorder)
-        return (target, fields, hops)
+    def _continuation(self, program: SwitchProgram, entry: int, u: int, tag: int):
+        """How a copy of ingress ``u`` carrying ``tag`` is processed at
+        ``program``'s switch: the ``resume`` tuple of the class docstring."""
+        cells = self._cells.setdefault((program.switch, u), ({}, {}))
+        return (program.functions()[entry], program, entry, cells, tag)
 
-    def _traverse(self, switch: str, u: int, v: int, tag: int, hops: int,
-                  recorder):
-        """Take the forwarding segment from ``switch``; returns where
-        it stops (see :meth:`_walk`) and the hop count on arrival."""
-        key = (switch, u, v, tag)
-        segment = self._segments.get(key)
-        if segment is None:
-            segment = self._segments[key] = self._walk(switch, u, v, tag)
-        self._seg_counts[key] = self._seg_counts.get(key, 0) + 1
-        stop, links = segment
-        hops += len(links)
-        if hops > MAX_HOPS:
-            raise DataPlaneError(HOP_LIMIT_MESSAGE)
-        if recorder is not None:
-            for link in links:
-                recorder.hop(*link)
-        return stop, hops
+    def done_cell(self, switch: str, u: int, egress: int) -> list:
+        """The DONE cell of a finished copy of ingress ``u`` leaving
+        ``switch`` for the port ``egress``: ``[count, hops, links]``
+        (no links when the port is on ``switch``).  Callers bump
+        ``cell[0]`` once per copy that takes it."""
+        done = self._cells.setdefault((switch, u), ({}, {}))[0]
+        cell = done.get(egress)
+        if cell is None:
+            links = ()
+            if self.network.topology.ports[egress] != switch:
+                links = self._walk(switch, u, egress, DONE_TAG)[1]
+            cell = done[egress] = [0, len(links), links]
+        return cell
+
+    def _pause_cell(self, pause: dict, program, u: int, v, tag: int) -> list:
+        """Build the PAUSE cell of ``(v, tag)`` at ``program``'s switch:
+        the copy is tagged with an egress that reaches the variable and
+        carried to the first switch that can act on its tag."""
+        switch = program.switch
+        egress = self.network.pause_egress(u, v, program.pause_vars[tag], switch)
+        resume, links = self._walk(switch, u, egress, tag)
+        cell = pause[(v, tag)] = [0, len(links), links, egress, resume]
+        return cell
 
     def _walk(self, switch: str, u: int, v: int, tag: int):
         """Follow :meth:`Network.next_hop` until the packet reaches a
         switch that can act on it (process the tag, or deliver a DONE
-        packet at its egress).  Returns ``(stop, links)``: ``stop`` is
-        the egress switch of a DONE packet, else where processing
-        resumes — ``(program, entry, generated function)``."""
+        packet at its egress).  Returns ``(resume, links)``; ``resume``
+        is ``None`` for a DONE packet."""
         net = self.network
         switches = net.switches
         egress_switch = net.topology.port_switch(v)
@@ -665,11 +684,11 @@ class Walker:
             switch = nxt
             if tag == DONE_TAG:
                 if switch == egress_switch:
-                    return switch, tuple(links)
+                    return None, tuple(links)
             elif tag in switches[switch].entries:
                 program = switches[switch]
-                entry = program.entries[tag]
-                return (program, entry, program.functions()[entry]), tuple(links)
+                resume = self._continuation(program, program.entries[tag], u, tag)
+                return resume, tuple(links)
 
 
 # -- execution-spec serialization (worker processes and cluster daemons) ------

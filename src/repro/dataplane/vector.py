@@ -72,7 +72,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 from repro.dataplane.engine import Shard, ShardedEngine
 from repro.dataplane.header import (
-    DONE_TAG,
     ROOT_TAG,
     SNAP_INPORT,
     SNAP_NODE,
@@ -92,7 +91,6 @@ from repro.dataplane.netasm import (
 )
 from repro.lang import ast
 from repro.lang.errors import DataPlaneError
-from repro.lang.packet import Packet
 from repro.lang.values import matches
 from repro.obs import postcards
 from repro.obs.metrics import counter
@@ -100,12 +98,7 @@ from repro.obs.tracing import TRACER
 from repro.util.ipaddr import IPPrefix
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest
 
-from repro.dataplane.network import (
-    HOP_LIMIT_MESSAGE,
-    MAX_HOPS,
-    DeliveryRecord,
-    Walker,
-)
+from repro.dataplane.network import DeliveryRecord, Walker
 
 #: Why vector lanes demoted work to the scalar interpreter.  Labeled by
 #: cause so a parallelism flatline is explainable from a metrics scrape
@@ -747,18 +740,12 @@ class VectorLane:
         resolved: dict = {}  # port -> (switch, entry, program)
         groups: dict = {}
         for row in self.batch:
-            _, packet, port = row
+            port = row[2]
             cached = resolved.get(port)
             if cached is None:
                 switch = ports[port]
                 program = switches[switch]
-                fields = dict(packet._fields)
-                fields["inport"] = port
-                fields[SNAP_INPORT] = port
-                fields[SNAP_NODE] = ROOT_TAG
-                entry = program.resolve_inport_entry(
-                    ROOT_TAG, Packet._wrap(fields), port
-                )
+                entry = program.resolve_inport_entry(ROOT_TAG, port)
                 cached = resolved[port] = (switch, entry, program)
             switch, entry, program = cached
             bucket = groups.get((switch, entry))
@@ -869,22 +856,13 @@ class VectorLane:
 
     # -- record materialization -------------------------------------------
 
-    def _segment(self, switch: str, ingress: int, egress: int):
-        key = (switch, ingress, egress, DONE_TAG)
-        scalar = self._scalar
-        segment = scalar._segments.get(key)
-        if segment is None:
-            segment = scalar._walk(switch, ingress, egress, DONE_TAG)
-            scalar._segments[key] = segment
-        return key, segment
-
     def _collect_records(self, run: _GroupRun, out: dict,
                          results: dict) -> None:
         kernel = run.kernel
         switch = kernel.program.switch
         ports = self.network.topology.ports
         reps = kernel.reps
-        seg_counts = self._scalar._seg_counts
+        done_cell = self._scalar.done_cell
         # Fork-free programs produce exactly one record per row, so
         # record ordering is trivial: write the finished singleton lists
         # straight into ``results`` and skip the order-entry machinery.
@@ -919,17 +897,15 @@ class VectorLane:
                 if dropping:
                     cls, egress, hops = "invalid", None, 0
                 else:
-                    cls, egress, hops, seg_cache = route[out_codes[position]]
+                    cls, egress, hops, cells = route[out_codes[position]]
                     if cls == "remote":
-                        cached = seg_cache.get(port)
-                        if cached is None:
-                            key, segment = self._segment(switch, port, egress)
-                            hops = len(segment[1])
-                            if hops > MAX_HOPS:
-                                raise DataPlaneError(HOP_LIMIT_MESSAGE)
-                            cached = seg_cache[port] = (key, hops)
-                        key, hops = cached
-                        seg_counts[key] = seg_counts.get(key, 0) + 1
+                        # The scalar walker's DONE cell: same links, same
+                        # counter, so its link counts cover these rows.
+                        cell = cells.get(port)
+                        if cell is None:
+                            cell = cells[port] = done_cell(switch, port, egress)
+                        cell[0] += 1
+                        hops = cell[1]
                 fields = dict(base_fields[row])
                 fields["inport"] = port
                 for values, field in mods:

@@ -92,7 +92,7 @@ class PostcardRecorder:
 
     Handed to :meth:`Walker.run_packet` as ``recorder``: the traced
     switch code reports state/outcome events, the walker reports each
-    switch it enters and replays each forwarding segment's links as hop
+    switch it enters and replays each continuation cell's links as hop
     events.
     """
 

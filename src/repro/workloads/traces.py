@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.lang.packet import Packet, make_packet
 from repro.lang.values import Symbol
-from repro.util.ipaddr import IPPrefix
 from repro.util.rng import make_rng
 
 
@@ -63,10 +62,6 @@ class Trace:
 
     def __repr__(self):
         return f"Trace({self.name!r}, {len(self.arrivals)} packets)"
-
-
-def _host(prefix: IPPrefix, offset: int) -> int:
-    return prefix.host(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +304,24 @@ def background_traffic(
     rng = make_rng(seed)
     ports = sorted(subnets)
     weights = rng.exponential(1.0, len(ports))
-    weights = weights / weights.sum()
+    # The weighted draw is ``rng.choice(ports, size=2, p=weights)`` done
+    # by hand — the inverse CDF over two uniforms, as NumPy computes it —
+    # and the unweighted one ``rng.choice(dports)``: same stream, same
+    # packets, without the per-call argument checks.
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    dports = (80, 443, 22, 8080)
+    random, integers, pick = rng.random, rng.integers, cdf.searchsorted
     arrivals = []
     for _ in range(count):
-        src_port, dst_port = rng.choice(ports, size=2, p=weights, replace=True)
-        src_port, dst_port = int(src_port), int(dst_port)
-        packet = make_packet(
-            srcip=_host(subnets[src_port], int(rng.integers(1, 100))),
-            dstip=_host(subnets[dst_port], int(rng.integers(1, 100))),
-            srcport=int(rng.integers(1024, 65000)),
-            dstport=int(rng.choice([80, 443, 22, 8080])),
-            proto=6,
-        )
-        arrivals.append((packet, src_port))
+        src, dst = pick(random(2), side="right").tolist()
+        src_port, dst_port = ports[src], ports[dst]
+        fields = {
+            "srcip": subnets[src_port].host(int(integers(1, 100))),
+            "dstip": subnets[dst_port].host(int(integers(1, 100))),
+            "srcport": int(integers(1024, 65000)),
+            "dstport": dports[int(integers(0, 4))],
+            "proto": 6,
+        }
+        arrivals.append((Packet._wrap(fields), src_port))
     return Trace("background", arrivals)

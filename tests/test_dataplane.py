@@ -6,10 +6,19 @@ import pytest
 
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import PacketStateMapping, packet_state_mapping
+from repro.apps import default_subnets
 from repro.dataplane.engine import SequentialEngine, ShardedEngine
-from repro.dataplane.header import DONE_TAG, ROOT_TAG, SNAP_NODE
+from repro.core.controller import SnapController
+from repro.dataplane import network as network_module
+from repro.dataplane.header import (
+    DONE_TAG,
+    ROOT_TAG,
+    SNAP_INPORT,
+    SNAP_NODE,
+    SNAP_OUTPORT,
+)
 from repro.dataplane.netasm import compile_switch
-from repro.dataplane.network import Network
+from repro.dataplane.network import Network, Walker
 from repro.dataplane.rules import build_rule_tables
 from repro.dataplane.split import NodeIndex, split_summary
 from repro.lang import ast
@@ -22,7 +31,7 @@ from repro.topology.graph import Topology
 from repro.topology.traffic import uniform_traffic_matrix
 from repro.xfdd.build import build_xfdd
 
-from tests.snapbench_programs import WORKLOADS, workload
+from tests.snapbench_programs import WORKLOADS, traffic, workload
 
 
 def line_topology(num=3, capacity=100.0):
@@ -362,6 +371,216 @@ class TestHopLimit:
             next(stream)
         assert net.link_packets == {("s2", "s1"): 2, ("s1", "s0"): 2}
         assert list(stream) == []
+
+
+class TestFailuresAreNeverMemoised:
+    """A lookup that raises leaves no continuation cell behind: the Nth
+    packet that fails raises what the first did, packets that complete
+    through the same ``(switch, ingress)`` are delivered and counted, and
+    the link counts are those of a walker that memoises nothing."""
+
+    def _network(self, policy, placement=None):
+        topo = line_topology(3)
+        xfdd, _, mapping, demands, solution, routing = compile_case(policy, topo)
+        return Network(
+            topo, xfdd, placement or solution.placement, routing, mapping,
+            demands, {"s": False},
+        )
+
+    @staticmethod
+    def _links(walker):
+        links: dict = {}
+        walker.add_link_counts(links)
+        return links
+
+    def test_pause_with_no_candidate_egress(self):
+        """A hairpin that needs state held on another switch has no flow
+        to ride there (S_uu is not in the packet-state mapping)."""
+        net = self._network(
+            ast.If(
+                ast.Test("srcip", 5),
+                ast.Seq(
+                    ast.StateMod("s", ast.Field("srcip"), ast.Value(True)),
+                    ast.Mod("outport", 1),
+                ),
+                ast.Mod("outport", 2),
+            ),
+            placement={"s": "s2"},
+        )
+        walker = Walker(net)
+        hairpin, good = make_packet(srcip=5), make_packet(srcip=6)
+        errors = []
+        for packet in (hairpin, hairpin, good, hairpin, good, hairpin):
+            try:
+                records = walker.run_packet(packet, 1)
+            except DataPlaneError as exc:
+                errors.append(str(exc))
+            else:
+                assert [(r.egress, r.hops) for r in records] == [(2, 2)]
+        assert errors == [
+            "no candidate egress for flow from port 1 pausing on 's' at s0"
+        ] * 4
+        assert self._links(walker) == {("s0", "s1"): 2, ("s1", "s2"): 2}
+        assert net.global_store().read("s", (5,)) is False
+
+    def test_routing_loop(self):
+        net = self._network(ast.If(
+            ast.Test("srcip", 1), ast.Mod("outport", 2), ast.Mod("outport", 1)
+        ))
+        net.rules.tables["s1"][(1, 2)] = "s0"  # s0 -> s1 -> s0 -> ...
+        walker = Walker(net)
+        looping, good = make_packet(srcip=1), make_packet(srcip=2)
+        for packet, port, egress_hops in [
+            (looping, 1, None), (good, 1, (1, 0)), (looping, 1, None),
+            (good, 2, (1, 2)), (looping, 1, None), (good, 1, (1, 0)),
+        ]:
+            if egress_hops is None:
+                with pytest.raises(DataPlaneError) as raised:
+                    walker.run_packet(packet, port)
+                assert str(raised.value) == network_module.HOP_LIMIT_MESSAGE
+            else:
+                (record,) = walker.run_packet(packet, port)
+                assert (record.egress, record.hops) == egress_hops
+        assert self._links(walker) == {("s2", "s1"): 1, ("s1", "s0"): 1}
+
+    def test_total_hop_overrun_counts_the_links_it_took(self, monkeypatch):
+        """Two forwarding legs, each within the limit, their sum over
+        it: the walk raises on the second leg, after counting it."""
+        net = self._network(SIMPLE, placement={"s": "s1"})
+        walker = Walker(net)
+        assert [r.hops for r in walker.run_packet(make_packet(srcip=1), 1)] == [2]
+        monkeypatch.setattr(network_module, "MAX_HOPS", 1)
+        for _ in range(2):
+            with pytest.raises(DataPlaneError) as raised:
+                walker.run_packet(make_packet(srcip=1), 1)
+            assert str(raised.value) == network_module.HOP_LIMIT_MESSAGE
+        monkeypatch.undo()
+        assert [r.egress for r in walker.run_packet(make_packet(srcip=2), 1)] == [2]
+        assert self._links(walker) == {("s0", "s1"): 4, ("s1", "s2"): 4}
+
+
+@pytest.fixture(scope="module")
+def mixed_campus():
+    """The campus six-app composite (snapbench's ``campus-ops`` program)
+    and 2 000 arrivals: 1 900 of snapbench's mixed trace — half of it
+    DNS sessions, whose responses fork after a pause — with, every 19th
+    arrival, a packet sourced outside its port's subnet (dropped at
+    ingress), one addressed behind no port (emitted with no outport) or
+    a DNS response on an odd port pair.  Yields ``(snapshot, arrivals)``."""
+    wl = workload("campus-ops")
+    subnets = default_subnets(6)
+    arrivals = list(traffic.mixed(subnets, 1900, 7).trace)
+    for k in range(100):
+        u, v = 1 + k % 6, 1 + (k + 2) % 6
+        if k % 3 == 0:
+            packet = make_packet(
+                srcip=subnets[v].host(k + 1), dstip=subnets[v].host(7)
+            )
+        elif k % 3 == 1:
+            packet = make_packet(
+                srcip=subnets[u].host(k + 1), dstip=0xC0A80000 + k
+            )
+        else:
+            packet = make_packet(
+                srcip=subnets[u].host(k + 1), dstip=subnets[v].host(7),
+                srcport=53, dstport=9,
+                **{"dns.rdata": k, "dns.qname": k % 3, "dns.ttl": k % 2},
+            )
+        arrivals.insert(19 * k + 5, (packet, u))
+    controller = SnapController(wl.topology, wl.program())
+    try:
+        yield controller.submit(), arrivals
+    finally:
+        controller.close()
+
+
+class TestContinuationCells:
+    #: blake2b-16 over every record's ``(sorted fields, egress, hops)``
+    #: in stream order, then the sorted ``link_packets`` — taken at
+    #: 9616888, the last commit whose walker wrote the SNAP header into
+    #: every packet and looked the route up per packet.
+    GOLDEN = "3fc7250781af811df2148bcfddc085d9"
+
+    def test_records_and_link_counts_equal_the_per_packet_walk(self, mixed_campus):
+        snapshot, arrivals = mixed_campus
+        net = snapshot.build_network()
+        hasher = hashlib.blake2b(digest_size=16)
+        forked = headers = 0
+        for records in net.stream(arrivals):
+            forked += len(records) > 1
+            for record in records:
+                fields = record.fields
+                hasher.update(repr(
+                    (sorted(fields.items()), record.egress, record.hops)
+                ).encode())
+                if record.egress is None:
+                    headers += 1
+                    assert fields[SNAP_INPORT] == fields["inport"]
+                    assert fields[SNAP_NODE] == ROOT_TAG and record.hops == 0
+                    assert SNAP_OUTPORT not in fields
+                else:
+                    assert not any(name.startswith("snap.") for name in fields)
+        hasher.update(repr(sorted(net.link_packets.items())).encode())
+        assert (forked, headers) == (386, 67)
+        assert hasher.hexdigest() == self.GOLDEN
+
+    def test_header_of_a_copy_dropped_after_a_pause(self):
+        """Dropped and port-less copies keep the header they carried:
+        ingress port, the egress they were tagged with, the last tag."""
+        policy = ast.Seq(
+            ast.StateIncr("s", ast.Field("srcip")),
+            ast.If(ast.Test("srcip", 5), ast.Drop(), ast.Mod("outport", 9)),
+        )
+        topo = line_topology(3)
+        xfdd, _, mapping, demands, solution, routing = compile_case(policy, topo)
+        assert solution.placement == {"s": "s2"}
+        net = Network(
+            topo, xfdd, solution.placement, routing, mapping, demands, {"s": 0}
+        )
+        got = [
+            (record.fields, record.egress, record.hops)
+            for srcip, port in [(5, 1), (6, 1), (5, 2), (6, 2)]
+            for record in net.inject(make_packet(srcip=srcip), port)
+        ]
+        assert got == [
+            ({"srcip": 5, "inport": 1, SNAP_INPORT: 1, SNAP_NODE: 2,
+              SNAP_OUTPORT: 2}, None, 2),
+            ({"srcip": 6, "inport": 1, "outport": 9, SNAP_INPORT: 1,
+              SNAP_NODE: 5, SNAP_OUTPORT: 2}, None, 2),
+            ({"srcip": 5, "inport": 2, SNAP_INPORT: 2, SNAP_NODE: ROOT_TAG},
+             None, 0),
+            ({"srcip": 6, "inport": 2, "outport": 9, SNAP_INPORT: 2,
+              SNAP_NODE: ROOT_TAG}, None, 0),
+        ]
+        assert net.link_packets == {("s0", "s1"): 2, ("s1", "s2"): 2}
+
+    def test_lane_link_counts_equal_the_streams(self, mixed_campus):
+        snapshot, arrivals = mixed_campus
+        streamed = snapshot.build_network()
+        records = list(streamed.stream(arrivals))
+        batch = [(i, packet, port) for i, (packet, port) in enumerate(arrivals)]
+        results, links = Walker(snapshot.build_network(), batch).run()
+        assert links == streamed.link_packets
+        assert [
+            [(r.fields, r.egress, r.hops) for r in results[i]]
+            for i in range(len(arrivals))
+        ] == [[(r.fields, r.egress, r.hops) for r in rs] for rs in records]
+
+    def test_one_pause_decision_per_cell(self, mixed_campus):
+        """``pause_egress`` (Appendix D) runs when a PAUSE cell is built
+        and never again: once per distinct ``(switch, u, v, tag)``."""
+        snapshot, arrivals = mixed_campus
+        net = snapshot.build_network()
+        calls = []
+        decide = net.pause_egress
+        net.pause_egress = lambda *args: calls.append(args) or decide(*args)
+        walker = Walker(net, [(i, p, port) for i, (p, port) in enumerate(arrivals)])
+        walker.run()
+        cells = [
+            cell for _, pause in walker._cells.values() for cell in pause.values()
+        ]
+        assert 0 < len(calls) == len(cells)
+        assert sum(cell[0] for cell in cells) > 20 * len(calls)
 
 
 def star_topology():

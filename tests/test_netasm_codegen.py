@@ -209,6 +209,8 @@ def test_every_app_program_matches_the_reference_loop(name):
         assert_agrees(program, probe_packets(program, rng, 25))
         # A shipped program regenerates the same text on the other side.
         assert from_lowered(program.to_lowered()).source() == program.source()
+        # The SNAP header is the walker's: the plain text never names it.
+        assert "'snap." not in program.source()
 
 
 # -- the errors the interpreter raised are still raised ---------------------------
@@ -322,6 +324,56 @@ def test_false_chains_stay_flat():
     assert_agrees(program, arrivals)
     outports = [program.process(p, 0)[0].packet.get("outport") for p in arrivals]
     assert outports == [0, 1, 75, DEPTH - 1, None, None]
+
+
+def test_a_field_is_loaded_once_per_straight_line_path():
+    """Six prefixes of ``dstip`` tested down one false-chain share one
+    ``f.get('dstip')``; a SET of the field, another function and the
+    traced temporaries each force a reload."""
+    prefixes = [IPPrefix(f"10.0.{i}.0/24") for i in range(1, 7)]
+    instructions = [
+        IBranch(FieldValueTest("dstip", prefix), 6 + 3 * i, i + 1)
+        for i, prefix in enumerate(prefixes)
+    ]
+    for i in range(6):
+        instructions += [ISet("outport", i + 1), IJump(8 + 3 * i), IEmit()]
+    instructions.append(IDrop())
+    instructions[5] = IBranch(instructions[5].test, 21, 24)
+    program = SwitchProgram("s0", instructions, {ROOT_TAG: 0}, Store())
+    source = program.source()
+    assert source.count("f.get('dstip')") == 1
+    assert source.count("if (v & ") == 6
+    arrivals = [Packet({"dstip": p.network + 9}) for p in prefixes]
+    arrivals += [Packet({"dstip": 1}), Packet({"dstip": "10.0.3.9"}), Packet({})]
+    assert_agrees(program, arrivals)
+    outports = [program.process(p, 0)[0].packet.get("outport") for p in arrivals]
+    assert outports == [1, 2, 3, 4, 5, 6, None, None, None]
+
+    rewritten = IPPrefix("10.0.9.0/24")
+    program = SwitchProgram(
+        "s0",
+        [IBranch(FieldValueTest("dstip", prefixes[0]), 1, 7),
+         IBranch(StateVarTest("seen", (ast.Field("dstip"),), (ast.Value(1),)), 2, 7),
+         IBranch(FieldValueTest("dstip", prefixes[1]), 6, 3),
+         ISet("dstip", rewritten.network + 1), IJump(5),
+         IBranch(FieldValueTest("dstip", rewritten), 6, 7),
+         IEmit(), IDrop()],
+        {ROOT_TAG: 0}, Store({"seen": 0}),
+    )
+    # Plain: @0 loads, @2 reuses it, the SET forces a reload for @5.
+    # Traced: the state test at @1 takes ``v`` for the value it read.
+    assert program.source().count("v = f.get('dstip')") == 2
+    traced = netasm._generate_source(program, True)[0]
+    assert traced.count("v = f.get('dstip')") == 3
+    program.store.write("seen", (prefixes[0].network + 3,), 1)
+    assert_agrees(program, [
+        Packet({"dstip": prefixes[0].network + 3}),
+        Packet({"dstip": prefixes[0].network + 4}),
+        Packet({"dstip": prefixes[1].network + 3}), Packet({"dstip": 5}),
+    ])
+    (outcome,) = program.process(Packet({"dstip": prefixes[0].network + 3}), 0)
+    assert outcome.kind == "emit"
+    assert outcome.packet.get("dstip") == rewritten.network + 1
 
 
 def test_strings_that_look_like_code_stay_data():

@@ -25,6 +25,8 @@ from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
 from repro.workloads import replay, replay_obs
 
+from tests import reference_traces
+
 
 def ip(text):
     return IPPrefix(text).network
@@ -91,6 +93,22 @@ class TestGenerators:
         t1 = workloads.background_traffic(SUBNETS, count=10, seed=5)
         t2 = workloads.background_traffic(SUBNETS, count=10, seed=5)
         assert [p for p, _ in t1] == [p for p, _ in t2]
+
+    @pytest.mark.parametrize("seed", [0, 7, (7, 1, 0), (8, 1, 3)])
+    def test_background_traffic_equals_the_reference_generator(self, seed):
+        """Same random stream as the generator it replaced: every
+        arrival equal — packet, field order, plain-``int`` port — for
+        int seeds and the tuple seeds snapbench's traffic passes."""
+        for subnets in (SUBNETS, default_subnets(12)):
+            got = workloads.background_traffic(subnets, count=300, seed=seed)
+            want = reference_traces.background_traffic(subnets, 300, seed)
+            assert got.name == want.name
+            assert got.arrivals == want.arrivals
+            for (packet, port), (expected, _) in zip(got, want):
+                assert type(port) is int
+                assert list(packet.fields().items()) == list(
+                    expected.fields().items()
+                )
 
     def test_tcp_session_shape(self):
         trace = workloads.tcp_session(ip("10.0.1.1"), ip("10.0.6.1"), 1, 6)
