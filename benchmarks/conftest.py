@@ -1,79 +1,13 @@
-"""Benchmark configuration: single-shot measurements, verbose tables.
+"""Benchmark configuration for the paper-evaluation scripts.
 
-Compilations are long-running, deterministic computations; we measure one
-round each (pytest-benchmark pedantic mode) and print the paper-style
-tables alongside the timing stats.
-
-:func:`merge_bench_results` is the one writer of ``BENCH_xfdd.json``:
-read-merge-write through a temp file plus an atomic ``os.replace``, so
-concurrent bench invocations (CI runs several in one job, and developers
-run them ad hoc) can never interleave into a torn or half-written file —
-the worst case for two simultaneous writers is last-merge-wins on one
-key, never corruption.  Every merged value is stamped with the host
-environment (CPU count, Python and NumPy versions) so trajectory numbers
-from different machines are never compared blind.
+Compilations are long-running, deterministic computations; the scripts
+measure one round each (pytest-benchmark pedantic mode) and print the
+paper-style tables alongside the timing stats.  They import
+``workloads`` from this directory, which the line below puts on the
+path.
 """
 
-import json
-import os
-import platform
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-BENCH_JSON_PATH = Path(__file__).parent / "BENCH_xfdd.json"
-
-
-def bench_environment() -> dict:
-    """The measurement context recorded with every bench key."""
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-    }
-
-
-def _attach_environment(value):
-    """Stamp ``value`` with :func:`bench_environment`, uniformly.
-
-    Dict values get an ``env`` key (kept if the bench already wrote its
-    own); list values (rows) are wrapped as ``{"env": ..., "rows": ...}``
-    so the stamp has somewhere to live.  Scalars pass through untouched.
-    """
-    if isinstance(value, dict):
-        value.setdefault("env", bench_environment())
-        return value
-    if isinstance(value, list):
-        return {"env": bench_environment(), "rows": value}
-    return value
-
-
-def merge_bench_results(key: str, value, path: Path = BENCH_JSON_PATH) -> None:
-    """Merge ``{key: value}`` into the benchmark trajectory file atomically."""
-    try:
-        data = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        # Missing on first run; a decode error can only be a torn write
-        # from a pre-atomic-rename version — start the file over.
-        data = {}
-    data[key] = _attach_environment(value)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(data, indent=2) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

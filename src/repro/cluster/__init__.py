@@ -5,9 +5,9 @@ the shard spec/state wire format is pure data, so proven-disjoint state
 shards can run on *worker daemons* — subprocesses on this machine or
 ``python -m repro.cluster.worker`` daemons on other hosts — behind the
 same engine interface as every other backend.  Importing this package
-registers ``engine="cluster"`` (data plane) and the ``"cluster"`` OBS
-mirror engine; the engine registries also know the name lazily, so
-``CompilerOptions(engine="cluster")`` works without importing anything.
+registers ``engine="cluster"``; the engine registry also knows the name
+lazily, so ``CompilerOptions(engine="cluster")`` works without importing
+anything.
 
 Modules:
 
@@ -17,8 +17,7 @@ Modules:
   the compiled execution lane);
 * :mod:`~repro.cluster.coordinator` — discovery, handshake, spec
   shipping, least-loaded dispatch, heartbeats, requeue-on-loss;
-* :mod:`~repro.cluster.engine` — :class:`ClusterEngine` and
-  :class:`ClusterObsEngine`.
+* :mod:`~repro.cluster.engine` — :class:`ClusterEngine`.
 """
 
 from repro.cluster.coordinator import (
@@ -27,7 +26,7 @@ from repro.cluster.coordinator import (
     WorkerHandle,
     spawn_worker_process,
 )
-from repro.cluster.engine import ClusterEngine, ClusterObsEngine
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     ClusterError,
@@ -36,7 +35,7 @@ from repro.cluster.protocol import (
 )
 
 __all__ = [
-    "ClusterCoordinator", "ClusterEngine", "ClusterError",
-    "ClusterObsEngine", "Job", "PROTOCOL_VERSION", "ProtocolError",
-    "TransportError", "WorkerHandle", "spawn_worker_process",
+    "ClusterCoordinator", "ClusterEngine", "ClusterError", "Job",
+    "PROTOCOL_VERSION", "ProtocolError", "TransportError", "WorkerHandle",
+    "spawn_worker_process",
 ]

@@ -25,11 +25,6 @@ lanes merge and a named :class:`~repro.lang.errors.DataPlaneError`
 surface.  After a total-loss failure the coordinator is discarded so the
 next run starts a fresh set of daemons — mirroring the process engine's
 ``BrokenProcessPool`` recovery.
-
-:class:`ClusterObsEngine` is the OBS mirror's cluster member
-(``replay_obs(..., engine="cluster")``): the batched mirror's
-per-ingress-group planning and deterministic merge, with group
-evaluation dispatched to the same daemons over the same wire.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from repro.dataplane.network import (
 from repro.obs import postcards
 from repro.obs.runstats import RunStats
 from repro.obs.tracing import TRACER
-from repro.workloads.obs_engine import BatchedObsEngine, register_obs_engine
 
 
 def _dumps(value) -> bytes:
@@ -356,74 +350,7 @@ class ClusterEngine:
         )
 
 
-class ClusterObsEngine(BatchedObsEngine):
-    """The batched OBS mirror with groups evaluated on cluster daemons.
-
-    Inherits the shard planner's per-ingress grouping, the
-    footprint-restricted store slices, and the deterministic merge from
-    :class:`~repro.workloads.obs_engine.BatchedObsEngine`; only the map
-    step differs — each group's ``(policy, store, variables, batch)``
-    payload is dispatched to a worker daemon, which runs the exact
-    sequential evaluation loop and sends back ``(state, outputs)``.
-    Byte-identical to the sequential mirror, like every OBS engine.
-    """
-
-    name = "cluster"
-
-    def __init__(self, workers: int = 2, addresses=(),
-                 max_workers: int | None = None):
-        super().__init__(max_workers=max_workers, processes=False)
-        self.workers = workers
-        self.addresses = tuple(addresses)
-        self._coordinator: ClusterCoordinator | None = None
-
-    def _map_payloads(self, payloads) -> list:
-        if len(payloads) <= 1:
-            return super()._map_payloads(payloads)
-        if self._coordinator is None:
-            self._coordinator = ClusterCoordinator(
-                local_workers=self.workers, addresses=self.addresses
-            )
-        coordinator = self._coordinator.start()
-        coordinator.heartbeat()
-        jobs = [
-            Job(index, wire.RUN_OBS, {"blob": _dumps(payload)})
-            for index, payload in enumerate(payloads)
-        ]
-        results, errors = coordinator.run_jobs(jobs)
-        if errors:
-            if not coordinator.alive_workers():
-                # Total capacity loss: discard the dead cluster so the
-                # next mirror call spawns fresh daemons (same recovery
-                # as the data-plane engine).
-                self._coordinator = None
-                coordinator.close()
-            index = min(errors)
-            raise ClusterError(
-                f"OBS mirror group {index} failed on the cluster: "
-                f"{errors[index]}"
-            )
-        return [
-            (results[index]["state"], results[index]["outputs"])
-            for index in range(len(payloads))
-        ]
-
-    def close(self) -> None:
-        coordinator, self._coordinator = self._coordinator, None
-        if coordinator is not None:
-            coordinator.close()
-        super().close()
-
-    def __repr__(self):
-        return (
-            f"ClusterObsEngine(workers={self.workers}, "
-            f"addresses={list(self.addresses)})"
-        )
-
-
-# Self-registration: importing repro.cluster plugs both engines into the
-# name registries (the registries also pre-register these lazily, so the
-# names work without importing this module first — either path lands
-# here).
+# Self-registration: importing repro.cluster plugs the engine into the
+# name registry (the registry also pre-registers it lazily, so the name
+# works without importing this module first — either path lands here).
 register_engine("cluster", ClusterEngine, stateful=True)
-register_obs_engine("cluster", ClusterObsEngine, stateful=True)

@@ -51,8 +51,6 @@ Message vocabulary (``payload`` keys in parentheses):
                    diffed against the shipped seed, ``None`` when no
                    replica spec was sent) or :data:`ERROR`
                    (``missing="network"`` if the spec was evicted)
-:data:`RUN_OBS`    evaluate one OBS mirror batch (``blob``) →
-                   :data:`RESULT` (``state``, ``outputs``)
 :data:`CHAOS`      fault injection for tests (``mode``) → ``OK``
 :data:`SHUTDOWN`   graceful daemon exit → :data:`BYE`
 =================  ==========================================================
@@ -106,7 +104,6 @@ LOAD_PROGRAM = "load_program"
 LOAD_NETWORK = "load_network"
 OK = "ok"
 RUN_SHARD = "run_shard"
-RUN_OBS = "run_obs"
 RESULT = "result"
 ERROR = "error"
 CHAOS = "chaos"

@@ -271,24 +271,6 @@ class WorkerDaemon:
                 })
             finally:
                 self._active -= 1
-        elif message_type == wire.RUN_OBS:
-            self._maybe_chaos_exit()
-            self._active += 1
-            try:
-                from repro.workloads.obs_engine import _obs_worker
-
-                state, outputs = _obs_worker(pickle.loads(payload["blob"]))
-            except Exception as exc:
-                wire.send_message(conn, wire.ERROR, {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(),
-                })
-            else:
-                wire.send_message(conn, wire.RESULT, {
-                    "state": state, "outputs": outputs,
-                })
-            finally:
-                self._active -= 1
         elif message_type == wire.CHAOS:
             # Test-only fault injection: "exit-on-next-run" makes the
             # daemon die abruptly when the next job arrives — the

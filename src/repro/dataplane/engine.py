@@ -172,8 +172,8 @@ def group_ports_by_footprint(footprint: dict, ports) -> list:
     Ports with empty footprints (pure stateless traffic) become singleton
     groups — they can run on any lane.  Returns
     ``[(ports_tuple, variables_frozenset)]`` ordered by lowest member
-    port.  Shared by the data-plane shard planner and the batched OBS
-    mirror (:mod:`repro.workloads.obs_engine`).
+    port.  Shared by the shard planner and the replica planner
+    (:mod:`repro.dataplane.replication`).
     """
     ports = list(ports)
     parent = {port: port for port in ports}
@@ -609,10 +609,9 @@ class ProcessPoolEngine:
 
     Each disjoint-state shard's batch ships to a worker along with the
     *footprint-restricted* slice of the shard's private state — only the
-    variables the batch's ingress ports can actually touch, the same
-    restriction the batched OBS mirror ships — and the worker runs the
-    same compiled lane the thread engine uses, against a network
-    rehydrated from the pure-data
+    variables the batch's ingress ports can actually touch — and the
+    worker runs the same compiled lane the thread engine uses, against a
+    network rehydrated from the pure-data
     :class:`~repro.dataplane.netasm.LoweredProgram` form, sending back
     ``(records, link counters, state deltas)``, which the parent merges
     in deterministic global arrival order.  Workers cache rehydrated

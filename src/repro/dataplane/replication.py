@@ -67,14 +67,12 @@ protocol v2 carries the replica spec out and the update log back), and
 :mod:`repro.dataplane.vector` (the opt-in ``commute_fastpath`` draws its
 commutable-variable set from the same eligibility predicate).  Gate it
 per session with ``CompilerOptions(replicate_state=...)`` or per engine
-with ``ShardedEngine(replicate_state=...)``; the environment variable
-``SNAP_REPLICATE_STATE=0`` force-disables it for A/B benchmarking.
+with ``ShardedEngine(replicate_state=...)``, which takes precedence.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from repro.lang.errors import DataPlaneError
@@ -292,9 +290,6 @@ _PLAN_CACHE_LIMIT = 16
 
 
 def _resolve_enabled(network, override) -> bool:
-    env = os.environ.get("SNAP_REPLICATE_STATE")
-    if env is not None:
-        return env not in ("0", "", "off", "false")
     if override is not None:
         return bool(override)
     return bool(getattr(network, "replicate_state", True))

@@ -30,12 +30,11 @@ scalar :class:`repro.dataplane.network.Walker`, and if the fallback rows'
 state footprint overlaps the vectorized rows' the whole batch runs
 scalar (deferred deltas may not be reordered around scalar state
 reads).  One exception, opt-in via ``VectorEngine(commute_fastpath=
-True)`` or ``SNAP_VECTOR_COMMUTE=1``: when the static effect analysis
-(:mod:`repro.analysis.effects`) proves every overlapping variable is
-written only by ``++``/``--`` and never state-tested anywhere in the
-diagram (and holds integers), the deltas commute with anything the
-scalar rows do, so the vector groups stay vectorized.  Either way the
-engine is byte-identical to
+True)``: when the static effect analysis (:mod:`repro.analysis.effects`)
+proves every overlapping variable is written only by ``++``/``--`` and
+never state-tested anywhere in the diagram (and holds integers), the
+deltas commute with anything the scalar rows do, so the vector groups
+stay vectorized.  Either way the engine is byte-identical to
 :class:`~repro.dataplane.engine.SequentialEngine` — same records, same
 link counters, same state stores — which the cross-engine property
 tests assert.
@@ -62,7 +61,6 @@ lane, and constructing an engine raises a clear error.
 
 from __future__ import annotations
 
-import os
 import threading
 
 try:  # optional dependency — see module docstring
@@ -1029,7 +1027,7 @@ class VectorEngine(ShardedEngine):
     jit = False
 
     def __init__(self, max_workers: int | None = None,
-                 commute_fastpath: bool | None = None,
+                 commute_fastpath: bool = False,
                  replicate_state: bool | None = None):
         if np is None:
             raise DataPlaneError(
@@ -1040,9 +1038,7 @@ class VectorEngine(ShardedEngine):
         # Opt-in: keep vector groups when every variable shared with the
         # scalar fallback is proven increment-only and never tested (see
         # VectorLane.run).  Default stays the conservative whole-batch
-        # demotion; SNAP_VECTOR_COMMUTE=1 flips the default.
-        if commute_fastpath is None:
-            commute_fastpath = os.environ.get("SNAP_VECTOR_COMMUTE") == "1"
+        # demotion.
         self.commute_fastpath = commute_fastpath
 
     def replica_plan(self, network):

@@ -1,10 +1,7 @@
-"""Name → factory registries for pluggable engine families.
+"""Name → factory registry for a pluggable engine family.
 
-The data-plane engines (:mod:`repro.dataplane.engine`) and the OBS
-mirror engines (:mod:`repro.workloads.obs_engine`) resolve names the
-same way; this class is that one way, so a fix to resolution semantics
-(lazy factories, shared stateful instances) lands in both families at
-once.
+The data-plane engines (:mod:`repro.dataplane.engine`) resolve names
+through this class (lazy factories, shared stateful instances).
 
 * A *factory* is a zero-argument callable returning a fresh engine, or
   a lazy ``"module:attr"`` string resolved on first use — registering a

@@ -1,10 +1,5 @@
 """Synthetic traffic workloads and replay helpers."""
 
-from repro.workloads.obs_engine import (
-    BatchedObsEngine,
-    SequentialObsEngine,
-    get_obs_engine,
-)
 from repro.workloads.replay import ReplayStats, replay, replay_obs
 from repro.workloads.traces import (
     Trace,
@@ -20,7 +15,6 @@ from repro.workloads.traces import (
 )
 
 __all__ = [
-    "BatchedObsEngine", "SequentialObsEngine", "get_obs_engine",
     "ReplayStats", "replay", "replay_obs",
     "Trace", "background_traffic", "benign_dns_usage",
     "dns_amplification_attack", "dns_tunnel_attack", "ftp_session",

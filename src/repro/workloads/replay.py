@@ -131,20 +131,17 @@ def replay(trace: Trace, network: Network, engine=None) -> ReplayStats:
     return stats
 
 
-def replay_obs(
-    trace: Trace, policy: ast.Policy, store: Store | None = None, engine=None
-):
+def replay_obs(trace: Trace, policy: ast.Policy, store: Store | None = None):
     """Run the trace through the OBS reference semantics.
 
     Returns ``(final_store, outputs)`` where outputs is a list of
-    per-packet frozensets.  ``engine`` selects the mirror engine
-    (``"sequential"`` | ``"batched"`` | ``"process"`` | ``"cluster"`` |
-    an instance, see :mod:`repro.workloads.obs_engine`); every engine
-    returns exactly the sequential mirror's ``(store, outputs)``.
+    per-packet frozensets.  ``store`` is threaded through ``eval``,
+    never mutated: the caller's object is left as it was.
     """
-    from repro.workloads.obs_engine import get_obs_engine
-
     if store is None:
         store = Store(ast.infer_state_defaults(policy))
-    runner = get_obs_engine(engine)
-    return runner.run(list(trace), policy, store)
+    outputs = []
+    for packet, port in trace:
+        store, out, _ = eval_policy(policy, store, packet.modify("inport", port))
+        outputs.append(out)
+    return store, outputs

@@ -45,7 +45,6 @@ from repro.xfdd.diagram import (
     Leaf,
     XFDD,
     default_factory,
-    structural_key,
 )
 from repro.xfdd.order import TestOrder
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
@@ -95,10 +94,7 @@ class Composer:
         order: TestOrder,
         factory: DiagramFactory | None = None,
         use_cache: bool = True,
-        key_mode: str = "id",
     ):
-        if key_mode not in ("id", "structural"):
-            raise ValueError(f"key_mode must be 'id' or 'structural', got {key_mode!r}")
         self.order = order
         self.factory = factory if factory is not None else default_factory()
         self.factory.register_composer(self)
@@ -106,13 +102,6 @@ class Composer:
         self._cache: dict = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        # Apply-cache operand key: ``id`` (the production key — interning
-        # makes it injective per factory and it costs one C call) or
-        # ``structural`` (the fingerprint key measured by the cache-key
-        # study; identity-insensitive, so equal diagrams from merged
-        # sessions would share entries).
-        self.key_mode = key_mode
-        self._node_key = id if key_mode == "id" else structural_key
         # Composer-scoped root: contexts memoize their children (see
         # Context.add), so rooting each composition session in a private
         # empty context keeps that memo tree from outliving the composer.
@@ -128,7 +117,6 @@ class Composer:
             "cache_misses": self.cache_misses,
             "cache_entries": len(self._cache),
             "cache_hit_rate": self.cache_hits / total if total else 0.0,
-            "cache_key_mode": self.key_mode,
         }
         stats.update(self.factory.stats())
         return stats
@@ -166,7 +154,7 @@ class Composer:
             ctx = self.root_context
         if not self.use_cache:
             return self._union(d1, d2, ctx)
-        key = ("u", self._node_key(d1), self._node_key(d2),
+        key = ("u", id(d1), id(d2),
                ctx.projected_key(d1._support | d2._support))
         hit = self._cache_lookup(key)
         if hit is not None:
@@ -219,7 +207,7 @@ class Composer:
     def negate(self, d: XFDD) -> XFDD:
         if not self.use_cache:
             return self._negate(d)
-        key = ("n", self._node_key(d))
+        key = ("n", id(d))
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -243,7 +231,7 @@ class Composer:
     def restrict(self, d: XFDD, test: XTest, positive: bool) -> XFDD:
         if not self.use_cache:
             return self._restrict(d, test, positive)
-        key = ("r", self._node_key(d), test, positive)
+        key = ("r", id(d), test, positive)
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -276,7 +264,7 @@ class Composer:
             ctx = self.root_context
         if not self.use_cache:
             return self._sequence(d1, d2, ctx)
-        key = ("s", self._node_key(d1), self._node_key(d2),
+        key = ("s", id(d1), id(d2),
                ctx.projected_key(d1._support | d2._support))
         hit = self._cache_lookup(key)
         if hit is not None:
@@ -308,7 +296,7 @@ class Composer:
     def _seq_actions(self, seq: tuple, d: XFDD, ctx: Context) -> XFDD:
         if not self.use_cache:
             return self._seq_actions_impl(seq, d, ctx)
-        key = ("a", seq, self._node_key(d),
+        key = ("a", seq, id(d),
                ctx.projected_key(seq_read_fields(seq) | d._support))
         hit = self._cache_lookup(key)
         if hit is not None:

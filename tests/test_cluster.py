@@ -1,5 +1,5 @@
 """Tests for the cluster runtime: wire protocol, worker daemons,
-coordinator dispatch, and the cluster engines.
+coordinator dispatch, and the cluster engine.
 
 The load-bearing properties:
 
@@ -27,7 +27,6 @@ from repro.cluster import (
     ClusterCoordinator,
     ClusterEngine,
     ClusterError,
-    ClusterObsEngine,
     ProtocolError,
     TransportError,
     WorkerHandle,
@@ -44,11 +43,9 @@ from repro.dataplane.engine import (
     register_engine,
 )
 from repro.lang.errors import DataPlaneError, SnapError
-from repro.lang.state import Store
 from repro.topology.campus import campus_topology
 from repro import workloads
-from repro.workloads import replay, replay_obs
-from repro.workloads.obs_engine import obs_engine_names
+from repro.workloads import replay
 
 from tests.test_engine import (
     SUBNETS,
@@ -58,7 +55,7 @@ from tests.test_engine import (
     record_view,
     sharded_monitor,
 )
-from repro.apps import assign_egress, dns_tunnel_detect, syn_flood_detect
+from repro.apps import dns_tunnel_detect, syn_flood_detect
 from repro.lang import ast
 
 #: One 2-daemon engine for the whole module — mirrors how a session uses
@@ -171,7 +168,6 @@ class TestProtocol:
 class TestEngineRegistry:
     def test_cluster_is_registered(self):
         assert "cluster" in engine_names()
-        assert "cluster" in obs_engine_names()
         assert CompilerOptions(engine="cluster").engine == "cluster"
 
     def test_unknown_engine_names_all_registered(self):
@@ -280,42 +276,6 @@ class TestClusterEquivalence:
             assert stats["program_bytes"] > 0
             assert stats["network_bytes"] > 0
             assert stats["payload_bytes"] > 0
-        finally:
-            engine.close()
-
-
-# -- OBS mirror ----------------------------------------------------------------
-
-
-class TestClusterObsMirror:
-    def test_byte_identical_to_sequential(self):
-        _, program = sharded_monitor()
-        policy = program.full_policy()
-        trace = list(workloads.background_traffic(SUBNETS, count=150, seed=5))
-        reference = replay_obs(trace, policy, Store(program.state_defaults))
-        engine = ClusterObsEngine(workers=2)
-        try:
-            got = replay_obs(
-                trace, policy, Store(program.state_defaults), engine=engine
-            )
-            assert got[1] == reference[1]
-            assert got[0] == reference[0]
-        finally:
-            engine.close()
-
-    def test_single_group_runs_inline(self):
-        app = dns_tunnel_detect()
-        policy = ast.Seq(app.policy, assign_egress(SUBNETS))
-        trace = list(workloads.background_traffic(SUBNETS, count=60, seed=1))
-        reference = replay_obs(trace, policy, Store(app.state_defaults))
-        engine = ClusterObsEngine(workers=2)
-        try:
-            got = replay_obs(
-                trace, policy, Store(app.state_defaults), engine=engine
-            )
-            assert got[0] == reference[0]
-            assert got[1] == reference[1]
-            assert engine._coordinator is None  # fell back inline
         finally:
             engine.close()
 

@@ -287,11 +287,10 @@ class TestScalarFallback:
 
 
 class TestCommutativeFastPath:
-    """The opt-in commutative fast path (``commute_fastpath=True`` /
-    ``SNAP_VECTOR_COMMUTE=1``) keeps vector groups columnar when the
-    only state they share with fallback rows is increment-only and
-    never tested — exactly the footprint the effect analyzer proves
-    order-independent."""
+    """The opt-in commutative fast path (``commute_fastpath=True``)
+    keeps vector groups columnar when the only state they share with
+    fallback rows is increment-only and never tested — exactly the
+    footprint the effect analyzer proves order-independent."""
 
     @staticmethod
     def _commuting_program():
@@ -355,12 +354,6 @@ class TestCommutativeFastPath:
             assert record_view(a) == record_view(b)
         assert net.global_store() == net_seq.global_store()
         assert net.link_packets == net_seq.link_packets
-
-    def test_env_var_enables_fastpath(self, monkeypatch):
-        monkeypatch.setenv("SNAP_VECTOR_COMMUTE", "1")
-        assert VectorEngine(max_workers=1).commute_fastpath is True
-        monkeypatch.delenv("SNAP_VECTOR_COMMUTE")
-        assert VectorEngine(max_workers=1).commute_fastpath is False
 
     def test_tested_overlap_still_demotes_under_flag(self):
         """A shared var that a fallback row *tests* is excluded from the
@@ -447,7 +440,9 @@ class TestKernelCache:
         network = snapshot.build_network()
         trace = list(workloads.background_traffic(SUBNETS, count=60, seed=9))
         engine = get_engine("vector-jit")
+        before = kernel_cache_stats()
         engine.run(network, trace)
+        assert stats_delta(before, "compiles") > 0  # a new program token
         before = kernel_cache_stats()
         engine.run(network, trace)
         assert stats_delta(before, "compiles") == 0

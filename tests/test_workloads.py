@@ -20,6 +20,7 @@ from repro.apps import (
 from repro.core.controller import SnapController
 from repro.core.program import Program
 from repro.lang import ast, make_packet
+from repro.lang.state import Store
 from repro.lang.values import Symbol
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
@@ -199,13 +200,29 @@ class TestDetectionQuality:
         network, program = compiled_network(app)
         trace = workloads.background_traffic(SUBNETS, count=40, seed=11)
         obs_store, _ = replay_obs(
-            trace, program.full_policy(),
-            __import__("repro.lang.state", fromlist=["Store"]).Store(
-                program.state_defaults
-            ),
+            trace, program.full_policy(), Store(program.state_defaults)
         )
         replay(trace, network)
         assert network.global_store() == obs_store
+
+    def test_replay_obs_threads_the_store_without_writing_it(self):
+        """The caller's store is left as it was; what it held — also for
+        variables no packet touches — rides into the returned one."""
+        policy = ast.Seq(
+            ast.StateIncr("count", ast.Field("inport")), assign_egress(SUBNETS)
+        )
+        store = Store({"count": 0})
+        store.write("count", (1,), 41)
+        store.write("unrelated", ("x",), "keep-me")
+        before = store.copy()
+        trace = workloads.background_traffic(SUBNETS, count=40, seed=9)
+        final, outputs = replay_obs(trace, policy, store)
+        assert store == before
+        assert len(outputs) == 40
+        assert final.read("unrelated", ("x",)) == "keep-me"
+        from_port_1 = sum(1 for _, port in trace if port == 1)
+        assert from_port_1 > 0
+        assert final.read("count", (1,)) == 41 + from_port_1
 
 
 class TestReplayStats:

@@ -99,9 +99,12 @@ class TestCacheEquivalence:
             state_rank=analyze_dependencies(policy).state_rank
         )
         factory = DiagramFactory()
-        cached = to_xfdd(policy, Composer(order, factory=factory))
+        composer = Composer(order, factory=factory)
+        cached = to_xfdd(policy, composer)
         reference = Composer(order, factory=factory, use_cache=False)
         assert to_xfdd(policy, reference) is cached
+        # The cache must be caching *something* on every app.
+        assert composer.cache_stats()["cache_hit_rate"] > 0
 
     def test_churn_edits_in_one_session_are_node_identical(self):
         """The twelve ``policy-churn`` edits, in the benchmark's order,
