@@ -15,7 +15,7 @@ Public API highlights::
     network = controller.network()       # live simulated data plane
 
     snap = controller.update_policy(p2)  # recompile; network() hot-swapped,
-                                         # state-store contents carried over
+                                         # state tables moved (re-fetch it)
     snap = controller.fail_link("C1", "C5")   # standing TE model re-solved
     snap = controller.restore_link("C1", "C5")
     snap = controller.set_demands(matrix)

@@ -457,7 +457,7 @@ def _parallel_findings(overlaps: list, variables: dict) -> tuple:
     return tuple(findings)
 
 
-def _atomic_groups(policy, written: set) -> tuple:
+def _atomic_groups(policy, written: set, slicer) -> tuple:
     """Partition the written variables by the ``atomic()``-tie relation.
 
     Tied variables are co-located by the MILP, so each group updates
@@ -466,7 +466,7 @@ def _atomic_groups(policy, written: set) -> tuple:
     """
     from repro.analysis.dependency import analyze_dependencies
 
-    deps = analyze_dependencies(policy)
+    deps = analyze_dependencies(policy, slicer=slicer)
     grouped: dict = {}
     for tie in deps.tied:
         members = frozenset(var for var in tie if var in written)
@@ -512,8 +512,11 @@ def _transaction_findings(report_vars: dict, groups: tuple) -> tuple:
     ),)
 
 
-def analyze_effects(policy: ast.Policy) -> EffectReport:
-    """Classify every state write in ``policy`` and find its races."""
+def analyze_effects(policy: ast.Policy, slicer=None) -> EffectReport:
+    """Classify every state write in ``policy`` and find its races.
+
+    ``slicer`` is :func:`~repro.analysis.dependency.analyze_dependencies`'s
+    own: the same report, from slices a session has already memoized."""
     walker = _Walker()
     walker.walk(policy, (), False)
     variables = {
@@ -527,7 +530,7 @@ def analyze_effects(policy: ast.Policy) -> EffectReport:
                 read_sites=tuple(read_sites),
             )
     written = set(walker.sites)
-    groups = _atomic_groups(policy, written) if written else ()
+    groups = _atomic_groups(policy, written, slicer) if written else ()
     written_vars = {
         var: effect for var, effect in variables.items() if effect.sites
     }

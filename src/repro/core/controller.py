@@ -364,8 +364,10 @@ class SnapController:
 
         Built on first call; after each subsequent event the controller
         hot-swaps it — the new snapshot's data plane is instantiated and
-        the old one's state-store contents are carried over, so state
-        like ``count``/``seen`` survives live reconfiguration.
+        the old one's state tables are *moved* into it, so state like
+        ``count``/``seen`` survives live reconfiguration.  The swapped-out
+        network is retired (its drivers raise ``RetiredNetworkError``):
+        fetch this after every event rather than holding a reference.
         """
         self._require_current("network")
         if self._network is None:
@@ -721,10 +723,8 @@ class SnapController:
                 rules = build_rule_tables(routing)
         # Every snapshot carries the static effect report (update-kind
         # classification + race findings) — the merge-safety oracle for
-        # replication/sharding consumers; the AST walk is microseconds,
-        # so re-deriving it on reoptimize paths (which pass only sizes) is
-        # cheaper than threading it through every caller.  The session
-        # memoizes it by fingerprint across generations.
+        # replication/sharding consumers.  The session memoizes it by
+        # fingerprint across generations and reuses P1's slices.
         if self._session is not None:
             effects = self._session.effect_report(program.policy)
         else:
@@ -732,11 +732,8 @@ class SnapController:
         # ... and what the solver said about its answer (status 1 is a
         # time-limited incumbent, not an optimum; {} for the heuristic).
         stats = {**stats, "effects": effects, "solver": dict(solution.solver)}
-        self._generation += 1
-        _CONTROLLER_EVENTS.labels(event=event).inc()
-        _GENERATION.set(self._generation)
         snapshot = Snapshot(
-            generation=self._generation,
+            generation=self._generation + 1,
             event=event,
             scenario=EVENT_SCENARIOS[event],
             program=program,
@@ -754,25 +751,27 @@ class SnapController:
             artifacts=artifacts if artifacts is not None else {},
             diagram_factory=diagram_factory,
         )
+        # Build the successor network first, publish second, move state
+        # last: a build that raises leaves the session as it was.
+        live, successor = self._network, None
+        if live is not None:
+            successor = self._successor_network(live, snapshot)
+        self._generation = snapshot.generation
+        _CONTROLLER_EVENTS.labels(event=event).inc()
+        _GENERATION.set(self._generation)
         self._current = snapshot
         self._history.append(snapshot)
-        if self._network is not None:
-            self._network = self._swap_network(self._network, snapshot)
+        if successor is not None:
+            self._swap_network(live, successor, snapshot)
         return snapshot
 
-    def _swap_network(self, live: Network, snapshot: Snapshot) -> Network:
-        """The next live data plane after ``snapshot``.
+    def _successor_network(self, live: Network, snapshot: Snapshot) -> Network:
+        """The data plane ``snapshot`` needs, ``live`` left untouched.
 
-        * cold start — genuinely cold: fresh stores, nothing carried;
         * TE events (same xFDD, same placement) — ``rewire``: the
           compiled switch programs and their state stores are shared,
-          only routing-derived structure is rebuilt.  A process-engine
-          worker pool *survives* this path: the program token is
-          unchanged, so worker-side rehydration caches stay warm;
-        * policy changes — full rebuild, then state-store contents
-          adopted into the new placement.  The old compiled programs are
-          gone, so a process-engine pool is restarted (fresh workers,
-          fresh caches).
+          only routing-derived structure is rebuilt;
+        * cold start and policy changes — a full rebuild, stores empty.
         """
         if (
             snapshot.event != "cold_start"
@@ -792,20 +791,36 @@ class SnapController:
             )
         fresh = snapshot.build_network()
         fresh.default_engine = live.default_engine
-        fresh.replicate_state = getattr(live, "replicate_state", True)
+        fresh.replicate_state = live.replicate_state
+        return fresh
+
+    def _swap_network(self, live: Network, successor: Network, snapshot) -> None:
+        """Make ``successor`` the live data plane; nothing here can fail.
+
+        One rule: *a network whose state has a successor is retired*.  A
+        rewired successor already shares ``live``'s stores; a rebuilt
+        one has ``live``'s state tables moved into its placement.
+        Either way ``live`` stops owning state and says which generation
+        replaced it.  A cold start shares nothing and retires nothing.
+        """
+        self._network = successor
+        rebuilt = successor.switches is not live.switches
         if snapshot.event != "cold_start":
-            fresh.adopt_state(live)
+            if rebuilt:
+                successor.adopt_state(live)
+            live.retired_by = f"generation {snapshot.generation}"
         if (
-            fresh.default_engine is self._engine_runner
+            rebuilt
+            and successor.default_engine is self._engine_runner
             and self._engine_runner is not None
         ):
-            # Restart only the pool this session owns: a shared or
-            # user-supplied engine instance may be serving other
-            # sessions, whose runs must not be cancelled under them
-            # (their worker caches key on exec tokens, so correctness
-            # never depends on the restart — it is memory hygiene).
+            # The old compiled programs are gone (a rewire keeps them,
+            # and the workers' caches warm).  Restart only the pool this
+            # session owns: a shared or user-supplied engine instance
+            # may be serving other sessions, whose runs must not be
+            # cancelled under them (worker caches key on exec tokens:
+            # the restart is memory hygiene, not correctness).
             self._engine_runner.restart()
-        return fresh
 
     def __repr__(self):
         name = self._program.name if self._program is not None else None

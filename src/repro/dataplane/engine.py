@@ -308,6 +308,7 @@ def plan_for(network: Network) -> ShardPlan:
     """The network's shard plan, cached on the network *and* on its
     program token, keyed by :func:`_plan_cache_key` so topology/xFDD
     mutation invalidates it while TE rewires reuse it."""
+    network.require_live()  # every sharded run plans first
     key = _plan_cache_key(network)
     cached = getattr(network, "_shard_plan", None)
     if cached is not None and _same_key(cached[0], key):

@@ -540,7 +540,7 @@ class SwitchProgram:
             switch=self.switch,
             ops=tuple(_serialize_instr(i) for i in self.instructions),
             entries=dict(self.entries),
-            state_defaults=dict(self.store._defaults),
+            state_defaults=self.store.defaults(),
         )
 
     def to_text(self) -> str:

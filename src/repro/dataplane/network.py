@@ -42,7 +42,7 @@ from repro.dataplane.header import (
 from repro.dataplane.netasm import SwitchProgram, compile_switch
 from repro.dataplane.rules import RuleTables, build_rule_tables
 from repro.dataplane.split import NodeIndex, owned_entries
-from repro.lang.errors import DataPlaneError
+from repro.lang.errors import DataPlaneError, RetiredNetworkError
 from repro.lang.packet import Packet
 from repro.lang.state import Store
 from repro.milp.results import RoutingPaths
@@ -82,6 +82,9 @@ class DeliveryRecord:
 
 class Network:
     """Topology + per-switch programs + routing tables + link stats."""
+
+    #: Who holds this network's state now; ``None`` while it is its own.
+    retired_by: str | None = None
 
     def __init__(
         self,
@@ -188,7 +191,7 @@ class Network:
         dup.switches = self.switches
         dup.link_packets = {}
         dup.default_engine = self.default_engine
-        dup.replicate_state = getattr(self, "replicate_state", True)
+        dup.replicate_state = self.replicate_state
         # Same compiled programs -> same program key (process-pool workers
         # keep their rehydrated programs); new routing -> new network key.
         dup._exec_program_key = self._exec_program_key
@@ -198,37 +201,47 @@ class Network:
 
     # -- state access ------------------------------------------------------
 
+    def require_live(self) -> None:
+        """A network whose state has a successor (:meth:`adopt_state`, a
+        controller hot swap) is retired: every driver of it raises."""
+        if self.retired_by is not None:
+            raise RetiredNetworkError(
+                "this network is retired, its state belongs to "
+                f"{self.retired_by}: fetch controller.network() after every event"
+            )
+
     def global_store(self) -> Store:
-        """Union of all switches' local state (for OBS equivalence checks)."""
+        """Union of all switches' local state (for OBS equivalence
+        checks): a snapshot the caller may mutate freely."""
+        self.require_live()
         merged = Store(self.state_defaults)
         for program in self.switches.values():
             for name in program.store.names():
-                var = program.store.variable(name)
-                target = merged.variable(name)
-                target.default = var.default
-                for key, value in var.items():
-                    target.set(key, value)
+                merged.adopt(program.store.variable(name).copy())
         return merged
 
     def adopt_state(self, previous: "Network") -> None:
-        """Carry ``previous``'s state-store contents into this network.
+        """Move ``previous``'s state into this network and retire it.
 
         The live-reconfiguration half of a controller hot swap: every
-        explicit entry of every state variable in the old data plane is
-        written into the variable's new owner switch, so counters and
-        flags survive a recompilation even when the placement moved.
-        Variables the new program no longer declares are dropped; new
-        variables keep their (fresh) defaults.
+        non-empty :class:`StateVariable` *object* of the old data plane
+        becomes its new owner switch's table (no entry is copied: the
+        cost is O(variables) however much state is held) and reads this
+        program's default on absent keys.  Variables this placement no
+        longer has are dropped; new ones keep their fresh tables.
         """
-        merged = previous.global_store()
-        for name in merged.names():
-            owner = self.placement.get(name)
-            if owner is None:
-                continue  # variable retired by the new program
-            source = merged.variable(name)
-            target = self.switches[owner].store.variable(name)
-            for key, value in source.items():
-                target.set(key, value)
+        previous.require_live()
+        moves = [
+            (self.switches[self.placement[name]], old.store.variable(name))
+            for old in previous.switches.values()
+            for name in old.store.names() if name in self.placement
+        ]
+        for program, variable in moves:
+            if len(variable):
+                variable.default = program.store.variable(variable.name).default
+                program.store.adopt(variable)
+                program._functions = [None, None]  # rebound on the next packet
+        previous.retired_by = "the network that adopted it"
 
     # -- per-shard state transfer (process-engine contract) ----------------
 
@@ -397,6 +410,7 @@ class Network:
         :meth:`next_hop` — taking one step at a time where the walker
         takes a whole memoized leg.
         """
+        self.require_live()
         ports = self.topology.ports
         switches = self.switches
         links = self.link_packets
@@ -503,6 +517,7 @@ class Walker:
     __slots__ = ("network", "batch", "_ingress", "_cells")
 
     def __init__(self, network: Network, batch=()):
+        network.require_live()
         self.network = network
         self.batch = batch  # [(global_index, packet, port)], for run()
         self._ingress: dict = {}  # port -> resume at ROOT_TAG

@@ -40,5 +40,9 @@ class DataPlaneError(SnapError):
     """The distributed data-plane realization misbehaved."""
 
 
+class RetiredNetworkError(DataPlaneError):
+    """A driver was called on a network whose state has a successor."""
+
+
 class TopologyError(SnapError):
     """A topology was malformed (no capacity, unknown port, ...)."""

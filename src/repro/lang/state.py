@@ -110,6 +110,16 @@ class Store:
     def names(self):
         return tuple(self._vars)
 
+    def defaults(self) -> dict:
+        """The declared defaults (variable name -> default), as a copy."""
+        return dict(self._defaults)
+
+    def adopt(self, variable: StateVariable) -> None:
+        """Take ownership of ``variable`` — the object, not a copy — in
+        place of the table held under its name; the giver must stop
+        writing through it."""
+        self._vars[variable.name] = variable
+
     def copy(self) -> "Store":
         dup = Store(self._defaults)
         dup._vars = {name: var.copy() for name, var in self._vars.items()}

@@ -193,7 +193,7 @@ class CompileSession:
         key = fingerprint(policy)
         report = self._effects_memo.get(key)
         if report is None:
-            report = analyze_effects(policy)
+            report = analyze_effects(policy, slicer=self.dep_slicer)
             self._effects_memo[key] = report
         return report
 

@@ -12,13 +12,14 @@ from repro.core.options import CompilerOptions
 from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES
 from repro.core.program import Program
 from repro.lang import ast
-from repro.lang.errors import SnapError
+from repro.dataplane.network import Network
+from repro.lang.errors import RetiredNetworkError, SnapError
 from repro.lang.packet import make_packet
 from repro.lang.state import Store
 from repro.milp.backends import GreedyBackend, MilpBackend, get_backend
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
-from repro.workloads import replay_obs
+from repro.workloads import replay, replay_obs
 
 
 def campus_program(app_program=None, num_ports=6, threshold=3):
@@ -396,6 +397,137 @@ class TestHotSwap:
         assert "CX" in swapped.switches
         # State still carried over via adopt_state on the rebuild path.
         assert swapped.global_store().read("susp-client", (client,)) == 1
+
+    @staticmethod
+    def _held_tables(network):
+        return {
+            name: network.switches[owner].store.variable(name)
+            for name, owner in network.placement.items()
+        }
+
+    def test_state_tables_are_moved_not_copied(self):
+        """After a rebuild the new owner's table *is* the object the old
+        owner held — for a variable that keeps its switch and for one
+        whose placement moves."""
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        network = controller.network()
+        client = IPPrefix("10.0.6.10").network
+        network.inject(dns_response(client, 0), 1)
+        held = self._held_tables(network)
+        assert set(network.placement.values()) == {"D4"}
+
+        controller.update_policy(campus_program(threshold=5))
+        kept = controller.network()
+        assert kept.placement == network.placement
+        assert kept.switches is not network.switches
+        for name in ("orphan", "susp-client"):
+            assert kept.switches["D4"].store.variable(name) is held[name]
+        # An empty table is not worth moving: the fresh one stays.
+        assert len(held["blacklist"]) == 0
+        assert kept.switches["D4"].store.variable("blacklist") is not held["blacklist"]
+
+        # Port 6 re-homed on D3: the ST solve moves every variable there.
+        rehomed = campus_topology()
+        rehomed.ports[6] = "D3"
+        controller.replace_topology(rehomed)
+        controller.update_policy()
+        moved = controller.network()
+        assert set(moved.placement.values()) == {"D3"}
+        for name in ("orphan", "susp-client"):
+            assert moved.switches["D3"].store.variable(name) is held[name]
+        assert moved.inject(dns_response(client, 1), 1)[0].egress == 6
+        assert held["susp-client"].get((client,)) == 2
+
+    @pytest.mark.parametrize("event", ["update_policy", "fail_link"])
+    def test_swapped_out_network_is_retired(self, event):
+        """One rule on the rebuild and the ``rewire`` path: a network
+        whose state has a successor raises from every driver, naming the
+        generation that replaced it."""
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        network = controller.network()
+        client = IPPrefix("10.0.6.10").network
+        arrival = (dns_response(client, 0), 1)
+        network.inject(*arrival)
+        if event == "update_policy":
+            controller.update_policy(campus_program(threshold=5))
+        else:
+            controller.fail_link("C1", "C5")
+        assert (controller.network().switches is network.switches) == (
+            event == "fail_link"
+        )
+        drivers = [
+            lambda: network.inject(*arrival),
+            lambda: network.inject_many([arrival]),
+            lambda: next(network.stream([arrival])),
+            lambda: network.inject_concurrent([arrival]),
+            lambda: network.global_store(),
+            lambda: replay([arrival], network),
+            lambda: controller.current.build_network().adopt_state(network),
+        ]
+        for drive in drivers:
+            with pytest.raises(RetiredNetworkError, match="generation 1"):
+                drive()
+        # ... and none of them touched the state its successor holds.
+        live = controller.network()
+        assert live.retired_by is None
+        assert live.global_store().read("susp-client", (client,)) == 1
+
+    def test_cold_submit_and_direct_rewire_retire_nothing(self):
+        controller = SnapController(campus_topology(), campus_program())
+        snapshot = controller.submit()
+        network = controller.network()
+        arrival = (dns_response(IPPrefix("10.0.6.10").network, 0), 1)
+        network.rewire(snapshot.topology, snapshot.routing)
+        controller.submit()  # nothing is shared with a cold network
+        assert controller.network() is not network
+        assert network.retired_by is None
+        assert network.inject(*arrival)[0].egress == 6
+
+    @pytest.mark.parametrize("event", ["update_policy", "fail_link"])
+    def test_failed_network_build_leaves_the_session_untouched(
+        self, event, monkeypatch
+    ):
+        """The successor network is built before anything is published:
+        if building it raises, ``current``, ``generation``, ``history``,
+        the live network, its state and its un-retired status are what
+        they were, and the next event succeeds."""
+        controller = SnapController(campus_topology(), campus_program())
+        first = controller.submit()
+        network = controller.network()
+        client = IPPrefix("10.0.6.10").network
+        network.inject(dns_response(client, 0), 1)
+        held = self._held_tables(network)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("no data plane today")
+
+        other = campus_program(threshold=5)
+        with monkeypatch.context() as patch:
+            if event == "update_policy":
+                patch.setattr(Network, "__init__", boom)
+                fire = lambda: controller.update_policy(other)
+            else:
+                patch.setattr(Network, "rewire", boom)
+                fire = lambda: controller.fail_link("C1", "C5")
+            with pytest.raises(RuntimeError, match="no data plane today"):
+                fire()
+        assert controller.current is first
+        assert controller.current.program is controller.program
+        assert controller.generation == 0
+        assert controller.history() == (first,)
+        assert controller.failed_links == frozenset()
+        assert controller.network() is network
+        assert network.retired_by is None
+        assert all(self._held_tables(network)[n] is v for n, v in held.items())
+        assert len(held["susp-client"]) == 1
+        network.inject(dns_response(client, 1), 1)
+
+        assert fire().generation == 1
+        assert network.retired_by == "generation 1"
+        store = controller.network().global_store()
+        assert store.read("susp-client", (client,)) == 2
 
     def test_no_network_until_asked(self):
         controller = SnapController(campus_topology(), campus_program())

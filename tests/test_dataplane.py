@@ -7,7 +7,12 @@ import pytest
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import PacketStateMapping, packet_state_mapping
 from repro.apps import default_subnets
-from repro.dataplane.engine import SequentialEngine, ShardedEngine
+from repro.dataplane.engine import (
+    SequentialEngine,
+    ShardedEngine,
+    engine_names,
+    get_engine,
+)
 from repro.core.controller import SnapController
 from repro.dataplane import network as network_module
 from repro.dataplane.header import (
@@ -23,8 +28,9 @@ from repro.dataplane.rules import build_rule_tables
 from repro.dataplane.split import NodeIndex, split_summary
 from repro.lang import ast
 from repro.lang.ast import state_variables
-from repro.lang.errors import DataPlaneError
+from repro.lang.errors import DataPlaneError, RetiredNetworkError
 from repro.lang.packet import make_packet
+from repro.lang.state import StateVariable, Store
 from repro.milp.placement import build_placement_model
 from repro.milp.results import RoutingPaths, extract_paths
 from repro.topology.graph import Topology
@@ -243,13 +249,17 @@ class TestRuleTables:
         assert "snap.inport=1" in repr(rules[0])
 
 
+def line_network(policy=SIMPLE, defaults=None, num=3):
+    topo = line_topology(num)
+    xfdd, deps, mapping, demands, solution, routing = compile_case(policy, topo)
+    return Network(
+        topo, xfdd, solution.placement, routing, mapping, demands,
+        {"s": False} if defaults is None else defaults,
+    )
+
+
 class TestNetworkSequential:
-    def _network(self, policy=SIMPLE, num=3):
-        topo = line_topology(num)
-        xfdd, deps, mapping, demands, solution, routing = compile_case(policy, topo)
-        return Network(
-            topo, xfdd, solution.placement, routing, mapping, demands, {"s": False}
-        )
+    _network = staticmethod(line_network)
 
     def test_first_packet_travels_and_writes(self):
         net = self._network()
@@ -293,6 +303,113 @@ class TestNetworkSequential:
         net = self._network()
         counts = net.instruction_counts()
         assert set(counts) == {"s0", "s1", "s2"}
+
+
+class TestStateHandOver:
+    """``adopt_state`` moves tables, ``global_store`` copies them, and a
+    network whose state has a successor is retired."""
+
+    @staticmethod
+    def _table(net, var="s"):
+        return net.switches[net.placement[var]].store.variable(var)
+
+    def test_no_entry_is_written_however_many_are_held(self, monkeypatch):
+        old = line_network()
+        held = self._table(old)
+        for k in range(10_000):
+            held.set((k,), True)
+        calls = []
+        plain_set = StateVariable.set
+
+        def counting_set(variable, key, value):
+            calls.append(key)
+            plain_set(variable, key, value)
+
+        monkeypatch.setattr(StateVariable, "set", counting_set)
+        fresh = line_network()
+        fresh.adopt_state(old)
+        assert calls == []
+        assert self._table(fresh) is held and len(held) == 10_000
+        # The adopted table is the one the next packet reads and writes.
+        assert fresh.inject(make_packet(srcip=9_999), 1)[0].egress == 2
+        assert calls == []
+        fresh.inject(make_packet(srcip=10_000), 1)
+        assert calls == [(10_000,)] and len(held) == 10_001
+
+    def test_moved_variable_reads_the_new_programs_default(self):
+        count = ast.Seq(ast.StateIncr("s", ast.Field("srcip")), ast.Mod("outport", 2))
+        old = line_network(count, {"s": 0})
+        old.inject(make_packet(srcip=1), 1)
+        fresh = line_network(count, {"s": 7})
+        fresh.adopt_state(old)
+        store = fresh.global_store()
+        assert store.variable("s").default == 7
+        assert store.read("s", (1,)) == 1 and store.read("s", (2,)) == 7
+        fresh.inject(make_packet(srcip=2), 1)
+        assert fresh.global_store().read("s", (2,)) == 8
+
+    def test_dropped_variable_is_gone_and_a_new_one_starts_empty(self):
+        renamed = ast.Seq(
+            ast.StateMod("t", ast.Field("srcip"), ast.Value(True)),
+            ast.Mod("outport", 2),
+        )
+        old = line_network()
+        old.inject(make_packet(srcip=1), 1)
+        fresh = line_network(renamed, {"t": False})
+        fresh.adopt_state(old)
+        store = fresh.global_store()
+        assert store.names() == ("t",)
+        assert len(store.variable("t")) == 0
+
+    def test_adopting_after_the_first_packet_rebinds_the_accessors(self):
+        old, fresh = line_network(), line_network()
+        old.inject(make_packet(srcip=1), 1)
+        fresh.inject(make_packet(srcip=2), 1)  # generated code is bound
+        fresh.adopt_state(old)
+        fresh.inject(make_packet(srcip=3), 1)
+        assert self._table(fresh) is self._table(old)
+        assert sorted(self._table(fresh).snapshot()) == [(1,), (3,)]
+
+    def test_global_store_is_a_snapshot_equal_to_the_entrywise_union(self):
+        net = line_network()
+        net.inject_many([(make_packet(srcip=k), 1) for k in range(5)])
+        store = net.global_store()
+        entrywise = Store(net.state_defaults)
+        for program in net.switches.values():
+            for name in program.store.names():
+                for key, value in program.store.variable(name).items():
+                    entrywise.write(name, key, value)
+        assert store == entrywise
+        assert store.variable("s").default is False
+        store.write("s", (99,), True)
+        assert self._table(net).get((99,)) is False
+
+    def test_every_driver_of_a_retired_network_raises(self):
+        old = line_network()
+        arrival = (make_packet(srcip=1), 1)
+        old.inject(*arrival)
+        rewired = old.rewire(old.topology, old.routing)
+        assert old.retired_by is None  # a direct rewire retires nothing
+        assert rewired.switches is old.switches
+        fresh = line_network()
+        fresh.adopt_state(old)
+        drivers = {
+            "inject": lambda: old.inject(*arrival),
+            "inject_many": lambda: old.inject_many([arrival]),
+            "stream": lambda: next(old.stream([arrival])),
+            "inject_concurrent": lambda: old.inject_concurrent([arrival]),
+            "walker": lambda: Walker(old),
+            "global_store": old.global_store,
+            "adopt_state": lambda: line_network().adopt_state(old),
+            **{
+                f"engine {name}": lambda name=name: get_engine(name).run(old, [arrival])
+                for name in engine_names()
+            },
+        }
+        for name, drive in drivers.items():
+            with pytest.raises(RetiredNetworkError, match="adopted it"):
+                drive()
+        assert len(self._table(fresh)) == 1 and fresh.retired_by is None
 
 
 class TestNetworkConcurrent:

@@ -408,6 +408,42 @@ class TestEngineEquivalence:
         assert stats_seq.total_hops == stats_shard.total_hops
 
 
+    @pytest.mark.parametrize(
+        "engine", ["sharded", "process", "vector", "vector-jit", "cluster"]
+    )
+    def test_runs_after_a_state_hand_over_match_sequential(self, engine):
+        """``update_policy`` moves the tables to a rebuilt network: what
+        an engine then reads and leaves behind is what the walker does."""
+        _, program = sharded_monitor()
+        count = ast.StateIncr("count", ast.Field("inport"))
+        twice = ast.Seq(ast.Seq(count, count), assign_egress(SUBNETS))
+        _, edited = compiled(
+            policy=shard_by_inport(twice, "count", PORTS),
+            defaults=program.state_defaults, name="monitor-twice",
+        )
+        trace = workloads.background_traffic(SUBNETS, count=120, seed=13)
+        outcomes = []
+        for name in ("sequential", engine):
+            controller = SnapController(
+                campus_topology(), program, options=CompilerOptions(engine=name)
+            )
+            try:
+                controller.submit()
+                before = replay(trace, controller.network())
+                controller.update_policy(edited)
+                after = replay(trace, controller.network())
+                outcomes.append((
+                    before.per_egress, before.total_hops,
+                    after.per_egress, after.total_hops,
+                    controller.network().global_store(),
+                ))
+            finally:
+                controller.close()
+        assert outcomes[0] == outcomes[1]
+        sent = sum(1 for _, port in trace if port == 1)
+        assert outcomes[1][-1].read("count@1", (1,)) == 3 * sent > 0
+
+
 class TestEngineSelection:
     def test_get_engine_resolution(self):
         assert isinstance(get_engine(None), SequentialEngine)

@@ -238,16 +238,44 @@ def test_caches_plateau_over_alternating_events(monkeypatch):
     (node summaries and finished mappings) and the intern table — stops
     growing once each edit has been seen, and events 200–300 peak within
     1.2x of events 100–200.  Structurally novel generations are bounded
-    by the session reset instead, apply-cache included."""
+    by the session reset instead, apply-cache included.
+
+    The data plane holds a thousand state entries throughout: every
+    event hands the same table objects on, writing no entry and copying
+    no table."""
+    from repro.lang.state import StateVariable
     from repro.xfdd import incremental
 
-    from tests.snapbench_programs import workload
+    from tests.snapbench_programs import traffic, workload
 
     wl = workload("campus-ops")
     controller = SnapController(wl.topology, wl.program())
     controller.submit()
-    controller.network()
+    replay(traffic.mixed(default_subnets(6), 3000, 7).trace, controller.network())
     session = controller._session
+    touched = []
+
+    def recording(plain):
+        def method(variable, *args):
+            touched.append(variable)
+            return plain(variable, *args)
+        return method
+
+    for name in ("set", "copy"):
+        monkeypatch.setattr(
+            StateVariable, name, recording(getattr(StateVariable, name))
+        )
+
+    def tables() -> dict:
+        live = controller.network()
+        return {
+            name: live.switches[owner].store.variable(name)
+            for name, owner in live.placement.items()
+        }
+
+    held = {name: table for name, table in tables().items() if len(table)}
+    entries = sum(map(len, held.values()))
+    assert entries > 1_000
 
     def sizes() -> dict:
         return {
@@ -285,6 +313,10 @@ def test_caches_plateau_over_alternating_events(monkeypatch):
         late = run_events(200, 300)
         assert sizes() == warm
         assert late <= 1.2 * middle, (middle, late)
+        now = tables()
+        assert all(now[name] is table for name, table in held.items())
+        assert sum(map(len, now.values())) == entries
+        assert touched == []
         assert warm["apply_cache"] < 20_000 and warm["factory"] < 20_000
 
         # The apply-cache answers to the session's reset rule like the

@@ -187,7 +187,7 @@ def test_generated_executor_matches_the_reference_loop(policy, arrivals, store):
     except (RaceConditionError, CompileError):
         assume(False)
     for program in split_programs(xfdd, {var: 0 for var in STATE_VARS}):
-        for name in program.store._defaults:
+        for name in program.store.defaults():
             for key, value in store.variable(name).items():
                 program.store.write(name, key, value)
         assert_agrees(program, arrivals)
