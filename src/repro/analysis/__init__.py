@@ -9,7 +9,6 @@ from repro.analysis.effects import (
     VariableEffect,
     WriteSite,
     analyze_effects,
-    commutative_delta_vars,
     xfdd_effects,
 )
 from repro.analysis.packet_state import PacketStateMapping, packet_state_mapping
@@ -26,6 +25,5 @@ __all__ = [
     "VariableEffect",
     "WriteSite",
     "analyze_effects",
-    "commutative_delta_vars",
     "xfdd_effects",
 ]

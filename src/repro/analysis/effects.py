@@ -27,9 +27,8 @@ There is deliberately no ``UNKNOWN``: the lattice top is always sound.
 Two commutativity tiers fall out of the lattice:
 
 * ``mergeable`` — {INCREMENT, IDEMPOTENT_INSERT, MONOTONE}: per-variable
-  replica merge is deterministic (sum / set-union / max).  This is the
-  oracle the planned state-compute replication needs (ROADMAP,
-  arXiv:2309.14647).
+  replica merge is deterministic (sum / set-union / max) — the oracle
+  a state-compute-replicated data plane (arXiv:2309.14647) would need.
 * ``order_independent`` — {INCREMENT, IDEMPOTENT_INSERT}: the final
   store is the same under *any* per-packet interleaving, not merely
   mergeable.  MONOTONE is excluded: two equality-guarded watermark
@@ -584,20 +583,3 @@ def xfdd_effects(root) -> dict:
         else:
             kinds[var] = EffectKind.CONST_WRITE
     return kinds
-
-
-def commutative_delta_vars(root) -> frozenset:
-    """Variables whose data-plane updates commute with *anything* else
-    the diagram can do to the store: written only through ``++``/``--``
-    deltas (never assigned) and never state-tested anywhere.
-
-    Integer increments on such a variable can be applied in any order
-    relative to any other packet's execution without changing a single
-    observable — the soundness basis for the vector tier's
-    commutative-overlap fast path (``dataplane/vector.py``).
-    """
-    kinds = xfdd_effects(root)
-    delta_only = {
-        var for var, kind in kinds.items() if kind is EffectKind.INCREMENT
-    }
-    return frozenset(delta_only - set(root.tested_state_vars()))

@@ -30,11 +30,6 @@ SNAP-W301  warning state variable written but never tested
 SNAP-W302  warning state variable tested but never written
 SNAP-I401  info    ``Parallel`` arms with mutually unsatisfiable
                    assumptions (at most one arm ever applies)
-SNAP-I402  info    collapse-causing variable replicated at runtime —
-                   per-lane replicas with deterministic merge lift the
-                   SNAP-W104 collapse, so no remedy remains (emitted by
-                   the replica planner, :mod:`repro.dataplane
-                   .replication`, not this CLI)
 ========== ======= ====================================================
 
 Exit status: 1 if any error-level finding was emitted (suppressed by

@@ -37,7 +37,7 @@ from repro.apps.other import snort_flowbits, tcp_state_machine
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
 
 #: Table 3, in paper order, plus the deliberately-unshardable
-#: ``global-heavy-hitter`` (the state-compute-replication worst case).
+#: ``global-heavy-hitter`` (the unshardable owner-lane worst case).
 #: 21 applications.
 ALL_APPS = {
     # Chimera [5]
@@ -65,7 +65,7 @@ ALL_APPS = {
     "snort-flowbits": snort_flowbits,
     "flow-size-detect": flow_size_detect,
     # Not in Table 3: the one-global-counter worst case every ingress
-    # updates — flatlines §7.3 sharding, scales under replication.
+    # updates — §7.3 sharding serializes it on one owner lane.
     "global-heavy-hitter": global_heavy_hitter,
 }
 

@@ -58,12 +58,10 @@ def global_heavy_hitter(subnet: str = "10.0.6.0/24") -> Program:
 
     The §7.3 shard planner collapses all of ``global-hh``'s ingress
     ports into a single owner lane (SNAP-W104), so this is the
-    worst-case shape for lane parallelism — and the canonical target
-    for state-compute replication (:mod:`repro.dataplane.replication`):
-    the counter is increment-only and never state-tested, so per-lane
-    replicas merge byte-identically.  The ``dstip`` guard keeps the
-    single-variable placement feasible on the campus topology (an
-    unguarded network-wide write has no valid egress assignment).
+    worst-case shape for lane parallelism: every packet it counts runs
+    on that one lane, whichever port it entered.  The ``dstip`` guard
+    keeps the single-variable placement feasible on the campus topology
+    (an unguarded network-wide write has no valid egress assignment).
     """
     source = """
     if dstip = {subnet} then global-hh[srcip]++ else id

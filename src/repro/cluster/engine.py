@@ -34,7 +34,6 @@ import pickle
 from repro.cluster import protocol as wire
 from repro.cluster.coordinator import ClusterCoordinator, Job
 from repro.cluster.protocol import ClusterError
-from repro.dataplane import replication
 from repro.dataplane.engine import (
     ShardedEngine,
     _merge_lane_outcomes,
@@ -78,20 +77,9 @@ class ClusterEngine:
 
     name = "cluster"
 
-    def __init__(self, workers: int = 2, addresses=(), lane=None,
-                 replicate_state: bool | None = None):
-        if lane not in (None, "scalar", "vector", "vector-jit"):
-            raise ClusterError(f"unknown lane kind {lane!r}")
+    def __init__(self, workers: int = 2, addresses=()):
         self.workers = workers
         self.addresses = tuple(addresses)
-        #: Lane opt-in: "vector" / "vector-jit" asks every worker daemon
-        #: to run its shard on the columnar tier (a worker without numpy
-        #: silently runs the scalar lane — semantics are identical).
-        self.lane = lane
-        #: State-compute replication: ``None`` defers to the network's
-        #: ``replicate_state``; a boolean overrides it for this engine.
-        #: Replica specs and update logs ride the v2 wire protocol.
-        self.replicate_state = replicate_state
         self._coordinator: ClusterCoordinator | None = None
         self._program_cache: tuple | None = None  # (program_key, bytes)
         self._network_cache: tuple | None = None  # (network_key, bytes)
@@ -107,8 +95,7 @@ class ClusterEngine:
             return self._run(network, arrivals, run_span)
 
     def _run(self, network: Network, arrivals: list, run_span) -> list:
-        rplan = self.replica_plan(network)
-        plan = rplan.plan
+        plan = plan_for(network)
         batches = _split_batches(plan, arrivals)
         if len(batches) <= 1:
             # Zero or one lane: the wire buys no parallelism — run
@@ -117,7 +104,7 @@ class ClusterEngine:
                 workers=0, lanes=len(batches), program_bytes=0,
                 network_bytes=0, payload_bytes=0, requeues=0,
             )
-            return self._inline_engine().run(network, arrivals)
+            return ShardedEngine(max_workers=1).run(network, arrivals)
         refresh_exec_keys(network)
         program_key = network._exec_program_key
         network_key = network._exec_network_key
@@ -169,8 +156,6 @@ class ClusterEngine:
             handle.networks.add(network_key)
             coordinator.add_stat("network_bytes", len(network_bytes))
 
-        replicate = bool(rplan.replicated)
-        epoch = replication.next_epoch(network) if replicate else 0
         run_span.set_attr("lanes", len(batches))
         sampler = postcards.active_sampler()
         telemetry = None
@@ -183,45 +168,21 @@ class ClusterEngine:
             }
         jobs = []
         for shard_index, batch in batches:
-            shard = plan.shards[shard_index]
             variables = batch_footprint(plan, batch)
-            lane_vars = replication.lane_replicas(rplan, batch) \
-                if replicate else {}
             payload = {
                 "network_key": network_key,
-                "ports": tuple(shard.ports),
                 "variables": tuple(sorted(variables)),
-                # Replica seeds ride in the same state slice; the worker
-                # diffs its post-run replica against them and sends back
-                # the update log instead of the raw tables.
-                "state": network.extract_shard_state(
-                    set(variables) | set(lane_vars)
-                ),
-                "replica": (
-                    replication.wire_spec(lane_vars, epoch)
-                    if lane_vars else None
-                ),
+                "state": network.extract_shard_state(variables),
                 "batch": batch,
-                "lane": self.lane,
                 "telemetry": telemetry,
             }
             jobs.append(Job(shard_index, wire.RUN_SHARD, payload))
         results, errors = coordinator.run_jobs(jobs, ensure=ensure)
 
         outcomes = []
-        log_entries = 0
         for shard_index in sorted(results):
             payload = results[shard_index]
             network.merge_shard_state(payload["state"])
-            log = payload.get("replica_log")
-            if log is not None:
-                # A requeued duplicate of an *earlier run's* lane would
-                # carry a stale epoch and be refused here; within one
-                # run the coordinator keeps a single result per shard.
-                replication.apply_replica_log(
-                    network, rplan.replicated, log, epoch
-                )
-                log_entries += replication.log_entries(log)
             if telemetry is not None:
                 TRACER.adopt(payload.get("spans"))
                 postcards.adopt(payload.get("postcards"))
@@ -240,8 +201,6 @@ class ClusterEngine:
             network_bytes=delta["network_bytes"],
             payload_bytes=delta["payload_bytes"],
             requeues=delta["requeues"],
-            replicated_vars=sorted(rplan.replicated),
-            replica_log_entries=log_entries,
         )
         self.last_run_stats = stats
         stats.publish(self.name, packets=len(arrivals))
@@ -256,35 +215,9 @@ class ClusterEngine:
             _raise_lane_failure(plan, min(errors), errors[min(errors)])
         return merged
 
-    def _inline_engine(self) -> ShardedEngine:
-        """The ≤1-lane inline fallback, honoring the lane opt-in."""
-        if self.lane in ("vector", "vector-jit"):
-            try:
-                from repro.dataplane.vector import (
-                    VectorEngine,
-                    VectorJitEngine,
-                )
-
-                cls = VectorJitEngine if self.lane == "vector-jit" else (
-                    VectorEngine
-                )
-                return cls(
-                    max_workers=1, replicate_state=self.replicate_state
-                )
-            except Exception:  # numpy missing: scalar, same semantics
-                pass
-        return ShardedEngine(
-            max_workers=1, replicate_state=self.replicate_state
-        )
-
     def plan_for(self, network: Network):
         """The network's shard plan (cached, mutation-invalidated)."""
         return plan_for(network)
-
-    def replica_plan(self, network: Network):
-        """The network's replica plan (cached; see
-        :func:`repro.dataplane.replication.replica_plan_for`)."""
-        return replication.replica_plan_for(network, self.replicate_state)
 
     # -- spec and lifecycle ------------------------------------------------
 

@@ -41,16 +41,11 @@ Message vocabulary (``payload`` keys in parentheses):
                    ``blob``) → ``OK``, or :data:`ERROR` with
                    ``missing="program"`` if the referenced program spec is
                    not cached worker-side
-:data:`RUN_SHARD`  execute one shard batch (``network_key``, ``ports``,
-                   ``variables``, ``state``, ``batch``, and — since v2 —
-                   an optional ``replica`` spec naming the state-compute
-                   replicated variables, their merge kinds, and the
-                   parent's merge epoch; replica seeds ride in ``state``)
-                   → :data:`RESULT` (``records``, ``links``, ``state``,
-                   and ``replica_log``: the per-variable update log
-                   diffed against the shipped seed, ``None`` when no
-                   replica spec was sent) or :data:`ERROR`
-                   (``missing="network"`` if the spec was evicted)
+:data:`RUN_SHARD`  execute one shard batch (``network_key``, ``variables``,
+                   ``state``, ``batch``, ``telemetry``) → :data:`RESULT`
+                   (``records``, ``links``, ``state``, ``spans``,
+                   ``postcards``) or :data:`ERROR` (``missing="network"``
+                   if the spec was evicted)
 :data:`CHAOS`      fault injection for tests (``mode``) → ``OK``
 :data:`SHUTDOWN`   graceful daemon exit → :data:`BYE`
 =================  ==========================================================
@@ -65,14 +60,16 @@ from repro.lang.errors import DataPlaneError
 from repro.obs.metrics import counter
 
 #: Protocol version — bump on any frame or message change.
-#: v2: RUN_SHARD carries an optional state-compute ``replica`` spec and
-#: RESULT returns the matching ``replica_log`` (see the table above).
+#: v2: RUN_SHARD carried an optional per-lane state replica spec and
+#: RESULT the matching update log (both gone in v4).
 #: v3: RUN_SHARD carries an optional ``telemetry`` dict (``trace``: the
 #: coordinator's span context to parent worker spans under, and
 #: ``postcard_every``: the packet-sampling stride) and RESULT returns
 #: the matching ``spans`` and ``postcards`` lists recorded while the
 #: shard ran (absent/None when no telemetry was sent).
-PROTOCOL_VERSION = 3
+#: v4: RUN_SHARD drops ``replica``, ``lane`` and ``ports`` (every worker
+#: runs the scalar walker on its shard) and RESULT drops the update log.
+PROTOCOL_VERSION = 4
 
 #: Frame/byte counters by direction ("sent"/"received") — every frame
 #: either side moves is counted here, including heartbeats.

@@ -205,20 +205,10 @@ class WorkerDaemon:
                 return
             self._active += 1
             try:
-                from repro.dataplane import replication
-                from repro.dataplane.engine import Shard, make_lane
+                from repro.dataplane.network import Walker
 
-                seed = payload["state"]
-                network.install_shard_state(seed)
-                lane = make_lane(
-                    payload.get("lane"),
-                    network,
-                    Shard(
-                        tuple(payload["ports"]),
-                        frozenset(payload["variables"]),
-                    ),
-                    payload["batch"],
-                )
+                network.install_shard_state(payload["state"])
+                lane = Walker(network, payload["batch"])
                 telemetry = payload.get("telemetry")
                 if telemetry is None:
                     records, links = lane.run()
@@ -241,23 +231,9 @@ class WorkerDaemon:
                             parent=telemetry.get("trace"),
                             batch=len(payload["batch"]),
                             worker=os.getpid(),
-                            lane=payload.get("lane") or "scalar",
                         ):
                             records, links = lane.run()
                 state = network.extract_shard_state(payload["variables"])
-                replica_log = None
-                replica_spec = payload.get("replica")
-                if replica_spec is not None:
-                    # Diff the post-run replica against the shipped seed
-                    # (install copies tables, so the seed is pristine)
-                    # and return the compact update log instead of the
-                    # raw replica tables.
-                    lane_vars = replication.replicas_from_spec(replica_spec)
-                    replica_log = replication.replica_log(
-                        lane_vars, seed,
-                        replication.extract_state(network, lane_vars),
-                        replica_spec["epoch"],
-                    )
             except Exception as exc:
                 wire.send_message(conn, wire.ERROR, {
                     "message": f"{type(exc).__name__}: {exc}",
@@ -266,7 +242,6 @@ class WorkerDaemon:
             else:
                 wire.send_message(conn, wire.RESULT, {
                     "records": records, "links": links, "state": state,
-                    "replica_log": replica_log,
                     "spans": job_spans, "postcards": job_cards,
                 })
             finally:

@@ -373,7 +373,6 @@ class SnapController:
         if self._network is None:
             self._network = self._current.build_network()
             self._network.default_engine = self._session_engine()
-            self._network.replicate_state = self._options.replicate_state
         return self._network
 
     def close(self) -> None:
@@ -722,8 +721,7 @@ class SnapController:
                     validate_solution(routing, topology, mapping, dependencies)
                 rules = build_rule_tables(routing)
         # Every snapshot carries the static effect report (update-kind
-        # classification + race findings) — the merge-safety oracle for
-        # replication/sharding consumers.  The session memoizes it by
+        # classification + race findings).  The session memoizes it by
         # fingerprint across generations and reuses P1's slices.
         if self._session is not None:
             effects = self._session.effect_report(program.policy)
@@ -791,7 +789,6 @@ class SnapController:
             )
         fresh = snapshot.build_network()
         fresh.default_engine = live.default_engine
-        fresh.replicate_state = live.replicate_state
         return fresh
 
     def _swap_network(self, live: Network, successor: Network, snapshot) -> None:

@@ -24,7 +24,9 @@ class CompilerOptions:
 
     ``engine`` selects how the session's live data plane executes
     workloads: ``"sequential"`` (run-to-completion in arrival order),
-    ``"sharded"`` (per-ingress state shards on parallel thread lanes),
+    ``"sharded"`` (per-ingress state shards on parallel thread lanes,
+    one lane per shard; ports that share a variable serialize on that
+    shard's owner lane),
     ``"process"`` (the same shards on a pool of worker processes — one
     session-owned pool that survives TE hot swaps, see
     :mod:`repro.dataplane.engine`), ``"cluster"`` (the same shards on
@@ -47,14 +49,6 @@ class CompilerOptions:
     #: | ``"cluster"`` | ``"vector"`` | ``"vector-jit"`` | ...) or an
     #: engine instance.
     engine: object = "sequential"
-    #: Whether parallel engines may lift collapse-causing mergeable
-    #: state variables onto per-lane replicas with deterministic merge
-    #: (:mod:`repro.dataplane.replication`).  On by default: replication
-    #: only ever applies where the effect analyzer proves the merged
-    #: stores byte-identical to sequential execution; set ``False`` to
-    #: force every unshardable variable back onto its serialized owner
-    #: lane.
-    replicate_state: bool = True
     #: Whether the session keeps its compilation caches across
     #: generations: the hash-consing factory and apply-cache, the
     #: fingerprint-keyed sub-xFDD memo (subtree splicing), the

@@ -79,7 +79,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.analysis.packet_state import _constrained_inports, path_summaries
-from repro.dataplane import replication
 from repro.dataplane.netasm import revive_programs
 from repro.dataplane.network import (
     _EXEC_KEYS,
@@ -172,8 +171,7 @@ def group_ports_by_footprint(footprint: dict, ports) -> list:
     Ports with empty footprints (pure stateless traffic) become singleton
     groups — they can run on any lane.  Returns
     ``[(ports_tuple, variables_frozenset)]`` ordered by lowest member
-    port.  Shared by the shard planner and the replica planner
-    (:mod:`repro.dataplane.replication`).
+    port.
     """
     ports = list(ports)
     parent = {port: port for port in ports}
@@ -213,8 +211,8 @@ def collapse_reasons(footprint: dict, shards, root) -> dict:
     A variable reachable from two or more ingress ports forces those
     ports onto one serialized owner lane.  Each reason names the ports,
     the variable's effect kind (from the compiled diagram), and — when
-    the kind is replica-mergeable — that state-compute replication could
-    lift the collapse (ROADMAP, arXiv:2309.14647).
+    the kind is replica-mergeable — that per-lane replicas merged
+    deterministically (arXiv:2309.14647) could lift the collapse.
     """
     from repro.analysis.effects import xfdd_effects
 
@@ -415,8 +413,7 @@ def _raise_lane_failure(plan: ShardPlan, shard_index: int, exc: Exception):
     ) from exc
 
 
-def _lane_span_runner(runner, parent, shard_index: int, batch_size: int,
-                      replicated: bool):
+def _lane_span_runner(runner, parent, shard_index: int, batch_size: int):
     """Wrap a lane runner in an ``engine.lane`` span.
 
     Lane runners execute on pool threads where the tracer's thread-local
@@ -426,7 +423,7 @@ def _lane_span_runner(runner, parent, shard_index: int, batch_size: int,
     def run():
         with TRACER.span(
             "engine.lane", parent=parent, shard=shard_index,
-            batch=batch_size, replicated=replicated,
+            batch=batch_size,
         ):
             return runner()
     return run
@@ -457,75 +454,48 @@ class ShardedEngine:
     ``max_workers=None`` sizes the thread pool to the machine
     (``os.cpu_count()``); lanes never exceed the plan's parallelism.
     With one worker (or one shard) the lanes run inline on the calling
-    thread — same code path, no pool.
-
-    ``replicate_state`` controls state-compute replication
-    (:mod:`repro.dataplane.replication`): ``None`` defers to the
-    network's ``replicate_state`` attribute (set by the controller from
-    ``CompilerOptions``), a boolean overrides it for this engine.  When
-    on, collapse-causing mergeable variables run on per-lane replicas
-    and the parent merges their update logs deterministically after
-    every lane has stopped; lanes whose batch cannot touch a replicated
-    variable run in place on the parent store exactly as before.
+    thread — same code path, no pool.  Every lane runs on the parent
+    network's own state stores: shards are disjoint, so no lane can see
+    another's writes.
     """
 
     name = "sharded"
 
-    def __init__(self, max_workers: int | None = None,
-                 replicate_state: bool | None = None):
+    def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-        self.replicate_state = replicate_state
-        #: What the previous :meth:`run` planned: lane count, the
+        #: What the previous :meth:`run` planned: lane count and the
         #: per-variable owner-lane collapse reasons (the bench-level
-        #: explanation for parallelism flatlines), and — when replication
-        #: ran — the replicated variables and their log sizes.
+        #: explanation for parallelism flatlines).
         self.last_run_stats: dict = {}
 
     def run(self, network: Network, arrivals) -> list:
         arrivals = list(arrivals)
-        rplan = self.replica_plan(network)
-        plan = rplan.plan
+        plan = plan_for(network)
         batches = _split_batches(plan, arrivals)
         stats = RunStats(
             lanes=len(batches),
             parallelism=plan.parallelism,
             collapse_reasons=dict(plan.collapse_reasons),
-            replicated_vars=sorted(rplan.replicated),
-            replica_reasons=dict(rplan.replica_reasons),
         )
         self.last_run_stats = stats
-        replicate = bool(rplan.replicated)
-        epoch = replication.next_epoch(network) if replicate else 0
         with TRACER.span(
             "engine.run", engine=self.name, lanes=len(batches),
             parallelism=plan.parallelism, packets=len(arrivals),
         ) as run_span:
             lanes = []
             for shard_index, batch in batches:
-                lane_vars = replication.lane_replicas(rplan, batch) \
-                    if replicate else {}
-                if lane_vars:
-                    runner = replication.replica_runner(
-                        network, rplan, shard_index, batch, lane_vars, epoch,
-                        self._make_lane,
-                    )
-                else:
-                    lane = self._make_lane(
-                        network, plan.shards[shard_index], batch
-                    )
-                    runner = lane.run
+                shard = plan.shards[shard_index]
+                runner = self._lane(network, shard, batch).run
                 if TRACER.enabled:
                     # Lanes run on pool threads, which cannot inherit the
                     # thread-local parent: pass the run span explicitly.
                     runner = _lane_span_runner(
-                        runner, run_span, shard_index, len(batch),
-                        bool(lane_vars),
+                        runner, run_span, shard_index, len(batch)
                     )
                 lanes.append((shard_index, runner))
             workers = self.max_workers or os.cpu_count() or 1
             workers = min(workers, len(lanes))
             outcomes: list = []
-            merges: list = []
             failure = None
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -535,45 +505,19 @@ class ShardedEngine:
                     ]
                     for shard_index, future in futures:
                         try:
-                            result = future.result()
+                            outcomes.append(future.result())
                         except Exception as exc:
                             if failure is None:
                                 failure = (shard_index, exc)
-                            continue
-                        outcomes.append(result[:2])
-                        if len(result) > 2:
-                            merges.append(result[2:])
             else:
                 # Inline: lanes run serially in shard order; a failure stops
                 # the later lanes from ever starting.
                 for shard_index, runner in lanes:
                     try:
-                        result = runner()
+                        outcomes.append(runner())
                     except Exception as exc:
                         failure = (shard_index, exc)
                         break
-                    outcomes.append(result[:2])
-                    if len(result) > 2:
-                        merges.append(result[2:])
-            # Replica merges are deferred until every lane has stopped:
-            # lanes seed from the parent snapshot, so merging mid-run would
-            # double-count.  Completed lanes merge even when another lane
-            # failed — the lane failure contract — and the per-kind merges
-            # commute, so the merge order cannot matter.
-            if merges:
-                log_entries = log_bytes = 0
-                for state, log in merges:
-                    replication.merge_state(network, state)
-                    replication.apply_replica_log(
-                        network, rplan.replicated, log, epoch
-                    )
-                    log_entries += replication.log_entries(log)
-                    log_bytes += len(
-                        pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                stats.replica_log_entries = log_entries
-                stats.replica_log_bytes = log_bytes
-                run_span.set_attr("replica_log_bytes", log_bytes)
             results = _merge_lane_outcomes(
                 network, outcomes, len(arrivals), complete=failure is None
             )
@@ -587,12 +531,7 @@ class ShardedEngine:
         """The network's shard plan (cached, mutation-invalidated)."""
         return plan_for(network)
 
-    def replica_plan(self, network: Network):
-        """The network's replica plan (cached; see
-        :func:`repro.dataplane.replication.replica_plan_for`)."""
-        return replication.replica_plan_for(network, self.replicate_state)
-
-    def _make_lane(self, network: Network, shard, batch):
+    def _lane(self, network: Network, shard, batch):
         """The execution lane for one shard's batch.
 
         Subclasses (the vector engines) override this to swap the
@@ -638,21 +577,17 @@ class ProcessPoolEngine:
 
     name = "process"
 
-    def __init__(self, max_workers: int | None = None,
-                 replicate_state: bool | None = None):
+    def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-        self.replicate_state = replicate_state
         self._pool = None
         self._spec_cache: tuple | None = None  # (network_key, bytes)
         #: What the previous run shipped: ``{"lanes", "state_bytes",
-        #: "spec_bytes"}`` (zeros for inline fallbacks), plus the
-        #: replicated variables and their log sizes when replication ran.
+        #: "spec_bytes"}`` (zeros for inline fallbacks).
         self.last_run_stats: dict = {}
 
     def run(self, network: Network, arrivals) -> list:
         arrivals = list(arrivals)
-        rplan = self.replica_plan(network)
-        plan = rplan.plan
+        plan = plan_for(network)
         batches = _split_batches(plan, arrivals)
         workers = self.max_workers or os.cpu_count() or 1
         if workers <= 1 or len(batches) <= 1:
@@ -663,20 +598,13 @@ class ProcessPoolEngine:
             self.last_run_stats = RunStats(
                 lanes=len(batches), state_bytes=0, spec_bytes=0,
                 collapse_reasons=dict(plan.collapse_reasons),
-                replicated_vars=sorted(rplan.replicated),
-                replica_reasons=dict(rplan.replica_reasons),
             )
-            inline = ShardedEngine(
-                max_workers=1, replicate_state=self.replicate_state
-            )
-            return inline.run(network, arrivals)
+            return ShardedEngine(max_workers=1).run(network, arrivals)
         refresh_exec_keys(network)
         program_key = network._exec_program_key
         network_key = network._exec_network_key
         spec_bytes = self._spec_bytes(network, network_key)
         pool = self._ensure_pool(workers)
-        replicate = bool(rplan.replicated)
-        epoch = replication.next_epoch(network) if replicate else 0
         with TRACER.span(
             "engine.run", engine=self.name, lanes=len(batches),
             packets=len(arrivals),
@@ -693,20 +621,11 @@ class ProcessPoolEngine:
             try:
                 for shard_index, batch in batches:
                     variables = batch_footprint(plan, batch)
-                    lane_vars = replication.lane_replicas(rplan, batch) \
-                        if replicate else {}
-                    replica_spec = (
-                        replication.wire_spec(lane_vars, epoch)
-                        if lane_vars else None
-                    )
                     # Pre-pickled once: the worker unpickles this blob, so
                     # the byte accounting below is free instead of a second
-                    # serialization of the same tables.  Replica seeds ride
-                    # in the same slice; the worker diffs against them.
+                    # serialization of the same tables.
                     state_blob = pickle.dumps(
-                        network.extract_shard_state(
-                            set(variables) | set(lane_vars)
-                        ),
+                        network.extract_shard_state(variables),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                     state_bytes += len(state_blob)
@@ -715,7 +634,6 @@ class ProcessPoolEngine:
                         network_key,
                         spec_bytes,
                         tuple(sorted(variables)),
-                        replica_spec,
                         state_blob,
                         batch,
                         telemetry,
@@ -736,38 +654,24 @@ class ProcessPoolEngine:
                 # A worker cannot be targeted, so every task carries the spec.
                 spec_bytes=len(spec_bytes) * len(batches),
                 collapse_reasons=dict(plan.collapse_reasons),
-                replicated_vars=sorted(rplan.replicated),
-                replica_reasons=dict(rplan.replica_reasons),
             )
             self.last_run_stats = stats
             outcomes: list = []
             failure = None
-            log_entries = log_bytes = 0
             for shard_index, future in futures:
                 try:
-                    records, links, state, log, lane_obs = future.result()
+                    records, links, state, lane_obs = future.result()
                 except Exception as exc:
                     if failure is None:
                         failure = (shard_index, exc)
                     continue
                 # Safe to merge while later lanes still run: every lane's
-                # seed was extracted and pickled before the first merge.
+                # state slice was pickled before the first merge.
                 network.merge_shard_state(state)
-                if log is not None:
-                    replication.apply_replica_log(
-                        network, rplan.replicated, log, epoch
-                    )
-                    log_entries += replication.log_entries(log)
-                    log_bytes += len(
-                        pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
                 if lane_obs is not None:
                     TRACER.adopt(lane_obs.get("spans"))
                     postcards.adopt(lane_obs.get("postcards"))
                 outcomes.append((records, links))
-            if replicate:
-                stats.replica_log_entries = log_entries
-                stats.replica_log_bytes = log_bytes
             if failure is not None and isinstance(failure[1], BrokenProcessPool):
                 # A worker crashed mid-batch: the executor is permanently
                 # broken — release it so the next run recreates the pool.
@@ -784,11 +688,6 @@ class ProcessPoolEngine:
     def plan_for(self, network: Network) -> ShardPlan:
         """The network's shard plan (cached, mutation-invalidated)."""
         return plan_for(network)
-
-    def replica_plan(self, network: Network):
-        """The network's replica plan (cached; see
-        :func:`repro.dataplane.replication.replica_plan_for`)."""
-        return replication.replica_plan_for(network, self.replicate_state)
 
     # -- pool and spec lifecycle ------------------------------------------
 
@@ -898,21 +797,6 @@ register_engine("vector", "repro.dataplane.vector:VectorEngine")
 register_engine("vector-jit", "repro.dataplane.vector:VectorJitEngine")
 
 
-def make_lane(kind, network: "Network", shard: "Shard", batch):
-    """A lane of the requested kind (``None``/"scalar", "vector",
-    "vector-jit") — the cluster worker's entry point for lane opt-in.
-    Degrades to the scalar lane when numpy is unavailable."""
-    if kind in (None, "", "scalar"):
-        return Walker(network, batch)
-    if kind in ("vector", "vector-jit"):
-        try:
-            from repro.dataplane.vector import make_vector_lane
-        except ImportError:  # pragma: no cover - only without numpy
-            return Walker(network, batch)
-        return make_vector_lane(kind, network, shard, batch)
-    raise DataPlaneError(f"unknown lane kind {kind!r}")
-
-
 # -- process-pool worker side -------------------------------------------------
 #
 # A worker never sees the parent's Network: it receives a *spec* — a
@@ -962,18 +846,16 @@ def _worker_network(program_key, network_key, spec_bytes: bytes) -> Network:
 def _process_lane(payload: tuple):
     """One shard's batch, executed in a worker process.
 
-    Returns ``(records_by_index, link_counts, shard_state, replica_log,
-    lane_obs)`` — the same lane output the thread engine produces, plus
-    the shard's post-run state for the parent to merge, (when the lane
-    carried a replica spec) the update log diffed against the shipped
-    seed, and (when the run shipped telemetry) the spans and postcards
-    recorded while the lane ran, for the parent to adopt.
+    Returns ``(records_by_index, link_counts, shard_state, lane_obs)`` —
+    the same lane output the thread engine produces, plus the shard's
+    post-run state for the parent to merge and (when the run shipped
+    telemetry) the spans and postcards recorded while the lane ran, for
+    the parent to adopt.
     """
     (program_key, network_key, spec_bytes,
-     variables, replica_spec, state_blob, batch, telemetry) = payload
+     variables, state_blob, batch, telemetry) = payload
     network = _worker_network(program_key, network_key, spec_bytes)
-    seed = pickle.loads(state_blob)
-    network.install_shard_state(seed)
+    network.install_shard_state(pickle.loads(state_blob))
     lane = Walker(network, batch)
     if telemetry is None:
         records, links = lane.run()
@@ -989,13 +871,4 @@ def _process_lane(payload: tuple):
             ):
                 records, links = lane.run()
         lane_obs = {"spans": spans, "postcards": cards}
-    state = network.extract_shard_state(variables)
-    log = None
-    if replica_spec is not None:
-        lane_vars = replication.replicas_from_spec(replica_spec)
-        log = replication.replica_log(
-            lane_vars, seed,
-            replication.extract_state(network, lane_vars),
-            replica_spec["epoch"],
-        )
-    return records, links, state, log, lane_obs
+    return records, links, network.extract_shard_state(variables), lane_obs

@@ -122,11 +122,6 @@ class Network:
         #: explicitly (a name or an engine instance; the controller sets
         #: it from ``CompilerOptions.engine``).
         self.default_engine: object = "sequential"
-        #: Whether parallel engines may run state-compute replication
-        #: (:mod:`repro.dataplane.replication`) on this network; the
-        #: controller sets it from ``CompilerOptions.replicate_state``,
-        #: and an engine's own ``replicate_state=`` overrides it.
-        self.replicate_state: bool = True
         # Worker-cache keys for the process engine (see _EXEC_KEYS).
         self._exec_program_key = next(_EXEC_KEYS)
         self._exec_network_key = next(_EXEC_KEYS)
@@ -191,7 +186,6 @@ class Network:
         dup.switches = self.switches
         dup.link_packets = {}
         dup.default_engine = self.default_engine
-        dup.replicate_state = self.replicate_state
         # Same compiled programs -> same program key (process-pool workers
         # keep their rehydrated programs); new routing -> new network key.
         dup._exec_program_key = self._exec_program_key
@@ -243,24 +237,27 @@ class Network:
                 program._functions = [None, None]  # rebound on the next packet
         previous.retired_by = "the network that adopted it"
 
-    # -- per-shard state transfer (process-engine contract) ----------------
+    # -- per-shard state transfer (process and cluster lanes) ---------------
 
-    # The one implementation of the slice transfer lives in
-    # :mod:`repro.dataplane.replication` (imported lazily — replication
-    # imports this module at load time); these methods survive as the
-    # engine-facing contract every caller already uses.
+    def _placed_variables(self, names):
+        """``(name, StateVariable)`` for each name with a placed owner;
+        unplaced variables cannot hold data-plane state."""
+        for name in names:
+            owner = self.placement.get(name)
+            if owner is not None:
+                yield name, self.switches[owner].store.variable(name)
 
     def extract_shard_state(self, variables) -> dict:
         """Snapshot the named state variables from their owner switches.
 
         Returns ``{var: (default, {key: value})}`` — pure data, picklable,
         suitable for shipping a shard's private state to a worker process.
-        Variables without a placed owner are skipped (they cannot hold
-        data-plane state).
+        Variables without a placed owner are skipped.
         """
-        from repro.dataplane.replication import extract_state
-
-        return extract_state(self, variables)
+        return {
+            name: (variable.default, variable.snapshot())
+            for name, variable in self._placed_variables(sorted(variables))
+        }
 
     def install_shard_state(self, state: dict) -> None:
         """Replace the named variables' contents with ``state``.
@@ -269,9 +266,9 @@ class Network:
         hold a previous batch's values, so installation *replaces* each
         variable's table rather than merging into it.
         """
-        from repro.dataplane.replication import install_state
-
-        install_state(self, state)
+        for name, variable in self._placed_variables(state):
+            variable.default, table = state[name]
+            variable._table = dict(table)
 
     def merge_shard_state(self, state: dict) -> None:
         """Apply a worker's post-run shard state back into this network.
@@ -280,12 +277,11 @@ class Network:
         written into the variable's owner switch.  Shards are provably
         disjoint, and state tables never delete keys, so entry-wise update
         reproduces exactly the state a sequential run would have left.
-        Replicated variables travel through
-        :func:`repro.dataplane.replication.apply_replica_log` instead.
         """
-        from repro.dataplane.replication import merge_state
-
-        merge_state(self, state)
+        for name, variable in self._placed_variables(state):
+            variable.default, table = state[name]
+            for key, value in table.items():
+                variable.set(key, value)
 
     # -- the two routing decisions (shared by every packet driver) ----------------
 
@@ -799,7 +795,6 @@ def worker_network(
     network.switches = programs
     network.link_packets = {}
     network.default_engine = "sequential"
-    network.replicate_state = False  # worker lanes never re-plan
     network._exec_program_key = program_key
     network._exec_network_key = network_key
     network._init_routing_indices()

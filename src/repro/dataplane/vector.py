@@ -29,12 +29,7 @@ vectorize: rows whose resolved entry can reach one fall back to the
 scalar :class:`repro.dataplane.network.Walker`, and if the fallback rows'
 state footprint overlaps the vectorized rows' the whole batch runs
 scalar (deferred deltas may not be reordered around scalar state
-reads).  One exception, opt-in via ``VectorEngine(commute_fastpath=
-True)``: when the static effect analysis (:mod:`repro.analysis.effects`)
-proves every overlapping variable is written only by ``++``/``--`` and
-never state-tested anywhere in the diagram (and holds integers), the
-deltas commute with anything the scalar rows do, so the vector groups
-stay vectorized.  Either way the engine is byte-identical to
+reads).  The engine is byte-identical to
 :class:`~repro.dataplane.engine.SequentialEngine` — same records, same
 link counters, same state stores — which the cross-engine property
 tests assert.
@@ -55,8 +50,8 @@ are provably disjoint, so no value is ever wrong — only the failure
 cut-point differs from a strictly sequential run).
 
 NumPy is an optional dependency: importing this module without it leaves
-:data:`np` as ``None``, :func:`make_vector_lane` degrades to the scalar
-lane, and constructing an engine raises a clear error.
+:data:`np` as ``None``, a :class:`VectorLane` runs its batch on the
+scalar lane, and constructing an engine raises a clear error.
 """
 
 from __future__ import annotations
@@ -426,31 +421,6 @@ def _touched_vars(network, program: SwitchProgram, entry: int) -> frozenset:
     return result
 
 
-def _commutable_vars(network) -> frozenset:
-    """Variables whose deltas commute with *everything* else in the
-    program: the same delta-eligibility predicate state-compute
-    replication uses (:func:`repro.dataplane.replication
-    .replicable_delta_vars` — increment-only, never state-tested,
-    integer default), so the vector fast path and the replica planner
-    always agree on which variables tolerate reordering.  Cached per
-    compiled diagram (root identity), like the shard-plan cache."""
-    index = network.index
-    root = index.root if index is not None else None
-    cached = getattr(network, "_vector_commute_memo", None)
-    if cached is not None and cached[0] is root:
-        return cached[1]
-    if root is None:
-        result = frozenset()
-    else:
-        from repro.dataplane.replication import replicable_delta_vars
-
-        result = replicable_delta_vars(
-            root, getattr(network, "state_defaults", {})
-        )
-    network._vector_commute_memo = (root, result)
-    return result
-
-
 # -- one vector group's batch state -------------------------------------------
 
 
@@ -712,17 +682,13 @@ class VectorLane:
     the records, ordering, and counters the sequential engine produces.
     """
 
-    __slots__ = ("network", "shard", "batch", "jit", "commute", "_scalar",
-                 "_counter")
+    __slots__ = ("network", "shard", "batch", "jit", "_scalar", "_counter")
 
-    def __init__(self, network, shard: Shard, batch, jit: bool = False,
-                 commute: bool = False):
+    def __init__(self, network, shard: Shard, batch, jit: bool = False):
         self.network = network
         self.shard = shard
         self.batch = batch
         self.jit = jit
-        #: opt-in commutative-overlap fast path (see :meth:`run`)
-        self.commute = commute
         self._scalar = Walker(network)
         self._counter = 0
 
@@ -782,16 +748,9 @@ class VectorLane:
                     for key in fallback_keys
                 )
             )
-            overlap = vector_vars & fallback_vars
-            if overlap and not (
-                self.commute and overlap <= _commutable_vars(net)
-            ):
+            if vector_vars & fallback_vars:
                 # Deferred deltas cannot be reordered around scalar rows
-                # that share state: the whole batch runs scalar.  The
-                # opt-in fast path keeps the vector groups when the
-                # effect analysis proves every overlapping variable is
-                # increment-only and never read — then the deltas
-                # commute with anything the scalar rows can do.
+                # that share state: the whole batch runs scalar.
                 _demote("state-overlap", len(self.batch))
                 self._scalar.batch = self.batch
                 return self._scalar.run()
@@ -1009,7 +968,7 @@ def _apply_delta_events(events: list) -> None:
         variable.increment(key, delta)
 
 
-# -- engines and lane factory -------------------------------------------------
+# -- engines -------------------------------------------------
 
 
 class VectorEngine(ShardedEngine):
@@ -1026,43 +985,16 @@ class VectorEngine(ShardedEngine):
     name = "vector"
     jit = False
 
-    def __init__(self, max_workers: int | None = None,
-                 commute_fastpath: bool = False,
-                 replicate_state: bool | None = None):
+    def __init__(self, max_workers: int | None = None):
         if np is None:
             raise DataPlaneError(
                 "the vector engines require numpy, which is not installed; "
                 "use engine='sharded' (or install numpy)"
             )
-        super().__init__(max_workers, replicate_state=replicate_state)
-        # Opt-in: keep vector groups when every variable shared with the
-        # scalar fallback is proven increment-only and never tested (see
-        # VectorLane.run).  Default stays the conservative whole-batch
-        # demotion.
-        self.commute_fastpath = commute_fastpath
+        super().__init__(max_workers)
 
-    def replica_plan(self, network):
-        """State-compute replication, promoted from ``commute_fastpath``.
-
-        The vector tier's default is the conservative one its tests pin:
-        no reordering of state updates unless the user opted in — so a
-        default-configured vector engine only replicates when
-        ``replicate_state=True`` is passed explicitly or the
-        ``commute_fastpath`` opt-in (which already asserts tolerance to
-        delta reordering) is on.  Both draw from the same eligibility
-        predicate, so opting into one opts into the other coherently.
-        """
-        from repro.dataplane.replication import replica_plan_for
-
-        if self.replicate_state is None and not self.commute_fastpath:
-            return replica_plan_for(network, False)
-        return super().replica_plan(network)
-
-    def _make_lane(self, network, shard: Shard, batch):
-        return VectorLane(
-            network, shard, batch, jit=self.jit,
-            commute=self.commute_fastpath,
-        )
+    def _lane(self, network, shard: Shard, batch):
+        return VectorLane(network, shard, batch, jit=self.jit)
 
     def __repr__(self):
         return f"{type(self).__name__}(max_workers={self.max_workers})"
@@ -1076,10 +1008,3 @@ class VectorJitEngine(VectorEngine):
     name = "vector-jit"
     jit = True
 
-
-def make_vector_lane(kind: str, network, shard: Shard, batch):
-    """A lane for the cluster worker's opt-in (scalar when numpy is
-    missing on the worker host — semantics are identical either way)."""
-    if np is None:
-        return Walker(network, batch)
-    return VectorLane(network, shard, batch, jit=(kind == "vector-jit"))

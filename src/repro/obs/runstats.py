@@ -10,9 +10,7 @@ engine does not produce stay ``None`` and are **omitted** from
 ``stats["lanes"]`` see no difference).
 
 The mapping protocol below makes a ``RunStats`` read like the dict it
-replaced; writes go through attributes (``stats.replica_log_bytes =
-...``), which is how the engines fill in late-arriving fields (replica
-logs are only counted after every lane merged).
+replaced; writes go through attributes.
 
 :meth:`publish` pushes the run's numbers into the process-wide metrics
 registry (per-engine labels), which is what makes the benches' one-shot
@@ -32,9 +30,6 @@ _PACKETS_TOTAL = counter(
     "snap_engine_packets_total", "Packets executed by data-plane engines"
 )
 _LANES = gauge("snap_engine_lanes", "Lanes used by the most recent run")
-_REPLICA_LOG_BYTES = counter(
-    "snap_replica_log_bytes_total", "Replica update-log bytes merged"
-)
 _WIRE_PAYLOAD_BYTES = counter(
     "snap_engine_payload_bytes_total",
     "Per-run payload bytes shipped to remote lanes",
@@ -51,10 +46,6 @@ class RunStats:
     # Thread lanes (sharded and the vector engines riding on it)
     parallelism: int | None = None
     collapse_reasons: dict | None = None
-    replicated_vars: list | None = None
-    replica_reasons: dict | None = None
-    replica_log_entries: int | None = None
-    replica_log_bytes: int | None = None
     # Process pool
     state_bytes: int | None = None
     spec_bytes: int | None = None
@@ -114,10 +105,6 @@ class RunStats:
             _PACKETS_TOTAL.labels(engine=engine).inc(packets)
         if self.lanes is not None:
             _LANES.labels(engine=engine).set(self.lanes)
-        if self.replica_log_bytes:
-            _REPLICA_LOG_BYTES.labels(engine=engine).inc(
-                self.replica_log_bytes
-            )
         if self.payload_bytes:
             _WIRE_PAYLOAD_BYTES.labels(engine=engine).inc(self.payload_bytes)
 

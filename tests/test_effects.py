@@ -26,7 +26,6 @@ from repro.analysis.dependency import DependencySlicer, analyze_dependencies
 from repro.analysis.effects import (
     EffectKind,
     analyze_effects,
-    commutative_delta_vars,
     xfdd_effects,
 )
 from repro.apps import ALL_APPS, assign_egress, default_subnets, port_assumption
@@ -287,7 +286,7 @@ class TestLatticeJoins:
         assert effect.read
 
 
-# -- xFDD-level effects and the commutative set -------------------------------
+# -- xFDD-level effects --------------------------------------------------------
 
 
 def _build(policy):
@@ -302,7 +301,6 @@ class TestXfddEffects:
         )
         kinds = xfdd_effects(root)
         assert kinds["c"] is K.INCREMENT
-        assert commutative_delta_vars(root) == frozenset({"c"})
 
     def test_single_literal_assign_is_idempotent_insert(self):
         root = _build(
@@ -312,7 +310,6 @@ class TestXfddEffects:
             )
         )
         assert xfdd_effects(root)["m"] is K.IDEMPOTENT_INSERT
-        assert commutative_delta_vars(root) == frozenset()
 
     def test_tested_delta_var_is_not_commutative(self):
         root = _build(
@@ -326,7 +323,6 @@ class TestXfddEffects:
             )
         )
         assert xfdd_effects(root)["c"] is K.INCREMENT
-        assert commutative_delta_vars(root) == frozenset()
 
 
 # -- shard-collapse reasons ---------------------------------------------------

@@ -15,6 +15,7 @@ from repro.apps import (
     assign_egress,
     default_subnets,
     dns_tunnel_detect,
+    global_heavy_hitter,
     port_assumption,
     stateful_firewall,
     syn_flood_detect,
@@ -28,6 +29,7 @@ from repro.dataplane.engine import (
     ShardedEngine,
     get_engine,
     ingress_state_footprint,
+    plan_for,
     plan_shards,
 )
 from repro.lang import ast, make_packet
@@ -213,6 +215,16 @@ class TestShardPlanning:
         stats = replay(trace, rewired, engine=engine)
         assert stats.sent == 40
 
+    def test_rewire_reuses_cached_plan(self):
+        """A TE rewire keeps the program token and the xFDD, so the
+        rewired network's first run reuses the plan instead of walking
+        the footprints again."""
+        snapshot, _ = sharded_monitor()
+        network = snapshot.build_network()
+        plan = plan_for(network)
+        rewired = network.rewire(network.topology, network.routing)
+        assert plan_for(rewired) is plan
+
     def test_adopted_network_plan_tracks_new_program(self):
         _, monitor_program = sharded_monitor()
         controller = SnapController(
@@ -313,6 +325,65 @@ class TestLaneFailureContract:
             )
         finally:
             engine.close()
+
+
+class TestOwnerLane:
+    """A variable every ingress port updates collapses their shards
+    into one owner lane, which runs on the parent store."""
+
+    def test_global_counter_serializes_on_owner_lane(self):
+        snapshot, _ = compiled(app=global_heavy_hitter())
+        arrivals = one_packet_per_port() * 2
+        net_seq = snapshot.build_network()
+        seq = SequentialEngine().run(net_seq, arrivals)
+        network = snapshot.build_network()
+        engine = ShardedEngine(max_workers=2)
+        results = engine.run(network, arrivals)
+        stats = engine.last_run_stats
+        assert stats["lanes"] == 1
+        reason = stats["collapse_reasons"]["global-hh"]
+        assert reason.startswith("SNAP-W104")
+        assert "replica-mergeable" in reason  # INCREMENT commutes
+        assert [record_view(r) for r in results] == [
+            record_view(r) for r in seq
+        ]
+        assert network.global_store() == net_seq.global_store()
+        owner = network.placement["global-hh"]
+        assert network.switches[owner].store.variable(
+            "global-hh"
+        ).snapshot() == {(SUBNETS[p].host(1),): 2 for p in PORTS}
+
+
+class TestShardStateSlices:
+    """``extract_shard_state`` / ``install_shard_state`` /
+    ``merge_shard_state``: the state a process or cluster lane ships."""
+
+    def test_extract_install_merge(self):
+        snapshot, _ = sharded_monitor()
+        network = snapshot.build_network()
+        network.inject_many(one_packet_per_port())
+        before = network.global_store()
+
+        state = network.extract_shard_state(["count@2", "count@1", "nowhere"])
+        assert state == {"count@1": (0, {(1,): 1}), "count@2": (0, {(2,): 1})}
+
+        # Round trip: a worker installs the slice, the parent merges it
+        # back, and the store is what it was.
+        names = sorted(network.placement)
+        worker = snapshot.build_network()
+        worker.install_shard_state({"count@1": (0, {(9,): 5})})
+        worker.install_shard_state(network.extract_shard_state(names))
+        assert worker.global_store() == before  # installs replace tables
+        network.merge_shard_state(worker.extract_shard_state(names))
+        assert network.global_store() == before
+
+        # Merges are entry-wise; unplaced variables are skipped.
+        network.merge_shard_state({
+            "count@1": (0, {(9,): 5}), "nowhere": (0, {(1,): 1}),
+        })
+        assert network.extract_shard_state(["count@1"]) == {
+            "count@1": (0, {(1,): 1, (9,): 5})
+        }
 
 
 class TestStreamContract:

@@ -412,12 +412,6 @@ def test_cross_engine_equivalence(case):
     nets = {
         "sequential": snapshot.build_network(),
         "sharded": snapshot.build_network(),
-        # Replication explicitly on / off: the default rows above
-        # follow the network's flag, these two pin both settings so a
-        # regression in either path (per-lane replicas + log merge, or
-        # the classic owner-lane collapse) cannot hide behind defaults.
-        "sharded-replicate": snapshot.build_network(),
-        "sharded-owner-lane": snapshot.build_network(),
         "process": snapshot.build_network(),
         "cluster": snapshot.build_network(),
         "vector": snapshot.build_network(),
@@ -434,12 +428,6 @@ def test_cross_engine_equivalence(case):
     results = {
         "sequential": baseline_run,
         "sharded": ShardedEngine(max_workers=2).run(nets["sharded"], arrivals),
-        "sharded-replicate": ShardedEngine(
-            max_workers=2, replicate_state=True
-        ).run(nets["sharded-replicate"], arrivals),
-        "sharded-owner-lane": ShardedEngine(
-            max_workers=2, replicate_state=False
-        ).run(nets["sharded-owner-lane"], arrivals),
         "process": ENGINE.run(nets["process"], arrivals),
         "cluster": CLUSTER.run(nets["cluster"], arrivals),
         "vector": get_engine("vector").run(nets["vector"], arrivals),
@@ -449,8 +437,7 @@ def test_cross_engine_equivalence(case):
     }
     baseline = results["sequential"]
     base_store = nets["sequential"].global_store()
-    for name in ("sharded", "sharded-replicate", "sharded-owner-lane",
-                 "process", "cluster", "vector", "vector-jit"):
+    for name in ("sharded", "process", "cluster", "vector", "vector-jit"):
         assert len(results[name]) == len(baseline), name
         for a, b in zip(baseline, results[name]):
             assert record_view(a) == record_view(b), name

@@ -13,8 +13,8 @@ Four load-bearing properties:
 * generated kernels are cached by the execution-program token: a TE
   rewire re-``exec``s **zero** kernel sources, a policy rebuild mints
   fresh ones;
-* without numpy the engines refuse cleanly and the lane factory
-  degrades to the scalar lane.
+* without numpy the engines refuse cleanly and a vector lane degrades
+  to the scalar lane.
 """
 
 import pytest
@@ -29,7 +29,6 @@ from repro.dataplane.engine import (
     SequentialEngine,
     Shard,
     get_engine,
-    make_lane,
     plan_for,
 )
 from repro.dataplane.network import Walker
@@ -285,20 +284,12 @@ class TestScalarFallback:
                 )
             assert net.global_store() == net_scalar.global_store()
 
-
-class TestCommutativeFastPath:
-    """The opt-in commutative fast path (``commute_fastpath=True``)
-    keeps vector groups columnar when the only state they share with
-    fallback rows is increment-only and never tested — exactly the
-    footprint the effect analyzer proves order-independent."""
-
-    @staticmethod
-    def _commuting_program():
-        """Port 1 increments ``count`` (vectorizable); ports 2/3 also
-        increment ``count`` but additionally assign ``log`` from a
-        packet field (STWRITE -> scalar fallback).  ``count`` is
-        delta-only and never tested, so deferring its vector deltas
-        past the scalar rows cannot change any observable."""
+    def test_shared_counter_demotes_whole_batch(self):
+        """Port 1 increments ``count`` (vectorizable); port 2 also
+        increments it but assigns ``log`` from a packet field (STWRITE,
+        scalar fallback).  ``count`` is increment-only and never tested,
+        yet a lane whose fallback rows share state with its vector rows
+        always runs the whole batch scalar — byte-identically."""
         subnets = default_subnets(3)
         policy = ast.Seq(
             ast.If(
@@ -313,86 +304,23 @@ class TestCommutativeFastPath:
         )
         program = Program(
             policy, assumption=port_assumption(subnets),
-            state_defaults={"count": 0, "log": 0}, name="commute-tiny",
+            state_defaults={"count": 0, "log": 0}, name="shared-tiny",
         )
-        return SnapController(tiny_topology(), program).submit()
-
-    def _trace(self):
-        return [
+        snapshot = SnapController(tiny_topology(), program).submit()
+        trace = [
             (packet, 1 + (i % 2))
             for i, (packet, _) in enumerate(tiny_trace(count=80))
         ]
-
-    def test_default_engine_still_demotes(self):
-        """Pins the conservative over-demotion: without the flag the
-        shared ``count`` forces the whole batch scalar even though its
-        updates commute."""
-        snapshot = self._commuting_program()
-        trace = self._trace()
+        net_seq = snapshot.build_network()
+        seq = SequentialEngine().run(net_seq, list(trace))
         for engine in ENGINES:
             before = kernel_cache_stats()
-            engine.run(snapshot.build_network(), list(trace))
-            assert stats_delta(before, "kernel_calls") == 0
-
-    @pytest.mark.parametrize("jit", [False, True], ids=["vector", "vector-jit"])
-    def test_fastpath_vectorizes_and_matches_sequential(self, jit):
-        snapshot = self._commuting_program()
-        trace = self._trace()
-        net_seq = snapshot.build_network()
-        seq = SequentialEngine().run(net_seq, list(trace))
-        engine = (
-            VectorJitEngine(max_workers=2, commute_fastpath=True)
-            if jit
-            else VectorEngine(max_workers=2, commute_fastpath=True)
-        )
-        before = kernel_cache_stats()
-        net = snapshot.build_network()
-        out = engine.run(net, list(trace))
-        assert stats_delta(before, "kernel_calls") > 0  # stayed columnar
-        assert len(out) == len(seq)
-        for a, b in zip(seq, out):
-            assert record_view(a) == record_view(b)
-        assert net.global_store() == net_seq.global_store()
-        assert net.link_packets == net_seq.link_packets
-
-    def test_tested_overlap_still_demotes_under_flag(self):
-        """A shared var that a fallback row *tests* is excluded from the
-        commutable set — the flag must not unlock it."""
-        subnets = default_subnets(3)
-        policy = ast.Seq(
-            ast.If(
-                ast.Test("inport", 1),
-                ast.StateIncr("v", ast.Value(0)),
-                ast.Id(),
-            ),
-            ast.Seq(
-                ast.If(
-                    ast.And(
-                        ast.Test("inport", 2),
-                        ast.StateTest("v", (ast.Value(0),), ast.Value(3)),
-                    ),
-                    ast.Drop(),
-                    ast.Id(),
-                ),
-                assign_egress(subnets),
-            ),
-        )
-        program = Program(
-            policy, assumption=port_assumption(subnets),
-            state_defaults={"v": 0}, name="tested-tiny",
-        )
-        snapshot = SnapController(tiny_topology(), program).submit()
-        trace = self._trace()
-        net_seq = snapshot.build_network()
-        seq = SequentialEngine().run(net_seq, list(trace))
-        engine = VectorEngine(max_workers=2, commute_fastpath=True)
-        before = kernel_cache_stats()
-        net = snapshot.build_network()
-        out = engine.run(net, list(trace))
-        assert stats_delta(before, "kernel_calls") == 0  # demoted anyway
-        for a, b in zip(seq, out):
-            assert record_view(a) == record_view(b)
-        assert net.global_store() == net_seq.global_store()
+            net = snapshot.build_network()
+            out = engine.run(net, list(trace))
+            assert stats_delta(before, "kernel_calls") == 0  # demoted
+            for a, b in zip(seq, out):
+                assert record_view(a) == record_view(b)
+            assert net.global_store() == net_seq.global_store()
 
 
 # -- kernel cache across the session lifecycle --------------------------------
@@ -460,21 +388,19 @@ class TestOptionalNumpy:
             VectorEngine()
 
     def test_lane_factory_degrades_to_scalar(self, monkeypatch):
+        """Without numpy a vector lane runs its batch on the scalar
+        walker: same records, same link counts."""
+        snapshot, _ = sharded_monitor()
+        trace = workloads.background_traffic(SUBNETS, count=40, seed=6)
+        batch = [(i, packet, port) for i, (packet, port) in enumerate(trace)]
+        scalar = Walker(snapshot.build_network(), list(batch)).run()
         monkeypatch.setattr(vector, "np", None)
-        snapshot, _ = sharded_monitor()
         network = snapshot.build_network()
         shard = plan_for(network).shards[0]
-        lane = vector.make_vector_lane("vector", network, shard, [])
-        assert isinstance(lane, Walker)
-
-    def test_make_lane_kinds(self):
-        snapshot, _ = sharded_monitor()
-        network = snapshot.build_network()
-        shard = plan_for(network).shards[0]
-        assert isinstance(make_lane(None, network, shard, []), Walker)
-        assert isinstance(
-            make_lane("vector", network, shard, []), VectorLane
-        )
-        assert make_lane("vector-jit", network, shard, []).jit is True
-        with pytest.raises(DataPlaneError, match="lane"):
-            make_lane("bogus", network, shard, [])
+        before = kernel_cache_stats()
+        results, links = VectorLane(network, shard, list(batch)).run()
+        assert stats_delta(before, "kernel_calls") == 0
+        assert links == scalar[1]
+        assert sorted(results) == sorted(scalar[0])
+        for index in results:
+            assert record_view(results[index]) == record_view(scalar[0][index])
