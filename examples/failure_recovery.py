@@ -2,10 +2,13 @@
 """Failure recovery as controller events (§6.2 "Topology/TM Changes").
 
 A long-lived ``SnapController`` session handles a stream of network
-events.  After the cold start, a core link fails: instead of re-solving
-the joint placement problem, the session patches its *standing* TE model
-(failed link pinned to zero, §6.2.2) and re-solves only the routing LP —
-the P5-TE + P6 path of Table 4.  Each event yields an immutable,
+events.  After the cold start, a link no installed path uses fails: the
+routing in force is still optimal, so the controller keeps it and solves
+nothing.  Then a core link fails: instead of re-solving the joint
+placement problem, the session patches its *standing* TE model (failed
+link pinned to zero, §6.2.2) and re-solves only the routing LP — the
+P5-TE + P6 path of Table 4.  Its repair hands back the cold-start
+routing, again without a solve.  Each event yields an immutable,
 generation-numbered snapshot; the rerouted paths still respect every
 state constraint.
 
@@ -45,6 +48,14 @@ def main():
     print(f"path 1->6: {' -> '.join(cold.routing.path(1, 6))}")
     print(f"ST solve:  {st_time * 1000:.1f} ms")
 
+    print("\n== Event: link C3-C5 fails (no installed path uses it) ==")
+    idle = controller.fail_link("C3", "C5")
+    # A routing optimal with fewer links down, which avoids this one, is
+    # still optimal: the controller keeps it instead of re-solving.
+    assert idle.model_stats["solve_reused"] and idle.routing is cold.routing
+    print(f"routing kept, no solve (generation {idle.generation}, "
+          f"TE solves so far: {controller.backend.calls['te_solves']})")
+
     print("\n== Event: link C1-C5 fails (standing model patched, §6.2.2) ==")
     recovered = controller.fail_link("C1", "C5")
     te_time = recovered.timer.durations["P5"]
@@ -60,11 +71,15 @@ def main():
                       recovered.mapping, recovered.dependencies)
     print("state-ordering constraints still hold on every installed path.")
 
-    print("\n== Event: link repaired (same standing model, link restored) ==")
+    print("\n== Event: link C1-C5 repaired ==")
     repaired = controller.restore_link("C1", "C5")
+    how = (
+        "cold-start routing reused, no solve"
+        if repaired.model_stats["solve_reused"] else "re-solved"
+    )
     print(f"path 1->6 back to: {' -> '.join(repaired.routing.path(1, 6))} "
           f"in {repaired.timer.durations['P5'] * 1000:.1f} ms "
-          f"(generation {repaired.generation})")
+          f"({how}; generation {repaired.generation})")
 
     print("\n== Event: traffic shift (hotspot toward port 6) ==")
     demands = dict(controller.demands)
@@ -77,9 +92,12 @@ def main():
 
     te_builds = controller.backend.calls["te_model_builds"]
     te_solves = controller.backend.calls["te_solves"]
+    reuses = sum(
+        bool(s.model_stats.get("solve_reused")) for s in controller.history()[1:]
+    )
     print(f"\nstanding TE model: built {te_builds} time(s), "
-          f"re-solved {te_solves} times across "
-          f"{controller.generation} events")
+          f"re-solved {te_solves} times, a certified routing reused "
+          f"{reuses} times across {controller.generation} events")
     print("snapshots:", ", ".join(
         f"gen {s.generation}={s.event}" for s in controller.history()
     ))

@@ -16,8 +16,8 @@ event method       Table 4 scenario       phases run
 ``submit``         cold start             P1 P2 P3 P4 P5(ST) P6
 ``update_policy``  policy change          P1 P2 P3 P4 P5(ST) P6 [#]_
 ``update_topology``  topology/TM change   P5(TE, fresh model) P6
-``fail_link``      topology/TM change     P5(TE, patched model) P6
-``restore_link``   topology/TM change     P5(TE, patched model) P6
+``fail_link``      topology/TM change     P5(TE, patched model or reuse) P6
+``restore_link``   topology/TM change     P5(TE, patched model or reuse) P6
 ``set_demands``    topology/TM change     P5(TE, patched model) P6
 =================  =====================  ==========================
 
@@ -29,6 +29,14 @@ Link events patch the *standing* TE model — built once per placement and
 re-solved with failed links pinned to zero / demand coefficients
 rewritten — instead of rebuilding it (§6.2.2).  Policy events invalidate
 it, since a new placement makes the old routing LP meaningless.
+
+A link event solves only when it must.  A routing optimal for failure set
+F0 stays optimal for any F ⊇ F0 whose links it does not use, so every
+optimal (status 0) ST or TE solve leaves a certificate, and a link event
+reuses the newest one that covers the new failure set (P6 re-validates
+it on the degraded graph; ``model_stats["solve_reused"]``).  An ST
+certificate is optimal only to ``mip_rel_gap``.  Certificates die with
+the standing model, and with any demand change.
 
 :meth:`network` returns the session's live data plane.  When a later
 event produces a new snapshot, the live network is *hot-swapped*: a new
@@ -43,7 +51,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -93,6 +102,25 @@ def _norm_link(a, b=None):
     if b is None:
         a, b = a
     return tuple(sorted((a, b)))
+
+
+@dataclass
+class _Certificate:
+    """A routing proven optimal with the links ``failed`` down."""
+
+    failed: frozenset
+    solution: object
+    routing: object
+    rules: object
+    stats: dict
+
+    @cached_property
+    def used(self) -> frozenset:
+        """Links in the LP support or on an installed path, undirected."""
+        links = {hop for fractions in self.solution.routing.values() for hop in fractions}
+        for path in self.routing.paths.values():
+            links.update(zip(path, path[1:]))
+        return frozenset(map(_norm_link, links))
 
 
 class AnalysisResult(NamedTuple):
@@ -153,6 +181,7 @@ class SnapController:
         # Standing TE model (§6.2.2) and the failure set applied to it.
         self._te_model = None
         self._model_failed: set = set()
+        self._certificates: deque = deque(maxlen=SOLVE_MEMO_CAP)
         # Incremental delta compilation (ROADMAP): one persistent
         # CompileSession carries the hash-consing factory, apply-cache,
         # sub-xFDD/effects memos, dependency slicer, and path-summary
@@ -274,14 +303,14 @@ class SnapController:
             return self._reoptimize("topology_change")
 
     def fail_link(self, a, b) -> Snapshot:
-        """A link went down: patch the standing model, re-route."""
+        """A link went down: keep a routing that avoids it, or re-route."""
         self._require_current("fail_link")
         with self._event_transaction():
             self._failed = self._failed | {_norm_link(a, b)}
             return self._reoptimize("link_failure")
 
     def restore_link(self, a, b) -> Snapshot:
-        """A failed link came back: patch the standing model, re-route."""
+        """A failed link came back: reuse a certified routing, or re-route."""
         self._require_current("restore_link")
         with self._event_transaction():
             self._failed = self._failed - {_norm_link(a, b)}
@@ -433,6 +462,16 @@ class SnapController:
     def _invalidate_te(self) -> None:
         self._te_model = None
         self._model_failed = set()
+        self._certificates.clear()
+
+    def _certify(self, snapshot: Snapshot, solution, stats: dict) -> None:
+        """Keep ``snapshot``'s routing if its solve proved optimality."""
+        if solution.solver.get("status") == 0 and all(
+            c.solution is not solution for c in self._certificates
+        ):
+            self._certificates.append(_Certificate(
+                self._failed, solution, snapshot.routing, snapshot.rules, stats
+            ))
 
     def _analysis(
         self,
@@ -640,6 +679,7 @@ class SnapController:
             analysis.mapping, solution, routing, timer, event, stats,
             analysis.factory, artifacts=analysis.artifacts, rules=rules,
         )
+        self._certify(snapshot, solution, solve_stats)
         if use_incremental and cached is None:
             self._solve_memo[solve_key] = (
                 solution, snapshot.routing, dict(solve_stats), snapshot.rules
@@ -649,61 +689,73 @@ class SnapController:
         return snapshot
 
     def _reoptimize(self, event: str, demands_changed: bool = False) -> Snapshot:
-        """TE re-solve against the standing model (built on first need)."""
+        """TE event: a certified routing, or a standing-model re-solve."""
         with TRACER.span(f"controller.{event}", event=event) as span:
             snapshot = self._reoptimize_traced(event, demands_changed)
             span.set_attr("generation", snapshot.generation)
+            span.set_attr("solve_reused", snapshot.model_stats["solve_reused"])
             return snapshot
 
     def _reoptimize_traced(self, event: str, demands_changed: bool) -> Snapshot:
+        """TE solve, or the newest certificate that covers ``_failed``."""
         previous = self._current
         timer = PhaseTimer()
+        if demands_changed:
+            self._certificates.clear()
         with timer.phase("P5"):
-            model = self._te_model
-            if model is None:
-                # Fresh standing model: built on the *base* topology with
-                # current demands; failures are applied as patches below,
-                # keeping model state and self._failed in one scheme.
-                model = self._backend.build_te_model(
-                    self._topology,
-                    self._demands,
-                    previous.mapping,
-                    previous.dependencies,
-                    dict(previous.placement),
-                    self._options.stateful_switches,
+            reused = next((
+                c for c in reversed(self._certificates)
+                if c.failed <= self._failed and c.used.isdisjoint(self._failed)
+            ), None)
+            if reused is None:
+                solution, stats = self._solve_te(previous, demands_changed)
+                routing = rules = None
+            else:
+                solution, routing, rules, stats = (
+                    reused.solution, reused.routing, reused.rules, reused.stats
                 )
-                self._te_model = model
-                self._model_failed = set()
-            elif demands_changed:
-                model.set_demands(self._demands)
-            wanted = set(self._failed)
-            for a, b in sorted(self._model_failed - wanted):
-                model.restore_link(a, b)
-            for a, b in sorted(wanted - self._model_failed):
-                model.fail_link(a, b)
-            self._model_failed = wanted
-            solution = self._backend.solve_te(
-                model, time_limit=self._options.solver_time_limit
-            )
-        return self._finish(
-            self.effective_topology(),
-            previous.program,
-            previous.dependencies,
-            previous.xfdd,
-            previous.mapping,
-            solution,
-            None,
-            timer,
-            event,
-            model.stats(),
-            previous.diagram_factory,
-            artifacts=previous.artifacts,
+        snapshot = self._finish(
+            self.effective_topology(), previous.program, previous.dependencies,
+            previous.xfdd, previous.mapping, solution, routing, timer, event,
+            {**stats, "solve_reused": reused is not None},
+            previous.diagram_factory, artifacts=previous.artifacts,
+            rules=rules, revalidate=True,
         )
+        if reused is None:
+            self._certify(snapshot, solution, stats)
+        return snapshot
+
+    def _solve_te(self, previous: Snapshot, demands_changed: bool) -> tuple:
+        """Patch the standing model (built on first need) and solve it."""
+        model = self._te_model
+        if model is None:
+            # Fresh standing model: built on the *base* topology with
+            # current demands; failures are applied as patches below,
+            # keeping model state and self._failed in one scheme.
+            model = self._backend.build_te_model(
+                self._topology, self._demands, previous.mapping,
+                previous.dependencies, dict(previous.placement),
+                self._options.stateful_switches,
+            )
+            self._te_model = model
+            self._model_failed = set()
+        elif demands_changed:
+            model.set_demands(self._demands)
+        wanted = set(self._failed)
+        for a, b in sorted(self._model_failed - wanted):
+            model.restore_link(a, b)
+        for a, b in sorted(wanted - self._model_failed):
+            model.fail_link(a, b)
+        self._model_failed = wanted
+        solution = self._backend.solve_te(
+            model, time_limit=self._options.solver_time_limit
+        )
+        return solution, model.stats()
 
     def _finish(
         self, topology, program, dependencies, xfdd, mapping, solution,
         routing, timer, event, stats, diagram_factory, artifacts=None,
-        rules=None,
+        rules=None, revalidate=False,
     ) -> Snapshot:
         """P6 + snapshot construction + live-network hot swap.
 
@@ -711,14 +763,16 @@ class SnapController:
         threaded explicitly — the session's base topology is never
         temporarily mutated to smuggle it in.  ``rules`` come with a
         routing that was validated when they were built (a solve-memo
-        hit); without them P6 extracts, validates and builds.
+        hit) — on this topology unless ``revalidate`` (a certificate
+        reused on a degraded graph); without them P6 extracts, validates
+        and builds.
         """
         with timer.phase("P6"):
             if routing is None:
                 routing = extract_paths(solution, topology, mapping, dependencies)
+            if self._options.validate and (rules is None or revalidate):
+                validate_solution(routing, topology, mapping, dependencies)
             if rules is None:
-                if self._options.validate:
-                    validate_solution(routing, topology, mapping, dependencies)
                 rules = build_rule_tables(routing)
         # Every snapshot carries the static effect report (update-kind
         # classification + race findings).  The session memoizes it by

@@ -165,22 +165,6 @@ class RoutingPaths:
     def path(self, u, v):
         return self.paths.get((u, v))
 
-    def next_hop(self, u, v, current: str):
-        """The switch after ``current`` on the (u, v) path, or None at end."""
-        path = self.paths.get((u, v))
-        if path is None or current not in path:
-            return None
-        idx = path.index(current)
-        return path[idx + 1] if idx + 1 < len(path) else None
-
-    def link_loads(self, demands: dict) -> dict:
-        loads: dict = {}
-        for flow, path in self.paths.items():
-            demand = demands.get(flow, 0.0)
-            for a, b in zip(path, path[1:]):
-                loads[(a, b)] = loads.get((a, b), 0.0) + demand
-        return loads
-
     def __repr__(self):
         return f"RoutingPaths({len(self.paths)} flows)"
 

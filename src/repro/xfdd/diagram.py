@@ -430,19 +430,6 @@ def apply_leaf(leaf: Leaf, packet: Packet, store: Store) -> list:
     return outputs
 
 
-def apply_sequence(seq: tuple, packet: Packet, store: Store):
-    """Run one action sequence, mutating ``store``.
-
-    Returns the output packet, or None when the sequence drops it (state
-    writes made before the drop persist).
-    """
-    for action in seq:
-        packet = apply_action(action, packet, store)
-        if packet is None:
-            return None
-    return packet
-
-
 def evaluate(d: XFDD, packet: Packet, store: Store):
     """Evaluate the diagram on one packet.
 

@@ -1,8 +1,14 @@
 """Tests for the SnapController session API (snapshots, events, hot swap)."""
 
 import dataclasses
+import sys
+from functools import partial
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.chimera import dns_tunnel_detect
 from repro.apps.fast import stateful_firewall
@@ -12,14 +18,24 @@ from repro.core.options import CompilerOptions
 from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES
 from repro.core.program import Program
 from repro.lang import ast
+from repro.dataplane.engine import get_engine
 from repro.dataplane.network import Network
-from repro.lang.errors import RetiredNetworkError, SnapError
+from repro.lang.errors import PlacementError, RetiredNetworkError, SnapError
 from repro.lang.packet import make_packet
 from repro.lang.state import Store
 from repro.milp.backends import GreedyBackend, MilpBackend, get_backend
+from repro.milp.results import validate_solution
+from repro.milp.te import build_te_model
+from repro.obs.tracing import TRACER
 from repro.topology.campus import campus_topology
+from repro.topology.igen import igen_topology
 from repro.util.ipaddr import IPPrefix
-from repro.workloads import replay, replay_obs
+from repro.workloads import (
+    background_traffic, dns_tunnel_attack, replay, replay_obs,
+)
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from workloads import dns_tunnel_program  # noqa: E402
 
 
 def campus_program(app_program=None, num_ports=6, threshold=3):
@@ -117,11 +133,14 @@ class TestEventSequence:
         )
 
     def test_standing_te_model_reused(self, session):
-        """§6.2.2: the three TE events share ONE standing model build."""
-        controller, _ = session
+        """§6.2.2: the TE events share ONE standing model build, and the
+        restore hands back the pre-failure routing without a solve."""
+        controller, snapshots = session
         calls = controller.backend.calls
         assert calls["te_model_builds"] == 1
-        assert calls["te_solves"] == 3
+        assert calls["te_solves"] == 2
+        assert snapshots[3].model_stats["solve_reused"] is True
+        assert snapshots[3].routing is snapshots[1].routing
         # submit only: the update_policy edit (a threshold tweak) leaves
         # S_uv, the dependency constraints, and the demands unchanged, so
         # the incremental solve memo reuses the cold solution instead of
@@ -263,6 +282,200 @@ class TestEventSequence:
         _, snapshots = session
         assert len({*snapshots}) == len(snapshots)
         assert snapshots[0] != snapshots[1]
+
+
+def undirected_links(topology) -> list:
+    return sorted({tuple(sorted((a, b))) for a, b, _ in topology.links()})
+
+
+def redundant_links(topology, unused) -> list:
+    """Links whose loss keeps the graph connected, ``unused`` first."""
+    graph = nx.Graph(undirected_links(topology))
+    bridges = {tuple(sorted(edge)) for edge in nx.bridges(graph)}
+    rest = [link for link in undirected_links(topology) if link not in bridges]
+    return list(unused) + [link for link in rest if link not in unused]
+
+
+#: Links the cold ST routing of ``campus_program()`` puts no traffic on.
+CAMPUS_UNUSED = [("C3", "C5"), ("C4", "C6")]
+#: The same for ``dns_tunnel_program(12)`` on ``igen_topology(14, 12, seed=0)``.
+IGEN14_UNUSED = [("r12", "r6"), ("r12", "r7"), ("r12", "r8")]
+#: HiGHS's default ``mip_rel_gap``: how close to optimal an ST solve is
+#: proven, hence how close an ST certificate is.
+MIP_REL_GAP = 1e-4
+
+
+def certificate_cases():
+    return {
+        "campus": (campus_topology(), campus_program(), CAMPUS_UNUSED),
+        "igen14": (
+            igen_topology(14, num_ports=12, seed=0), dns_tunnel_program(12),
+            IGEN14_UNUSED,
+        ),
+    }
+
+
+def assert_obs_equivalent(network, trace, program, store):
+    """What ``replay`` delivers, packet by packet, equals ``replay_obs``'s
+    output, and the stores agree; returns the OBS store."""
+    # The call replay() makes, keeping the per-packet records.
+    results = get_engine(network.default_engine).run(network, trace)
+    store, outputs = replay_obs(trace, program.full_policy(), store)
+    for records, expected in zip(results, outputs):
+        delivered = frozenset(
+            r.packet.without("inport") for r in records if r.egress is not None
+        )
+        assert delivered == frozenset(p.without("inport") for p in expected)
+    assert network.global_store() == store
+    return store
+
+
+class TestRoutingCertificates:
+    """A routing optimal with failure set F0 stays optimal for any F ⊇ F0
+    whose links it does not use: such link events reuse it, no solve."""
+
+    def test_unused_link_failure_is_not_solved(self):
+        program = campus_program()
+        controller = SnapController(campus_topology(), program)
+        cold = controller.submit()
+        subnets = default_subnets(6)
+        client, resolver = IPPrefix("10.0.6.10").network, IPPrefix("10.0.1.1").network
+        trace = list(dns_tunnel_attack(client, 6, resolver, 1, 4, seed=3))
+        trace += list(background_traffic(subnets, 40, seed=1))
+        store = assert_obs_equivalent(
+            controller.network(), trace, program, Store(program.state_defaults)
+        )
+        failed = controller.fail_link("C3", "C5")
+        assert controller.backend.calls == {
+            "st_solves": 1, "te_model_builds": 0, "te_solves": 0,
+        }
+        assert failed.model_stats["solve_reused"] is True
+        assert failed.routing is cold.routing and failed.rules is cold.rules
+        assert failed.objective == cold.objective
+        assert ("C3", "C5") not in undirected_links(failed.topology)
+        assert_obs_equivalent(controller.network(), trace, program, store)
+        # The standing TE model is still lazily unbuilt.
+        assert controller._te_model is None
+
+    def test_restore_hands_back_the_pre_failure_routing(self):
+        controller = SnapController(campus_topology(), campus_program())
+        cold = controller.submit()
+        failed = controller.fail_link("C1", "C5")
+        assert failed.model_stats["solve_reused"] is False
+        restored = controller.restore_link("C1", "C5")
+        assert restored.model_stats["solve_reused"] is True
+        assert restored.routing is cold.routing
+        assert controller.backend.calls["te_solves"] == 1
+        # A second failure of the same link reuses the TE certificate.
+        again = controller.fail_link("C1", "C5")
+        assert again.routing is failed.routing
+        assert controller.backend.calls["te_solves"] == 1
+
+    def test_demand_changes_force_a_solve(self):
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        controller.fail_link("C3", "C5")
+        doubled = {k: v * 2 for k, v in controller.demands.items()}
+        assert controller.set_demands(doubled).model_stats["solve_reused"] is False
+        assert controller.backend.calls["te_solves"] == 1
+        # The TE certificate just recorded covers an unused-link failure ...
+        assert controller.fail_link("C4", "C6").model_stats["solve_reused"] is True
+        # ... until the traffic matrix moves again.
+        halved = {k: v / 2 for k, v in controller.demands.items()}
+        snap = controller.reroute(demands=halved)
+        assert snap.model_stats["solve_reused"] is False
+        assert controller.backend.calls["te_solves"] == 2
+
+    def test_greedy_st_routing_is_never_reused(self):
+        controller = SnapController(
+            campus_topology(), campus_program(), solver="greedy"
+        )
+        cold = controller.submit()
+        # The heuristic proves nothing: no failure set reuses its routing,
+        # not even the one it was computed for.
+        for event in (controller.fail_link, controller.restore_link):
+            snapshot = event("C3", "C5")
+            assert snapshot.model_stats["solve_reused"] is False
+            assert snapshot.routing is not cold.routing
+        assert controller.backend.calls["te_solves"] == 2
+
+    def test_span_says_which_events_solved(self, monkeypatch):
+        monkeypatch.setattr(TRACER, "enabled", True)
+        TRACER.reset()
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        controller.fail_link("C3", "C5")
+        controller.fail_link("C1", "C5")
+        assert [
+            span["attrs"]["solve_reused"]
+            for span in TRACER.spans("controller.link_failure")
+        ] == [True, False]
+
+    @settings(
+        max_examples=15, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    @pytest.mark.parametrize("case", ["campus", "igen14"])
+    def test_every_snapshot_is_feasible_valid_and_optimal(self, case, data):
+        """Random link / demand event sequences: every snapshot's paths
+        avoid the failed links, pass P6, and cost what a fresh TE solve
+        of the same failure set costs (to the MIP gap)."""
+        topology, program, unused = certificate_cases()[case]
+        links = redundant_links(topology, unused)
+        link = st.sampled_from(links)
+        no_scale = st.none()
+        events = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("fail_link"), link, no_scale),
+            # Mostly a link that is down: the k-th failed one, if any.
+            st.tuples(st.just("restore_link"), st.integers(0, 3), no_scale),
+            st.tuples(
+                st.just("reroute"), st.sets(link, max_size=2),
+                st.sampled_from([None, 0.5, 2.0]),
+            ),
+        ), min_size=1, max_size=6))
+        controller = SnapController(topology, program)
+        cold = controller.submit()
+        for name, arg, scale in events:
+            demands = dict(controller.demands)
+            if scale is not None:
+                demands = {flow: demand * scale for flow, demand in demands.items()}
+            if name == "reroute":
+                wanted = frozenset(arg)
+                event = partial(
+                    controller.reroute, failed_links=arg,
+                    demands=None if scale is None else demands,
+                )
+            else:
+                if name == "restore_link":
+                    down = sorted(controller.failed_links) or links
+                    arg = down[arg % len(down)]
+                toggle = frozenset.union if name == "fail_link" else frozenset.difference
+                wanted = toggle(controller.failed_links, {arg})
+                event = partial(getattr(controller, name), *arg)
+            fresh = build_te_model(
+                topology, demands, cold.mapping, cold.dependencies,
+                dict(cold.placement),
+            )
+            for a, b in wanted:
+                fresh.fail_link(a, b)
+            try:
+                snapshot = event()
+            except PlacementError:
+                with pytest.raises(PlacementError):
+                    fresh.solve()  # the failure set really is infeasible
+                continue
+            assert controller.failed_links == wanted
+            for path in snapshot.routing.paths.values():
+                hops = {tuple(sorted(hop)) for hop in zip(path, path[1:])}
+                assert hops.isdisjoint(wanted)
+            validate_solution(
+                snapshot.routing, snapshot.topology, snapshot.mapping,
+                snapshot.dependencies,
+            )
+            assert snapshot.objective == pytest.approx(
+                fresh.solve().objective, rel=MIP_REL_GAP
+            )
 
 
 class TestHotSwap:
@@ -633,6 +846,9 @@ class TestSolverStatus:
             "message": "Time limit reached. (HiGHS Status 13: Time limit reached)",
             "mip_gap": 0.9,
         }
+        # An incumbent certifies nothing: even a link it does not use
+        # is re-solved.
+        assert controller.fail_link("C3", "C5").model_stats["solve_reused"] is False
         assert controller.fail_link("C1", "C5").model_stats["solver"]["status"] == 1
 
     def test_heuristic_reports_no_solver(self):

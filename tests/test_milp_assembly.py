@@ -40,7 +40,8 @@ from reference_milp import (  # noqa: E402
 )
 from workloads import composed_program, dns_tunnel_program  # noqa: E402
 
-
+#: HiGHS's default ``mip_rel_gap``: how close to optimal an ST solve is proven.
+MIP_REL_GAP = 1e-4
 
 def tied_program() -> Program:
     """Two variables written in one atomic block: tied, so co-located."""
@@ -228,6 +229,13 @@ class TestStandingModelReuse:
                 fresh.fail_link(*link)
                 reference.fail_link(*link)
             expected = fresh.solve()
+            if snapshot.model_stats["solve_reused"]:
+                # A certificate (here the cold ST solve's) is optimal to
+                # the MIP gap; the standing model was not touched.
+                assert snapshot.objective == pytest.approx(
+                    expected.objective, rel=MIP_REL_GAP
+                )
+                continue
             assert snapshot.objective == expected.objective
             standing = assert_te_equivalent(controller._te_model, reference, failed)
             assert standing.routing == expected.routing
