@@ -133,10 +133,6 @@ def reset_kernel_stats() -> None:
         KERNEL_STATS[key] = 0
 
 
-def clear_kernel_cache() -> None:
-    _KERNELS.clear()
-
-
 def _kernel_for(network, program: SwitchProgram, entry: int) -> "_Kernel":
     key = (network._exec_program_key, program.switch, entry)
     kernel = _KERNELS.get(key)

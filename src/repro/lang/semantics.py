@@ -75,29 +75,36 @@ def index_key(expr: ast.Expr, packet: Packet) -> tuple:
 
 
 def _merge_stores(base: Store, variants: list[Store]) -> Store:
-    """Appendix A ``merge``: prefer a variant's value where it changed."""
+    """Appendix A ``merge``: each variable from the variant that wrote it.
+
+    Every variant is ``base`` itself or ``base`` copied and then written,
+    so the tables it wrote are exactly those that are not ``base``'s
+    objects (:meth:`Store.written_since`).  Parallel and Seq check the
+    variants' logs before merging, so at most one variant writes any
+    variable: identity is enough, and no table is compared or copied here.
+    """
+    writers = [
+        (v, tables)
+        for v in variants
+        if v is not base and (tables := v.written_since(base))
+    ]
+    if not writers:
+        return base
+    if len(writers) == 1:
+        return writers[0][0]
     merged = base.copy()
-    names = set(base.names())
-    for variant in variants:
-        names |= set(variant.names())
-    for name in names:
-        base_var = base.variable(name)
-        chosen = None
-        for variant in variants:
-            if variant.variable(name) != base_var:
-                chosen = variant.variable(name)
-                break
-        if chosen is None and variants:
-            chosen = variants[-1].variable(name)
-        if chosen is not None:
-            merged._vars[name] = chosen.copy()
+    for _, tables in writers:
+        for table in tables:
+            merged.adopt(table)
     return merged
 
 
 def eval_policy(policy: ast.Policy, store: Store, packet: Packet):
     """The eval function of Figure 13.  Returns (store, packets, log).
 
-    The input store is never mutated; a (possibly shared) copy is returned.
+    The input store is never mutated; the store returned is the input
+    itself when nothing was written, else a copy sharing its unwritten
+    tables.
     """
     # --- predicates ------------------------------------------------------
     if isinstance(policy, ast.Id):
@@ -175,7 +182,7 @@ def eval_policy(policy: ast.Policy, store: Store, packet: Packet):
                         "sequential composition produced inconsistent parallel "
                         f"runs of the right operand: {log_i} vs {log_j}"
                     )
-        out_packets = frozenset().union(*(pkts for _, pkts, _ in results)) if results else frozenset()
+        out_packets = frozenset().union(*(pkts for _, pkts, _ in results))
         merged = _merge_stores(store1, [st for st, _, _ in results])
         total_log = log1
         for log in logs:

@@ -22,12 +22,14 @@ class StateVariable:
     register array.
     """
 
-    __slots__ = ("name", "default", "_table")
+    __slots__ = ("name", "default", "_table", "_shared")
 
     def __init__(self, name: str, default=False):
         self.name = name
         self.default = default
         self._table: dict[tuple, object] = {}
+        #: Possibly held by another :class:`Store` too (:meth:`Store.copy`).
+        self._shared = False
 
     def get(self, key: tuple):
         return self._table.get(key, self.default)
@@ -78,9 +80,18 @@ class StateVariable:
 class Store:
     """The full network state: a dictionary of :class:`StateVariable`.
 
-    Unknown variables are created on first access with the default supplied
+    Unknown variables are created on first write with the default supplied
     by the program's state-variable declarations (see
-    :meth:`declare_defaults`), or ``False`` if undeclared.
+    :meth:`declare_defaults`), or ``False`` if undeclared; :meth:`read`
+    never creates one.
+
+    Copies are persistent by table: :meth:`copy` shares every table with
+    the original, and whichever side next asks for a shared table through
+    :meth:`variable` — the path every write takes — gets its own copy of
+    that one table first.  A table obtained from :meth:`variable` must
+    therefore not be written after its store is copied.  Data-plane stores
+    are never copied: the generated switch code binds the tables
+    :meth:`variable` returns, and a bound table must not be shared.
     """
 
     def __init__(self, defaults: dict | None = None):
@@ -92,17 +103,25 @@ class Store:
         for name, default in defaults.items():
             self._defaults[name] = default
             if name in self._vars and len(self._vars[name]) == 0:
-                self._vars[name].default = default
+                self.variable(name).default = default
 
     def variable(self, name: str) -> StateVariable:
+        """``name``'s table, for writing: created if absent, copied first
+        if shared with another store."""
         var = self._vars.get(name)
         if var is None:
             var = StateVariable(name, self._defaults.get(name, False))
             self._vars[name] = var
+        elif var._shared:
+            var = var.copy()
+            self._vars[name] = var
         return var
 
     def read(self, name: str, key: tuple):
-        return self.variable(name).get(key)
+        var = self._vars.get(name)
+        if var is None:
+            return self._defaults.get(name, False)
+        return var.get(key)
 
     def write(self, name: str, key: tuple, value) -> None:
         self.variable(name).set(key, value)
@@ -120,16 +139,33 @@ class Store:
         writing through it."""
         self._vars[variable.name] = variable
 
+    def written_since(self, base: "Store") -> list:
+        """The tables this store holds that are not ``base``'s objects:
+        for a store made from ``base`` by :meth:`copy` and writes, the
+        variables it wrote."""
+        theirs = base._vars
+        return [var for name, var in self._vars.items() if theirs.get(name) is not var]
+
     def copy(self) -> "Store":
+        """A store sharing every table with this one, in O(variables)."""
+        for var in self._vars.values():
+            var._shared = True
         dup = Store(self._defaults)
-        dup._vars = {name: var.copy() for name, var in self._vars.items()}
+        dup._vars = dict(self._vars)
         return dup
+
+    def _peek(self, name: str) -> StateVariable:
+        """``name``'s table for reading: neither created nor copied."""
+        var = self._vars.get(name)
+        if var is None:
+            return StateVariable(name, self._defaults.get(name, False))
+        return var
 
     def __eq__(self, other):
         if not isinstance(other, Store):
             return NotImplemented
         names = set(self._vars) | set(other._vars)
-        return all(self.variable(n) == other.variable(n) for n in names)
+        return all(self._peek(n) == other._peek(n) for n in names)
 
     def __hash__(self):  # pragma: no cover - mutable, identity hashing only
         return id(self)

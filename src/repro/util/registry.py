@@ -25,17 +25,17 @@ class EngineRegistry:
     def __init__(self, kind: str):
         self.kind = kind
         self._entries: dict = {}
-        self._shared: dict = {}
+        self._instances: dict = {}
 
     def register(self, name: str, factory, *, stateful: bool = False) -> None:
         """Register (or replace) a named engine."""
         self._entries[name] = {"factory": factory, "stateful": stateful}
-        self._shared.pop(name, None)
+        self._instances.pop(name, None)
 
     def unregister(self, name: str) -> None:
         """Remove a named engine (no-op if absent)."""
         self._entries.pop(name, None)
-        self._shared.pop(name, None)
+        self._instances.pop(name, None)
 
     def names(self) -> tuple:
         """The registered names, sorted."""
@@ -67,10 +67,10 @@ class EngineRegistry:
                     f"{self.names()} or an engine instance"
                 )
             if self._entries[engine]["stateful"]:
-                shared = self._shared.get(engine)
+                shared = self._instances.get(engine)
                 if shared is None:
                     shared = self.factory(engine)()
-                    self._shared[engine] = shared
+                    self._instances[engine] = shared
                 return shared
             return self.factory(engine)()
         if hasattr(engine, "run"):

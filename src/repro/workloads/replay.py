@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.dataplane.engine import get_engine
 from repro.dataplane.network import Network
 from repro.lang import ast
-from repro.lang.semantics import eval_policy
+from repro.lang.semantics import run_sequence
 from repro.lang.state import Store
 from repro.obs.metrics import counter
 from repro.obs.tracing import TRACER
@@ -138,10 +138,6 @@ def replay_obs(trace: Trace, policy: ast.Policy, store: Store | None = None):
     per-packet frozensets.  ``store`` is threaded through ``eval``,
     never mutated: the caller's object is left as it was.
     """
-    if store is None:
-        store = Store(ast.infer_state_defaults(policy))
-    outputs = []
-    for packet, port in trace:
-        store, out, _ = eval_policy(policy, store, packet.modify("inport", port))
-        outputs.append(out)
-    return store, outputs
+    return run_sequence(
+        policy, (packet.modify("inport", port) for packet, port in trace), store
+    )
