@@ -1,12 +1,11 @@
 """Setup shim: lets ``pip install -e .`` work without the ``wheel`` package
 (this offline environment has setuptools 65 but no PEP 660 backend deps).
 
-NumPy is deliberately *not* a core requirement: only the columnar vector
-tier (``engine="vector"`` / ``"vector-jit"``) needs it, and the engine
-registry degrades to the scalar lanes when it is absent.  Install the
-``vector`` extra to opt in, or the ``test`` extra to run the suite
-(which skips the vector tests when numpy is missing but exercises them
-everywhere CI runs).
+NumPy and SciPy are core requirements: the MILP layer
+(``repro.milp.modeling`` / ``placement``, loaded by
+``repro.core.controller``) keeps its model in numpy arrays and solves it
+on the HiGHS binding SciPy vendors as ``scipy.optimize._highspy`` since
+1.15.  Install the ``test`` extra to run the suite.
 """
 
 from setuptools import find_packages, setup
@@ -19,12 +18,11 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "networkx",
-        "scipy",
+        "numpy",
+        "scipy>=1.15",
     ],
     extras_require={
-        "vector": ["numpy"],
         "test": [
-            "numpy",
             "hypothesis",
             "pytest",
             "pytest-benchmark",

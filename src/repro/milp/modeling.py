@@ -1,4 +1,4 @@
-"""A small MILP modeling layer over ``scipy.optimize.milp`` (HiGHS).
+"""A small MILP modeling layer over HiGHS, through SciPy's bundled binding.
 
 The paper uses the Gurobi Python API; offline we provide the minimal
 equivalent, stored the way HiGHS consumes it: one columnar store of
@@ -13,15 +13,27 @@ writing into ``lb`` / ``ub`` / ``cost`` / ``lo`` / ``hi`` / ``matrix.data``
 in place (§6.2.2: "incremental additions and modifications of variables
 and constraints in a few milliseconds") — nothing is assembled at solve
 time.
+
+A solve hands these arrays to HiGHS's own binding, which SciPy (>= 1.15)
+vendors as ``scipy.optimize._highspy`` and builds ``milp`` on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.lang.errors import PlacementError
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs,
+    )
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+except ImportError as error:
+    raise ImportError(
+        "repro.milp needs scipy>=1.15 (HiGHS's binding, scipy.optimize._highspy)"
+    ) from error
 
 
 def _extended(vector: np.ndarray, count: int, values) -> np.ndarray:
@@ -32,9 +44,9 @@ def _extended(vector: np.ndarray, count: int, values) -> np.ndarray:
 class Solution:
     """Solved variable values plus objective and solver status.
 
-    ``status`` is HiGHS's: 0 optimal, 1 iteration/time limit reached with
-    an incumbent — ``mip_gap`` (``None`` when SciPy reports none) tells
-    the two apart in numbers.
+    ``status`` is SciPy's code for HiGHS's status: 0 optimal, 1
+    iteration/time limit reached with an incumbent — ``mip_gap`` (``None``
+    for an LP) tells the two apart in numbers.
     """
 
     def __init__(self, values: np.ndarray, objective: float, status: int,
@@ -174,29 +186,49 @@ class Model:
     # -- solving ----------------------------------------------------------------
 
     def solve(self, time_limit: float | None = None, mip_rel_gap: float | None = None) -> Solution:
-        options = {}
+        options = {"output_flag": False}
         if time_limit is not None:
             options["time_limit"] = time_limit
         if mip_rel_gap is not None:
             options["mip_rel_gap"] = mip_rel_gap
-        result = milp(
-            c=self.cost,
-            constraints=LinearConstraint(self.matrix, self.lo, self.hi),
-            bounds=Bounds(self.lb, self.ub),
-            integrality=self.integrality,
-            options=options,
-        )
-        if result.x is None:
-            raise PlacementError(
-                f"{self.name}: solver failed (status={result.status}): {result.message}"
-            )
-        return Solution(
-            result.x, float(result.fun), int(result.status), result.message,
-            result.get("mip_gap"),
-        )
+        if not self.num_integer_vars:
+            # The TE LP: presolve costs it ~4x the simplex it saves.  The
+            # ST MILP keeps it: without, HiGHS returns another placement
+            # inside the MIP gap, and with it other switch programs.
+            options["presolve"] = "off"
+        return run_highs(self, options)
 
     def __repr__(self):
         return (
             f"Model({self.name!r}, vars={self.num_vars} "
             f"({self.num_integer_vars} int), rows={self.num_constraints})"
         )
+
+
+def run_highs(model: Model, options: dict) -> Solution:
+    """Solve ``model`` on a fresh HiGHS instance with ``options``; raises
+    :class:`PlacementError` for an LP that is not optimal or a MILP
+    stopped without an incumbent.  Codes and messages are ``milp``'s."""
+    highs = _Highs()
+    for name, value in options.items():
+        highs.setOptionValue(name, value)
+    matrix = model.matrix.tocsc()
+    loaded = highs.passModel(
+        model.num_vars, model.num_constraints, matrix.nnz, MatrixFormat.kColwise,
+        ObjSense.kMinimize, 0.0, model.cost, model.lb, model.ub, model.lo, model.hi,
+        matrix.indptr, matrix.indices, matrix.data, model.integrality,
+    )
+    del matrix  # HiGHS holds its own copy
+    if loaded == HighsStatus.kError:
+        status = HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    code, message = _highs_to_scipy_status_message(status, highs.modelStatusToString(status))
+    info, is_mip = highs.getInfo(), model.num_integer_vars > 0
+    if not (code == 0 or is_mip and code == 1 and info.objective_function_value < np.inf):
+        raise PlacementError(f"{model.name}: solver failed (status={code}): {message}")
+    return Solution(
+        np.array(highs.getSolution().col_value), info.objective_function_value,
+        code, message, info.mip_gap if is_mip else None,
+    )

@@ -5,9 +5,10 @@ re-optimize routing in response to network events."  With ``P`` fixed the
 program becomes a pure LP (all variables continuous), which is why TE runs
 much faster than ST — the effect Table 6 shows.
 
-SciPy's HiGHS takes no warm start, so a TE event costs a whole solve and
-the way to a cheaper event is a smaller program.  A constant ``P`` allows
-two reductions that leave the optimum where Table 2 puts it (see
+A TE event solves the standing model cold (presolve off, see
+:meth:`~repro.milp.modeling.Model.solve`), so a smaller program is a
+cheaper event.  A constant ``P`` allows two reductions that leave the
+optimum where Table 2 puts it (see
 :class:`~repro.milp.placement.PlacementModel`): flows that need no state
 become one commodity per destination port, and a stateful flow tracks
 "passed" per waypoint switch rather than per variable.

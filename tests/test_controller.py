@@ -825,19 +825,21 @@ class TestSolverStatus:
     def test_time_limited_incumbent_is_distinguishable(self, monkeypatch):
         from repro.milp import modeling
 
-        real_milp = modeling.milp
+        real_run = modeling.run_highs
 
-        def at_the_limit(**problem):
+        def at_the_limit(model, options):
             # What HiGHS returns when `time_limit` strikes with a feasible
             # point in hand (deterministically, unlike a real tiny limit).
-            assert problem["options"] == {"time_limit": 0.5}
-            result = real_milp(**problem)
+            # The TE LP (no integer column) is solved without presolve.
+            lp = {} if model.num_integer_vars else {"presolve": "off"}
+            assert options == {"output_flag": False, "time_limit": 0.5, **lp}
+            result = real_run(model, options)
             result.status = 1
             result.message = "Time limit reached. (HiGHS Status 13: Time limit reached)"
             result.mip_gap = 0.9
             return result
 
-        monkeypatch.setattr(modeling, "milp", at_the_limit)
+        monkeypatch.setattr(modeling, "run_highs", at_the_limit)
         controller = SnapController(
             campus_topology(), campus_program(), solver_time_limit=0.5
         )
