@@ -27,7 +27,6 @@ Each event returns an immutable, generation-numbered ``Snapshot``; see
 __version__ = "1.1.0"
 
 from repro.core import (  # noqa: F401
-    CompilationResult,
     CompilerOptions,
     Program,
     Snapshot,

@@ -217,7 +217,7 @@ class EffectReport:
         )
 
     def to_dict(self) -> dict:
-        """JSON-able form (stored in ``CompilationResult.model_stats``)."""
+        """JSON-able form (stored in ``Snapshot.model_stats``)."""
         return {
             "variables": {
                 var: effect.to_dict()

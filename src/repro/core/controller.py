@@ -56,8 +56,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from repro.analysis.dependency import analyze_dependencies, st_dep
-from repro.analysis.effects import analyze_effects
+from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
 from repro.core.artifacts import SubPolicyArtifact, split_units
 from repro.core.options import CompilerOptions
@@ -66,10 +65,9 @@ from repro.core.result import EVENT_SCENARIOS, Snapshot
 from repro.dataplane.engine import make_session_engine
 from repro.dataplane.network import Network
 from repro.dataplane.rules import build_rule_tables
-from repro.lang.ast import state_variables
-from repro.lang.errors import SnapError
+from repro.lang.errors import SnapError, TopologyError
 from repro.lang.fingerprint import fingerprint_hex
-from repro.milp.backends import get_backend
+from repro.milp.backends import MilpBackend
 from repro.milp.results import extract_paths, validate_solution
 from repro.topology.graph import Topology
 from repro.topology.traffic import gravity_traffic_matrix
@@ -77,11 +75,7 @@ from repro.obs import configure as _configure_telemetry
 from repro.obs.metrics import counter, gauge
 from repro.obs.tracing import TRACER
 from repro.util.timer import PhaseTimer
-from repro.xfdd.build import to_xfdd
-from repro.xfdd.compose import Composer
-from repro.xfdd.diagram import DiagramFactory
 from repro.xfdd.incremental import CompileSession
-from repro.xfdd.order import TestOrder
 
 #: Bound on the content-keyed ST-solve memo: each entry pins a solution
 #: and routing (small), and real event streams alternate among a handful
@@ -157,7 +151,7 @@ class SnapController:
             # (the registry and tracer are shared), same as calling
             # repro.obs.configure() before constructing the session.
             _configure_telemetry(options.telemetry)
-        self._backend = get_backend(options.solver)
+        self._backend = MilpBackend()
         self._topology = topology
         self._program = program
         ports = sorted(topology.ports)
@@ -182,12 +176,12 @@ class SnapController:
         self._te_model = None
         self._model_failed: set = set()
         self._certificates: deque = deque(maxlen=SOLVE_MEMO_CAP)
-        # Incremental delta compilation (ROADMAP): one persistent
-        # CompileSession carries the hash-consing factory, apply-cache,
-        # sub-xFDD/effects memos, dependency slicer, and path-summary
-        # memo across generations; the solve memo reuses whole ST
-        # solutions when nothing the MILP sees changed.
-        self._session = CompileSession() if options.incremental else None
+        # Every compilation runs on one persistent CompileSession: it
+        # carries the hash-consing factory, apply-cache, sub-xFDD/effects
+        # memos, dependency slicer, and path-summary memo across
+        # generations; the solve memo reuses whole ST solutions when
+        # nothing the MILP sees changed.
+        self._session = CompileSession()
         self._solve_memo: OrderedDict = OrderedDict()
         self._last_solve_key = None
 
@@ -199,7 +193,7 @@ class SnapController:
 
     @property
     def backend(self):
-        """The solver backend (its ``calls`` counters included)."""
+        """The MILP/LP solver, whose ``calls`` counters count its work."""
         return self._backend
 
     @property
@@ -256,32 +250,24 @@ class SnapController:
             if self._program is None:
                 raise SnapError("no program: pass one to submit() or __init__")
             self._failed = frozenset()
-            if self._session is not None:
-                self._session.reset()
+            self._session.reset()
             self._solve_memo.clear()
             self._last_solve_key = None
             return self._compile_st("cold_start")
 
-    def update_policy(
-        self, program: Program | None = None, *, incremental: bool | None = None
-    ) -> Snapshot:
+    def update_policy(self, program: Program | None = None) -> Snapshot:
         """Policy change: recompile (placement re-decided, ST).
 
         Failed links stay failed — the new placement is solved against
-        the current effective topology.  ``incremental`` overrides
-        ``options.incremental`` for this one event: ``False`` forces the
-        from-scratch path (the escape hatch, and what the equivalence
-        tests compare against); the session's caches are left alone
-        either way.
+        the current effective topology.  The session's caches carry over,
+        so unchanged sub-policies are reused; the snapshot equals what a
+        fresh session's ``submit()`` of the same program compiles.
         """
         self._require_current("update_policy")
-        use_incremental = (
-            self._options.incremental if incremental is None else incremental
-        )
         with self._event_transaction():
             if program is not None:
                 self._program = program
-            return self._compile_st("policy_change", incremental=use_incremental)
+            return self._compile_st("policy_change")
 
     # -- TE events (placement fixed, routing re-optimized) -----------------
 
@@ -305,15 +291,17 @@ class SnapController:
     def fail_link(self, a, b) -> Snapshot:
         """A link went down: keep a routing that avoids it, or re-route."""
         self._require_current("fail_link")
+        link = self._base_link(a, b)
         with self._event_transaction():
-            self._failed = self._failed | {_norm_link(a, b)}
+            self._failed = self._failed | {link}
             return self._reoptimize("link_failure")
 
     def restore_link(self, a, b) -> Snapshot:
         """A failed link came back: reuse a certified routing, or re-route."""
         self._require_current("restore_link")
+        link = self._base_link(a, b)
         with self._event_transaction():
-            self._failed = self._failed - {_norm_link(a, b)}
+            self._failed = self._failed - {link}
             return self._reoptimize("link_restore")
 
     def set_demands(self, demands: dict) -> Snapshot:
@@ -349,15 +337,17 @@ class SnapController:
             raise SnapError(
                 f"reroute event must be one of {known}, got {event!r}"
             )
+        if failed_links is not None:
+            failed_links = frozenset(
+                self._base_link(*link) for link in failed_links
+            )
         with self._event_transaction():
             demands_changed = False
             if demands is not None:
                 self._demands = dict(demands)
                 demands_changed = True
             if failed_links is not None:
-                self._failed = frozenset(
-                    _norm_link(link) for link in failed_links
-                )
+                self._failed = failed_links
             return self._reoptimize(event, demands_changed=demands_changed)
 
     # -- session input mutators (no compilation) ---------------------------
@@ -439,6 +429,20 @@ class SnapController:
         if self._current is None:
             raise RuntimeError(f"run submit() before {what}()")
 
+    def _base_link(self, a, b) -> tuple:
+        """The canonical key of link ``a``-``b`` of the base topology.
+
+        Raises :class:`TopologyError` for any other pair: a link that
+        does not exist cannot fail or come back, and a phantom entry in
+        the failure set would rename the effective topology.
+        """
+        graph = self._topology.graph
+        if not (graph.has_edge(a, b) or graph.has_edge(b, a)):
+            raise TopologyError(
+                f"no link {a}-{b} in topology {self._topology.name!r}"
+            )
+        return _norm_link(a, b)
+
     @contextmanager
     def _event_transaction(self):
         """Roll session inputs back if an event fails mid-flight.
@@ -474,105 +478,77 @@ class SnapController:
             ))
 
     def _analysis(
-        self,
-        program: Program,
-        topology: Topology,
-        timer: PhaseTimer,
-        session: CompileSession | None = None,
+        self, program: Program, topology: Topology, timer: PhaseTimer
     ) -> AnalysisResult:
         """Phases P1-P3 against an explicit topology (never ``self``'s).
 
-        With a ``session``, P1-P3 run their delta paths: the dependency
-        slicer, the fingerprint-memoized sub-xFDD build, and the node-id
-        path-summary memo all reuse prior-generation work, and the
-        reported xfdd counters are *per-compile deltas* of the session's
-        cumulative counters (so they describe this compilation, same as
-        the cold path's fresh counters do).  Without one, behaviour is
-        the original from-scratch compile.
+        P1-P3 run the session's delta paths: the dependency slicer, the
+        fingerprint-memoized sub-xFDD build, and the node-id path-summary
+        memo all reuse prior-generation work, and the reported xfdd
+        counters are *per-compile deltas* of the session's cumulative
+        counters, so they describe this compilation.
         """
+        session = self._session
         full = program.full_policy()
         with timer.phase("P1"):
-            slicer = session.dep_slicer if session is not None else None
-            dependencies = analyze_dependencies(full, slicer=slicer)
+            dependencies = analyze_dependencies(full, slicer=session.dep_slicer)
         with timer.phase("P2"):
-            if session is not None:
-                composer = session.begin_compile(
-                    program.registry, dependencies.state_rank
-                )
-                factory = session.factory
-                pre = composer.cache_stats()
-                memo_pre = session.stats()
-                xfdd = session.build(full)
-            else:
-                order = TestOrder(program.registry, dependencies.state_rank)
-                # One hash-consing session and apply-cache per
-                # compilation: the intern table cannot leak across runs,
-                # and cache hit counters describe exactly this program.
-                factory = DiagramFactory()
-                composer = Composer(order, factory=factory)
-                xfdd = to_xfdd(full, composer)
+            composer = session.begin_compile(
+                program.registry, dependencies.state_rank
+            )
+            pre = composer.cache_stats()
+            memo_pre = session.stats()
+            xfdd = session.build(full)
         with timer.phase("P3"):
             ports = sorted(topology.ports)
-            memo = session.mapping_memo if session is not None else None
-            mapping = packet_state_mapping(xfdd, ports, ports, memo=memo)
+            mapping = packet_state_mapping(
+                xfdd, ports, ports, memo=session.mapping_memo
+            )
         stats = dict(composer.cache_stats())
-        if session is not None:
-            counters = (
-                "cache_hits", "cache_misses",
-                "leaf_hits", "leaf_misses",
-                "branch_hits", "branch_misses",
-            )
-            for name in counters:
-                if name in pre:
-                    stats[name] = stats[name] - pre[name]
-            lookups = stats["cache_hits"] + stats["cache_misses"]
-            stats["cache_hit_rate"] = (
-                stats["cache_hits"] / lookups if lookups else 0.0
-            )
-            memo_post = session.stats()
-            stats["session_memo_hits"] = (
-                memo_post["session_memo_hits"] - memo_pre["session_memo_hits"]
-            )
-            stats["session_memo_misses"] = (
-                memo_post["session_memo_misses"]
-                - memo_pre["session_memo_misses"]
-            )
-            stats["session_memo_entries"] = memo_post["session_memo_entries"]
-            stats["session_compile_no"] = memo_post["session_compile_no"]
+        counters = (
+            "cache_hits", "cache_misses",
+            "leaf_hits", "leaf_misses",
+            "branch_hits", "branch_misses",
+        )
+        for name in counters:
+            if name in pre:
+                stats[name] = stats[name] - pre[name]
+        lookups = stats["cache_hits"] + stats["cache_misses"]
+        stats["cache_hit_rate"] = (
+            stats["cache_hits"] / lookups if lookups else 0.0
+        )
+        memo_post = session.stats()
+        stats["session_memo_hits"] = (
+            memo_post["session_memo_hits"] - memo_pre["session_memo_hits"]
+        )
+        stats["session_memo_misses"] = (
+            memo_post["session_memo_misses"] - memo_pre["session_memo_misses"]
+        )
+        stats["session_memo_entries"] = memo_post["session_memo_entries"]
+        stats["session_compile_no"] = memo_post["session_compile_no"]
         # Per-unit provenance artifacts (after the counter capture, so
         # the re-translation below cannot pollute per-compile numbers —
         # it is apply-cache/memo hits over already-interned nodes).
         artifacts: dict = {}
         reused = recompiled = 0
         for label, unit in split_units(full):
-            if session is not None:
-                was_reused = session.was_reused(unit)
-                sub = session.subdiagram(unit)
-                effects = session.effect_report(unit)
-                unit_slice = session.dep_slicer.slice(unit)
-                edges = unit_slice.edges
-                unit_vars = unit_slice.reads | unit_slice.writes
-            else:
-                was_reused = False
-                sub = to_xfdd(unit, composer)
-                effects = analyze_effects(unit)
-                edges = st_dep(unit)
-                unit_vars = frozenset(state_variables(unit))
+            was_reused = session.was_reused(unit)
+            unit_slice = session.dep_slicer.slice(unit)
             reused += 1 if was_reused else 0
             recompiled += 0 if was_reused else 1
             artifacts[label] = SubPolicyArtifact(
                 fingerprint=fingerprint_hex(unit),
                 label=label,
                 policy=unit,
-                xfdd=sub,
-                dep_edges=edges,
-                state_vars=frozenset(unit_vars),
-                effects=effects,
+                xfdd=session.subdiagram(unit),
+                dep_edges=unit_slice.edges,
+                state_vars=frozenset(unit_slice.reads | unit_slice.writes),
+                effects=session.effect_report(unit),
                 reused=was_reused,
             )
         xfdd_stats = {f"xfdd_{name}": value for name, value in stats.items()}
         return AnalysisResult(
-            dependencies, xfdd, mapping, xfdd_stats, factory,
+            dependencies, xfdd, mapping, xfdd_stats, session.factory,
             artifacts, reused, recompiled,
         )
 
@@ -606,13 +582,12 @@ class SnapController:
             self._options.mip_rel_gap,
         )
 
-    def _compile_st(self, event: str, incremental: bool = True) -> Snapshot:
+    def _compile_st(self, event: str) -> Snapshot:
         """Full recompilation: P1-P3, ST solve (or memo hit), finish."""
         with TRACER.span(f"controller.{event}", event=event) as span:
-            snapshot = self._compile_st_traced(event, incremental)
+            snapshot = self._compile_st_traced(event)
             stats = snapshot.model_stats
             span.set_attr("generation", snapshot.generation)
-            span.set_attr("incremental", stats.get("incremental"))
             span.set_attr(
                 "incremental_reused", stats.get("incremental_reused")
             )
@@ -622,19 +597,14 @@ class SnapController:
             span.set_attr("solve_reused", stats.get("solve_reused"))
             return snapshot
 
-    def _compile_st_traced(self, event: str, incremental: bool) -> Snapshot:
+    def _compile_st_traced(self, event: str) -> Snapshot:
         timer = PhaseTimer()
         topology = self.effective_topology()
-        use_incremental = incremental and self._session is not None
-        session = self._session if use_incremental else None
-        analysis = self._analysis(self._program, topology, timer, session=session)
-        solve_key = None
-        cached = None
-        if use_incremental:
-            solve_key = self._solve_key(
-                topology, analysis.mapping, analysis.dependencies
-            )
-            cached = self._solve_memo.get(solve_key)
+        analysis = self._analysis(self._program, topology, timer)
+        solve_key = self._solve_key(
+            topology, analysis.mapping, analysis.dependencies
+        )
+        cached = self._solve_memo.get(solve_key)
         if cached is not None:
             # Nothing the MILP sees changed: reuse the recorded solution
             # (deterministic solver — recompute would be byte-identical).
@@ -649,8 +619,8 @@ class SnapController:
                 pass
             self._solve_memo.move_to_end(solve_key)
         else:
-            rules = None
-            solution, routing, solve_stats = self._backend.solve_st(
+            routing = rules = None
+            solution, solve_stats = self._backend.solve_st(
                 topology,
                 self._demands,
                 analysis.mapping,
@@ -663,13 +633,12 @@ class SnapController:
         # The standing TE model is fixed to a placement; it survives this
         # recompilation only when the solve inputs (hence the placement)
         # are provably unchanged.
-        if solve_key is None or solve_key != self._last_solve_key:
+        if solve_key != self._last_solve_key:
             self._invalidate_te()
         self._last_solve_key = solve_key
         stats = {
             **solve_stats,
             **analysis.stats,
-            "incremental": use_incremental,
             "incremental_reused": analysis.reused,
             "incremental_recompiled": analysis.recompiled,
             "solve_reused": cached is not None,
@@ -680,7 +649,7 @@ class SnapController:
             analysis.factory, artifacts=analysis.artifacts, rules=rules,
         )
         self._certify(snapshot, solution, solve_stats)
-        if use_incremental and cached is None:
+        if cached is None:
             self._solve_memo[solve_key] = (
                 solution, snapshot.routing, dict(solve_stats), snapshot.rules
             )
@@ -754,7 +723,7 @@ class SnapController:
 
     def _finish(
         self, topology, program, dependencies, xfdd, mapping, solution,
-        routing, timer, event, stats, diagram_factory, artifacts=None,
+        routing, timer, event, stats, diagram_factory, artifacts,
         rules=None, revalidate=False,
     ) -> Snapshot:
         """P6 + snapshot construction + live-network hot swap.
@@ -770,19 +739,16 @@ class SnapController:
         with timer.phase("P6"):
             if routing is None:
                 routing = extract_paths(solution, topology, mapping, dependencies)
-            if self._options.validate and (rules is None or revalidate):
+            if rules is None or revalidate:
                 validate_solution(routing, topology, mapping, dependencies)
             if rules is None:
                 rules = build_rule_tables(routing)
         # Every snapshot carries the static effect report (update-kind
         # classification + race findings).  The session memoizes it by
         # fingerprint across generations and reuses P1's slices.
-        if self._session is not None:
-            effects = self._session.effect_report(program.policy)
-        else:
-            effects = analyze_effects(program.policy)
+        effects = self._session.effect_report(program.policy)
         # ... and what the solver said about its answer (status 1 is a
-        # time-limited incumbent, not an optimum; {} for the heuristic).
+        # time-limited incumbent, not an optimum).
         stats = {**stats, "effects": effects, "solver": dict(solution.solver)}
         snapshot = Snapshot(
             generation=self._generation + 1,
@@ -800,7 +766,7 @@ class SnapController:
             timer=timer,
             rules=rules,
             model_stats=stats,
-            artifacts=artifacts if artifacts is not None else {},
+            artifacts=artifacts,
             diagram_factory=diagram_factory,
         )
         # Build the successor network first, publish second, move state
@@ -877,5 +843,5 @@ class SnapController:
         name = self._program.name if self._program is not None else None
         return (
             f"SnapController({name!r} on {self._topology.name!r}, "
-            f"generation={self._generation}, solver={self._backend.name!r})"
+            f"generation={self._generation})"
         )

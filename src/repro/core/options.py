@@ -17,10 +17,10 @@ from dataclasses import dataclass
 class CompilerOptions:
     """Settings shared by every compilation a session performs.
 
-    ``solver`` names a registered :mod:`repro.milp.backends` backend
-    (``"milp"`` — the §4.4 ST MILP — or ``"greedy"``, the §6.2.2
-    heuristic), or is itself a backend instance for callers plugging in
-    their own solver.
+    Every compilation runs on the session's
+    :class:`~repro.xfdd.incremental.CompileSession`, solves the §4.4 ST
+    MILP (or the §6.2.2 TE LP), and validates its routing in P6;
+    ``solver_time_limit`` and ``mip_rel_gap`` are what the solver takes.
 
     ``engine`` selects how the session's live data plane executes
     workloads: ``"sequential"`` (run-to-completion in arrival order),
@@ -39,26 +39,14 @@ class CompilerOptions:
     instance.
     """
 
-    solver: object = "milp"
     solver_time_limit: float | None = None
     mip_rel_gap: float | None = None
-    validate: bool = True
     stateful_switches: tuple | None = None
     #: Data-plane execution engine for ``SnapController.network()``: a
     #: registered name (``"sequential"`` | ``"sharded"`` | ``"process"``
     #: | ``"cluster"`` | ``"vector"`` | ``"vector-jit"`` | ...) or an
     #: engine instance.
     engine: object = "sequential"
-    #: Whether the session keeps its compilation caches across
-    #: generations: the hash-consing factory and apply-cache, the
-    #: fingerprint-keyed sub-xFDD memo (subtree splicing), the
-    #: dependency slicer, the path-summary memo, and the content-keyed
-    #: ST-solve memo.  On by default — results are identical to a cold
-    #: compile (the equivalence property in the test suite asserts it);
-    #: set ``False`` to force every ``update_policy`` down the from-
-    #: scratch path (``update_policy(..., incremental=False)`` does the
-    #: same for a single event).
-    incremental: bool = True
     #: How many snapshots ``SnapController.history()`` retains (oldest
     #: evicted first; ``current`` is always kept).  Each snapshot pins
     #: its xFDD and hash-consing factory, so an unbounded history would

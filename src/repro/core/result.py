@@ -7,9 +7,6 @@ that compilation produced, stamped with a monotonically increasing
 — the controller never edits one in place, and callers can hold onto any
 generation (for diffing, rollback inspection, or serving) without it
 changing underneath them.
-
-``CompilationResult`` is the snapshot's pre-session name, kept as an
-alias for existing callers.
 """
 
 from __future__ import annotations
@@ -79,11 +76,11 @@ class Snapshot:
     model_stats: Mapping = field(default_factory=dict)
     #: Per-subpolicy provenance: label -> :class:`~repro.core.artifacts.
     #: SubPolicyArtifact` (fingerprint, sub-xFDD, dependency slice,
-    #: effect report, reused/recompiled flag).  Empty for TE events,
-    #: which reuse the previous compilation's artifacts wholesale.
+    #: effect report, reused/recompiled flag).  TE events carry the
+    #: previous compilation's artifacts over unchanged.
     artifacts: Mapping = field(default_factory=dict)
-    #: The hash-consing session that built ``xfdd`` (None for scenarios
-    #: that reuse a previous compilation's diagram).
+    #: The hash-consing session that built ``xfdd`` (TE events carry the
+    #: previous compilation's factory, since they reuse its diagram).
     diagram_factory: DiagramFactory | None = None
 
     def __post_init__(self):
@@ -126,7 +123,3 @@ class Snapshot:
             f"{self.topology.name!r}, event={self.event}, "
             f"placement={dict(self.placement)})"
         )
-
-
-#: Backwards-compatible name for the result type.
-CompilationResult = Snapshot

@@ -48,20 +48,13 @@ rows run, so when a *fallback* row fails, deltas of vectorized rows
 arriving after it may already be applied (the two row sets' footprints
 are provably disjoint, so no value is ever wrong — only the failure
 cut-point differs from a strictly sequential run).
-
-NumPy is an optional dependency: importing this module without it leaves
-:data:`np` as ``None``, a :class:`VectorLane` runs its batch on the
-scalar lane, and constructing an engine raises a clear error.
 """
 
 from __future__ import annotations
 
 import threading
 
-try:  # optional dependency — see module docstring
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro.dataplane.engine import Shard, ShardedEngine
 from repro.dataplane.header import (
@@ -83,7 +76,6 @@ from repro.dataplane.netasm import (
     SwitchProgram,
 )
 from repro.lang import ast
-from repro.lang.errors import DataPlaneError
 from repro.lang.values import matches
 from repro.obs import postcards
 from repro.obs.metrics import counter
@@ -715,9 +707,7 @@ class VectorLane:
         return groups, resolved
 
     def run(self):
-        if np is None or not self.batch:
-            if np is None and self.batch:
-                _demote("no-numpy", len(self.batch))
+        if not self.batch:
             self._scalar.batch = self.batch
             return self._scalar.run()
         net = self.network
@@ -980,14 +970,6 @@ class VectorEngine(ShardedEngine):
 
     name = "vector"
     jit = False
-
-    def __init__(self, max_workers: int | None = None):
-        if np is None:
-            raise DataPlaneError(
-                "the vector engines require numpy, which is not installed; "
-                "use engine='sharded' (or install numpy)"
-            )
-        super().__init__(max_workers)
 
     def _lane(self, network, shard: Shard, batch):
         return VectorLane(network, shard, batch, jit=self.jit)

@@ -1,13 +1,6 @@
 """Optimization: the ST MILP, TE LP, greedy heuristic, and path extraction."""
 
-from repro.milp.backends import (
-    BACKENDS,
-    GreedyBackend,
-    MilpBackend,
-    SolverBackend,
-    get_backend,
-    register_backend,
-)
+from repro.milp.backends import MilpBackend
 from repro.milp.heuristic import greedy_placement, greedy_solution
 from repro.milp.modeling import Model, Solution
 from repro.milp.placement import (
@@ -26,8 +19,7 @@ from repro.milp.results import (
 from repro.milp.te import build_te_model, solve_te
 
 __all__ = [
-    "BACKENDS", "GreedyBackend", "MilpBackend", "SolverBackend",
-    "get_backend", "register_backend",
+    "MilpBackend",
     "greedy_placement", "greedy_solution",
     "Model", "Solution",
     "PlacementInputs", "PlacementModel", "PlacementSolution",

@@ -95,13 +95,6 @@ class TestScenarios:
         assert ("C1", "C5") not in list(zip(path, path[1:]))
         assert path[0] == "I1" and path[-1] == "D4"
 
-    def test_heuristic_mode(self):
-        controller = SnapController(
-            campus_topology(), campus_program(), solver="greedy"
-        )
-        result = controller.submit()
-        assert set(result.placement.values()) == {"D4"}
-
     def test_scenario_phase_sets_match_table4(self):
         assert SCENARIO_PHASES["cold_start"] == ("P1", "P2", "P3", "P4", "P5", "P6")
         assert SCENARIO_PHASES["policy_change"] == ("P1", "P2", "P3", "P5", "P6")

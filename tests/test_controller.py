@@ -20,10 +20,11 @@ from repro.core.program import Program
 from repro.lang import ast
 from repro.dataplane.engine import get_engine
 from repro.dataplane.network import Network
-from repro.lang.errors import PlacementError, RetiredNetworkError, SnapError
+from repro.lang.errors import (
+    PlacementError, RetiredNetworkError, SnapError, TopologyError,
+)
 from repro.lang.packet import make_packet
 from repro.lang.state import Store
-from repro.milp.backends import GreedyBackend, MilpBackend, get_backend
 from repro.milp.results import validate_solution
 from repro.milp.te import build_te_model
 from repro.obs.tracing import TRACER
@@ -260,6 +261,30 @@ class TestEventSequence:
         assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
         assert controller.backend.calls["te_model_builds"] == 1
 
+    @pytest.mark.parametrize("event", [
+        lambda c: c.fail_link("C1", "NOPE"),
+        lambda c: c.restore_link("NOPE", "C5"),
+        lambda c: c.reroute(failed_links=[("C1", "C5"), ("NOPE", "C3")]),
+    ], ids=["fail_link", "restore_link", "reroute"])
+    def test_unknown_link_changes_nothing(self, event):
+        """A TE event naming a link the base topology lacks raises before
+        the session changes, so nothing downstream sees a phantom failure
+        (it would rename the effective topology, and with it the ST-solve
+        memo's key)."""
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        with pytest.raises(TopologyError, match="NOPE"):
+            event(controller)
+        assert controller.failed_links == frozenset()
+        assert controller.generation == 0
+        # The cold routing's certificate survived ...
+        assert controller.fail_link("C3", "C5").model_stats["solve_reused"] is True
+        controller.restore_link("C3", "C5")
+        # ... and an unchanged program still hits the solve memo.
+        snap = controller.update_policy(controller.program)
+        assert snap.model_stats["solve_reused"] is True
+        assert controller.backend.calls["st_solves"] == 1
+
     def test_history_records_every_snapshot(self, session):
         controller, snapshots = session
         assert controller.history() == tuple(snapshots)
@@ -362,6 +387,11 @@ class TestRoutingCertificates:
         cold = controller.submit()
         failed = controller.fail_link("C1", "C5")
         assert failed.model_stats["solve_reused"] is False
+        # A TE event re-routes the compilation it inherits: the same
+        # per-subpolicy artifacts and the same hash-consing factory.
+        assert len(failed.artifacts) == len(cold.artifacts) == 3
+        assert dict(failed.artifacts) == dict(cold.artifacts)
+        assert failed.diagram_factory is cold.diagram_factory
         restored = controller.restore_link("C1", "C5")
         assert restored.model_stats["solve_reused"] is True
         assert restored.routing is cold.routing
@@ -384,19 +414,6 @@ class TestRoutingCertificates:
         halved = {k: v / 2 for k, v in controller.demands.items()}
         snap = controller.reroute(demands=halved)
         assert snap.model_stats["solve_reused"] is False
-        assert controller.backend.calls["te_solves"] == 2
-
-    def test_greedy_st_routing_is_never_reused(self):
-        controller = SnapController(
-            campus_topology(), campus_program(), solver="greedy"
-        )
-        cold = controller.submit()
-        # The heuristic proves nothing: no failure set reuses its routing,
-        # not even the one it was computed for.
-        for event in (controller.fail_link, controller.restore_link):
-            snapshot = event("C3", "C5")
-            assert snapshot.model_stats["solve_reused"] is False
-            assert snapshot.routing is not cold.routing
         assert controller.backend.calls["te_solves"] == 2
 
     def test_span_says_which_events_solved(self, monkeypatch):
@@ -750,47 +767,11 @@ class TestHotSwap:
         assert controller.network() is net
 
 
-class TestBackends:
-    def test_greedy_backend_matches_heuristic_flag(self):
-        controller = SnapController(
-            campus_topology(), campus_program(), solver="greedy"
-        )
-        snap = controller.submit()
-        assert set(snap.placement.values()) == {"D4"}
-        assert isinstance(controller.backend, GreedyBackend)
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(SnapError):
-            SnapController(campus_topology(), campus_program(), solver="simplex")
-        with pytest.raises(SnapError):
-            get_backend(42)
-
-    def test_backend_instance_is_pluggable(self):
-        backend = MilpBackend()
-        controller = SnapController(
-            campus_topology(), campus_program(),
-            options=CompilerOptions(solver=backend),
-        )
-        controller.submit()
-        assert controller.backend is backend
-        assert backend.calls["st_solves"] == 1
-
-    def test_greedy_te_events_share_standing_lp(self):
-        controller = SnapController(
-            campus_topology(), campus_program(), solver="greedy"
-        )
-        controller.submit()
-        controller.fail_link("C1", "C5")
-        snap = controller.restore_link("C1", "C5")
-        assert controller.backend.calls["te_model_builds"] == 1
-        assert snap.routing.path(1, 6)[0] == "I1"
-
-
 class TestOptions:
     def test_options_frozen(self):
         options = CompilerOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            options.solver = "greedy"
+            options.mip_rel_gap = 0.1
 
     def test_stateful_switches_coerced_to_tuple(self):
         options = CompilerOptions(stateful_switches=["D4", "C1"])
@@ -798,11 +779,11 @@ class TestOptions:
 
     def test_keyword_overrides_build_options(self):
         controller = SnapController(
-            campus_topology(), campus_program(), validate=False,
+            campus_topology(), campus_program(), mip_rel_gap=0.01,
             solver_time_limit=30.0,
         )
         assert controller.options == CompilerOptions(
-            validate=False, solver_time_limit=30.0
+            mip_rel_gap=0.01, solver_time_limit=30.0
         )
 
 
@@ -852,9 +833,3 @@ class TestSolverStatus:
         # is re-solved.
         assert controller.fail_link("C3", "C5").model_stats["solve_reused"] is False
         assert controller.fail_link("C1", "C5").model_stats["solver"]["status"] == 1
-
-    def test_heuristic_reports_no_solver(self):
-        controller = SnapController(
-            campus_topology(), campus_program(), solver="greedy"
-        )
-        assert controller.submit().model_stats["solver"] == {}

@@ -1,6 +1,6 @@
 """Tests for the columnar vector execution tier (``engine="vector"``).
 
-Four load-bearing properties:
+Three load-bearing properties:
 
 * both vector tiers (interpreted and generated-kernel) are byte-identical
   to the sequential engine — records, link counters, state stores — on
@@ -12,9 +12,7 @@ Four load-bearing properties:
   state reads);
 * generated kernels are cached by the execution-program token: a TE
   rewire re-``exec``s **zero** kernel sources, a policy rebuild mints
-  fresh ones;
-* without numpy the engines refuse cleanly and a vector lane degrades
-  to the scalar lane.
+  fresh ones.
 """
 
 import pytest
@@ -39,7 +37,6 @@ from repro.dataplane.vector import (
     kernel_cache_stats,
 )
 from repro.lang import ast, make_packet
-from repro.lang.errors import DataPlaneError
 from repro.topology.graph import Topology
 from repro import workloads
 from repro.workloads import replay
@@ -53,8 +50,6 @@ from tests.test_engine import (
     record_view,
     sharded_monitor,
 )
-
-pytest.importorskip("numpy")
 
 ENGINES = [VectorEngine(max_workers=2), VectorJitEngine(max_workers=2)]
 
@@ -377,30 +372,3 @@ class TestKernelCache:
         assert stats_delta(before, "plans") == 0
         assert stats_delta(before, "cache_hits") > 0
 
-
-# -- graceful degradation without numpy ---------------------------------------
-
-
-class TestOptionalNumpy:
-    def test_engine_refuses_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector, "np", None)
-        with pytest.raises(DataPlaneError, match="numpy"):
-            VectorEngine()
-
-    def test_lane_factory_degrades_to_scalar(self, monkeypatch):
-        """Without numpy a vector lane runs its batch on the scalar
-        walker: same records, same link counts."""
-        snapshot, _ = sharded_monitor()
-        trace = workloads.background_traffic(SUBNETS, count=40, seed=6)
-        batch = [(i, packet, port) for i, (packet, port) in enumerate(trace)]
-        scalar = Walker(snapshot.build_network(), list(batch)).run()
-        monkeypatch.setattr(vector, "np", None)
-        network = snapshot.build_network()
-        shard = plan_for(network).shards[0]
-        before = kernel_cache_stats()
-        results, links = VectorLane(network, shard, list(batch)).run()
-        assert stats_delta(before, "kernel_calls") == 0
-        assert links == scalar[1]
-        assert sorted(results) == sorted(scalar[0])
-        for index in results:
-            assert record_view(results[index]) == record_view(scalar[0][index])

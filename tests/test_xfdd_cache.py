@@ -171,28 +171,33 @@ def _outcome(controller, trace) -> str:
 
 
 def test_incremental_updates_match_forced_cold_after_replay():
-    """``update_policy(edit)`` on the warm session against
-    ``update_policy(edit, incremental=False)``: same diagram size, same
-    placement, and the same deliveries and state after replaying the
-    same traffic through the live, state-carrying data plane."""
+    """``update_policy(edit)`` on the warm session against a fresh
+    session's ``submit()`` of the same edit, whose data plane adopts the
+    previous reference's state as a hot swap would: same placement, same
+    routing, and the same deliveries and state after replaying the same
+    traffic through both state-carrying data planes."""
     wl = workload("campus-ops")
     trace = list(traffic.mixed(default_subnets(6), 400, seed=3).trace)
     warm = SnapController(wl.topology, wl.program())
     cold = SnapController(wl.topology, wl.program())
+    sessions = [warm, cold]
     try:
         for controller in (warm, cold):
             controller.submit()
         assert _outcome(warm, trace) == _outcome(cold, trace)
         for edit in wl.edits:
             a = warm.update_policy(edit)
-            b = cold.update_policy(edit, incremental=False)
-            assert a.model_stats["incremental"] and not b.model_stats["incremental"]
+            previous = cold.network()
+            cold = SnapController(wl.topology, edit)
+            sessions.append(cold)
+            b = cold.submit()
+            cold.network().adopt_state(previous)
             assert dict(a.placement) == dict(b.placement)
             assert a.routing.paths == b.routing.paths
             assert _outcome(warm, trace) == _outcome(cold, trace)
     finally:
-        warm.close()
-        cold.close()
+        for controller in sessions:
+            controller.close()
 
 
 class TestFactoryScoping:
