@@ -431,18 +431,14 @@ def _lane_span_runner(runner, parent, shard_index: int, batch_size: int):
 
 class SequentialEngine:
     """Run-to-completion in arrival order: one :class:`Walker` over all
-    ingress ports, inline (:meth:`Network.stream`)."""
+    ingress ports, inline (:meth:`Network.stream`; ``replay()`` on it
+    runs :meth:`Walker.fold`)."""
 
     name = "sequential"
 
     def run(self, network: Network, arrivals) -> list:
         """One record list per injected packet, in arrival order."""
         return network.inject_many(arrivals)
-
-    def stream(self, network: Network, arrivals):
-        """:meth:`run`, lazily: each packet's record list as its walk
-        ends, none kept — what :func:`repro.workloads.replay` folds."""
-        return network.stream(arrivals)
 
     def __repr__(self):
         return "SequentialEngine()"

@@ -446,9 +446,6 @@ class SwitchProgram:
         # (tag, inport) -> pre-resolved entry, see resolve_inport_entry.
         self._inport_entries: dict = {}
 
-    def can_process(self, tag: int) -> bool:
-        return tag in self.entries
-
     def resolve_inport_entry(self, tag: int, port: int) -> int:
         """Entry index with leading ``inport``-only branches pre-resolved.
 

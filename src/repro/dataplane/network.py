@@ -487,8 +487,9 @@ class Walker:
     ``inject_many`` and the sequential engine (one walker over all
     ingress ports), each thread, process and cluster lane (one walker
     per shard batch), and sampled postcard packets (the same walk with a
-    recorder).  Its records agree with the OBS ``eval`` semantics; the
-    property tests check that they do.
+    recorder), and ``replay()``'s :meth:`fold`, which counts the walk
+    instead of recording it.  Its records agree with the OBS ``eval``
+    semantics; the property tests check that they do.
 
     Between two events everything the walk looks up is a constant, so it
     is kept in *continuation cells*: per ``(switch, ingress port u)``
@@ -552,6 +553,53 @@ class Walker:
                     for link in cell[2]:
                         links[link] = links.get(link, 0) + cell[0]
 
+    def fold(self, arrivals, stats) -> None:
+        """:meth:`run_packet` over ``arrivals`` into ``stats`` (a
+        ``ReplayStats``), with no record while each run has one outcome
+        whose cell is built; anything else, and a sampled packet, goes
+        through :meth:`_finish` and ``stats.record``.  A packet counts
+        once its walk ends, as in :meth:`Network.stream`."""
+        ingress = self._ingress
+        per_egress = stats.per_egress
+        sampler = postcards.active_sampler()
+        folded = total_hops = 0
+        try:
+            for index, (packet, port) in enumerate(arrivals):
+                if sampler is not None and sampler.should(index):
+                    stats.record(self.run_sampled(packet, port, index))
+                    continue
+                resume = ingress.get(port) or self._enter(port)
+                fields = dict(packet._fields)
+                fields["inport"] = port
+                hops, v = 0, None
+                while True:
+                    out: list = []
+                    resume[0](fields, out)
+                    if len(out) == 1:
+                        fields, outcome = out[0]
+                        if outcome == DONE_TAG:
+                            egress = fields.get("outport")
+                            cell = resume[3][0].get(egress)
+                        else:  # a drop's tag, None, has no PAUSE cell
+                            cell = resume[3][1].get((v, outcome))
+                        if cell is not None:
+                            cell[0] += 1
+                            hops += cell[1]
+                            if hops > MAX_HOPS:
+                                raise DataPlaneError(HOP_LIMIT_MESSAGE)
+                            if outcome != DONE_TAG:
+                                resume, v = cell[4], cell[3]
+                                continue
+                            folded += 1
+                            total_hops += hops
+                            per_egress[egress] = per_egress.get(egress, 0) + 1
+                            break
+                    stats.record(self._finish(port, resume, None, out, hops, v))
+                    break
+        finally:
+            stats.add_folded(folded, total_hops)
+            self.add_link_counts(self.network.link_packets)
+
     def run_packet(self, packet: Packet, port: int, recorder=None) -> list:
         """One packet from its ingress port to every copy's fate.
 
@@ -560,41 +608,50 @@ class Walker:
         switch programs and handed as is to the copy's final
         :class:`DeliveryRecord`.
 
+        ``recorder`` (a postcard recorder) sees the same walk through
+        the programs' traced functions; hop events are replayed from
+        each cell's link tuple.
+        """
+        resume = self._ingress.get(port) or self._enter(port)
+        fields = dict(packet._fields)
+        fields["inport"] = port
+        return self._finish(port, resume, fields, None, 0, None, recorder)
+
+    def _enter(self, port: int):
+        """The ``resume`` at ingress ``port``, built on its first packet
+        (leading inport-only branches resolved once per port)."""
+        net = self.network
+        try:
+            program = net.switches[net.topology.ports[port]]
+        except KeyError:
+            raise DataPlaneError(f"no OBS port {port} in the topology") from None
+        entry = program.resolve_inport_entry(ROOT_TAG, port)
+        resume = self._continuation(program, entry, port, ROOT_TAG)
+        self._ingress[port] = resume
+        return resume
+
+    def _finish(self, port, resume, fields, out, hops, v, recorder=None) -> list:
+        """The continuation loop: a packet of ingress ``port``, from the
+        copy ``fields`` about to run at ``resume`` — or, with ``out``
+        given, from what that run emitted — to every copy's record.
+
         Depth-first over packet copies, first-emitted first: the OBS
         evaluation order.  Stack items are ``(resume, fields, hops, v)``
         or DeliveryRecords; a record on the stack is a delivery whose
         forwarding hops a hop-by-hop walk would still be taking, so it
         surfaces in the same depth-first position.
-
-        ``recorder`` (a postcard recorder) sees the same walk through
-        the programs' traced functions; hop events are replayed from
-        each cell's link tuple.
         """
-        resume = self._ingress.get(port)
-        if resume is None:
-            net = self.network
-            try:
-                program = net.switches[net.topology.ports[port]]
-            except KeyError:
-                raise DataPlaneError(f"no OBS port {port} in the topology") from None
-            # Leading inport-only branches are resolved once per port.
-            entry = program.resolve_inport_entry(ROOT_TAG, port)
-            resume = self._ingress[port] = self._continuation(
-                program, entry, port, ROOT_TAG
-            )
         run, program, entry, (done, pause), tag = resume
-        fields = dict(packet._fields)
-        fields["inport"] = port
-        hops, v = 0, None
         records: list = []
         stack: list = []
         while True:
-            out: list = []
-            if recorder is None:
-                run(fields, out)
-            else:
-                recorder.process(program.switch)
-                program.functions(True)[entry](fields, out, recorder)
+            if out is None:
+                out = []
+                if recorder is None:
+                    run(fields, out)
+                else:
+                    recorder.process(program.switch)
+                    program.functions(True)[entry](fields, out, recorder)
             in_flight = None
             for fields, outcome in out:
                 if outcome == DONE_TAG:
@@ -647,6 +704,7 @@ class Walker:
             if not stack:
                 return records
             (run, program, entry, (done, pause), tag), fields, hops, v = stack.pop()
+            out = None
 
     def _continuation(self, program: SwitchProgram, entry: int, u: int, tag: int):
         """How a copy of ingress ``u`` carrying ``tag`` is processed at

@@ -8,8 +8,8 @@ verifying the distributed realization against the specification.
 
 from __future__ import annotations
 
-from repro.dataplane.engine import get_engine
-from repro.dataplane.network import Network
+from repro.dataplane.engine import SequentialEngine, get_engine
+from repro.dataplane.network import Network, Walker
 from repro.lang import ast
 from repro.lang.semantics import run_sequence
 from repro.lang.state import Store
@@ -42,19 +42,13 @@ class ReplayStats:
         self.packets_delivered = 0
         self.per_egress: dict[int, int] = {}
         self.total_hops = 0
+        #: Packets counted without a record (the sequential engine's
+        #: :meth:`~repro.dataplane.network.Walker.fold`): how a replay
+        #: ran, not what it delivered; 0 on every other engine.
+        self.folded = 0
 
     def record(self, records) -> None:
         self.sent += 1
-        if len(records) == 1:  # unicast, almost every packet: no loop
-            egress = records[0].egress
-            if egress is None:
-                self.dropped += 1
-            else:
-                self.delivered += 1
-                self.packets_delivered += 1
-                self.per_egress[egress] = self.per_egress.get(egress, 0) + 1
-                self.total_hops += records[0].hops
-            return
         any_delivered = False
         for record in records:
             if record.egress is None:
@@ -68,6 +62,16 @@ class ReplayStats:
                 self.total_hops += record.hops
         if any_delivered:
             self.packets_delivered += 1
+
+    def add_folded(self, packets: int, hops: int) -> None:
+        """Count ``packets`` unicast deliveries, ``hops`` hops in all,
+        that :meth:`~repro.dataplane.network.Walker.fold` made no record
+        for (it adds their ``per_egress`` counts itself, in order)."""
+        self.sent += packets
+        self.delivered += packets
+        self.packets_delivered += packets
+        self.total_hops += hops
+        self.folded += packets
 
     @property
     def delivery_rate(self) -> float:
@@ -107,26 +111,31 @@ def replay(trace: Trace, network: Network, engine=None) -> ReplayStats:
     :meth:`SnapController.network`).  Every engine is
     delivery-equivalent to per-packet :meth:`~Network.inject` calls.
 
-    The statistics are folded from the engine's ``stream`` when it has
-    one (the sequential engine: one packet's records alive at a time),
-    else from the list its ``run`` returns.  If a packet raises, the
-    packets the fold saw before it still reach the span and
-    ``snap_replay_packets_total``.
+    On the sequential engine the statistics are folded straight from
+    the walk (:meth:`~repro.dataplane.network.Walker.fold`): a packet
+    whose walk stays unicast through built continuation cells makes no
+    record (:attr:`ReplayStats.folded`, the ``replay`` span's ``folded``
+    attribute).  Every other engine's statistics are folded from the
+    list its ``run`` returns.  If a packet raises, the packets that ran
+    before it still reach the span and ``snap_replay_packets_total``.
     """
     if engine is None:
         engine = getattr(network, "default_engine", "sequential")
     runner = get_engine(engine)
-    run = getattr(runner, "stream", runner.run)
     stats = ReplayStats()
     with TRACER.span(
         "replay", engine=getattr(runner, "name", str(engine))
     ) as span:
         try:
-            for records in run(network, trace):
-                stats.record(records)
+            if isinstance(runner, SequentialEngine):
+                Walker(network).fold(trace, stats)
+            else:
+                for records in runner.run(network, trace):
+                    stats.record(records)
         finally:
             span.set_attr("packets", stats.sent)
             span.set_attr("delivered", stats.delivered)
+            span.set_attr("folded", stats.folded)
             _REPLAY_PACKETS.inc(stats.sent)
     return stats
 

@@ -1,9 +1,11 @@
 """Tests for the data plane: splitting, NetASM, rules, and the simulator."""
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
+from repro import obs
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import PacketStateMapping, packet_state_mapping
 from repro.apps import default_subnets
@@ -33,11 +35,14 @@ from repro.lang.packet import make_packet
 from repro.lang.state import StateVariable, Store
 from repro.milp.placement import build_placement_model
 from repro.milp.results import RoutingPaths, extract_paths
+from repro.obs.tracing import TRACER
 from repro.topology.graph import Topology
 from repro.topology.traffic import uniform_traffic_matrix
+from repro.workloads import ReplayStats, replay
 from repro.xfdd.build import build_xfdd
 
 from tests.snapbench_programs import WORKLOADS, traffic, workload
+from tests.test_engine import assert_replay_folds_run
 
 
 def line_topology(num=3, capacity=100.0):
@@ -105,7 +110,7 @@ class TestCompileSwitch:
         xfdd = build_xfdd(SIMPLE)
         index = NodeIndex(xfdd)
         program = compile_switch("s0", xfdd, index, {"s": "s1"}, {"s": False}, True)
-        assert program.can_process(ROOT_TAG)
+        assert ROOT_TAG in program.entries
 
     def test_non_port_switch_without_state_has_no_entries(self):
         xfdd = build_xfdd(SIMPLE)
@@ -496,12 +501,12 @@ class TestFailuresAreNeverMemoised:
     through the same ``(switch, ingress)`` are delivered and counted, and
     the link counts are those of a walker that memoises nothing."""
 
-    def _network(self, policy, placement=None):
+    def _network(self, policy, placement=None, defaults=None):
         topo = line_topology(3)
         xfdd, _, mapping, demands, solution, routing = compile_case(policy, topo)
         return Network(
             topo, xfdd, placement or solution.placement, routing, mapping,
-            demands, {"s": False},
+            demands, defaults or {"s": False},
         )
 
     @staticmethod
@@ -540,6 +545,49 @@ class TestFailuresAreNeverMemoised:
         assert self._links(walker) == {("s0", "s1"): 2, ("s1", "s2"): 2}
         assert net.global_store().read("s", (5,)) is False
 
+    def test_replay_raising_mid_walk_leaves_what_stream_leaves(self):
+        """The hairpin above, mid-trace, after its ingress program wrote
+        state: ``replay()`` stops where ``Network.stream`` stops, and the
+        span, ``snap_replay_packets_total``, the link counts and the
+        state are those of the stream consumed up to the raise."""
+        def network():
+            return self._network(
+                ast.Seq(
+                    ast.StateIncr("c", ast.Field("srcip")),
+                    ast.If(
+                        ast.Test("srcip", 5),
+                        ast.Seq(
+                            ast.StateMod("s", ast.Field("srcip"), ast.Value(True)),
+                            ast.Mod("outport", 1),
+                        ),
+                        ast.Mod("outport", 2),
+                    ),
+                ),
+                placement={"c": "s0", "s": "s2"},
+                defaults={"c": 0, "s": False},
+            )
+
+        good, hairpin = (make_packet(srcip=6), 1), (make_packet(srcip=5), 1)
+        arrivals = [good] * 3 + [hairpin] + [good] * 2
+        streamed, ran = network(), []
+        with pytest.raises(DataPlaneError, match="no candidate egress"):
+            for records in streamed.stream(arrivals):
+                ran.append(records)
+        replayed = network()
+        total = obs.REGISTRY.counter("snap_replay_packets_total").labels()
+        before = total.value
+        with pytest.raises(DataPlaneError, match="no candidate egress"):
+            replay(arrivals, replayed)
+        attrs = TRACER.spans("replay")[-1]["attrs"]
+        assert attrs["packets"] == total.value - before == len(ran) == 3
+        assert (attrs["delivered"], attrs["folded"]) == (3, 2)
+        assert replayed.link_packets == streamed.link_packets == {
+            ("s0", "s1"): 3, ("s1", "s2"): 3,
+        }
+        store = replayed.global_store()
+        assert store == streamed.global_store()
+        assert (store.read("c", (5,)), store.read("c", (6,))) == (1, 3)
+
     def test_routing_loop(self):
         net = self._network(ast.If(
             ast.Test("srcip", 1), ast.Mod("outport", 2), ast.Mod("outport", 1)
@@ -562,15 +610,22 @@ class TestFailuresAreNeverMemoised:
 
     def test_total_hop_overrun_counts_the_links_it_took(self, monkeypatch):
         """Two forwarding legs, each within the limit, their sum over
-        it: the walk raises on the second leg, after counting it."""
+        it: the walk raises on the second leg, after counting it — also
+        in ``replay()``'s fold, which takes both cells itself once the
+        first packet has built them."""
         net = self._network(SIMPLE, placement={"s": "s1"})
         walker = Walker(net)
         assert [r.hops for r in walker.run_packet(make_packet(srcip=1), 1)] == [2]
         monkeypatch.setattr(network_module, "MAX_HOPS", 1)
-        for _ in range(2):
+        stats = ReplayStats()
+        for drive in (
+            lambda packet: walker.run_packet(packet, 1),
+            lambda packet: walker.fold([(packet, 1)], stats),
+        ):
             with pytest.raises(DataPlaneError) as raised:
-                walker.run_packet(make_packet(srcip=1), 1)
+                drive(make_packet(srcip=1))
             assert str(raised.value) == network_module.HOP_LIMIT_MESSAGE
+        assert (stats.sent, stats.total_hops) == (0, 0)
         monkeypatch.undo()
         assert [r.egress for r in walker.run_packet(make_packet(srcip=2), 1)] == [2]
         assert self._links(walker) == {("s0", "s1"): 4, ("s1", "s2"): 4}
@@ -617,6 +672,9 @@ class TestContinuationCells:
     #: 9616888, the last commit whose walker wrote the SNAP header into
     #: every packet and looked the route up per packet.
     GOLDEN = "3fc7250781af811df2148bcfddc085d9"
+    #: Packets ``replay()`` folds without a record: all but the forks,
+    #: the drops, the packets that build a cell and the sampled ones.
+    FOLDED = {0: 1522, 7: 1316}
 
     def test_records_and_link_counts_equal_the_per_packet_walk(self, mixed_campus):
         snapshot, arrivals = mixed_campus
@@ -670,6 +728,60 @@ class TestContinuationCells:
               SNAP_NODE: ROOT_TAG}, None, 0),
         ]
         assert net.link_packets == {("s0", "s1"): 2, ("s1", "s2"): 2}
+
+    @pytest.mark.parametrize("every", [0, 7], ids=["unsampled", "postcards"])
+    def test_replay_folds_the_records(self, mixed_campus, every):
+        """``replay()``'s fold on the golden's forks, header-bearing
+        drops and pauses, unsampled and with every 7th packet's
+        postcard."""
+        snapshot, arrivals = mixed_campus
+        stats = assert_replay_folds_run(snapshot, arrivals, every)
+        assert stats.folded == self.FOLDED[every]
+
+    def test_replay_folds_a_kept_egress_and_a_drop_with_an_outport(self):
+        """Two pauses in a row, where Appendix D keeps the egress the first
+        one chose although the highest-demand flow needing ``y`` branches
+        off to ``b``; and copies dropped after they were given an outport
+        whose DONE cell is built.  The fold carries the kept egress from
+        cell to cell and takes no DONE cell for a drop."""
+        topo = Topology("fork")
+        for name in ("s0", "s1", "a", "b", "s2", "s3", "s4"):
+            topo.add_switch(name)
+        for link in [("s0", "s1"), ("s1", "a"), ("s1", "b"), ("a", "s2"),
+                     ("b", "s2"), ("s2", "s3"), ("s2", "s4")]:
+            topo.add_link(*link, 100.0)
+        for port, switch in [(1, "s0"), (2, "s3"), (3, "s4")]:
+            topo.attach_port(port, switch)
+        topo.validate()
+
+        def incr(var):
+            return ast.StateIncr(var, ast.Field("srcip"))
+
+        xfdd = build_xfdd(ast.If(
+            ast.Test("dstip", 2),
+            ast.Seq(incr("x"), ast.Seq(incr("y"), ast.Mod("outport", 2))),
+            ast.If(
+                ast.Test("dstip", 3),
+                ast.Seq(incr("y"), ast.Mod("outport", 3)),
+                ast.Seq(ast.Mod("outport", 3), ast.Seq(incr("y"), ast.Drop())),
+            ),
+        ))
+        placement = {"x": "s1", "y": "s2"}
+        routing = RoutingPaths({
+            (1, 2): ("s0", "s1", "a", "s2", "s3"),
+            (1, 3): ("s0", "s1", "b", "s2", "s4"),
+        }, placement)
+        mapping = packet_state_mapping(xfdd, [1, 2, 3], [1, 2, 3])
+        snapshot = SimpleNamespace(build_network=lambda: Network(
+            topo, xfdd, placement, routing, mapping,
+            {(1, 2): 1.0, (1, 3): 5.0}, {"x": 0, "y": 0},
+        ))
+        arrivals = [(make_packet(srcip=k, dstip=2 + k % 3), 1) for k in range(9)]
+        stats = assert_replay_folds_run(snapshot, arrivals)
+        assert (stats.per_egress, stats.dropped, stats.folded) == ({2: 3, 3: 3}, 3, 4)
+        network = snapshot.build_network()
+        replay(arrivals, network)
+        assert network.link_packets[("s1", "a")] == 3
 
     def test_lane_link_counts_equal_the_streams(self, mixed_campus):
         snapshot, arrivals = mixed_campus

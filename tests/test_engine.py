@@ -35,10 +35,12 @@ from repro.dataplane.engine import (
 from repro.lang import ast, make_packet
 from repro.lang.errors import DataPlaneError, SnapError
 from repro.lang.state import Store
+from repro.obs import postcards
+from repro.obs.tracing import TRACER
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
 from repro import workloads
-from repro.workloads import replay, replay_obs
+from repro.workloads import ReplayStats, replay, replay_obs
 
 NUM_PORTS = 6
 SUBNETS = default_subnets(NUM_PORTS)
@@ -386,9 +388,47 @@ class TestShardStateSlices:
         }
 
 
+#: The outcome counters of :class:`ReplayStats` (``folded`` says how a
+#: replay ran, not what it delivered).
+REPLAY_COUNTERS = (
+    "sent", "delivered", "dropped", "packets_delivered", "per_egress",
+    "total_hops",
+)
+
+
+def assert_replay_folds_run(snapshot, arrivals, every=0):
+    """``replay()`` on the sequential engine is :class:`ReplayStats`
+    folded from ``SequentialEngine().run``'s records: the six counters
+    (``per_egress`` in the same key order), the final state and the link
+    counts; with postcards sampled every ``every``-th packet, the same
+    postcards.  Returns the replay's stats."""
+    net_run, net_replay = snapshot.build_network(), snapshot.build_network()
+    expected = ReplayStats()
+    postcards.reset()
+    with postcards.sampling(every):
+        for records in SequentialEngine().run(net_run, arrivals):
+            expected.record(records)
+    run_cards = postcards.postcards()
+    postcards.reset()
+    with postcards.sampling(every):
+        got = replay(arrivals, net_replay, engine="sequential")
+    assert [getattr(got, name) for name in REPLAY_COUNTERS] == [
+        getattr(expected, name) for name in REPLAY_COUNTERS
+    ]
+    assert list(got.per_egress) == list(expected.per_egress)
+    assert net_replay.global_store() == net_run.global_store()
+    assert net_replay.link_packets == net_run.link_packets
+    assert postcards.postcards() == run_cards
+    assert len(run_cards) == (-(-len(arrivals) // every) if every else 0)
+    attrs = TRACER.spans("replay")[-1]["attrs"]
+    assert (attrs["packets"], attrs["folded"]) == (got.sent, got.folded)
+    return got
+
+
 class TestStreamContract:
-    """``SequentialEngine.stream`` is ``run`` one packet at a time: the
-    same records, state and link counts, with nothing kept."""
+    """``Network.stream`` is ``SequentialEngine().run`` one packet at a
+    time: the same records, state and link counts, with nothing kept;
+    and ``replay()``'s fold is those records' :class:`ReplayStats`."""
 
     @pytest.mark.parametrize("case", [
         sharded_monitor,
@@ -400,7 +440,7 @@ class TestStreamContract:
         arrivals = list(workloads.background_traffic(SUBNETS, count=200, seed=3))
         net_run, net_stream = snapshot.build_network(), snapshot.build_network()
         ran = SequentialEngine().run(net_run, arrivals)
-        stream = SequentialEngine().stream(net_stream, iter(arrivals))
+        stream = net_stream.stream(iter(arrivals))
         # Lazy: no packet has run yet.
         assert net_stream.global_store() == snapshot.build_network().global_store()
         streamed = list(stream)
@@ -408,12 +448,13 @@ class TestStreamContract:
         assert [record_view(r) for r in streamed] == [record_view(r) for r in ran]
         assert net_stream.global_store() == net_run.global_store()
         assert net_stream.link_packets == net_run.link_packets
+        assert assert_replay_folds_run(snapshot, arrivals).folded > 0
 
     def test_early_stop_leaves_the_link_counts_of_the_packets_that_ran(self):
         snapshot, _ = sharded_monitor()
         arrivals = list(workloads.background_traffic(SUBNETS, count=50, seed=3))
         network = snapshot.build_network()
-        stream = SequentialEngine().stream(network, arrivals)
+        stream = network.stream(arrivals)
         for _ in range(20):
             next(stream)
         stream.close()  # what dropping the last reference does

@@ -334,7 +334,7 @@ class TestPostcards:
         run_cards = postcards.postcards()
         postcards.reset()
         with postcards.sampling(3):
-            streamed = list(SequentialEngine().stream(net_stream, trace))
+            streamed = list(net_stream.stream(trace))
         assert [record_view(r) for r in streamed] == [record_view(r) for r in ran]
         assert net_stream.link_packets == net_run.link_packets
         assert [card["index"] for card in run_cards] == list(range(0, 40, 3))
