@@ -4,8 +4,10 @@
 NumPy and SciPy are core requirements: the MILP layer
 (``repro.milp.modeling`` / ``placement``, loaded by
 ``repro.core.controller``) keeps its model in numpy arrays and solves it
-on the HiGHS binding SciPy vendors as ``scipy.optimize._highspy`` since
-1.15.  Install the ``test`` extra to run the suite.
+on the HiGHS binding SciPy vendors as ``scipy.optimize._highspy``: 1.17
+bundles HiGHS 1.12, which knows every option the solve sets (an option
+HiGHS does not know is a ``PlacementError``).  Install the ``test`` extra
+to run the suite.
 """
 
 from setuptools import find_packages, setup
@@ -19,7 +21,7 @@ setup(
     install_requires=[
         "networkx",
         "numpy",
-        "scipy>=1.15",
+        "scipy>=1.17",
     ],
     extras_require={
         "test": [

@@ -14,8 +14,8 @@ in place (§6.2.2: "incremental additions and modifications of variables
 and constraints in a few milliseconds") — nothing is assembled at solve
 time.
 
-A solve hands these arrays to HiGHS's own binding, which SciPy (>= 1.15)
-vendors as ``scipy.optimize._highspy`` and builds ``milp`` on.
+A solve hands these arrays to HiGHS's own binding, which SciPy (>= 1.17,
+HiGHS 1.12) vendors as ``scipy.optimize._highspy`` and builds ``milp`` on.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ try:
     from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 except ImportError as error:
     raise ImportError(
-        "repro.milp needs scipy>=1.15 (HiGHS's binding, scipy.optimize._highspy)"
+        "repro.milp needs scipy>=1.17 (HiGHS's binding, scipy.optimize._highspy)"
     ) from error
 
 
@@ -46,16 +46,21 @@ class Solution:
 
     ``status`` is SciPy's code for HiGHS's status: 0 optimal, 1
     iteration/time limit reached with an incumbent — ``mip_gap`` (``None``
-    for an LP) tells the two apart in numbers.
+    for an LP) tells the two apart in numbers.  ``nodes`` (branch-and-bound
+    nodes, ``None`` for an LP) and ``lp_iterations`` (simplex iterations)
+    say how much work the solve did.
     """
 
     def __init__(self, values: np.ndarray, objective: float, status: int,
-                 message: str, mip_gap: float | None = None):
+                 message: str, mip_gap: float | None = None,
+                 nodes: int | None = None, lp_iterations: int | None = None):
         self._values = values
         self.objective = objective
         self.status = status
         self.message = message
         self.mip_gap = mip_gap
+        self.nodes = nodes
+        self.lp_iterations = lp_iterations
 
     def __getitem__(self, var: int) -> float:
         return float(self._values[var])
@@ -191,10 +196,13 @@ class Model:
             options["time_limit"] = time_limit
         if mip_rel_gap is not None:
             options["mip_rel_gap"] = mip_rel_gap
-        if not self.num_integer_vars:
-            # The TE LP: presolve costs it ~4x the simplex it saves.  The
-            # ST MILP keeps it: without, HiGHS returns another placement
-            # inside the MIP gap, and with it other switch programs.
+        if self.num_integer_vars:
+            # The ST MILP: solved at the root node, whose LP vertex replaces
+            # feasibility jump's incumbent.  Presolve stays: without, HiGHS
+            # returns another placement in the MIP gap, and other switch programs.
+            options["mip_heuristic_run_feasibility_jump"] = False
+        else:
+            # The TE LP: presolve costs it ~4x the simplex it saves.
             options["presolve"] = "off"
         return run_highs(self, options)
 
@@ -207,11 +215,13 @@ class Model:
 
 def run_highs(model: Model, options: dict) -> Solution:
     """Solve ``model`` on a fresh HiGHS instance with ``options``; raises
-    :class:`PlacementError` for an LP that is not optimal or a MILP
-    stopped without an incumbent.  Codes and messages are ``milp``'s."""
+    :class:`PlacementError` for an option HiGHS does not know, an LP that
+    is not optimal or a MILP stopped without an incumbent.  Codes and
+    messages are ``milp``'s."""
     highs = _Highs()
     for name, value in options.items():
-        highs.setOptionValue(name, value)
+        if highs.setOptionValue(name, value) == HighsStatus.kError:
+            raise PlacementError(f"{model.name}: HiGHS {highs.version()} rejects {name}={value!r}")
     matrix = model.matrix.tocsc()
     loaded = highs.passModel(
         model.num_vars, model.num_constraints, matrix.nnz, MatrixFormat.kColwise,
@@ -231,4 +241,5 @@ def run_highs(model: Model, options: dict) -> Solution:
     return Solution(
         np.array(highs.getSolution().col_value), info.objective_function_value,
         code, message, info.mip_gap if is_mip else None,
+        info.mip_node_count if is_mip else None, info.simplex_iteration_count,
     )

@@ -620,11 +620,8 @@ class PlacementModel:
             routing=self._extract_routing(solution),
             objective=solution.objective,
             inputs=self.inputs,
-            solver={
-                "status": solution.status,
-                "message": solution.message,
-                "mip_gap": solution.mip_gap,
-            },
+            solver={key: getattr(solution, key) for key in (
+                "status", "message", "mip_gap", "nodes", "lp_iterations")},
         )
 
     def _extract_placement(self, solution: Solution) -> dict:
@@ -694,7 +691,8 @@ class PlacementSolution:
         self.objective = objective
         self.inputs = inputs
         #: what the solver said about this answer (``status`` 0 optimal,
-        #: 1 a time-limited incumbent; ``message``; ``mip_gap`` or None).
+        #: 1 a time-limited incumbent; ``message``; ``mip_gap`` and
+        #: ``nodes``, None for an LP; ``lp_iterations``).
         #: Empty for solutions no solver produced (the heuristic).
         self.solver = solver or {}
 

@@ -23,12 +23,8 @@ from repro.topology.graph import Topology
 
 
 def build_te_model(
-    topology: Topology,
-    demands: dict,
-    mapping: PacketStateMapping,
-    dependencies: DependencyInfo,
-    placement: dict,
-    stateful_switches=None,
+    topology: Topology, demands: dict, mapping: PacketStateMapping,
+    dependencies: DependencyInfo, placement: dict, stateful_switches=None,
 ) -> PlacementModel:
     """Construct the routing-only LP with state placement fixed."""
     inputs = PlacementInputs(topology, demands, mapping, dependencies, stateful_switches)
@@ -36,14 +32,9 @@ def build_te_model(
 
 
 def solve_te(
-    topology: Topology,
-    demands: dict,
-    mapping: PacketStateMapping,
-    dependencies: DependencyInfo,
-    placement: dict,
-    time_limit: float | None = None,
+    topology: Topology, demands: dict, mapping: PacketStateMapping,
+    dependencies: DependencyInfo, placement: dict, time_limit: float | None = None,
 ):
     """Build and solve TE in one call; returns a PlacementSolution."""
-    return build_te_model(
-        topology, demands, mapping, dependencies, placement
-    ).solve(time_limit=time_limit)
+    model = build_te_model(topology, demands, mapping, dependencies, placement)
+    return model.solve(time_limit=time_limit)

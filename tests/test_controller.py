@@ -799,9 +799,13 @@ class TestSolverStatus:
             solver = snapshot.model_stats["solver"]
             assert solver["status"] == 0
             assert "Optimal" in solver["message"]
-        # The ST MILP proves its gap; the TE LP has none to report.
-        assert controller.history()[0].model_stats["solver"]["mip_gap"] == 0.0
-        assert set(solver) == {"status", "message", "mip_gap"}
+        # The ST MILP proves its gap at the root node; the TE LP has
+        # neither a gap nor nodes to report, only its simplex iterations.
+        st = controller.history()[0].model_stats["solver"]
+        assert (st["mip_gap"], st["nodes"]) == (0.0, 1)
+        assert (solver["mip_gap"], solver["nodes"]) == (None, None)
+        assert st["lp_iterations"] > 0 and solver["lp_iterations"] > 0
+        assert set(solver) == {"status", "message", "mip_gap", "nodes", "lp_iterations"}
 
     def test_time_limited_incumbent_is_distinguishable(self, monkeypatch):
         from repro.milp import modeling
@@ -811,13 +815,15 @@ class TestSolverStatus:
         def at_the_limit(model, options):
             # What HiGHS returns when `time_limit` strikes with a feasible
             # point in hand (deterministically, unlike a real tiny limit).
-            # The TE LP (no integer column) is solved without presolve.
-            lp = {} if model.num_integer_vars else {"presolve": "off"}
-            assert options == {"output_flag": False, "time_limit": 0.5, **lp}
+            # The TE LP (no integer column) is solved without presolve,
+            # the ST MILP without feasibility jump.
+            own = ({"mip_heuristic_run_feasibility_jump": False}
+                   if model.num_integer_vars else {"presolve": "off"})
+            assert options == {"output_flag": False, "time_limit": 0.5, **own}
             result = real_run(model, options)
             result.status = 1
             result.message = "Time limit reached. (HiGHS Status 13: Time limit reached)"
-            result.mip_gap = 0.9
+            result.mip_gap, result.nodes, result.lp_iterations = 0.9, 7, 1234
             return result
 
         monkeypatch.setattr(modeling, "run_highs", at_the_limit)
@@ -828,6 +834,8 @@ class TestSolverStatus:
             "status": 1,
             "message": "Time limit reached. (HiGHS Status 13: Time limit reached)",
             "mip_gap": 0.9,
+            "nodes": 7,
+            "lp_iterations": 1234,
         }
         # An incumbent certifies nothing: even a link it does not use
         # is re-solved.

@@ -3,11 +3,13 @@
 ``repro.milp.modeling`` hands a model's arrays to HiGHS's own binding
 (``scipy.optimize._highspy``); ``milp`` wraps the same binding and, like
 ``tests/reference_milp.py``, only tests import it.  **ST** (a MILP,
-HiGHS defaults): the same ``x``, array-equal, and the same objective,
-because among equally cheap placements HiGHS's answer is what the
-generated switch programs are made from.  **TE** (the LP, solved
-without presolve): the optimum to 1e-9, cold and after every patch, with
-a routing P6 accepts.
+HiGHS's defaults but feasibility jump off; ``milp`` keeps the defaults):
+the same ``x``, array-equal, and the same objective, because among
+equally cheap placements HiGHS's answer is what the generated switch
+programs are made from.  Each snapbench workload's ST program is solved
+at the root node, whose LP vertex replaces the heuristic's incumbent.
+**TE** (the LP, solved without presolve): the optimum to 1e-9, cold and
+after every patch, with a routing P6 accepts.
 
 ``PYTHONPATH=src python tests/test_milp_solver.py`` prints the solve
 times of the four snapbench workloads' programs (see :func:`main`).
@@ -17,12 +19,14 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from repro.core.controller import SnapController
 from repro.lang.errors import PlacementError
 from repro.milp import modeling
 from repro.milp.modeling import Model
 from repro.milp.placement import PlacementInputs, PlacementModel
 from repro.milp.results import extract_paths, validate_solution
 
+from snapbench_programs import WORKLOADS, workload
 from test_milp_assembly import CASES, problem_inputs, some_placement
 
 
@@ -63,6 +67,48 @@ def test_st_is_milps_answer(case):
     assert solution.objective == expected.fun
     assert (solution.status, solution.message) == (expected.status, expected.message)
     assert solution.mip_gap == expected.mip_gap
+    assert solution.nodes == expected.mip_node_count
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_snapbench_st_is_milps_answer_at_the_root(name, monkeypatch):
+    """A snapbench program's ST MILP, as its controller solves it: the
+    ``x`` HiGHS's defaults (feasibility jump on) return, array-equal, and
+    found at the root node — so turning the heuristic off moves no
+    placement and no switch program."""
+    solved = []
+    real_run = modeling.run_highs
+
+    def spy(model, options):
+        solution = real_run(model, options)
+        if model.num_integer_vars:
+            solved.append((model, solution))
+        return solution
+
+    monkeypatch.setattr(modeling, "run_highs", spy)
+    w = workload(name)
+    controller = SnapController(w.topology, w.program())
+    try:
+        controller.submit()
+    finally:
+        controller.close()
+    [(model, solution)] = solved
+    expected = reference(model)
+    assert np.array_equal(solution.value_array(), expected.x)
+    assert solution.objective == expected.fun
+    assert solution.mip_gap == expected.mip_gap
+    assert solution.nodes == expected.mip_node_count == 1
+
+
+def test_an_option_highs_does_not_know_is_an_error():
+    """HiGHS answers an unknown option (a typo, or a HiGHS too old for
+    it) with an error and keeps its default; the solve must not."""
+    model = PlacementModel(PlacementInputs(*problem_inputs(*CASES["campus-dns"]()))).model
+    with pytest.raises(PlacementError, match=r"rejects mip_heuristic_run_feasibility_jmp=False"):
+        modeling.run_highs(model, {"output_flag": False,
+                                   "mip_heuristic_run_feasibility_jmp": False})
+    with pytest.raises(PlacementError, match=r"rejects presolve='maybe'"):
+        modeling.run_highs(model, {"output_flag": False, "presolve": "maybe"})
 
 
 def test_te_matches_milp_cold_and_after_every_patch(case):
@@ -148,6 +194,8 @@ def test_time_limited_incumbent_is_returned_for_a_milp_only(monkeypatch):
 
 
 def test_lp_is_solved_without_presolve_and_milp_with_defaults(monkeypatch):
+    """The TE LP runs without presolve; the ST MILP keeps HiGHS's
+    defaults (presolve included) except feasibility jump, off."""
     seen = []
     real_run = modeling.run_highs
 
@@ -160,7 +208,8 @@ def test_lp_is_solved_without_presolve_and_milp_with_defaults(monkeypatch):
     st = PlacementModel(PlacementInputs(*inputs)).solve(mip_rel_gap=1e-4)
     PlacementModel(PlacementInputs(*inputs), st.placement).solve(time_limit=60.0)
     assert seen == [
-        (True, {"output_flag": False, "mip_rel_gap": 1e-4}),
+        (True, {"output_flag": False, "mip_rel_gap": 1e-4,
+                "mip_heuristic_run_feasibility_jump": False}),
         (False, {"output_flag": False, "time_limit": 60.0, "presolve": "off"}),
     ]
 
@@ -168,24 +217,27 @@ def test_lp_is_solved_without_presolve_and_milp_with_defaults(monkeypatch):
 def main() -> None:
     """Print solve times on the four snapbench workloads' TE LP (built
     cold on the ST placement) and ST MILP: ``milp``, the binding with
-    HiGHS's defaults, and ``Model.solve``; best of three, wall seconds."""
+    HiGHS's defaults, and ``Model.solve``; best of three, wall seconds.
+    The last column is the work of the two binding solves: nodes (``-``
+    for an LP) / simplex iterations."""
     import time
 
-    from snapbench_programs import WORKLOADS, workload
-
-    from repro.core.controller import SnapController
     from repro.milp.te import build_te_model
 
     def best(solve):
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            objective = solve()
+            result = solve()
             times.append(time.perf_counter() - start)
-        return min(times), objective
+        return min(times), result
 
-    print("| program | size | `milp` | binding, defaults | `Model.solve` |")
-    print("|---|---|---|---|---|")
+    def work(solution):
+        return f"{'-' if solution.nodes is None else solution.nodes} / {solution.lp_iterations}"
+
+    print("| program | size | `milp` | binding, defaults | `Model.solve` "
+          "| nodes / iterations, defaults → `Model.solve` |")
+    print("|---|---|---|---|---|---|")
     for name in WORKLOADS:
         w = workload(name)
         controller = SnapController(w.topology, w.program())
@@ -196,16 +248,16 @@ def main() -> None:
         te = build_te_model(*inputs, dict(snapshot.placement))
         st = PlacementModel(PlacementInputs(*inputs))
         for kind, model in (("TE", te.model), ("ST", st.model)):
-            timings = [
-                best(lambda: reference(model).fun),
-                best(lambda: modeling.run_highs(model, {"output_flag": False}).objective),
-                best(lambda: model.solve().objective),
-            ]
-            objectives = {objective for _, objective in timings}
+            (milp_s, expected), (defaults_s, defaults), (solve_s, solution) = (
+                best(lambda: reference(model)),
+                best(lambda: modeling.run_highs(model, {"output_flag": False})),
+                best(model.solve),
+            )
+            objectives = {expected.fun, defaults.objective, solution.objective}
             assert max(objectives) - min(objectives) <= 1e-9 * max(objectives), objectives
             print(f"| `{name}` {kind} | {model.num_vars} × {model.num_constraints} | "
-                  + " | ".join(f"{seconds:.4f} s" for seconds, _ in timings) + " |")
-
+                  + " | ".join(f"{seconds:.4f} s" for seconds in (milp_s, defaults_s, solve_s))
+                  + f" | {work(defaults)} → {work(solution)} |")
 
 if __name__ == "__main__":
     main()
