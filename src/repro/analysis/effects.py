@@ -467,7 +467,7 @@ def _atomic_groups(policy, written: set, slicer) -> tuple:
 
     deps = analyze_dependencies(policy, slicer=slicer)
     grouped: dict = {}
-    for tie in deps.tied:
+    for tie in sorted(deps.tied, key=sorted):
         members = frozenset(var for var in tie if var in written)
         for var in members:
             grouped[var] = members
@@ -482,7 +482,7 @@ def _transaction_findings(report_vars: dict, groups: tuple) -> tuple:
     atomic groups, none of which can serve as the serialization point."""
     sensitive = []
     for group in groups:
-        for var in group:
+        for var in sorted(group):
             effect = report_vars.get(var)
             if effect is None:
                 continue

@@ -47,7 +47,7 @@ from pathlib import Path
 from repro.analysis.effects import analyze_effects
 from repro.lang import ast
 from repro.lang.errors import CompileError, RaceConditionError
-from repro.lang.values import matches
+from repro.lang.values import matches, values_disjoint
 from repro.util.ipaddr import IPPrefix
 from repro.xfdd.tests import FieldValueTest
 
@@ -126,26 +126,12 @@ def _arm_assumption(arm) -> list:
     return []
 
 
-def _values_disjoint(a, b) -> bool:
-    if a == b:
-        return False
-    if isinstance(a, IPPrefix) and isinstance(b, IPPrefix):
-        return not a.overlaps(b)
-    if isinstance(a, IPPrefix) or isinstance(b, IPPrefix):
-        packet_value, test_value = (b, a) if isinstance(a, IPPrefix) else (a, b)
-        try:
-            return not matches(packet_value, test_value)
-        except Exception:
-            return False
-    return True  # distinct plain literals on one field cannot both hold
-
-
 def _mutually_unsat(facts_a: list, facts_b: list) -> bool:
     for field_a, value_a, polarity_a in facts_a:
         for field_b, value_b, polarity_b in facts_b:
             if field_a != field_b:
                 continue
-            if polarity_a and polarity_b and _values_disjoint(value_a, value_b):
+            if polarity_a and polarity_b and values_disjoint(value_a, value_b):
                 return True
             if polarity_a != polarity_b and value_a == value_b:
                 return True

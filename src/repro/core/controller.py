@@ -695,8 +695,15 @@ class SnapController:
         return snapshot
 
     def _solve_te(self, previous: Snapshot, demands_changed: bool) -> tuple:
-        """Patch the standing model (built on first need) and solve it."""
+        """Patch the standing model (built on first need) and solve it.
+
+        A traffic matrix that adds or drops a flow is not a patch: the
+        model is rebuilt for it."""
         model = self._te_model
+        if model is not None and demands_changed and (
+            model.inputs.flows_of(self._demands) != model.inputs.flows
+        ):
+            model = None
         if model is None:
             # Fresh standing model: built on the *base* topology with
             # current demands; failures are applied as patches below,

@@ -65,9 +65,8 @@ class PlacementInputs:
     ):
         self.topology = topology
         self.graph = topology.expanded_graph()
-        self.flows = [
-            (u, v) for (u, v), demand in sorted(demands.items()) if demand > demand_floor
-        ]
+        self.demand_floor = demand_floor
+        self.flows = self.flows_of(demands)
         self.demands = {flow: demands[flow] for flow in self.flows}
         self.mapping = mapping
         self.dependencies = dependencies
@@ -139,6 +138,13 @@ class PlacementInputs:
             )
 
         self.mask = own_or_switch(self.link_src) & own_or_switch(self.link_dst)
+
+    def flows_of(self, demands: dict) -> list:
+        """The sorted flows of a traffic matrix: pairs above the demand floor."""
+        return [
+            (u, v) for (u, v), demand in sorted(demands.items())
+            if demand > self.demand_floor
+        ]
 
     def demand_vector(self) -> np.ndarray:
         return np.array([self.demands[flow] for flow in self.flows], dtype=np.float64)
@@ -592,10 +598,10 @@ class PlacementModel:
         assembled matrix, the cost vector, and the aggregates' supplies;
         nothing is regenerated.
         """
-        flows = set(self.inputs.flows)
-        missing = [f for f in self.inputs.flows if new_demands.get(f, 0.0) <= 0.0]
-        extra = [f for f, d in new_demands.items() if d > 0.0 and f not in flows]
-        if missing or extra:
+        flows, new_flows = self.inputs.flows, self.inputs.flows_of(new_demands)
+        if new_flows != flows:
+            missing = sorted(set(flows) - set(new_flows))
+            extra = sorted(set(new_flows) - set(flows))
             raise PlacementError(
                 "incremental demand update requires the same flow set "
                 f"(missing={missing[:3]}, extra={extra[:3]}); rebuild instead"
@@ -685,7 +691,7 @@ class PlacementSolution:
     """Placement + per-flow link fractions; see results.py for paths."""
 
     def __init__(self, placement: dict, routing: dict, objective: float, inputs,
-                 solver: dict | None = None):
+                 solver: dict):
         self.placement = placement
         self.routing = routing
         self.objective = objective
@@ -693,8 +699,7 @@ class PlacementSolution:
         #: what the solver said about this answer (``status`` 0 optimal,
         #: 1 a time-limited incumbent; ``message``; ``mip_gap`` and
         #: ``nodes``, None for an LP; ``lp_iterations``).
-        #: Empty for solutions no solver produced (the heuristic).
-        self.solver = solver or {}
+        self.solver = solver
 
     def __repr__(self):
         return (

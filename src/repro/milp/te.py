@@ -29,12 +29,3 @@ def build_te_model(
     """Construct the routing-only LP with state placement fixed."""
     inputs = PlacementInputs(topology, demands, mapping, dependencies, stateful_switches)
     return PlacementModel(inputs, fixed_placement=placement)
-
-
-def solve_te(
-    topology: Topology, demands: dict, mapping: PacketStateMapping,
-    dependencies: DependencyInfo, placement: dict, time_limit: float | None = None,
-):
-    """Build and solve TE in one call; returns a PlacementSolution."""
-    model = build_te_model(topology, demands, mapping, dependencies, placement)
-    return model.solve(time_limit=time_limit)

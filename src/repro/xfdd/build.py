@@ -25,12 +25,19 @@ from repro.xfdd.order import TestOrder
 from repro.xfdd.tests import FieldValueTest, StateVarTest
 
 
-def to_xfdd(policy: ast.Policy, composer: Composer) -> XFDD:
+def to_xfdd(policy: ast.Policy, composer: Composer, translate=None) -> XFDD:
     """Translate a policy using the given composition engine.
 
     Nodes are built through ``composer.factory``, so the whole translation
-    lives in one hash-consing session.
+    lives in one hash-consing session.  Sub-policies are translated by
+    ``translate`` (default: ``to_xfdd`` itself, on the same composer); a
+    :class:`~repro.xfdd.incremental.CompileSession` passes its memoised
+    build, so each composite child goes through its memo.
     """
+    if translate is None:
+        def translate(sub):
+            return to_xfdd(sub, composer, translate)
+
     factory = composer.factory
     if isinstance(policy, ast.Id):
         return IDENTITY
@@ -44,15 +51,11 @@ def to_xfdd(policy: ast.Policy, composer: Composer) -> XFDD:
         test = StateVarTest(policy.var, policy.index, policy.value)
         return factory.branch(test, IDENTITY, DROP)
     if isinstance(policy, ast.Not):
-        return composer.negate(to_xfdd(policy.pred, composer))
-    if isinstance(policy, ast.And):
-        return composer.sequence(
-            to_xfdd(policy.left, composer), to_xfdd(policy.right, composer)
-        )
-    if isinstance(policy, ast.Or):
-        return composer.union(
-            to_xfdd(policy.left, composer), to_xfdd(policy.right, composer)
-        )
+        return composer.negate(translate(policy.pred))
+    if isinstance(policy, (ast.And, ast.Seq)):
+        return composer.sequence(translate(policy.left), translate(policy.right))
+    if isinstance(policy, (ast.Or, ast.Parallel)):
+        return composer.union(translate(policy.left), translate(policy.right))
     if isinstance(policy, ast.Mod):
         return factory.leaf([(FieldAssign(policy.field, policy.value),)])
     if isinstance(policy, ast.StateMod):
@@ -61,23 +64,13 @@ def to_xfdd(policy: ast.Policy, composer: Composer) -> XFDD:
         return factory.leaf([(StateDelta(policy.var, policy.index, +1),)])
     if isinstance(policy, ast.StateDecr):
         return factory.leaf([(StateDelta(policy.var, policy.index, -1),)])
-    if isinstance(policy, ast.Parallel):
-        return composer.union(
-            to_xfdd(policy.left, composer), to_xfdd(policy.right, composer)
-        )
-    if isinstance(policy, ast.Seq):
-        return composer.sequence(
-            to_xfdd(policy.left, composer), to_xfdd(policy.right, composer)
-        )
     if isinstance(policy, ast.If):
-        guard = to_xfdd(policy.pred, composer)
-        then_d = composer.sequence(guard, to_xfdd(policy.then, composer))
-        else_d = composer.sequence(
-            composer.negate(guard), to_xfdd(policy.orelse, composer)
-        )
+        guard = translate(policy.pred)
+        then_d = composer.sequence(guard, translate(policy.then))
+        else_d = composer.sequence(composer.negate(guard), translate(policy.orelse))
         return composer.union(then_d, else_d)
     if isinstance(policy, ast.Atomic):
-        return to_xfdd(policy.body, composer)
+        return translate(policy.body)
     raise SnapError(f"cannot translate {policy!r} to an xFDD")
 
 

@@ -216,7 +216,7 @@ class Context:
         pos2, _ = self._class_constraints(f2)
         for c1 in pos1:
             for c2 in pos2:
-                if values_disjoint_constraints(c1, c2):
+                if values_disjoint(c1, c2):
                     return False
         return None
 
@@ -399,11 +399,6 @@ class Context:
             for var, idx, val, res in self.state
         )
         return "Context(" + ", ".join(parts) + ")"
-
-
-def values_disjoint_constraints(c1, c2) -> bool:
-    """Disjointness of two *positive* constraints (both may be prefixes)."""
-    return values_disjoint(c1, c2)
 
 
 EMPTY_CONTEXT = Context()

@@ -9,10 +9,11 @@ state mapping, a :class:`~repro.analysis.dependency.DependencySlicer`, and
 a fingerprint-keyed effect-report memo.
 
 The xFDD memo is the subtree-splice path: ``build(p)`` translates ``p``
-like :func:`~repro.xfdd.build.to_xfdd` but memoizes every composite
-subtree by its structural fingerprint, so a recompilation after a
-single-app edit replays the unchanged arms as O(1) lookups and only
-composes the dirty subtree (plus the spine above it).
+with :func:`~repro.xfdd.build.to_xfdd`, handing it the memoized build as
+its recursion, so every composite subtree is memoized by its structural
+fingerprint and a recompilation after a single-app edit replays the
+unchanged arms as O(1) lookups and only composes the dirty subtree (plus
+the spine above it).
 
 Reuse validity.  A cached sub-diagram's internal branch ordering depends
 on (i) the field registry's ranks and (ii) the absolute ``(rank, var)``
@@ -133,7 +134,7 @@ class CompileSession:
             self.memo_hits += 1
             return entry.xfdd
         self.memo_misses += 1
-        diagram = self._compose(policy)
+        diagram = to_xfdd(policy, self.composer, self._build)
         touched = self.dep_slicer.slice(policy)  # memoized: P1 ran it
         ranks = tuple(sorted(
             (v, self._state_rank.get(v)) for v in touched.reads | touched.writes
@@ -144,30 +145,6 @@ class CompileSession:
     def _ranks_valid(self, ranks: tuple) -> bool:
         rank = self._state_rank
         return all(rank.get(var) == r for var, r in ranks)
-
-    def _compose(self, policy: ast.Policy) -> XFDD:
-        # Mirrors to_xfdd's composite cases, recursing through _build so
-        # every composite child gets its own memo entry.
-        composer = self.composer
-        if isinstance(policy, ast.Not):
-            return composer.negate(self._build(policy.pred))
-        if isinstance(policy, (ast.Or, ast.Parallel)):
-            return composer.union(
-                self._build(policy.left), self._build(policy.right)
-            )
-        if isinstance(policy, (ast.And, ast.Seq)):
-            return composer.sequence(
-                self._build(policy.left), self._build(policy.right)
-            )
-        if isinstance(policy, ast.If):
-            guard = self._build(policy.pred)
-            then_d = composer.sequence(guard, self._build(policy.then))
-            else_d = composer.sequence(
-                composer.negate(guard), self._build(policy.orelse)
-            )
-            return composer.union(then_d, else_d)
-        # Atomic: translation ignores the wrapper (Figure 6).
-        return self._build(policy.body)
 
     # -- provenance --------------------------------------------------------
 

@@ -261,6 +261,36 @@ class TestEventSequence:
         assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
         assert controller.backend.calls["te_model_builds"] == 1
 
+    @pytest.mark.parametrize("change", ["set_demands", "reroute"])
+    def test_flow_set_change_rebuilds_the_standing_model(self, change):
+        """A traffic matrix that drops a flow is not a patch: the first
+        call rebuilds the standing model (one build) and answers what a
+        model built for that matrix answers; a later scale-only change
+        patches it again."""
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        controller.fail_link("C1", "C5")
+        calls = controller.backend.calls
+        builds = calls["te_model_builds"]
+        assert builds == 1
+        zeroed = {**controller.demands, (1, 6): 0.0}
+        apply = {
+            "set_demands": controller.set_demands,
+            "reroute": lambda demands: controller.reroute(demands=demands),
+        }[change]
+        snap = apply(zeroed)
+        assert calls["te_model_builds"] == builds + 1
+        assert (1, 6) not in snap.routing.paths
+        reference = SnapController(campus_topology(), campus_program())
+        reference.submit()
+        reference.update_topology(campus_topology(), demands=zeroed)
+        expected = reference.fail_link("C1", "C5")
+        assert snap.objective == expected.objective
+        assert snap.routing.paths == expected.routing.paths
+        assert dict(snap.placement) == dict(expected.placement)
+        apply({flow: demand * 2 for flow, demand in zeroed.items()})
+        assert calls["te_model_builds"] == builds + 1
+
     @pytest.mark.parametrize("event", [
         lambda c: c.fail_link("C1", "NOPE"),
         lambda c: c.restore_link("NOPE", "C5"),

@@ -117,6 +117,22 @@ class TestIncrementalDemands:
         with pytest.raises(PlacementError):
             controller._te_model.set_demands(bad)
 
+    def test_a_demand_below_the_floor_is_no_flow(self, compiled):
+        """``set_demands`` counts flows as ``PlacementInputs`` does: a
+        demand at or below ``demand_floor`` is no flow, whatever its sign."""
+        controller, cold = compiled
+        model = build_te_model(
+            campus_topology(), dict(controller.demands), cold.mapping,
+            cold.dependencies, dict(cold.placement),
+        )
+        flows = list(model.inputs.flows)
+        tiny = {**controller.demands, sorted(controller.demands)[0]: 1e-12}
+        assert model.inputs.flows_of(tiny) != flows
+        with pytest.raises(PlacementError):
+            model.set_demands(tiny)
+        model.set_demands({**controller.demands, (1, 1): 1e-12})
+        assert model.inputs.flows == flows
+
 
 class TestModelPatchingDirect:
     def _model(self, compiled):

@@ -9,6 +9,9 @@ the stable contract.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,6 +210,26 @@ class TestCli:
     def test_no_targets_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_json_output_does_not_depend_on_the_hash_seed(self):
+        """Set order must not reach a finding: SNAP-W103 names its
+        groups and representative sites the same under every seed."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).parent.parent / "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "repro.analysis.lint", "--all",
+                 "--format=json"],
+                env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                text=True, timeout=120, check=True,
+            ).stdout
+            for seed in ("0", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["targets"]
 
 
 # -- renderers ----------------------------------------------------------------

@@ -8,11 +8,10 @@ from repro.analysis.packet_state import packet_state_mapping
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
 from repro.lang import ast
 from repro.lang.errors import PlacementError
-from repro.milp.heuristic import greedy_placement, greedy_solution
 from repro.milp.modeling import Model
 from repro.milp.placement import PlacementInputs, PlacementModel, build_placement_model
 from repro.milp.results import decompose_flow, extract_paths, validate_solution
-from repro.milp.te import build_te_model, solve_te
+from repro.milp.te import build_te_model
 from repro.topology.campus import campus_topology
 from repro.topology.graph import Topology
 from repro.topology.traffic import uniform_traffic_matrix
@@ -237,7 +236,7 @@ class TestTE:
 
     def test_te_respects_fixed_placement(self):
         _, topo, deps, mapping, demands, st = self._compiled_case()
-        te = solve_te(topo, demands, mapping, deps, st.placement)
+        te = build_te_model(topo, demands, mapping, deps, st.placement).solve()
         assert te.placement == st.placement
         routing = extract_paths(te, topo, mapping, deps)
         validate_solution(routing, topo, mapping, deps)
@@ -265,7 +264,7 @@ class TestTE:
         deps, mapping, demands = build_case(policy, topo)
         st = build_placement_model(topo, demands, mapping, deps).solve()
         degraded = topo.without_link("a", "b")
-        te = solve_te(degraded, demands, mapping, deps, st.placement)
+        te = build_te_model(degraded, demands, mapping, deps, st.placement).solve()
         routing = extract_paths(te, degraded, mapping, deps)
         assert routing.path(1, 2) == ("a", "c", "d")
 
@@ -336,33 +335,3 @@ class TestKnownLimits:
             topo, {(1, 2): 1.0}, single, deps
         ).solve()
         assert solution.placement["s"] in ("a", "h1", "b")
-
-
-class TestHeuristic:
-    def test_greedy_matches_milp_on_campus(self):
-        from repro.apps.chimera import dns_tunnel_detect
-
-        subnets = default_subnets(6)
-        program = ast.Seq(
-            port_assumption(subnets),
-            ast.Seq(dns_tunnel_detect().policy, assign_egress(subnets)),
-        )
-        topo = campus_topology()
-        deps, mapping, demands = build_case(program, topo, ports=range(1, 7))
-        placement = greedy_placement(topo, demands, mapping, deps)
-        # D4 is optimal and also the greedy choice here.
-        assert placement["orphan"] == "D4"
-
-    def test_greedy_solution_paths_valid(self):
-        policy = ast.Seq(
-            ast.If(
-                ast.StateTest("a", ast.Value(0), ast.Value(True)),
-                ast.StateMod("b", ast.Value(0), ast.Value(True)),
-                ast.StateMod("b", ast.Value(0), ast.Value(False)),
-            ),
-            ast.Mod("outport", 2),
-        )
-        topo = line_topology(4)
-        deps, mapping, demands = build_case(policy, topo)
-        solution, routing = greedy_solution(topo, demands, mapping, deps)
-        validate_solution(routing, topo, mapping, deps)
