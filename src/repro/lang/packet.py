@@ -8,8 +8,6 @@ the sets of packets that ``eval`` returns.
 
 from __future__ import annotations
 
-from repro.lang.errors import SnapError
-
 
 class Packet:
     """An immutable field->value mapping.
@@ -103,6 +101,4 @@ class Packet:
 def make_packet(**kwargs) -> Packet:
     """Convenience constructor; field names are canonicalized to lowercase
     (matching the parser's case-insensitive treatment of fields)."""
-    if any(not isinstance(key, str) for key in kwargs):
-        raise SnapError("packet field names must be strings")
     return Packet({key.lower(): value for key, value in kwargs.items()})

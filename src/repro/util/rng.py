@@ -10,7 +10,9 @@ import numpy as np
 
 
 def make_rng(seed) -> np.random.Generator:
-    """A numpy Generator from an int seed, another Generator, or None."""
+    """A numpy Generator from an int seed, a tuple of ints (``(7, 1, k)``:
+    one independent stream per tuple), another Generator (returned as
+    is, so the caller sees the draws), or None."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

@@ -8,10 +8,20 @@ gravity-weighted background chatter — as ``(packet, ingress port)``
 sequences ready for :meth:`repro.dataplane.network.Network.inject` or the
 OBS reference semantics.
 
-All generators are deterministic given a seed.
+All generators are deterministic given a seed.  The stream contract: a
+generator draws exactly the values, in the order, that one scalar
+``Generator`` call per value would (so a passed-in ``Generator`` ends in
+that state), but in array calls — ``integers(lows, highs)`` with
+per-element bounds runs the scalar bounded-integer routine element by
+element, Lemire rejections included, and on PCG64 (every ``make_rng``
+seed) ``random()`` is ``integers(0, 2**53) / 2**53``.  A ``Generator`` on
+another bit generator (MT19937, say) gets a deterministic stream that
+differs from the scalar-call one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.lang.packet import Packet, make_packet
 from repro.lang.values import Symbol
@@ -37,31 +47,33 @@ class Trace:
     def interleaved_with(self, other: "Trace", seed=0) -> "Trace":
         """Random stable interleaving of two traces (per-trace order kept).
 
-        Deterministic for a given seed.  Index pointers, not ``pop(0)``:
-        the merge is O(n), which matters for the long replay traces the
-        data-plane engine benchmarks interleave.
+        Deterministic for a given seed: one coin per step while both
+        traces have arrivals left, drawn in blocks no longer than the
+        shorter remainder, so exactly the coins a per-step draw takes.
         """
         rng = make_rng(seed)
         a, b = self.arrivals, other.arrivals
         i = j = 0
         merged = []
-        while i < len(a) or j < len(b):
-            remaining_a = len(a) - i
-            remaining_b = len(b) - j
-            take_a = remaining_a > 0 and (
-                remaining_b == 0
-                or rng.random() < remaining_a / (remaining_a + remaining_b)
-            )
-            if take_a:
-                merged.append(a[i])
-                i += 1
-            else:
-                merged.append(b[j])
-                j += 1
+        while i < len(a) and j < len(b):
+            for coin in rng.random(min(len(a) - i, len(b) - j)).tolist():
+                remaining_a = len(a) - i
+                if coin < remaining_a / (remaining_a + len(b) - j):
+                    merged.append(a[i])
+                    i += 1
+                else:
+                    merged.append(b[j])
+                    j += 1
+        merged += a[i:] + b[j:]
         return Trace(f"{self.name}|{other.name}", merged)
 
     def __repr__(self):
         return f"Trace({self.name!r}, {len(self.arrivals)} packets)"
+
+
+def _source_ports(count: int, seed) -> list:
+    """``count`` ephemeral ports, one ``integers(1024, 65000)`` draw each."""
+    return make_rng(seed).integers(1024, 65000, size=max(count, 0)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +90,15 @@ def dns_tunnel_attack(
     seed=0,
 ) -> Trace:
     """A tunnel: many DNS responses whose resolved IPs are never used."""
-    rng = make_rng(seed)
-    arrivals = []
-    for k in range(num_responses):
-        covert = int(rng.integers(1, 2 ** 31))
-        arrivals.append(
-            (
-                make_packet(
-                    srcip=resolver_ip, dstip=client_ip, srcport=53,
-                    dstport=int(rng.integers(1024, 65000)),
-                    **{"dns.rdata": covert},
-                ),
-                resolver_port,
-            )
-        )
+    # Per response, the covert address then the destination port.
+    draws = make_rng(seed).integers(
+        [1, 1024] * num_responses, [2 ** 31, 65000] * num_responses
+    ).tolist()
+    arrivals = [
+        (Packet._wrap({"srcip": resolver_ip, "dstip": client_ip, "srcport": 53,
+                       "dstport": dstport, "dns.rdata": covert}), resolver_port)
+        for covert, dstport in zip(draws[::2], draws[1::2])
+    ]
     return Trace("dns-tunnel-attack", arrivals)
 
 
@@ -105,28 +112,17 @@ def benign_dns_usage(
     seed=0,
 ) -> Trace:
     """Lookup-then-connect pairs: every resolved address gets used."""
-    rng = make_rng(seed)
+    servers = list(servers)
+    # Per server, the response's destination port, the connection's source.
+    draws = make_rng(seed).integers(1024, 65000, size=2 * len(servers)).tolist()
     arrivals = []
-    for server_ip in servers:
-        arrivals.append(
-            (
-                make_packet(
-                    srcip=resolver_ip, dstip=client_ip, srcport=53,
-                    dstport=int(rng.integers(1024, 65000)),
-                    **{"dns.rdata": server_ip},
-                ),
-                resolver_port,
-            )
-        )
-        arrivals.append(
-            (
-                make_packet(
-                    srcip=client_ip, dstip=server_ip,
-                    srcport=int(rng.integers(1024, 65000)), dstport=80,
-                ),
-                client_port,
-            )
-        )
+    for server_ip, dstport, srcport in zip(servers, draws[::2], draws[1::2]):
+        response = {"srcip": resolver_ip, "dstip": client_ip, "srcport": 53,
+                    "dstport": dstport, "dns.rdata": server_ip}
+        connect = {"srcip": client_ip, "dstip": server_ip, "srcport": srcport,
+                   "dstport": 80}
+        arrivals += [(Packet._wrap(response), resolver_port),
+                     (Packet._wrap(connect), client_port)]
     return Trace("benign-dns-usage", arrivals)
 
 
@@ -134,16 +130,10 @@ def dns_amplification_attack(
     victim_ip: int, resolver_ip: int, resolver_port: int, count: int = 10, seed=0
 ) -> Trace:
     """Spoofed-query reflections: responses the victim never asked for."""
-    rng = make_rng(seed)
     arrivals = [
-        (
-            make_packet(
-                srcip=resolver_ip, dstip=victim_ip, srcport=53,
-                dstport=int(rng.integers(1024, 65000)),
-            ),
-            resolver_port,
-        )
-        for _ in range(count)
+        (Packet._wrap({"srcip": resolver_ip, "dstip": victim_ip, "srcport": 53,
+                       "dstport": dstport}), resolver_port)
+        for dstport in _source_ports(count, seed)
     ]
     return Trace("dns-amplification", arrivals)
 
@@ -198,17 +188,11 @@ def syn_flood(
     seed=0,
 ) -> Trace:
     """SYNs without ACKs, cycling source ports."""
-    rng = make_rng(seed)
+    syn = Symbol("SYN")
     arrivals = [
-        (
-            make_packet(
-                srcip=attacker_ip, dstip=victim_ip,
-                srcport=int(rng.integers(1024, 65000)), dstport=80, proto=6,
-                **{"tcp.flags": Symbol("SYN")},
-            ),
-            attacker_port,
-        )
-        for _ in range(count)
+        (Packet._wrap({"srcip": attacker_ip, "dstip": victim_ip, "srcport": srcport,
+                       "dstport": 80, "proto": 6, "tcp.flags": syn}), attacker_port)
+        for srcport in _source_ports(count, seed)
     ]
     return Trace("syn-flood", arrivals)
 
@@ -278,50 +262,54 @@ def mpeg_stream(
 def udp_flood(
     attacker_ip: int, attacker_port: int, victim_ip: int, count: int = 30, seed=0
 ) -> Trace:
-    rng = make_rng(seed)
+    udp = Symbol("UDP")
     arrivals = [
-        (
-            make_packet(
-                srcip=attacker_ip, dstip=victim_ip, proto=Symbol("UDP"),
-                srcport=int(rng.integers(1024, 65000)), dstport=53,
-            ),
-            attacker_port,
-        )
-        for _ in range(count)
+        (Packet._wrap({"srcip": attacker_ip, "dstip": victim_ip, "proto": udp,
+                       "srcport": srcport, "dstport": 53}), attacker_port)
+        for srcport in _source_ports(count, seed)
     ]
     return Trace("udp-flood", arrivals)
 
 
-def background_traffic(
-    subnets: dict,
-    count: int = 100,
-    seed=0,
-) -> Trace:
+#: Packets per ``integers`` call in :func:`background_traffic`, and the
+#: bounds of one packet's six draws: two 53-bit uniforms (source and
+#: destination port), two host offsets, a source port, a ``dports`` index.
+_BLOCK = 4096
+_LOWS = np.tile([0, 0, 1, 1, 1024, 0], _BLOCK)
+_HIGHS = np.tile([2 ** 53, 2 ** 53, 100, 100, 65000, 4], _BLOCK)
+
+
+def background_traffic(subnets: dict, count: int = 100, seed=0) -> Trace:
     """Gravity-weighted random transit chatter between all subnets.
 
-    ``subnets`` maps OBS port -> :class:`IPPrefix`.
+    ``subnets`` maps OBS port -> :class:`IPPrefix`.  The stream is the
+    scalar one — ``rng.choice(ports, size=2, p=weights)`` (the inverse
+    CDF over two uniforms), two ``integers(1, 100)`` host offsets,
+    ``integers(1024, 65000)``, ``rng.choice(dports)`` per packet — drawn
+    ``_BLOCK`` packets per ``integers`` call (see the module docstring).
     """
     rng = make_rng(seed)
     ports = sorted(subnets)
     weights = rng.exponential(1.0, len(ports))
-    # The weighted draw is ``rng.choice(ports, size=2, p=weights)`` done
-    # by hand — the inverse CDF over two uniforms, as NumPy computes it —
-    # and the unweighted one ``rng.choice(dports)``: same stream, same
-    # packets, without the per-call argument checks.
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
+    prefixes = [subnets[port] for port in ports]
     dports = (80, 443, 22, 8080)
-    random, integers, pick = rng.random, rng.integers, cdf.searchsorted
     arrivals = []
-    for _ in range(count):
-        src, dst = pick(random(2), side="right").tolist()
-        src_port, dst_port = ports[src], ports[dst]
-        fields = {
-            "srcip": subnets[src_port].host(int(integers(1, 100))),
-            "dstip": subnets[dst_port].host(int(integers(1, 100))),
-            "srcport": int(integers(1024, 65000)),
-            "dstport": dports[int(integers(0, 4))],
-            "proto": 6,
-        }
-        arrivals.append((Packet._wrap(fields), src_port))
+    for start in range(0, count, _BLOCK):
+        size = 6 * min(_BLOCK, count - start)
+        draws = rng.integers(_LOWS[:size], _HIGHS[:size])
+        uniforms = draws.reshape(-1, 6)[:, :2] / 2.0 ** 53
+        ends = cdf.searchsorted(uniforms, side="right").ravel().tolist()
+        values = draws.tolist()
+        arrivals += [
+            (Packet._wrap({"srcip": prefixes[src].host(src_host),
+                           "dstip": prefixes[dst].host(dst_host),
+                           "srcport": srcport, "dstport": dports[dport],
+                           "proto": 6}), ports[src])
+            for src, dst, src_host, dst_host, srcport, dport in zip(
+                ends[::2], ends[1::2], values[2::6], values[3::6], values[4::6],
+                values[5::6],
+            )
+        ]
     return Trace("background", arrivals)

@@ -5,6 +5,7 @@ traces through *compiled, distributed* deployments and assert the
 applications detect what they should and spare what they should not.
 """
 
+import numpy as np
 import pytest
 
 from repro import workloads
@@ -46,6 +47,38 @@ def compiled_network(app, guard=None):
     )
     result = SnapController(campus_topology(), program).submit()
     return result.build_network(), program
+
+
+def assert_same_trace(got, want):
+    """Arrival for arrival: packet, field order, value types, and a
+    plain-``int`` ingress port."""
+    assert got.name == want.name
+    assert got.arrivals == want.arrivals
+    for (packet, port), (expected, _) in zip(got, want):
+        assert type(port) is int
+        assert [(k, type(v)) for k, v in packet.fields().items()] == [
+            (k, type(v)) for k, v in expected.fields().items()
+        ]
+
+
+def assert_same_stream(generate, reference, seed):
+    """``generate`` and ``reference`` (each called with a Generator) give
+    the same trace and leave their Generators in the same state."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_trace(generate(rng), reference(reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return reference_rng
+
+
+class RecordingPrefix:
+    """An :class:`IPPrefix` stand-in that logs every ``host`` call."""
+
+    def __init__(self, prefix, log):
+        self.prefix, self.log = prefix, log
+
+    def host(self, offset):
+        self.log.append((str(self.prefix), offset))
+        return self.prefix.host(offset)
 
 
 class TestGenerators:
@@ -95,21 +128,21 @@ class TestGenerators:
         t2 = workloads.background_traffic(SUBNETS, count=10, seed=5)
         assert [p for p, _ in t1] == [p for p, _ in t2]
 
-    @pytest.mark.parametrize("seed", [0, 7, (7, 1, 0), (8, 1, 3)])
+    @pytest.mark.parametrize("seed", [0, 7, (7, 1, 0), (8, 1, 3), 46])
     def test_background_traffic_equals_the_reference_generator(self, seed):
         """Same random stream as the generator it replaced: every
-        arrival equal — packet, field order, plain-``int`` port — for
-        int seeds and the tuple seeds snapbench's traffic passes."""
-        for subnets in (SUBNETS, default_subnets(12)):
-            got = workloads.background_traffic(subnets, count=300, seed=seed)
-            want = reference_traces.background_traffic(subnets, 300, seed)
-            assert got.name == want.name
-            assert got.arrivals == want.arrivals
-            for (packet, port), (expected, _) in zip(got, want):
-                assert type(port) is int
-                assert list(packet.fields().items()) == list(
-                    expected.fields().items()
-                )
+        arrival equal — packet, field order, plain-``int`` port — and a
+        passed-in Generator left in the same state, for int seeds and
+        the tuple seeds snapbench's traffic passes.  Seed 46's 20 000
+        packets cross a Lemire rejection (see :class:`TestStreamIdentity`)."""
+        for subnets, count in ((SUBNETS, 20_000), (default_subnets(12), 2_000)):
+            reference_rng = assert_same_stream(
+                lambda rng: workloads.background_traffic(subnets, count, rng),
+                lambda rng: reference_traces.background_traffic(subnets, count, rng),
+                seed,
+            )
+            if seed == 46 and subnets is SUBNETS:
+                assert reference_rng.bit_generator.state["has_uint32"] == 1
 
     def test_tcp_session_shape(self):
         trace = workloads.tcp_session(ip("10.0.1.1"), ip("10.0.6.1"), 1, 6)
@@ -125,6 +158,109 @@ class TestGenerators:
         kinds = [p.get("mpeg.frame-type").name for p, _ in trace]
         assert kinds.count("Iframe") == 1
         assert kinds.count("Bframe") == 4
+
+
+class TestStreamIdentity:
+    """The array-draw generators against the scalar-draw ones they
+    replaced (``tests/reference_traces.py``), on streams of 20 000
+    packets: the same arrivals, and a passed-in ``Generator`` left in
+    the same state.  A Lemire rejection in a 32-bit bounded draw takes
+    one extra half-word, which leaves ``has_uint32`` set after a stream
+    whose draws otherwise come in pairs; the seeds marked below cross
+    one, so the state check sees the rejection reproduced."""
+
+    @pytest.mark.parametrize("count", [0, -3, 1, 4097])
+    def test_background_traffic_block_edges(self, count):
+        assert_same_stream(
+            lambda rng: workloads.background_traffic(SUBNETS, count, rng),
+            lambda rng: reference_traces.background_traffic(SUBNETS, count, rng),
+            (7, 1, 2),
+        )
+
+    def test_background_traffic_checks_every_host_offset(self):
+        """A /28 cannot hold offsets up to 99: the same ``host`` calls
+        in the same order, up to the same ``ValueError``."""
+        subnets = dict(SUBNETS)
+        subnets[3] = IPPrefix("10.0.3.0/28")
+
+        def run(generate):
+            log = []
+            recording = {p: RecordingPrefix(x, log) for p, x in subnets.items()}
+            with pytest.raises(ValueError) as error:
+                generate(recording, 500, 0)
+            return log, str(error.value)
+
+        log, message = run(workloads.background_traffic)
+        # Seed 0 gets 198 packets past the /28 and fails on the 199th.
+        assert len(log) == 397 and "outside /28" in message
+        assert (log, message) == run(reference_traces.background_traffic)
+
+    @pytest.mark.parametrize("sizes", [(12_000, 8_000), (3, 19_997), (20_000, 0)])
+    def test_interleaved_with(self, sizes):
+        a = workloads.syn_flood(ip("10.0.1.66"), 1, ip("10.0.6.1"), sizes[0], 1)
+        b = workloads.udp_flood(ip("10.0.2.66"), 2, ip("10.0.6.1"), sizes[1], 2)
+        for seed in (5, (7, 5)):
+            assert_same_stream(
+                lambda rng: a.interleaved_with(b, seed=rng),
+                lambda rng: reference_traces.interleaved_with(a, b, seed=rng),
+                seed,
+            )
+
+    @pytest.mark.parametrize("seed", [0, 260, (7, 4, 0), (7, 4, 9)])
+    def test_dns_tunnel_attack(self, seed):
+        args = (ip("10.0.6.66"), 6, ip("10.0.1.53"), 1)
+        reference_rng = assert_same_stream(
+            lambda rng: workloads.dns_tunnel_attack(*args, 10_000, seed=rng),
+            lambda rng: reference_traces.dns_tunnel_attack(*args, 10_000, seed=rng),
+            seed,
+        )
+        if seed == 260:
+            assert reference_rng.bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("seed", [3, (7, 4, 1), (7, 4, 10)])
+    def test_benign_dns_usage(self, seed):
+        servers = [ip("10.0.2.0") + k % 250 for k in range(10_000)]
+        args = (ip("10.0.6.77"), 6, ip("10.0.1.53"), 1)
+        reference_rng = assert_same_stream(
+            lambda rng: workloads.benign_dns_usage(*args, iter(servers), 2, seed=rng),
+            lambda rng: reference_traces.benign_dns_usage(
+                *args, iter(servers), 2, seed=rng
+            ),
+            seed,
+        )
+        if seed == 3:
+            assert reference_rng.bit_generator.state["has_uint32"] == 1
+
+    def test_dns_generators_on_snapbench_session_seeds(self):
+        """Five-response tunnels and three-server lookups, as snapbench's
+        DNS sessions call them, seeds ``(7, 4, k)``."""
+        args = (ip("10.0.6.66"), 6, ip("10.0.1.53"), 1)
+        servers = [ip("10.0.2.10"), ip("10.0.3.11"), ip("10.0.4.12")]
+        for k in range(200):
+            assert_same_trace(
+                workloads.dns_tunnel_attack(*args, 5, seed=(7, 4, k)),
+                reference_traces.dns_tunnel_attack(*args, 5, seed=(7, 4, k)),
+            )
+            assert_same_trace(
+                workloads.benign_dns_usage(*args, servers, 2, seed=(7, 4, k)),
+                reference_traces.benign_dns_usage(*args, servers, 2, seed=(7, 4, k)),
+            )
+
+    @pytest.mark.parametrize(
+        "name", ["syn_flood", "udp_flood", "dns_amplification_attack"]
+    )
+    @pytest.mark.parametrize("count", [20_000, 0, -3])
+    def test_count_loop_generators(self, name, count):
+        generate = getattr(workloads, name)
+        reference = getattr(reference_traces, name)
+        args = (ip("10.0.1.66"), 1, ip("10.0.6.1"))
+        reference_rng = assert_same_stream(
+            lambda rng: generate(*args, count=count, seed=rng),
+            lambda rng: reference(*args, count=count, seed=rng),
+            3,
+        )
+        if count > 0:
+            assert reference_rng.bit_generator.state["has_uint32"] == 1
 
 
 class TestDetectionQuality:
