@@ -3,11 +3,11 @@
 
 NumPy and SciPy are core requirements: the MILP layer
 (``repro.milp.modeling`` / ``placement``, loaded by
-``repro.core.controller``) keeps its model in numpy arrays and solves it
-on the HiGHS binding SciPy vendors as ``scipy.optimize._highspy``: 1.17
-bundles HiGHS 1.12, which knows every option the solve sets (an option
-HiGHS does not know is a ``PlacementError``).  Install the ``test`` extra
-to run the suite.
+``repro.core.controller``) keeps its model, CSR included, in numpy arrays
+and solves it on HiGHS's binding alone (``scipy.optimize._highspy._core``,
+without ``scipy.optimize`` or ``scipy.sparse``): 1.17 bundles HiGHS 1.12,
+which knows every option the solve sets (an option HiGHS does not know is
+a ``PlacementError``).  Install the ``test`` extra to run the suite.
 """
 
 from setuptools import find_packages, setup

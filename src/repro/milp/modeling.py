@@ -15,30 +15,79 @@ and constraints in a few milliseconds") — nothing is assembled at solve
 time.
 
 A solve hands these arrays to HiGHS's own binding, which SciPy (>= 1.17,
-HiGHS 1.12) vendors as ``scipy.optimize._highspy`` and builds ``milp`` on.
+HiGHS 1.12) vendors as ``scipy.optimize._highspy``, loaded on its own.
 """
 
 from __future__ import annotations
 
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
+
 import numpy as np
-from scipy import sparse
 
 from repro.lang.errors import PlacementError
 
-try:
-    from scipy.optimize._highspy._core import (
-        HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs,
-    )
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-except ImportError as error:
-    raise ImportError(
-        "repro.milp needs scipy>=1.17 (HiGHS's binding, scipy.optimize._highspy)"
-    ) from error
+
+def _load_highs():
+    """``scipy.optimize._highspy._core`` without ``scipy.optimize``'s package init
+    (~500 modules with ``scipy.sparse``), registered under its name before it
+    runs: a later ``import scipy.optimize`` reuses it, not loading it twice."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    found = PathFinder.find_spec("_core", [f"{scipy.__path__[0]}/optimize/_highspy"])
+    if found is None:
+        raise ImportError(
+            "repro.milp needs scipy>=1.17 (HiGHS's binding, scipy.optimize._highspy)")
+    spec = spec_from_file_location(name, found.origin)
+    sys.modules[name] = module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_highs()
+HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs = (
+    _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat, _core.ObjSense, _core._Highs)
+
+#: ``milp``'s code and message per HiGHS model status, copied from SciPy's
+#: ``_linprog_highs._highs_to_scipy_status_message``.
+_MILP_STATUS = {
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "), "kIterationLimit": (1, "Iteration limit reached. "),
+    "kModelError": (2, ""), "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+    **dict.fromkeys("kNotset kLoadError kPresolveError kSolveError kPostsolveError "
+                    "kModelEmpty kObjectiveBound kObjectiveTarget".split(), (4, "")),
+}
+
+
+def milp_status(status, highs_message: str) -> tuple:
+    """``(code, message)`` as ``scipy.optimize.milp`` reports ``status``."""
+    code, message = _MILP_STATUS.get(
+        status.name, (4, "The HiGHS status code was not recognized. "))
+    return code, f"{message}(HiGHS Status {int(status)}: {highs_message})"
 
 
 def _extended(vector: np.ndarray, count: int, values) -> np.ndarray:
     """``vector`` plus ``count`` entries: one scalar for all, or one each."""
     return np.concatenate([vector, np.broadcast_to(np.asarray(values, vector.dtype), (count,))])
+
+
+class CSR:
+    """Row-wise arrays for HiGHS: canonical (sorted, duplicates summed), int32 indices."""
+
+    def __init__(self):
+        self.indptr = np.zeros(1, dtype=np.int32)
+        self.indices = np.empty(0, dtype=np.int32)
+        self.data = np.empty(0)
+        self.shape = (0, 0)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
 
 
 class Solution:
@@ -80,9 +129,8 @@ class Model:
         self.ub = np.empty(0)
         self.cost = np.empty(0)
         self.integrality = np.empty(0, dtype=np.uint8)
-        #: ``lo <= matrix @ x <= hi``; canonical CSR (sorted, duplicates
-        #: summed).  Coefficient patches go into ``matrix.data``.
-        self.matrix = sparse.csr_matrix((0, 0))
+        #: ``lo <= matrix @ x <= hi``; coefficient patches go into ``matrix.data``.
+        self.matrix = CSR()
         self.lo = np.empty(0)
         self.hi = np.empty(0)
         #: (first, stop, name or ``offset -> name``): names are derived
@@ -104,7 +152,7 @@ class Model:
         self.ub = _extended(self.ub, count, upper)
         self.cost = _extended(self.cost, count, 0.0)
         self.integrality = _extended(self.integrality, count, int(integer))
-        self.matrix.resize(self.num_constraints, self.num_vars)
+        self.matrix.shape = (self.num_constraints, self.num_vars)
         if name is not None:
             self._names.append((first, first + count, name))
         return first
@@ -140,11 +188,23 @@ class Model:
         ``upper`` are scalars or ``count``-vectors.  Returns the first
         row index.
         """
-        first = self.num_constraints
-        cols = np.asarray(cols, dtype=np.intp)
-        data = np.broadcast_to(np.asarray(data, dtype=np.float64), cols.shape)
-        block = sparse.csr_matrix((data, (rows, cols)), shape=(count, self.num_vars))
-        self.matrix = sparse.vstack([self.matrix, block], format="csr")
+        first, matrix, width = self.num_constraints, self.matrix, self.num_vars
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if rows.size and not (0 <= rows.min() <= rows.max() < count
+                              and 0 <= cols.min() <= cols.max() < width):
+            raise ValueError(f"{self.name}: an entry lies outside the {count} x {width} block")
+        # Entries in (row, col) order; a stable sort sums duplicates in input order.
+        key = rows * width + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        run = np.flatnonzero(np.diff(key, prepend=-1))  # each (row, col)'s first entry
+        data = np.broadcast_to(np.asarray(data, dtype=np.float64), key.shape)[order]
+        rows, cols = np.divmod(key[run], width)
+        ends = np.cumsum(np.bincount(rows, minlength=count), dtype=np.int32)
+        matrix.indptr = np.concatenate([matrix.indptr, matrix.indptr[-1] + ends])
+        matrix.indices = np.concatenate([matrix.indices, cols.astype(np.int32)])
+        matrix.data = np.concatenate([matrix.data, np.add.reduceat(data, run)])
+        matrix.shape = (first + count, width)
         self.lo = _extended(self.lo, count, lower)
         self.hi = _extended(self.hi, count, upper)
         return first
@@ -222,19 +282,18 @@ def run_highs(model: Model, options: dict) -> Solution:
     for name, value in options.items():
         if highs.setOptionValue(name, value) == HighsStatus.kError:
             raise PlacementError(f"{model.name}: HiGHS {highs.version()} rejects {name}={value!r}")
-    matrix = model.matrix.tocsc()
+    matrix = model.matrix
     loaded = highs.passModel(
-        model.num_vars, model.num_constraints, matrix.nnz, MatrixFormat.kColwise,
+        model.num_vars, model.num_constraints, matrix.nnz, MatrixFormat.kRowwise,
         ObjSense.kMinimize, 0.0, model.cost, model.lb, model.ub, model.lo, model.hi,
         matrix.indptr, matrix.indices, matrix.data, model.integrality,
     )
-    del matrix  # HiGHS holds its own copy
     if loaded == HighsStatus.kError:
         status = HighsModelStatus.kModelError
     else:
         highs.run()
         status = highs.getModelStatus()
-    code, message = _highs_to_scipy_status_message(status, highs.modelStatusToString(status))
+    code, message = milp_status(status, highs.modelStatusToString(status))
     info, is_mip = highs.getInfo(), model.num_integer_vars > 0
     if not (code == 0 or is_mip and code == 1 and info.objective_function_value < np.inf):
         raise PlacementError(f"{model.name}: solver failed (status={code}): {message}")

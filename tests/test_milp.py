@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
@@ -93,7 +94,18 @@ class TestModelStore:
         model.cost[y] = 1.0
         solution = model.solve()
         assert (solution[x], solution[y]) == pytest.approx((2.5, 2.5))
-        assert model.matrix.toarray().tolist() == [[4.0, 0.0], [1.0, -1.0]]
+        grown = model.matrix
+        assert csr_matrix(
+            (grown.data, grown.indices, grown.indptr), shape=grown.shape
+        ).toarray().tolist() == [[4.0, 0.0], [1.0, -1.0]]
+
+    def test_an_entry_outside_its_block_is_an_error(self):
+        model = Model("bad")
+        x = model.add_var("x", 0.0, 10.0)
+        for rows, cols in (([0], [x + 1]), ([1], [x]), ([0], [-1])):
+            with pytest.raises(ValueError, match="outside the 1 x 1 block"):
+                model.add_rows(1, rows, cols, 1.0, 0.0, 1.0)
+        assert model.num_constraints == model.matrix.nnz == 0
 
     def test_duplicate_entries_are_summed(self):
         model = Model("dups")

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
@@ -106,11 +107,17 @@ def te_placements(case):
     return placements
 
 
+def scipy_csr(matrix) -> csr_matrix:
+    """A model's ``CSR`` record as SciPy's ``csr_matrix``."""
+    return csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def assert_same_problem(model: PlacementModel, reference: ReferenceModel):
     new, ref = model.model, reference.model.assemble()
-    assert new.matrix.shape == ref["A"].shape
-    assert new.matrix.has_canonical_format
-    assert (new.matrix != ref["A"]).nnz == 0
+    matrix = scipy_csr(new.matrix)
+    assert matrix.shape == ref["A"].shape
+    assert matrix.has_canonical_format
+    assert (matrix != ref["A"]).nnz == 0
     # Same sparsity structure too, explicit zeros included.
     assert np.array_equal(new.matrix.indptr, ref["A"].indptr)
     assert np.array_equal(new.matrix.indices, ref["A"].indices)

@@ -15,6 +15,11 @@ after every patch, with a routing P6 accepts.
 times of the four snapbench workloads' programs (see :func:`main`).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -27,14 +32,14 @@ from repro.milp.placement import PlacementInputs, PlacementModel
 from repro.milp.results import extract_paths, validate_solution
 
 from snapbench_programs import WORKLOADS, workload
-from test_milp_assembly import CASES, problem_inputs, some_placement
+from test_milp_assembly import CASES, problem_inputs, scipy_csr, some_placement
 
 
 def reference(model: Model, **options):
     """``milp`` on the arrays the model would hand HiGHS."""
     return milp(
         c=model.cost,
-        constraints=LinearConstraint(model.matrix, model.lo, model.hi),
+        constraints=LinearConstraint(scipy_csr(model.matrix), model.lo, model.hi),
         bounds=Bounds(model.lb, model.ub),
         integrality=model.integrality,
         options=options,
@@ -212,6 +217,73 @@ def test_lp_is_solved_without_presolve_and_milp_with_defaults(monkeypatch):
                 "mip_heuristic_run_feasibility_jump": False}),
         (False, {"output_flag": False, "time_limit": 60.0, "presolve": "off"}),
     ]
+
+
+def test_status_table_is_milps():
+    """The solve's ``(code, message)`` for each HiGHS model status is what
+    SciPy's own table gives ``milp``."""
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    for status in modeling.HighsModelStatus.__members__.values():
+        assert modeling.milp_status(status, "text") == (
+            _highs_to_scipy_status_message(status, "text")), status
+
+
+FOOTPRINT_PROBES = {
+    # The controller alone: a compile loads HiGHS's binding and neither
+    # scipy.optimize nor scipy.sparse.  A later scipy.optimize reuses it.
+    "controller first": """
+import sys
+import repro, repro.core.controller
+from repro import Program, SnapController, campus_topology
+from repro.apps import assign_egress, default_subnets, dns_tunnel_detect, port_assumption
+from repro.lang import ast
+from repro.milp import modeling
+subnets = default_subnets(6)
+detect = dns_tunnel_detect(subnet="10.0.6.0/24", threshold=3)
+program = Program(ast.Seq(detect.policy, assign_egress(subnets)),
+                  assumption=port_assumption(subnets),
+                  state_defaults=detect.state_defaults)
+snapshot = SnapController(campus_topology(), program).submit()
+assert snapshot.model_stats["solver"]["status"] == 0, snapshot.model_stats
+loaded = [name for name in ("scipy.optimize", "scipy.sparse") if name in sys.modules]
+assert not loaded, loaded
+import scipy.optimize
+assert sys.modules["scipy.optimize._highspy._core"]._Highs is modeling._Highs
+""",
+    # SciPy's own import first: the loader takes the module it made.
+    "scipy.optimize first": """
+import scipy.optimize
+from repro.milp import modeling
+assert modeling._Highs is scipy.optimize._highspy._core._Highs
+""",
+}
+PROBE_SOLVES = """
+model = modeling.Model()
+x = model.add_var("x", 0.0, 10.0, integer=True)
+model.add_ge([(x, 2.0)], 5.0)
+model.minimize([(x, 1.0)])
+assert model.solve()[x] == 3.0
+solved = scipy.optimize.milp(
+    c=[1.0], constraints=scipy.optimize.LinearConstraint([[2.0]], 5.0, 10.0),
+    bounds=scipy.optimize.Bounds(0.0, 10.0), integrality=[1])
+assert solved.status == 0 and solved.x.tolist() == [3.0], solved
+"""
+
+
+@pytest.mark.parametrize("order", FOOTPRINT_PROBES)
+def test_the_controller_loads_highs_without_scipy_optimize(order):
+    """In a fresh interpreter: compiling with the controller leaves
+    ``scipy.optimize`` and ``scipy.sparse`` unloaded (the binding comes
+    in on its own), and both import orders share one binding on which
+    both ``Model.solve`` and ``milp`` solve."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBES[order] + PROBE_SOLVES],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def main() -> None:
