@@ -81,7 +81,7 @@ def programs():
 def main():
     print("== Without atomic(): variables split across switches ==")
     deps = analyze_dependencies(honeypot_policy(atomic=False))
-    print(f"tied groups: {sorted(map(sorted, deps.tied)) or 'none'}")
+    print(f"tied groups: {[sorted(g) for g in deps.groups] or 'none'}")
     net = line_network(honeypot_policy(atomic=False),
                        {"hon-ip": "a", "hon-dstport": "b"})
     ip_val, port_val = race(net)
@@ -93,7 +93,7 @@ def main():
 
     print("\n== With atomic(): compiler ties and co-locates the pair ==")
     deps = analyze_dependencies(honeypot_policy(atomic=True))
-    print(f"tied groups: {sorted(map(sorted, deps.tied))}")
+    print(f"tied groups: {[sorted(g) for g in deps.groups]}")
     net = line_network(honeypot_policy(atomic=True),
                        {"hon-ip": "b", "hon-dstport": "b"})
     ip_val, port_val = race(net)

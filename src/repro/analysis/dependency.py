@@ -12,8 +12,9 @@
 An edge ``s -> t`` means "t is written after s is read": any realization
 must route packets through s's switch before t's.  The graph's SCC
 condensation yields (i) the total state-variable order used by the xFDD
-(§4.2), (ii) the ``tied`` co-location pairs, and (iii) the ``dep`` ordering
-pairs consumed by the MILP (§4.4).
+(§4.2), (ii) the co-location ``groups`` (SCCs of more than one variable)
+and their ``tied`` pairs, and (iii) the ``dep`` ordering pairs consumed by
+the MILP (§4.4).
 """
 
 from __future__ import annotations
@@ -153,8 +154,10 @@ class DependencyInfo:
         state_rank: variable -> SCC rank in topological order; drives the
                     xFDD state-test order.
         order:      all state variables sorted by (rank, name).
-        tied:       frozenset of frozensets — variables that must be
-                    co-located (same SCC, §4.4).
+        groups:     sorted tuple of frozensets — the SCCs of more than
+                    one variable, each co-located on one switch (§4.4).
+        tied:       frozenset of frozensets — every pair within a group
+                    (the MILP's ``P[s, n] = P[t, n]`` rows).
         dep:        frozenset of (s, t) pairs — s's switch must precede
                     t's on any flow needing both (cross-SCC edges).
     """
@@ -168,14 +171,16 @@ class DependencyInfo:
             for var in condensation.nodes[scc_index]["members"]:
                 self.state_rank[var] = rank
         self.order = sorted(self.state_rank, key=lambda v: (self.state_rank[v], v))
-        tied = set()
-        for scc in sccs:
-            if len(scc) > 1:
-                members = sorted(scc)
-                for i, a in enumerate(members):
-                    for b in members[i + 1 :]:
-                        tied.add(frozenset((a, b)))
-        self.tied = frozenset(tied)
+        self.groups = tuple(sorted(
+            (frozenset(scc) for scc in sccs if len(scc) > 1), key=sorted
+        ))
+        self.tied = frozenset(
+            frozenset((a, b))
+            for group in self.groups
+            for a in group
+            for b in group
+            if a < b
+        )
         dep = set()
         for s, t in graph.edges:
             if s != t and self.state_rank[s] != self.state_rank[t]:

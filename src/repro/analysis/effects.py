@@ -457,18 +457,18 @@ def _parallel_findings(overlaps: list, variables: dict) -> tuple:
 
 
 def _atomic_groups(policy, written: set, slicer) -> tuple:
-    """Partition the written variables by the ``atomic()``-tie relation.
+    """Partition the written variables by the co-location groups.
 
-    Tied variables are co-located by the MILP, so each group updates
-    atomically per packet at one switch; untied written variables are
-    singleton groups.
+    Each group (a dependency SCC of more than one variable) is
+    co-located by the MILP, so it updates atomically per packet at one
+    switch; ungrouped written variables are singleton groups.
     """
     from repro.analysis.dependency import analyze_dependencies
 
     deps = analyze_dependencies(policy, slicer=slicer)
     grouped: dict = {}
-    for tie in sorted(deps.tied, key=sorted):
-        members = frozenset(var for var in tie if var in written)
+    for group in deps.groups:
+        members = group & written
         for var in members:
             grouped[var] = members
     groups = {

@@ -50,7 +50,7 @@ from repro.dataplane.network import (
     exec_program_spec,
 )
 from repro.obs import postcards
-from repro.obs.runstats import RunStats
+from repro.obs.runstats import publish_run
 from repro.obs.tracing import TRACER
 
 
@@ -100,10 +100,10 @@ class ClusterEngine:
         if len(batches) <= 1:
             # Zero or one lane: the wire buys no parallelism — run
             # inline with identical semantics, spawn nothing.
-            self.last_run_stats = RunStats(
-                workers=0, lanes=len(batches), program_bytes=0,
-                network_bytes=0, payload_bytes=0, requeues=0,
-            )
+            self.last_run_stats = {
+                "workers": 0, "lanes": len(batches), "program_bytes": 0,
+                "network_bytes": 0, "payload_bytes": 0, "requeues": 0,
+            }
             return ShardedEngine(max_workers=1).run(network, arrivals)
         refresh_exec_keys(network)
         program_key = network._exec_program_key
@@ -194,16 +194,16 @@ class ClusterEngine:
             key: coordinator.stats[key] - stats_before.get(key, 0)
             for key in coordinator.stats
         }
-        stats = RunStats(
-            workers=coordinator.worker_count(),
-            lanes=len(batches),
-            program_bytes=delta["program_bytes"],
-            network_bytes=delta["network_bytes"],
-            payload_bytes=delta["payload_bytes"],
-            requeues=delta["requeues"],
-        )
+        stats = {
+            "workers": coordinator.worker_count(),
+            "lanes": len(batches),
+            "program_bytes": delta["program_bytes"],
+            "network_bytes": delta["network_bytes"],
+            "payload_bytes": delta["payload_bytes"],
+            "requeues": delta["requeues"],
+        }
         self.last_run_stats = stats
-        stats.publish(self.name, packets=len(arrivals))
+        publish_run(self.name, stats, packets=len(arrivals))
         run_span.set_attr("payload_bytes", delta["payload_bytes"])
         run_span.set_attr("requeues", delta["requeues"])
         if errors:

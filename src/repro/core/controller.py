@@ -71,7 +71,6 @@ from repro.milp.backends import MilpBackend
 from repro.milp.results import extract_paths, validate_solution
 from repro.topology.graph import Topology
 from repro.topology.traffic import gravity_traffic_matrix
-from repro.obs import configure as _configure_telemetry
 from repro.obs.metrics import counter, gauge
 from repro.obs.tracing import TRACER
 from repro.util.timer import PhaseTimer
@@ -81,6 +80,12 @@ from repro.xfdd.incremental import CompileSession
 #: and routing (small), and real event streams alternate among a handful
 #: of placements (A/B policy flips, threshold sweeps).
 SOLVE_MEMO_CAP = 32
+
+#: How many snapshots ``history()`` retains (oldest evicted first;
+#: ``current`` is always kept).  Each snapshot pins its xFDD and
+#: hash-consing factory, so an unbounded history would grow a long-lived
+#: session's memory linearly with event count.
+HISTORY_LIMIT = 16
 
 _CONTROLLER_EVENTS = counter(
     "snap_controller_events_total",
@@ -146,11 +151,6 @@ class SnapController:
         elif overrides:
             options = replace(options, **overrides)
         self._options = options
-        if options.telemetry is not None:
-            # Session-scoped telemetry override: applied process-wide
-            # (the registry and tracer are shared), same as calling
-            # repro.obs.configure() before constructing the session.
-            _configure_telemetry(options.telemetry)
         self._backend = MilpBackend()
         self._topology = topology
         self._program = program
@@ -164,9 +164,7 @@ class SnapController:
         self._failed: frozenset = frozenset()
         self._generation = -1
         self._current: Snapshot | None = None
-        # Bounded: old snapshots (and the xFDD factories they pin) are
-        # evicted once the limit is reached; `current` is always kept.
-        self._history: deque = deque(maxlen=options.history_limit)
+        self._history: deque = deque(maxlen=HISTORY_LIMIT)
         self._network: Network | None = None
         # Resolved engine for the live data plane.  Engines that own OS
         # resources (the process pool) must be one instance per session,
@@ -226,7 +224,7 @@ class SnapController:
 
     def history(self) -> tuple:
         """Recent snapshots, oldest first (the newest
-        ``options.history_limit`` of them; ``None`` retains all)."""
+        :data:`HISTORY_LIMIT` of them)."""
         return tuple(self._history)
 
     def effective_topology(self) -> Topology:

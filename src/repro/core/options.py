@@ -37,6 +37,13 @@ class CompilerOptions:
     any other name added through
     :func:`repro.dataplane.engine.register_engine`, or an engine
     instance.
+
+    A field stays only if a caller needs a value other than its default
+    or it describes the deployment; session-wide constants live in the
+    modules that use them (``HISTORY_LIMIT`` in
+    :mod:`repro.core.controller`, ``DEMAND_FLOOR`` in
+    :mod:`repro.milp.placement`), and telemetry is process-wide, set
+    through :func:`repro.obs.configure`.
     """
 
     solver_time_limit: float | None = None
@@ -47,28 +54,8 @@ class CompilerOptions:
     #: | ``"cluster"`` | ``"vector"`` | ``"vector-jit"`` | ...) or an
     #: engine instance.
     engine: object = "sequential"
-    #: How many snapshots ``SnapController.history()`` retains (oldest
-    #: evicted first; ``current`` is always kept).  Each snapshot pins
-    #: its xFDD and hash-consing factory, so an unbounded history would
-    #: grow a long-lived session's memory linearly with event count.
-    #: ``None`` retains everything.
-    history_limit: int | None = 16
-    #: Telemetry for this session: ``None`` (leave the process-wide
-    #: configuration alone — i.e. the ``SNAP_TELEMETRY*`` environment
-    #: defaults), a bool or ``"on"``/``"off"``, or a full
-    #: :class:`repro.obs.TelemetryConfig`.  Anything non-``None`` is
-    #: applied process-wide when the controller starts.
-    telemetry: object = None
 
     def __post_init__(self):
-        if self.telemetry is not None:
-            from repro.obs import resolve_config
-
-            # Validate eagerly (and normalize strings/bools) so a typo
-            # fails at options construction, not mid-compile.
-            object.__setattr__(
-                self, "telemetry", resolve_config(self.telemetry)
-            )
         if self.stateful_switches is not None and not isinstance(
             self.stateful_switches, tuple
         ):

@@ -30,11 +30,9 @@ def compilation_report(result: Snapshot, network: Network | None = None) -> str:
         by_switch.setdefault(switch, []).append(var)
     for switch, vars_ in sorted(by_switch.items()):
         lines.append(f"  {switch}: {', '.join(vars_)}")
-    if result.dependencies.tied:
+    if result.dependencies.groups:
         groups = ", ".join(
-            "{" + ", ".join(sorted(t)) + "}" for t in sorted(
-                result.dependencies.tied, key=sorted
-            )
+            "{" + ", ".join(sorted(g)) + "}" for g in result.dependencies.groups
         )
         lines.append(f"co-located groups: {groups}")
     lines.append("phase timings:")

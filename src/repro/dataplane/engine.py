@@ -90,7 +90,7 @@ from repro.dataplane.network import (
 )
 from repro.lang.errors import DataPlaneError
 from repro.obs import postcards
-from repro.obs.runstats import RunStats
+from repro.obs.runstats import publish_run
 from repro.obs.tracing import TRACER
 from repro.util.registry import EngineRegistry
 
@@ -468,11 +468,11 @@ class ShardedEngine:
         arrivals = list(arrivals)
         plan = plan_for(network)
         batches = _split_batches(plan, arrivals)
-        stats = RunStats(
-            lanes=len(batches),
-            parallelism=plan.parallelism,
-            collapse_reasons=dict(plan.collapse_reasons),
-        )
+        stats = {
+            "lanes": len(batches),
+            "parallelism": plan.parallelism,
+            "collapse_reasons": dict(plan.collapse_reasons),
+        }
         self.last_run_stats = stats
         with TRACER.span(
             "engine.run", engine=self.name, lanes=len(batches),
@@ -517,7 +517,7 @@ class ShardedEngine:
             results = _merge_lane_outcomes(
                 network, outcomes, len(arrivals), complete=failure is None
             )
-            stats.publish(self.name, packets=len(arrivals))
+            publish_run(self.name, stats, packets=len(arrivals))
             if failure is not None:
                 run_span.set_attr("failed_shard", failure[0])
                 _raise_lane_failure(plan, *failure)
@@ -591,10 +591,10 @@ class ProcessPoolEngine:
             # process buys no parallelism — run inline with identical
             # semantics (state mutated in place, exactly like a
             # completed worker merge).
-            self.last_run_stats = RunStats(
-                lanes=len(batches), state_bytes=0, spec_bytes=0,
-                collapse_reasons=dict(plan.collapse_reasons),
-            )
+            self.last_run_stats = {
+                "lanes": len(batches), "state_bytes": 0, "spec_bytes": 0,
+                "collapse_reasons": dict(plan.collapse_reasons),
+            }
             return ShardedEngine(max_workers=1).run(network, arrivals)
         refresh_exec_keys(network)
         program_key = network._exec_program_key
@@ -644,13 +644,13 @@ class ProcessPoolEngine:
                 raise DataPlaneError(
                     f"process-pool engine lost its workers: {exc}"
                 ) from exc
-            stats = RunStats(
-                lanes=len(batches),
-                state_bytes=state_bytes,
+            stats = {
+                "lanes": len(batches),
+                "state_bytes": state_bytes,
                 # A worker cannot be targeted, so every task carries the spec.
-                spec_bytes=len(spec_bytes) * len(batches),
-                collapse_reasons=dict(plan.collapse_reasons),
-            )
+                "spec_bytes": len(spec_bytes) * len(batches),
+                "collapse_reasons": dict(plan.collapse_reasons),
+            }
             self.last_run_stats = stats
             outcomes: list = []
             failure = None
@@ -675,7 +675,7 @@ class ProcessPoolEngine:
             results = _merge_lane_outcomes(
                 network, outcomes, len(arrivals), complete=failure is None
             )
-            stats.publish(self.name, packets=len(arrivals))
+            publish_run(self.name, stats, packets=len(arrivals))
             if failure is not None:
                 run_span.set_attr("failed_shard", failure[0])
                 _raise_lane_failure(plan, *failure)

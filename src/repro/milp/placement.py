@@ -44,6 +44,9 @@ from repro.milp.modeling import Model, Solution
 from repro.milp.results import split_aggregate
 from repro.topology.graph import Topology, port_node
 
+#: Demands at or below this are no flow (see :meth:`PlacementInputs.flows_of`).
+DEMAND_FLOOR = 1e-9
+
 
 class PlacementInputs:
     """Everything Table 1 lists as MILP input, preprocessed to index form.
@@ -60,12 +63,10 @@ class PlacementInputs:
         mapping: PacketStateMapping,
         dependencies: DependencyInfo,
         stateful_switches=None,
-        demand_floor: float = 1e-9,
         state_capacity: dict | int | None = None,
     ):
         self.topology = topology
         self.graph = topology.expanded_graph()
-        self.demand_floor = demand_floor
         self.flows = self.flows_of(demands)
         self.demands = {flow: demands[flow] for flow in self.flows}
         self.mapping = mapping
@@ -139,11 +140,12 @@ class PlacementInputs:
 
         self.mask = own_or_switch(self.link_src) & own_or_switch(self.link_dst)
 
-    def flows_of(self, demands: dict) -> list:
+    @staticmethod
+    def flows_of(demands: dict) -> list:
         """The sorted flows of a traffic matrix: pairs above the demand floor."""
         return [
             (u, v) for (u, v), demand in sorted(demands.items())
-            if demand > self.demand_floor
+            if demand > DEMAND_FLOOR
         ]
 
     def demand_vector(self) -> np.ndarray:
@@ -554,9 +556,9 @@ class PlacementModel:
         col = int(self.route_index[inputs.flows.index(flow), inputs.link_id[link]])
         return col if col >= 0 else None
 
-    def _link_columns(self, a: str, b: str, bidirectional: bool):
+    def _link_columns(self, a: str, b: str):
         """Per direction of the link, its R and Y columns."""
-        for link in [(a, b)] + ([(b, a)] if bidirectional else []):
+        for link in ((a, b), (b, a)):
             index = self.inputs.link_id.get(link)
             if index is not None:
                 cols = np.concatenate(
@@ -564,7 +566,7 @@ class PlacementModel:
                 )
                 yield link, cols[cols >= 0]
 
-    def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:
+    def fail_link(self, a: str, b: str) -> None:
         """Take a link out of service by pinning its routing variables to 0.
 
         This is the paper's "incremental modification" path: the standing
@@ -577,17 +579,17 @@ class PlacementModel:
         model had before, making fail/restore cycles idempotent.
         """
         lb, ub = self.model.lb, self.model.ub
-        for link, cols in self._link_columns(a, b, bidirectional):
+        for link, cols in self._link_columns(a, b):
             self._saved_bounds.setdefault(link, (lb[cols], ub[cols]))
             lb[cols] = ub[cols] = 0.0
 
-    def restore_link(self, a: str, b: str, bidirectional: bool = True) -> None:
+    def restore_link(self, a: str, b: str) -> None:
         """Undo :meth:`fail_link`, restoring the recorded original bounds.
 
         A no-op for links that were never failed: restoring such a link
         must not touch bounds the model never changed.
         """
-        for link, cols in self._link_columns(a, b, bidirectional):
+        for link, cols in self._link_columns(a, b):
             if link in self._saved_bounds:
                 self.model.lb[cols], self.model.ub[cols] = self._saved_bounds.pop(link)
 

@@ -13,12 +13,11 @@ One subsystem, three signal kinds, every layer reports into it:
 
 Configuration is one value, resolved in this order: an explicit
 :class:`TelemetryConfig` (or bool/"on"/"off") passed to
-:func:`configure` — e.g. through ``CompilerOptions(telemetry=...)`` —
-else the environment:
+:func:`configure`, else the environment:
 
 =========================   ===========================================
 ``SNAP_TELEMETRY``          ``on``/``1`` (default) or ``off``/``0`` —
-                            master switch for metrics + tracing
+                            the one switch for metrics and tracing
 ``SNAP_TELEMETRY_POSTCARDS``  sample every Nth packet (default ``0``,
                             off — sampling is opt-in)
 ``SNAP_TELEMETRY_FILE``     write a JSON snapshot here at process exit
@@ -49,7 +48,6 @@ from repro.obs.metrics import (
     validate_prometheus_text,
 )
 from repro.obs.postcards import PostcardSampler, active_sampler
-from repro.obs.runstats import RunStats
 from repro.obs.tracing import TRACER, Span, Tracer, current_trace_context
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "TRACER",
     "MetricsRegistry",
     "PostcardSampler",
-    "RunStats",
     "Span",
     "TelemetryConfig",
     "Tracer",
@@ -79,8 +76,8 @@ __all__ = [
 class TelemetryConfig:
     """One resolved telemetry configuration."""
 
-    metrics: bool = True
-    tracing: bool = True
+    #: Metrics and tracing, on or off together.
+    enabled: bool = True
     #: Sample every Nth packet as a postcard; 0 = off.
     postcard_every: int = 0
     #: Where :func:`write_snapshot` (and the atexit flush) writes.
@@ -108,14 +105,12 @@ def _env_flag(name: str, default: bool) -> bool:
 
 
 def _env_config() -> TelemetryConfig:
-    enabled = _env_flag("SNAP_TELEMETRY", True)
     try:
         every = int(os.environ.get("SNAP_TELEMETRY_POSTCARDS", "0") or 0)
     except ValueError:
         every = 0
     return TelemetryConfig(
-        metrics=enabled,
-        tracing=enabled,
+        enabled=_env_flag("SNAP_TELEMETRY", True),
         postcard_every=max(0, every),
         snapshot_path=os.environ.get("SNAP_TELEMETRY_FILE") or None,
     )
@@ -133,17 +128,10 @@ def resolve_config(source=None) -> TelemetryConfig:
     if isinstance(source, TelemetryConfig):
         return source
     if isinstance(source, bool):
-        return TelemetryConfig(metrics=source, tracing=source)
-    if isinstance(source, str):
-        lowered = source.strip().lower()
-        if lowered in _TRUE:
-            return TelemetryConfig(metrics=True, tracing=True)
-        if lowered in _FALSE:
-            return TelemetryConfig(metrics=False, tracing=False)
-        raise ValueError(
-            f"telemetry must be a bool, 'on'/'off', or a TelemetryConfig, "
-            f"got {source!r}"
-        )
+        return TelemetryConfig(enabled=source)
+    lowered = source.strip().lower() if isinstance(source, str) else None
+    if lowered in _TRUE or lowered in _FALSE:
+        return TelemetryConfig(enabled=lowered in _TRUE)
     raise ValueError(
         f"telemetry must be a bool, 'on'/'off', or a TelemetryConfig, "
         f"got {source!r}"
@@ -163,8 +151,8 @@ def configure(source=None) -> TelemetryConfig:
     """
     global _CURRENT, _CONFIGURED_PID
     config = resolve_config(source)
-    REGISTRY.enabled = config.metrics
-    TRACER.enabled = config.tracing
+    REGISTRY.enabled = config.enabled
+    TRACER.enabled = config.enabled
     postcards.configure_sampling(config.postcard_every)
     _CURRENT = config
     _CONFIGURED_PID = os.getpid()

@@ -30,13 +30,12 @@ class Topology:
     def add_switch(self, name: str) -> None:
         self.graph.add_node(name)
 
-    def add_link(self, a: str, b: str, capacity: float, bidirectional: bool = True):
-        """Add a link with the given capacity (both directions by default)."""
+    def add_link(self, a: str, b: str, capacity: float):
+        """Add a link with the given capacity in both directions."""
         if capacity <= 0:
             raise TopologyError(f"link {a}-{b} needs positive capacity")
         self.graph.add_edge(a, b, capacity=float(capacity))
-        if bidirectional:
-            self.graph.add_edge(b, a, capacity=float(capacity))
+        self.graph.add_edge(b, a, capacity=float(capacity))
 
     def attach_port(self, port: int, switch: str) -> None:
         if switch not in self.graph:
@@ -82,15 +81,14 @@ class Topology:
         if not nx.is_strongly_connected(self.graph):
             raise TopologyError(f"topology {self.name!r} is not strongly connected")
 
-    def without_link(self, a: str, b: str, bidirectional: bool = True) -> "Topology":
-        """A copy with a link removed (failure scenarios)."""
+    def without_link(self, a: str, b: str) -> "Topology":
+        """A copy with a link removed in both directions (failure scenarios)."""
         clone = Topology(self.name + f"-fail-{a}-{b}")
         clone.graph = self.graph.copy()
         clone.ports = dict(self.ports)
-        if clone.graph.has_edge(a, b):
-            clone.graph.remove_edge(a, b)
-        if bidirectional and clone.graph.has_edge(b, a):
-            clone.graph.remove_edge(b, a)
+        for link in ((a, b), (b, a)):
+            if clone.graph.has_edge(*link):
+                clone.graph.remove_edge(*link)
         return clone
 
     def expanded_graph(self) -> nx.DiGraph:

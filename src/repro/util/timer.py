@@ -57,16 +57,6 @@ class PhaseTimer:
                 return sum(self.durations.values())
             return sum(self.durations.get(name, 0.0) for name in names)
 
-    def merged(self, other: "PhaseTimer") -> "PhaseTimer":
-        """A new timer with durations from both (for multi-run totals)."""
-        result = PhaseTimer()
-        with self._lock:
-            result.durations = dict(self.durations)
-        with other._lock:
-            for name, value in other.durations.items():
-                result.durations[name] = result.durations.get(name, 0.0) + value
-        return result
-
     def __repr__(self):
         with self._lock:
             rows = ", ".join(

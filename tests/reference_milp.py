@@ -150,13 +150,12 @@ class ReferenceInputs:
         mapping,
         dependencies,
         stateful_switches=None,
-        demand_floor: float = 1e-9,
         state_capacity: dict | int | None = None,
     ):
         self.topology = topology
         self.graph = topology.expanded_graph()
-        self.flows = [
-            (u, v) for (u, v), demand in sorted(demands.items()) if demand > demand_floor
+        self.flows = [  # demands at or below 1e-9 are no flow
+            (u, v) for (u, v), demand in sorted(demands.items()) if demand > 1e-9
         ]
         self.demands = {flow: demands[flow] for flow in self.flows}
         self.mapping = mapping
@@ -453,7 +452,7 @@ class ReferenceModel:
 
     # -- incremental updates (§6.2.2) ---------------------------------------------
 
-    def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:
+    def fail_link(self, a: str, b: str) -> None:
         """Take a link out of service by pinning its routing variables to 0.
 
         This is the paper's "incremental modification" path: the standing
@@ -466,8 +465,7 @@ class ReferenceModel:
         model had before, making fail/restore cycles idempotent.
         """
         saved = self._saved_bounds
-        links = [(a, b)] + ([(b, a)] if bidirectional else [])
-        for link in links:
+        for link in ((a, b), (b, a)):
             for flow in self.inputs.flows:
                 var = self.route_vars.get((flow, link))
                 if var is not None:
@@ -475,15 +473,14 @@ class ReferenceModel:
                         saved[(flow, link)] = (var.lower, var.upper)
                     self.model.set_var_bounds(var, 0.0, 0.0)
 
-    def restore_link(self, a: str, b: str, bidirectional: bool = True) -> None:
+    def restore_link(self, a: str, b: str) -> None:
         """Undo :meth:`fail_link`, restoring the recorded original bounds.
 
         A no-op for links that were never failed: restoring such a link
         must not touch bounds the model never changed.
         """
         saved = self._saved_bounds
-        links = [(a, b)] + ([(b, a)] if bidirectional else [])
-        for link in links:
+        for link in ((a, b), (b, a)):
             for flow in self.inputs.flows:
                 bounds = saved.pop((flow, link), None)
                 if bounds is None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.apps.chimera import dns_tunnel_detect
 from repro.apps.fast import stateful_firewall
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
+from repro.core import controller as controller_module
 from repro.core.controller import SnapController
 from repro.core.options import CompilerOptions
 from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES
@@ -321,10 +322,9 @@ class TestEventSequence:
         assert controller.current is snapshots[-1]
         assert controller.generation == 4
 
-    def test_history_is_bounded(self):
-        controller = SnapController(
-            campus_topology(), campus_program(), history_limit=2
-        )
+    def test_history_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "HISTORY_LIMIT", 2)
+        controller = SnapController(campus_topology(), campus_program())
         controller.submit()
         controller.fail_link("C1", "C5")
         last = controller.restore_link("C1", "C5")
@@ -798,6 +798,18 @@ class TestHotSwap:
 
 
 class TestOptions:
+    def test_option_census(self):
+        """Every settable value is a reviewed decision: a field stays only
+        if a caller needs a second value or it describes the deployment."""
+        from repro.obs import TelemetryConfig
+
+        assert {f.name for f in dataclasses.fields(CompilerOptions)} == {
+            "solver_time_limit", "mip_rel_gap", "stateful_switches", "engine",
+        }
+        assert {f.name for f in dataclasses.fields(TelemetryConfig)} == {
+            "enabled", "postcard_every", "snapshot_path",
+        }
+
     def test_options_frozen(self):
         options = CompilerOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):

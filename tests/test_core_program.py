@@ -133,14 +133,6 @@ class TestPhaseTimer:
         assert timer.total(("P1", "P3")) == pytest.approx(5.0)
         assert timer.total() == pytest.approx(7.0)
 
-    def test_merged(self):
-        a = PhaseTimer()
-        a.durations["P1"] = 1.0
-        b = PhaseTimer()
-        b.durations.update({"P1": 2.0, "P2": 3.0})
-        merged = a.merged(b)
-        assert merged.durations == {"P1": 3.0, "P2": 3.0}
-
     def test_exception_still_recorded(self):
         timer = PhaseTimer()
         with pytest.raises(ValueError):

@@ -89,13 +89,17 @@ SAFE_APPS = {
     },
     "tcp-state-machine": {"tcp-state": K.CONST_WRITE},
     "snort-flowbits": {"kindle": K.IDEMPOTENT_INSERT},
+    "sidejack-detect": {
+        "active-session": K.IDEMPOTENT_INSERT,
+        "sid2agent": K.GENERAL_RMW,
+        "sid2ip": K.GENERAL_RMW,
+    },
 }
 HAZARD_APPS = (
     "many-ip-domains",
     "many-domain-ips",
     "dns-ttl-change",
     "dns-tunnel-detect",
-    "sidejack-detect",
     "sampling-by-flow-size",
     "elephant-flows",
     "flow-size-detect",
@@ -138,6 +142,23 @@ class TestTableThreeClassification:
         # ... but still no Parallel-arm race: shard-level replay of these
         # apps stays sound, only cross-variable atomicity is at risk.
         assert report.order_dependent_races == ()
+
+    @pytest.mark.parametrize("name", sorted(ALL_APPS))
+    def test_atomic_groups_partition_the_written_variables(self, name):
+        """Each written variable sits in exactly one group, and every
+        variable the MILP co-locates with it is in the same group (so W103
+        never asks to co-locate what is already co-located)."""
+        policy = ALL_APPS[name]().policy
+        report = analyze_effects(policy)
+        written = {v for v, effect in report.variables.items() if effect.sites}
+        groups = report.atomic_groups
+        assert sum(len(g) for g in groups) == len(written)
+        assert set().union(*groups) == written
+        group_of = {var: group for group in groups for var in group}
+        for pair in analyze_dependencies(policy).tied:
+            a, b = sorted(pair)
+            if a in written and b in written:
+                assert group_of[a] == group_of[b]
 
     @pytest.mark.parametrize("name", sorted(ALL_APPS))
     def test_a_slicer_changes_nothing(self, name):

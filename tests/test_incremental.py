@@ -119,7 +119,7 @@ class TestIncrementalDemands:
 
     def test_a_demand_below_the_floor_is_no_flow(self, compiled):
         """``set_demands`` counts flows as ``PlacementInputs`` does: a
-        demand at or below ``demand_floor`` is no flow, whatever its sign."""
+        demand at or below ``DEMAND_FLOOR`` is no flow, whatever its sign."""
         controller, cold = compiled
         model = build_te_model(
             campus_topology(), dict(controller.demands), cold.mapping,

@@ -31,7 +31,7 @@ from repro.dataplane.engine import (
 from repro.lang.errors import DataPlaneError
 from repro.obs import postcards
 from repro.obs.metrics import MetricsRegistry, validate_prometheus_text
-from repro.obs.runstats import RunStats
+from repro.obs.runstats import publish_run
 from repro.obs.tracing import NOOP_SPAN, TRACER, Tracer
 from repro.obs import __main__ as obs_cli
 from repro.workloads import replay
@@ -370,23 +370,11 @@ class TestEngineTelemetry:
         assert len(lanes) == runs[-1]["attrs"]["lanes"]
         assert all(s["parent_id"] == runs[-1]["span_id"] for s in lanes)
 
-    def test_run_stats_reads_like_the_old_dict(self):
-        stats = RunStats(lanes=4, parallelism=2, collapse_reasons={})
-        assert dict(stats) == {
-            "lanes": 4, "parallelism": 2, "collapse_reasons": {},
-        }
-        assert stats["lanes"] == 4
-        assert "workers" not in stats
-        with pytest.raises(KeyError):
-            stats["workers"]
-        assert stats.get("workers", 0) == 0
-        assert bool(RunStats()) is False
-
     def test_run_stats_publish_feeds_the_registry(self):
         runs = obs.REGISTRY.counter("snap_engine_runs_total")
         packets = obs.REGISTRY.counter("snap_engine_packets_total")
         before = runs.labels(engine="t-pub").value
-        RunStats(lanes=3, payload_bytes=100).publish("t-pub", packets=17)
+        publish_run("t-pub", {"lanes": 3, "payload_bytes": 100}, packets=17)
         assert runs.labels(engine="t-pub").value == before + 1
         assert packets.labels(engine="t-pub").value >= 17
         lanes = obs.REGISTRY.gauge("snap_engine_lanes")
@@ -488,8 +476,8 @@ class TestClusterTelemetry:
 
 class TestConfiguration:
     def test_resolve_config_accepts_bool_str_and_config(self):
-        assert obs.resolve_config(True).metrics is True
-        assert obs.resolve_config("off").tracing is False
+        assert obs.resolve_config(True).enabled is True
+        assert obs.resolve_config("off").enabled is False
         config = obs.TelemetryConfig(postcard_every=7)
         assert obs.resolve_config(config) is config
         with pytest.raises(ValueError):
@@ -501,20 +489,11 @@ class TestConfiguration:
         monkeypatch.setenv("SNAP_TELEMETRY", "off")
         monkeypatch.setenv("SNAP_TELEMETRY_POSTCARDS", "9")
         config = obs.resolve_config(None)
-        assert config.metrics is False and config.tracing is False
+        assert config.enabled is False
         assert config.postcard_every == 9
 
-    def test_compiler_options_resolve_telemetry(self):
-        from repro.core.options import CompilerOptions
-
-        options = CompilerOptions(telemetry="on")
-        assert isinstance(options.telemetry, obs.TelemetryConfig)
-        assert CompilerOptions().telemetry is None
-
     def test_configure_flips_the_shared_switches(self):
-        obs.configure(obs.TelemetryConfig(
-            metrics=False, tracing=False, postcard_every=4
-        ))
+        obs.configure(obs.TelemetryConfig(enabled=False, postcard_every=4))
         assert obs.REGISTRY.enabled is False
         assert TRACER.enabled is False
         assert postcards.active_sampler().every == 4

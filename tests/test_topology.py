@@ -17,7 +17,7 @@ from repro.topology.traffic import gravity_traffic_matrix, uniform_traffic_matri
 
 
 class TestTopologyModel:
-    def test_links_are_bidirectional_by_default(self):
+    def test_links_go_both_ways(self):
         topo = Topology("t")
         topo.add_switch("a")
         topo.add_switch("b")
