@@ -1,7 +1,7 @@
 """Program analyses: state dependencies (§4.1), packet-state mapping
 (§4.3), and the static state-effect / race analysis (``effects``)."""
 
-from repro.analysis.dependency import DependencyInfo, analyze_dependencies, st_dep
+from repro.analysis.dependency import DependencyInfo, analyze_dependencies
 from repro.analysis.effects import (
     EffectKind,
     EffectReport,
@@ -16,7 +16,6 @@ from repro.analysis.packet_state import PacketStateMapping, packet_state_mapping
 __all__ = [
     "DependencyInfo",
     "analyze_dependencies",
-    "st_dep",
     "PacketStateMapping",
     "packet_state_mapping",
     "EffectKind",

@@ -15,6 +15,10 @@ condensation yields (i) the total state-variable order used by the xFDD
 (§4.2), (ii) the co-location ``groups`` (SCCs of more than one variable)
 and their ``tied`` pairs, and (iii) the ``dep`` ordering pairs consumed by
 the MILP (§4.4).
+
+:class:`DependencySlicer` computes st-dep together with r(p) and w(p),
+memoised per subtree; ``tests/reference_dependency.py`` transcribes the
+equations above as the plain recursion the suite holds it equal to.
 """
 
 from __future__ import annotations
@@ -24,33 +28,7 @@ from typing import NamedTuple
 import networkx as nx
 
 from repro.lang import ast
-from repro.lang.ast import state_reads, state_variables, state_writes
 from repro.lang.fingerprint import fingerprint
-
-
-def st_dep(policy: ast.Policy) -> frozenset:
-    """The set of dependency edges ``(s, t)`` — t depends on s."""
-    if isinstance(policy, ast.Parallel):
-        return st_dep(policy.left) | st_dep(policy.right)
-    if isinstance(policy, ast.Seq):
-        crossed = {
-            (s, t)
-            for s in state_reads(policy.left)
-            for t in state_writes(policy.right)
-        }
-        return frozenset(crossed) | st_dep(policy.left) | st_dep(policy.right)
-    if isinstance(policy, ast.If):
-        written = state_writes(policy.then) | state_writes(policy.orelse)
-        crossed = {(s, t) for s in state_reads(policy.pred) for t in written}
-        return frozenset(crossed) | st_dep(policy.then) | st_dep(policy.orelse)
-    if isinstance(policy, ast.Atomic):
-        touched = state_variables(policy.body)
-        return frozenset((s, t) for s in touched for t in touched) | st_dep(policy.body)
-    if isinstance(policy, (ast.And, ast.Or)):
-        return st_dep(policy.left) | st_dep(policy.right)
-    if isinstance(policy, ast.Not):
-        return st_dep(policy.pred)
-    return frozenset()
 
 
 class DependencySlice(NamedTuple):
@@ -63,16 +41,14 @@ class DependencySlice(NamedTuple):
 
 _EMPTY_SLICE = DependencySlice(frozenset(), frozenset(), frozenset())
 
-#: Nodes worth memoizing — everything with policy children.
-_COMPOSITE = (ast.Not, ast.And, ast.Or, ast.Parallel, ast.Seq, ast.If, ast.Atomic)
-
 
 class DependencySlicer:
     """Fingerprint-memoized ``st-dep`` slices for incremental compilation.
 
-    ``slice(p)`` returns the same ``(edges, reads, writes)`` triple the
-    plain recursion would derive for ``p``, but memoizes every composite
-    subtree by its structural fingerprint.  Across ``update_policy``
+    ``slice(p)`` returns the ``(edges, reads, writes)`` triple that
+    st-dep, r and w derive for ``p`` (the plain recursion is
+    ``tests/reference_dependency.py``), memoizing every composite subtree
+    by its structural fingerprint.  Across ``update_policy``
     generations only the *dirty* subtrees are revisited; retained slices
     merge for free (the recursion unions child results, and unchanged
     children are O(1) lookups).  The memo is pure — slices depend only on
@@ -89,7 +65,7 @@ class DependencySlicer:
         return len(self._memo)
 
     def slice(self, policy: ast.Policy) -> DependencySlice:
-        if not isinstance(policy, _COMPOSITE):
+        if not isinstance(policy, ast.COMPOSITE):
             if isinstance(policy, ast.StateTest):
                 return DependencySlice(
                     frozenset(), frozenset((policy.var,)), frozenset()
@@ -108,7 +84,7 @@ class DependencySlicer:
         return result
 
     def _slice_composite(self, policy) -> DependencySlice:
-        # Mirrors st_dep exactly; reads/writes mirror state_reads/-writes.
+        # Figure 14 case by case; reads/writes are r(p) and w(p).
         if isinstance(policy, ast.Not):
             return self.slice(policy.pred)
         if isinstance(policy, (ast.And, ast.Or, ast.Parallel)):
@@ -199,16 +175,15 @@ def analyze_dependencies(
 ) -> DependencyInfo:
     """Run st-dep and condense the resulting graph.
 
-    With a ``slicer`` the edge set comes from fingerprint-memoized
-    per-subtree slices (same result, but unchanged subtrees across
-    recompilations are O(1) lookups instead of re-walks).
+    The edges come from ``slicer``'s fingerprint-memoized per-subtree
+    slices (a session's slicer makes unchanged subtrees across
+    recompilations O(1) lookups), or from a fresh slicer when none is
+    given.
     """
+    if slicer is None:
+        slicer = DependencySlicer()
+    sliced = slicer.slice(policy)
     graph = nx.DiGraph()
-    if slicer is not None:
-        sliced = slicer.slice(policy)
-        graph.add_nodes_from(sliced.reads | sliced.writes)
-        graph.add_edges_from(sliced.edges)
-    else:
-        graph.add_nodes_from(state_variables(policy))
-        graph.add_edges_from(st_dep(policy))
+    graph.add_nodes_from(sliced.reads | sliced.writes)
+    graph.add_edges_from(sliced.edges)
     return DependencyInfo(graph)

@@ -259,13 +259,9 @@ def _positive_state_guards(pred) -> list:
 
 def _predicate_reads(pred, reads: dict) -> None:
     """Collect every ``StateTest`` under a predicate into ``reads``."""
-    if isinstance(pred, ast.StateTest):
-        reads.setdefault(pred.var, []).append(pretty(pred))
-    elif isinstance(pred, ast.Not):
-        _predicate_reads(pred.pred, reads)
-    elif isinstance(pred, (ast.And, ast.Or)):
-        _predicate_reads(pred.left, reads)
-        _predicate_reads(pred.right, reads)
+    for node in ast.walk(pred):
+        if isinstance(node, ast.StateTest):
+            reads.setdefault(node.var, []).append(pretty(node))
 
 
 def _merge(into: dict, other: dict) -> dict:

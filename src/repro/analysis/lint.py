@@ -140,29 +140,19 @@ def _mutually_unsat(facts_a: list, facts_b: list) -> bool:
 
 def _unsat_parallel_findings(policy) -> list:
     findings = []
-    stack = [policy]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Parallel):
-            facts_left = _arm_assumption(node.left)
-            facts_right = _arm_assumption(node.right)
-            if facts_left and facts_right and _mutually_unsat(
-                facts_left, facts_right
-            ):
-                findings.append(_finding(
-                    "SNAP-I401",
-                    "Parallel arms have mutually unsatisfiable assumptions: "
-                    "at most one arm ever applies per packet, so the "
-                    "composition is a disjoint union (an if-else would say "
-                    "the same thing)",
-                ))
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (ast.Seq,)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ast.If):
-            stack.extend((node.then, node.orelse))
-        elif isinstance(node, ast.Atomic):
-            stack.append(node.body)
+    for node in ast.walk(policy):
+        if not isinstance(node, ast.Parallel):
+            continue
+        facts_left = _arm_assumption(node.left)
+        facts_right = _arm_assumption(node.right)
+        if facts_left and facts_right and _mutually_unsat(facts_left, facts_right):
+            findings.append(_finding(
+                "SNAP-I401",
+                "Parallel arms have mutually unsatisfiable assumptions: "
+                "at most one arm ever applies per packet, so the "
+                "composition is a disjoint union (an if-else would say "
+                "the same thing)",
+            ))
     return findings
 
 

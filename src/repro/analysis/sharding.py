@@ -26,8 +26,10 @@ def shard_name(var: str, port: int) -> str:
 def _substitute(policy: ast.Policy, var: str, port: int) -> ast.Policy:
     """Rewrite accesses to ``var`` for a fixed inport value."""
 
-    def fix_index(index: ast.Expr) -> ast.Expr:
-        parts = ast.flatten_expr(index)
+    def leaf(node: ast.Policy) -> ast.Policy:
+        if not (isinstance(node, ast.STATE_ACCESS) and node.var == var):
+            return node
+        parts = ast.flatten_expr(node.index)
         if not any(isinstance(p, ast.Field) and p.name == "inport" for p in parts):
             raise CompileError(
                 f"cannot shard {var!r} by inport: an access does not index "
@@ -39,34 +41,10 @@ def _substitute(policy: ast.Policy, var: str, port: int) -> ast.Policy:
             else p
             for p in parts
         ]
-        return fixed[0] if len(fixed) == 1 else ast.Vector(fixed)
+        index = fixed[0] if len(fixed) == 1 else ast.Vector(fixed)
+        return ast.retarget(node, shard_name(var, port), index)
 
-    def walk(node: ast.Policy) -> ast.Policy:
-        if isinstance(node, ast.StateTest) and node.var == var:
-            return ast.StateTest(shard_name(var, port), fix_index(node.index), node.value)
-        if isinstance(node, ast.StateMod) and node.var == var:
-            return ast.StateMod(shard_name(var, port), fix_index(node.index), node.value)
-        if isinstance(node, ast.StateIncr) and node.var == var:
-            return ast.StateIncr(shard_name(var, port), fix_index(node.index))
-        if isinstance(node, ast.StateDecr) and node.var == var:
-            return ast.StateDecr(shard_name(var, port), fix_index(node.index))
-        if isinstance(node, ast.Not):
-            return ast.Not(walk(node.pred))
-        if isinstance(node, ast.And):
-            return ast.And(walk(node.left), walk(node.right))
-        if isinstance(node, ast.Or):
-            return ast.Or(walk(node.left), walk(node.right))
-        if isinstance(node, ast.Parallel):
-            return ast.Parallel(walk(node.left), walk(node.right))
-        if isinstance(node, ast.Seq):
-            return ast.Seq(walk(node.left), walk(node.right))
-        if isinstance(node, ast.If):
-            return ast.If(walk(node.pred), walk(node.then), walk(node.orelse))
-        if isinstance(node, ast.Atomic):
-            return ast.Atomic(walk(node.body))
-        return node
-
-    return walk(policy)
+    return ast.rebuild(policy, leaf)
 
 
 def shard_by_inport(policy: ast.Policy, var: str, ports) -> ast.Policy:

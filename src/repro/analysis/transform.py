@@ -20,32 +20,12 @@ def rename_state_vars(policy: ast.Policy, mapping) -> ast.Policy:
     """
     rename = mapping if callable(mapping) else lambda v: mapping.get(v, v)
 
-    def walk(node: ast.Policy) -> ast.Policy:
-        if isinstance(node, ast.StateTest):
-            return ast.StateTest(rename(node.var), node.index, node.value)
-        if isinstance(node, ast.StateMod):
-            return ast.StateMod(rename(node.var), node.index, node.value)
-        if isinstance(node, ast.StateIncr):
-            return ast.StateIncr(rename(node.var), node.index)
-        if isinstance(node, ast.StateDecr):
-            return ast.StateDecr(rename(node.var), node.index)
-        if isinstance(node, ast.Not):
-            return ast.Not(walk(node.pred))
-        if isinstance(node, ast.And):
-            return ast.And(walk(node.left), walk(node.right))
-        if isinstance(node, ast.Or):
-            return ast.Or(walk(node.left), walk(node.right))
-        if isinstance(node, ast.Parallel):
-            return ast.Parallel(walk(node.left), walk(node.right))
-        if isinstance(node, ast.Seq):
-            return ast.Seq(walk(node.left), walk(node.right))
-        if isinstance(node, ast.If):
-            return ast.If(walk(node.pred), walk(node.then), walk(node.orelse))
-        if isinstance(node, ast.Atomic):
-            return ast.Atomic(walk(node.body))
+    def leaf(node: ast.Policy) -> ast.Policy:
+        if isinstance(node, ast.STATE_ACCESS):
+            return ast.retarget(node, rename(node.var))
         return node
 
-    return walk(policy)
+    return ast.rebuild(policy, leaf)
 
 
 def namespace_state_vars(policy: ast.Policy, prefix: str) -> ast.Policy:

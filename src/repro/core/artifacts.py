@@ -45,6 +45,19 @@ class SubPolicyArtifact:
     reused: bool
 
 
+def _operands(policy: ast.Policy, composition: type) -> list:
+    """The operands of ``policy``'s ``composition`` spine (``Seq`` or
+    ``Parallel``), left to right."""
+    operands, stack = [], [policy]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, composition):
+            stack.extend((node.right, node.left))
+        else:
+            operands.append(node)
+    return operands
+
+
 def split_units(policy: ast.Policy) -> list:
     """``[(label, subpolicy)]`` — the top-level decomposition of ``policy``.
 
@@ -53,28 +66,9 @@ def split_units(policy: ast.Policy) -> list:
     Labels are positional (``seq<i>`` / ``seq<i>.arm<j>``) so a
     single-arm edit keeps every other unit's label stable.
     """
-    segments: list = []
-
-    def peel_seq(p):
-        if isinstance(p, ast.Seq):
-            peel_seq(p.left)
-            peel_seq(p.right)
-        else:
-            segments.append(p)
-
-    peel_seq(policy)
     units: list = []
-    for i, segment in enumerate(segments):
-        arms: list = []
-
-        def peel_par(p):
-            if isinstance(p, ast.Parallel):
-                peel_par(p.left)
-                peel_par(p.right)
-            else:
-                arms.append(p)
-
-        peel_par(segment)
+    for i, segment in enumerate(_operands(policy, ast.Seq)):
+        arms = _operands(segment, ast.Parallel)
         if len(arms) == 1:
             units.append((f"seq{i}", segment))
         else:

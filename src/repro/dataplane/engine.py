@@ -209,10 +209,8 @@ def collapse_reasons(footprint: dict, shards, root) -> dict:
     """Why multi-port shards collapsed: ``{var: human-readable reason}``.
 
     A variable reachable from two or more ingress ports forces those
-    ports onto one serialized owner lane.  Each reason names the ports,
-    the variable's effect kind (from the compiled diagram), and — when
-    the kind is replica-mergeable — that per-lane replicas merged
-    deterministically (arXiv:2309.14647) could lift the collapse.
+    ports onto one serialized owner lane.  Each reason names the
+    variable, its effect kind (from the compiled diagram) and the ports.
     """
     from repro.analysis.effects import xfdd_effects
 
@@ -231,21 +229,10 @@ def collapse_reasons(footprint: dict, shards, root) -> dict:
                 continue
             kind = kinds.get(var)
             kind_name = kind.value if kind is not None else "READ_ONLY"
-            if kind is not None and kind.mergeable:
-                remedy = (
-                    f"its {kind_name} updates are replica-mergeable, so "
-                    "state-compute replication could run these ports in "
-                    "parallel"
-                )
-            else:
-                remedy = (
-                    f"its {kind_name} updates do not commute, so the "
-                    "ports must serialize on the owner lane"
-                )
             reasons[var] = (
-                f"SNAP-W104: state variable '{var}' is reachable from "
-                f"ingress ports {ports}, collapsing them into one lane; "
-                f"{remedy}"
+                f"SNAP-W104: state variable '{var}' ({kind_name}) is "
+                f"reachable from ingress ports {ports}, collapsing them "
+                "into one lane"
             )
     return reasons
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.dataplane.header import DONE_TAG, SNAP_NODE
 from repro.dataplane.split import (
     NodeIndex,
-    _ordered_seqs,
     owned_entries,
     state_owner,
 )
@@ -769,7 +768,7 @@ def compile_switch(
         key = ("l", id(leaf))
         if key in compiled:
             return compiled[key]
-        seqs = _ordered_seqs(leaf)
+        seqs = leaf.ordered_seqs()
         idx = compile_group(leaf, seqs, tuple(range(len(seqs))), 0)
         compiled[key] = idx
         return idx
@@ -837,7 +836,7 @@ def compile_switch(
         owned = owned_entries(index.root, index, placement).get(switch, ())
     for tag, node, *group in owned:
         if group:
-            entries[tag] = compile_chain(node, _ordered_seqs(node), *group)
+            entries[tag] = compile_chain(node, node.ordered_seqs(), *group)
         else:
             entries[tag] = compile_branch(node)
     return SwitchProgram(switch, instructions, entries, store)

@@ -21,17 +21,11 @@ from repro.xfdd.tests import StateVarTest
 from repro.dataplane.header import ROOT_TAG
 
 
-def _ordered_seqs(leaf: Leaf):
-    """Deterministic ordering of a leaf's parallel action sequences (the
-    leaf's own cached ordering)."""
-    return leaf.ordered_seqs()
-
-
 def leaf_groups(leaf: Leaf):
     """Enumerate the leaf's execution trie (:meth:`Leaf.trie`), parents
     first.  Yields ``(members, depth)`` for every trie node where an
     action executes — ``members`` is the tuple of sequence indices (into
-    ``_ordered_seqs``) sharing the action at ``depth``.
+    :meth:`Leaf.ordered_seqs`) sharing the action at ``depth``.
     """
     trie = leaf.trie()
 
@@ -69,7 +63,7 @@ class NodeIndex:
             self._assign(node.hi)
             self._assign(node.lo)
         else:
-            for seq_idx, seq in enumerate(_ordered_seqs(node)):
+            for seq_idx, seq in enumerate(node.ordered_seqs()):
                 for act_idx in range(len(seq) + 1):
                     key = (id(node), seq_idx, act_idx)
                     if key not in self._cont_id:
@@ -122,7 +116,7 @@ def owned_entries(xfdd: XFDD, index: NodeIndex, placement: dict) -> dict:
             stack.append(node.hi)
             stack.append(node.lo)
         else:
-            seqs = _ordered_seqs(node)
+            seqs = node.ordered_seqs()
             for members, depth in leaf_groups(node):
                 var = seqs[members[0]][depth].writes_state()
                 if var is not None:

@@ -22,7 +22,6 @@ from repro.lang.ast import (
     Value,
     Vector,
     infer_state_defaults,
-    match_all,
     par_all,
     seq_all,
     state_reads,
@@ -48,7 +47,7 @@ __all__ = [
     "And", "Atomic", "Drop", "Field", "If", "Id", "Mod", "Not", "Or",
     "Parallel", "Policy", "Predicate", "Seq", "StateDecr", "StateIncr",
     "StateMod", "StateTest", "Test", "Value", "Vector",
-    "infer_state_defaults", "match_all", "par_all", "seq_all",
+    "infer_state_defaults", "par_all", "seq_all",
     "state_reads", "state_variables", "state_writes",
     "CompileError", "InconsistentStateError", "ParseError",
     "RaceConditionError", "SnapError",

@@ -64,9 +64,6 @@ class Expr:
 
     __reduce__ = _slot_reduce
 
-    def fields_used(self) -> frozenset:
-        raise NotImplementedError
-
 
 class Value(Expr):
     """A literal value (int, bool, str, Symbol, IPPrefix)."""
@@ -77,9 +74,6 @@ class Value(Expr):
         if isinstance(value, Expr):
             raise SnapError("Value cannot wrap another expression")
         object.__setattr__(self, "value", value)
-
-    def fields_used(self):
-        return frozenset()
 
     def __eq__(self, other):
         return isinstance(other, Value) and other.value == self.value
@@ -101,9 +95,6 @@ class Field(Expr):
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
-
-    def fields_used(self):
-        return frozenset((self.name,))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.name == self.name
@@ -128,12 +119,6 @@ class Vector(Expr):
         if not items:
             raise SnapError("empty expression vector")
         object.__setattr__(self, "items", items)
-
-    def fields_used(self):
-        out = frozenset()
-        for item in self.items:
-            out |= item.fields_used()
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Vector) and other.items == self.items
@@ -558,68 +543,64 @@ def _require_policy(p, op: str) -> None:
         raise SnapError(f"operand of {op!r} must be a policy, got {type(p).__name__}")
 
 
+#: The nodes with policy operands: each one's ``__slots__`` are exactly its
+#: operands, in constructor order.  Every other node is a leaf.
+COMPOSITE = (Not, And, Or, Parallel, Seq, If, Atomic)
+
+#: The leaves that access a state variable: their slots start ``var, index``.
+STATE_ACCESS = (StateTest, StateMod, StateIncr, StateDecr)
+
+#: Operand slot names by exact class: the walkers' dispatch table.
+_OPERANDS = {cls: cls.__slots__ for cls in COMPOSITE}
+
+
+def walk(policy: Policy) -> list:
+    """Every node of ``policy``, parents first, operands left to right."""
+    nodes, stack = [], [policy]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for name in reversed(_OPERANDS.get(type(node), ())):
+            stack.append(getattr(node, name))
+    return nodes
+
+
+def rebuild(policy: Policy, leaf) -> Policy:
+    """A new ``policy`` with the same composite nodes and each leaf
+    replaced by ``leaf(node)``."""
+    names = _OPERANDS.get(type(policy))
+    if names is None:
+        return leaf(policy)
+    return type(policy)(*(rebuild(getattr(policy, name), leaf) for name in names))
+
+
+def retarget(node: Policy, var: str, index=None) -> Policy:
+    """The state access ``node`` on ``var`` instead (and at ``index``, if given)."""
+    rest = (getattr(node, name) for name in node.__slots__[2:])
+    return type(node)(var, node.index if index is None else index, *rest)
+
+
 def state_reads(policy: Policy) -> frozenset:
     """r(p): names of state variables the policy may read (Appendix B)."""
-    if isinstance(policy, StateTest):
-        return frozenset((policy.var,))
-    if isinstance(policy, Not):
-        return state_reads(policy.pred)
-    if isinstance(policy, (And, Or, Parallel, Seq)):
-        return state_reads(policy.left) | state_reads(policy.right)
-    if isinstance(policy, If):
-        return (
-            state_reads(policy.pred)
-            | state_reads(policy.then)
-            | state_reads(policy.orelse)
-        )
-    if isinstance(policy, Atomic):
-        return state_reads(policy.body)
-    return frozenset()
+    return frozenset(
+        node.var for node in walk(policy) if isinstance(node, StateTest)
+    )
 
 
 def state_writes(policy: Policy) -> frozenset:
     """w(p): names of state variables the policy may write (Appendix B)."""
-    if isinstance(policy, (StateMod, StateIncr, StateDecr)):
-        return frozenset((policy.var,))
-    if isinstance(policy, (Parallel, Seq)):
-        return state_writes(policy.left) | state_writes(policy.right)
-    if isinstance(policy, If):
-        return state_writes(policy.then) | state_writes(policy.orelse)
-    if isinstance(policy, Atomic):
-        return state_writes(policy.body)
-    return frozenset()
+    return frozenset(
+        node.var
+        for node in walk(policy)
+        if isinstance(node, (StateMod, StateIncr, StateDecr))
+    )
 
 
 def state_variables(policy: Policy) -> frozenset:
     """All state variables the policy touches."""
-    return state_reads(policy) | state_writes(policy)
-
-
-def fields_mentioned(policy: Policy) -> frozenset:
-    """Every packet field the policy tests, modifies, or uses as an index."""
-    if isinstance(policy, Test):
-        return frozenset((policy.field,))
-    if isinstance(policy, Mod):
-        return frozenset((policy.field,))
-    if isinstance(policy, StateTest):
-        return policy.index.fields_used() | policy.value.fields_used()
-    if isinstance(policy, (StateIncr, StateDecr)):
-        return policy.index.fields_used()
-    if isinstance(policy, StateMod):
-        return policy.index.fields_used() | policy.value.fields_used()
-    if isinstance(policy, Not):
-        return fields_mentioned(policy.pred)
-    if isinstance(policy, (And, Or, Parallel, Seq)):
-        return fields_mentioned(policy.left) | fields_mentioned(policy.right)
-    if isinstance(policy, If):
-        return (
-            fields_mentioned(policy.pred)
-            | fields_mentioned(policy.then)
-            | fields_mentioned(policy.orelse)
-        )
-    if isinstance(policy, Atomic):
-        return fields_mentioned(policy.body)
-    return frozenset()
+    return frozenset(
+        node.var for node in walk(policy) if isinstance(node, STATE_ACCESS)
+    )
 
 
 def infer_state_defaults(policy: Policy) -> dict:
@@ -633,8 +614,7 @@ def infer_state_defaults(policy: Policy) -> dict:
     numeric: set[str] = set()
     boolean: set[str] = set()
     other: set[str] = set()
-
-    def visit(node):
+    for node in walk(policy):
         if isinstance(node, (StateIncr, StateDecr)):
             numeric.add(node.var)
         elif isinstance(node, (StateMod, StateTest)):
@@ -645,19 +625,6 @@ def infer_state_defaults(policy: Policy) -> dict:
                 numeric.add(node.var)
             else:
                 other.add(node.var)
-        elif isinstance(node, Not):
-            visit(node.pred)
-        elif isinstance(node, (And, Or, Parallel, Seq)):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, If):
-            visit(node.pred)
-            visit(node.then)
-            visit(node.orelse)
-        elif isinstance(node, Atomic):
-            visit(node.body)
-
-    visit(policy)
     defaults = {}
     for name in numeric | boolean | other:
         if name in numeric:
@@ -691,17 +658,6 @@ def par_all(policies) -> Policy:
     return result
 
 
-def match_all(**tests) -> Predicate:
-    """Conjunction of ``field = value`` tests from keyword arguments."""
-    preds = [Test(field, value) for field, value in tests.items()]
-    if not preds:
-        return Id()
-    result = preds[0]
-    for pred in preds[1:]:
-        result = And(result, pred)
-    return result
-
-
 __all__ = [
     "Expr",
     "Value",
@@ -726,14 +682,17 @@ __all__ = [
     "Seq",
     "If",
     "Atomic",
+    "COMPOSITE",
+    "STATE_ACCESS",
+    "walk",
+    "rebuild",
+    "retarget",
     "state_reads",
     "state_writes",
     "state_variables",
-    "fields_mentioned",
     "infer_state_defaults",
     "seq_all",
     "par_all",
-    "match_all",
     "Symbol",
     "IPPrefix",
 ]

@@ -53,10 +53,6 @@ from repro.xfdd.order import TestOrder
 #: long-controller memory without ever firing in a steady-state workload.
 FACTORY_SIZE_CAP = 400_000
 
-#: Nodes worth memoizing — everything with policy children.  Leaves
-#: translate in O(1) through the factory's intern table anyway.
-_COMPOSITE = (ast.Not, ast.And, ast.Or, ast.Parallel, ast.Seq, ast.If, ast.Atomic)
-
 
 class _MemoEntry:
     __slots__ = ("xfdd", "ranks", "born")
@@ -126,7 +122,9 @@ class CompileSession:
         return self._build(policy)
 
     def _build(self, policy: ast.Policy) -> XFDD:
-        if not isinstance(policy, _COMPOSITE):
+        # Only composites are memoized: a leaf translates in O(1) through
+        # the factory's intern table anyway.
+        if not isinstance(policy, ast.COMPOSITE):
             return to_xfdd(policy, self.composer)
         key = fingerprint(policy)
         entry = self._xfdd_memo.get(key)
@@ -151,7 +149,7 @@ class CompileSession:
     def was_reused(self, policy: ast.Policy) -> bool:
         """True when ``policy``'s diagram was spliced from an earlier
         generation (entry born before this ``begin_compile``)."""
-        if not isinstance(policy, _COMPOSITE):
+        if not isinstance(policy, ast.COMPOSITE):
             return False
         entry = self._xfdd_memo.get(fingerprint(policy))
         return entry is not None and entry.born < self.compile_no
@@ -159,7 +157,7 @@ class CompileSession:
     def subdiagram(self, policy: ast.Policy) -> XFDD:
         """The diagram recorded for ``policy``, without touching counters
         (for artifact recording after the main build)."""
-        if isinstance(policy, _COMPOSITE):
+        if isinstance(policy, ast.COMPOSITE):
             entry = self._xfdd_memo.get(fingerprint(policy))
             if entry is not None:
                 return entry.xfdd

@@ -398,10 +398,10 @@ class TestCollapseReasons:
         assert reason.startswith("SNAP-W104")
         assert "'v'" in reason
         assert "[1, 2]" in reason
-        assert "replica-mergeable" in reason  # INCREMENT commutes
+        assert "(INCREMENT)" in reason
         assert plan.summary()["collapse_reasons"] == plan.collapse_reasons
 
-    def test_non_commuting_kind_gets_serialize_remedy(self):
+    def test_every_kind_gets_the_same_message(self):
         from tests.test_engine import compiled
         from repro.apps.chimera import dns_tunnel_detect
 
@@ -409,9 +409,10 @@ class TestCollapseReasons:
         plan = plan_for(snapshot.build_network())
         reasons = plan.collapse_reasons
         assert reasons  # dns-tunnel shares state across many ports
-        assert all(r.startswith("SNAP-W104") for r in reasons.values())
-        assert "do not commute" in reasons["orphan"]
-        assert "replica-mergeable" in reasons["susp-client"]
+        for var, kind in (("orphan", "CONST_WRITE"), ("susp-client", "INCREMENT")):
+            reason = reasons[var]
+            assert reason.startswith(f"SNAP-W104: state variable '{var}' ({kind})")
+            assert reason.endswith("collapsing them into one lane")
 
     def test_sharded_engine_last_run_stats(self):
         snapshot = _mixed_snapshot()

@@ -345,7 +345,7 @@ class TestOwnerLane:
         assert stats["lanes"] == 1
         reason = stats["collapse_reasons"]["global-hh"]
         assert reason.startswith("SNAP-W104")
-        assert "replica-mergeable" in reason  # INCREMENT commutes
+        assert "(INCREMENT)" in reason
         assert [record_view(r) for r in results] == [
             record_view(r) for r in seq
         ]

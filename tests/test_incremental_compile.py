@@ -16,12 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.dependency import (
-    DependencySlicer,
-    analyze_dependencies,
-    st_dep,
-)
+from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
+from repro.apps import ALL_APPS
 from repro.core.controller import SnapController
 from repro.core.program import Program
 from repro.lang import ast, make_packet
@@ -34,6 +31,7 @@ from repro.xfdd.incremental import CompileSession
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import composed_program, dns_tunnel_program  # noqa: E402
 
+from tests.reference_dependency import st_dep  # noqa: E402
 from tests.reference_packet_state import packet_state_mapping_paths  # noqa: E402
 
 NUM_APPS = 4
@@ -132,18 +130,23 @@ class TestFingerprint:
 # -- analysis delta paths -----------------------------------------------------
 
 
+#: Every Table-3 app alone, and the two composites the suite compiles.
+DEPENDENCY_CASES = {
+    **{name: (lambda make=make: make().policy) for name, make in ALL_APPS.items()},
+    "dns-tunnel-program": lambda: dns_tunnel_program(NUM_PORTS).full_policy(),
+    "composed-program": lambda: composed_program(NUM_APPS, NUM_PORTS).full_policy(),
+}
+
+
 class TestAnalysisEquivalence:
-    @pytest.mark.parametrize("make", [
-        lambda: dns_tunnel_program(NUM_PORTS),
-        lambda: composed_program(NUM_APPS, NUM_PORTS),
-    ])
-    def test_slicer_matches_st_dep(self, make):
-        policy = make().full_policy()
-        plain = analyze_dependencies(policy)
-        sliced = analyze_dependencies(policy, slicer=DependencySlicer())
-        assert set(plain.graph.edges) == set(sliced.graph.edges)
-        assert plain.state_rank == sliced.state_rank
-        assert plain.tied == sliced.tied and plain.dep == sliced.dep
+    @pytest.mark.parametrize("name", sorted(DEPENDENCY_CASES))
+    def test_slicer_matches_st_dep(self, name):
+        """The slicer's graph is Figure 14's, transcribed in
+        ``tests/reference_dependency.py``."""
+        policy = DEPENDENCY_CASES[name]()
+        graph = analyze_dependencies(policy).graph
+        assert set(graph.edges) == st_dep(policy)
+        assert set(graph.nodes) == state_variables(policy)
 
     @pytest.mark.parametrize("make", [
         lambda: dns_tunnel_program(NUM_PORTS),
