@@ -179,13 +179,14 @@ OP_EMIT = 8
 # one predecessor.
 # State tables and non-literal constants reach the code through the
 # ``exec`` namespace, never the text, so the text can key the code cache.
+# The same ``block()`` emits the fused walk's per-entry templates.
 
 #: Deepest ``if`` nest inside one generated function (CPython's tokenizer
 #: stops at 100 indent levels).
 _MAX_NEST = 40
 #: ``compile()`` is most of the cost of generating a program; rebuilt
 #: networks regenerate the same text, so code objects are kept
-#: process-wide, keyed by source, oldest evicted first.
+#: process-wide, keyed by source, least recently used evicted first.
 _CODE_CACHE: dict = {}
 _CODE_CACHE_LIMIT = 256
 _CODE_LOCK = threading.Lock()
@@ -237,20 +238,30 @@ def _function_roots(instructions, entries: dict) -> set:
     return roots
 
 
-def _generate_source(program: "SwitchProgram", traced: bool):
-    """``(source, namespace, roots)`` of ``program``'s executor.
+def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
+    """``(source, namespace, functions)`` of ``program``'s executor:
+    ``functions`` are the root indices it defines a ``b<idx>`` for.
 
     ``traced`` selects the postcard specialisation: every function takes
     a recorder ``rec`` and reports state tests/writes/deltas and each
     copy's outcome, reading only values the plain code computes anyway.
+
+    ``entry`` selects the fused-walk template of that entry: ``b<idx>(f)``
+    for the roots it reaches, each terminal returning a path id — PAUSE
+    ``p<tag>(f)``, EMIT ``E.get(outport) or emit(f)``, DROP ``D``, FORK
+    ``fork(f, targets)`` — and the PAUSE tags third.
     """
     instructions, store = program.instructions, program.store
-    roots = _function_roots(instructions, program.entries)
-    pending = sorted(roots)
+    if program._roots is None:
+        program._roots = _function_roots(instructions, program.entries)
+    roots = set(program._roots)  # grows while nests are split off
+    pending = [entry] if entry is not None else sorted(roots)
+    scheduled = set(pending)
+    links: set = set()  # the template's PAUSE tags
     namespace: dict = {"matches": matches}
     slots: dict = {}  # state variable -> suffix of its bound accessors
     lines: list = []
-    args = "out, rec" if traced else "out"
+    params = "f" if entry is not None else "f, out, rec" if traced else "f, out"
 
     def const(value) -> str:
         if type(value) in _LITERAL_TYPES:
@@ -279,6 +290,12 @@ def _generate_source(program: "SwitchProgram", traced: bool):
 
     def packed(exprs) -> str:
         return expr(exprs[0]) if len(exprs) == 1 else key(exprs)
+
+    def call(idx: int, fields: str = "f") -> str:
+        if idx not in scheduled:
+            scheduled.add(idx)
+            pending.append(idx)
+        return f"b{idx}({fields}{params[1:]})"
 
     def condition(test, pad: str, held) -> tuple:
         """The test as an expression (after any statements it needs) and
@@ -310,6 +327,13 @@ def _generate_source(program: "SwitchProgram", traced: bool):
         return "r", None
 
     def finish(pad: str, kind: str, tag, var=None) -> None:
+        if entry is not None:
+            if kind == "pause":
+                links.add(tag)
+            terminal = {"pause": f"p{tag}(f)", "drop": "D"}.get(
+                kind, "E.get(f.get('outport')) or emit(f)"
+            )
+            return lines.append(f"{pad}return {terminal}")
         lines.append(f"{pad}out.append((f, {const(tag)}))")
         if traced:
             lines.append(f"{pad}rec.outcome({kind!r}, {const(var)})")
@@ -321,11 +345,10 @@ def _generate_source(program: "SwitchProgram", traced: bool):
         while True:
             instr = instructions[idx]
             kind = type(instr)
-            if kind is IBranch and len(pad) > _MAX_NEST and idx not in roots:
+            if kind is IBranch and len(pad) > _MAX_NEST:
                 roots.add(idx)
-                pending.append(idx)
             if idx in roots and not root:
-                lines.append(f"{pad}return b{idx}(f, {args})")
+                lines.append(f"{pad}return {call(idx)}")
                 return
             root = False
             if kind is IBranch:
@@ -364,9 +387,12 @@ def _generate_source(program: "SwitchProgram", traced: bool):
                 lines.append(f"{pad}add{slot(instr.var)}({k}, {delta})")
                 idx += 1
             elif kind is IFork:
+                if entry is not None:
+                    lines.append(f"{pad}return fork(f, {instr.targets!r})")
+                    return
                 for target in instr.targets[:-1]:
-                    lines.append(f"{pad}b{target}(dict(f), {args})")
-                lines.append(f"{pad}return b{instr.targets[-1]}(f, {args})")
+                    lines.append(f"{pad}{call(target, 'dict(f)')}")
+                lines.append(f"{pad}return {call(instr.targets[-1])}")
                 return
             elif kind is IPause:
                 return finish(pad, "pause", instr.tag, instr.var)
@@ -377,26 +403,35 @@ def _generate_source(program: "SwitchProgram", traced: bool):
             else:
                 raise DataPlaneError(f"unknown instruction {instr!r}")
 
-    for idx in pending:  # grows while nests are split off
-        lines.append(f"def b{idx}(f, {args}):")
+    for idx in pending:  # grows while roots are reached and nests split off
+        lines.append(f"def b{idx}({params}):")
         block(idx, " ", root=True)
-    return "\n".join(lines) + "\n", namespace, roots
+    return "\n".join(lines) + "\n", namespace, (
+        scheduled if entry is None else links
+    )
+
+
+def _compiled(source: str):
+    """``source``'s code object: cached (the hit refreshes its entry) or
+    compiled, least recently used evicted first."""
+    with _CODE_LOCK:
+        code = _CODE_CACHE.pop(source, None)
+        result = "cache_hit"
+        if code is None:
+            result = "compiled"
+            code = compile(source, "<netasm>", "exec")
+        _CODE_CACHE[source] = code
+        while len(_CODE_CACHE) > _CODE_CACHE_LIMIT:
+            del _CODE_CACHE[next(iter(_CODE_CACHE))]
+    _CODEGEN_TOTAL.labels(result=result).inc()
+    return code
 
 
 def _generate_functions(program: "SwitchProgram", traced: bool) -> dict:
     """``{root index: function}``: generate, compile (or reuse), bind."""
     started = time.perf_counter()
     source, namespace, roots = _generate_source(program, traced)
-    with _CODE_LOCK:
-        code = _CODE_CACHE.get(source)
-        result = "cache_hit"
-        if code is None:
-            result = "compiled"
-            code = _CODE_CACHE[source] = compile(source, "<netasm>", "exec")
-            while len(_CODE_CACHE) > _CODE_CACHE_LIMIT:
-                del _CODE_CACHE[next(iter(_CODE_CACHE))]
-    exec(code, namespace)  # noqa: S102 - our own generated source
-    _CODEGEN_TOTAL.labels(result=result).inc()
+    exec(_compiled(source), namespace)  # noqa: S102 - our own generated source
     _CODEGEN_SECONDS.observe(time.perf_counter() - started)
     return {idx: namespace[f"b{idx}"] for idx in roots}
 
@@ -442,6 +477,7 @@ class SwitchProgram:
         # The generated executor, plain and traced; built by `functions`
         # on the first packet, so a program that is never run costs nothing.
         self._functions: list = [None, None]
+        self._roots = None  # _function_roots, once per program
         # (tag, inport) -> pre-resolved entry, see resolve_inport_entry.
         self._inport_entries: dict = {}
 
@@ -481,6 +517,12 @@ class SwitchProgram:
         if functions is None:
             functions = self._functions[traced] = _generate_functions(self, traced)
         return functions
+
+    def template(self, entry: int) -> tuple:
+        """``(code, namespace, PAUSE tags)`` of the fused-walk template at
+        ``entry``, ``exec``-ed once per context by ``network._Fold``."""
+        source, namespace, tags = _generate_source(self, False, entry)
+        return _compiled(source), namespace, tags
 
     def process(
         self, packet: Packet, entry: int | None = None, recorder=None

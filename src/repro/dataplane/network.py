@@ -497,8 +497,9 @@ class Walker:
     ``pause[(v, tag)] -> [count, hops, links, egress, resume]`` — the
     links to the egress switch, or (Appendix D) the kept-or-retagged
     egress and the links to the first switch that can act on ``tag``,
-    with ``resume = (generated function, program, entry, that switch's
-    own dict pair, tag)``.  A cell is built on first use from
+    with ``resume = [generated function, program, entry, that switch's
+    own dict pair, tag]`` (the function bound when a copy first runs
+    there: :meth:`fold` may never need it).  A cell is built on first use from
     :meth:`Network.pause_egress` and :meth:`Network.next_hop`, so hop
     counts and per-link packet counts are exactly those of a hop-by-hop
     walk; a lookup that raises leaves no cell behind.  An outcome then
@@ -554,50 +555,31 @@ class Walker:
                         links[link] = links.get(link, 0) + cell[0]
 
     def fold(self, arrivals, stats) -> None:
-        """:meth:`run_packet` over ``arrivals`` into ``stats`` (a
-        ``ReplayStats``), with no record while each run has one outcome
-        whose cell is built; anything else, and a sampled packet, goes
-        through :meth:`_finish` and ``stats.record``.  A packet counts
-        once its walk ends, as in :meth:`Network.stream`."""
-        ingress = self._ingress
-        per_egress = stats.per_egress
+        """:meth:`run_packet` over ``arrivals``, counted into ``stats`` (a
+        ``ReplayStats``) by path, not recorded: the fused walk of
+        :class:`_Fold`; a sampled packet goes through :meth:`run_sampled`.
+        The counts expand when the walk ends, also on a packet that
+        raises: the packets before it stay counted."""
+        walk = _Fold(self, stats)
+        counts, entries = walk.counts, {}
         sampler = postcards.active_sampler()
-        folded = total_hops = 0
         try:
             for index, (packet, port) in enumerate(arrivals):
                 if sampler is not None and sampler.should(index):
                     stats.record(self.run_sampled(packet, port, index))
                     continue
-                resume = ingress.get(port) or self._enter(port)
                 fields = dict(packet._fields)
                 fields["inport"] = port
-                hops, v = 0, None
-                while True:
-                    out: list = []
-                    resume[0](fields, out)
-                    if len(out) == 1:
-                        fields, outcome = out[0]
-                        if outcome == DONE_TAG:
-                            egress = fields.get("outport")
-                            cell = resume[3][0].get(egress)
-                        else:  # a drop's tag, None, has no PAUSE cell
-                            cell = resume[3][1].get((v, outcome))
-                        if cell is not None:
-                            cell[0] += 1
-                            hops += cell[1]
-                            if hops > MAX_HOPS:
-                                raise DataPlaneError(HOP_LIMIT_MESSAGE)
-                            if outcome != DONE_TAG:
-                                resume, v = cell[4], cell[3]
-                                continue
-                            folded += 1
-                            total_hops += hops
-                            per_egress[egress] = per_egress.get(egress, 0) + 1
-                            break
-                    stats.record(self._finish(port, resume, None, out, hops, v))
-                    break
+                run = entries.get(port)
+                if run is None:
+                    resume = self._ingress.get(port) or self._enter(port)
+                    run = entries[port] = walk.context(resume, port, None, 0, ())
+                counts[run(fields)] += 1
+        except BaseException as exc:
+            walk.raised(exc.__traceback__)
+            raise
         finally:
-            stats.add_folded(folded, total_hops)
+            walk.expand()
             self.add_link_counts(self.network.link_packets)
 
     def run_packet(self, packet: Packet, port: int, recorder=None) -> list:
@@ -648,6 +630,8 @@ class Walker:
             if out is None:
                 out = []
                 if recorder is None:
+                    if run is None:  # bound when a copy first runs here
+                        run = resume[0] = program.functions()[entry]
                     run(fields, out)
                 else:
                     recorder.process(program.switch)
@@ -703,14 +687,15 @@ class Walker:
                 records.append(stack.pop())
             if not stack:
                 return records
-            (run, program, entry, (done, pause), tag), fields, hops, v = stack.pop()
+            resume, fields, hops, v = stack.pop()
+            run, program, entry, (done, pause), tag = resume
             out = None
 
     def _continuation(self, program: SwitchProgram, entry: int, u: int, tag: int):
         """How a copy of ingress ``u`` carrying ``tag`` is processed at
-        ``program``'s switch: the ``resume`` tuple of the class docstring."""
+        ``program``'s switch: the ``resume`` of the class docstring."""
         cells = self._cells.setdefault((program.switch, u), ({}, {}))
-        return (program.functions()[entry], program, entry, cells, tag)
+        return [None, program, entry, cells, tag]
 
     def done_cell(self, switch: str, u: int, egress: int) -> list:
         """The DONE cell of a finished copy of ingress ``u`` leaving
@@ -758,6 +743,125 @@ class Walker:
                 program = switches[switch]
                 resume = self._continuation(program, program.entries[tag], u, tag)
                 return resume, tuple(links)
+
+
+class _Fold:
+    """One :meth:`Walker.fold`: the walk fused into generated code.
+
+    A *context* — a ``resume``, ingress port ``u``, egress tag ``v``,
+    hops so far and cells crossed — runs its own instance of
+    :meth:`~repro.dataplane.netasm.SwitchProgram.template`: PAUSE calls
+    a link that builds the cell, then is replaced by the next context's
+    function; EMIT probes a table that a miss fills from
+    :meth:`Walker.done_cell`; DROP returns the drop path.  Every
+    terminal returns a *path id*.  A fork, a cell that raises and the hop
+    limit (read when a link is made) go through :meth:`Walker._finish`
+    and return path 0; they, and a packet that raises (:meth:`raised`),
+    bump the cells already crossed, so link counts are the stream's.
+    """
+
+    __slots__ = ("walker", "stats", "paths", "counts", "templates")
+
+    def __init__(self, walker: Walker, stats):
+        self.walker, self.stats = walker, stats
+        self.paths: list = [None]  # path id -> (cells, egress or None, hops)
+        self.counts: list = [0]  # path id -> packets
+        self.templates: dict = {}  # (program, entry) -> program.template()
+
+    def path(self, cells: tuple, egress, hops: int) -> int:
+        """A new path id; its egress key enters ``per_egress`` now, so
+        the keys keep the order in which packets first reached them."""
+        if egress is not None:
+            self.stats.per_egress.setdefault(egress, 0)
+        self.paths.append((cells, egress, hops))
+        self.counts.append(0)
+        return len(self.paths) - 1
+
+    def expand(self) -> None:
+        """Add the counted paths to ``stats`` and their cells' counters."""
+        delivered = dropped = total_hops = 0
+        for (cells, egress, hops), count in zip(self.paths[1:], self.counts[1:]):
+            for cell in cells:
+                cell[0] += count
+            if egress is None:
+                dropped += count
+            else:
+                delivered += count
+                total_hops += count * hops
+                self.stats.per_egress[egress] += count
+        self.stats.add_folded(delivered, total_hops, dropped)
+
+    @staticmethod
+    def raised(tb) -> None:
+        """Bump the cells crossed by a packet that raised: those of the
+        innermost context on its traceback (``slow`` bumps them only once
+        :meth:`Walker._finish` returns)."""
+        crossed = ()
+        while tb is not None:
+            crossed, tb = tb.tb_frame.f_globals.get("CROSSED", crossed), tb.tb_next
+        for cell in crossed:
+            cell[0] += 1
+
+    def context(self, resume, u: int, v, hops: int, crossed: tuple):
+        """The function of the context of the class docstring."""
+        walker, stats = self.walker, self.stats
+        _, program, entry, (_, pause), _ = resume
+        template = self.templates.get((program, entry))
+        if template is None:
+            template = self.templates[program, entry] = program.template(entry)
+        namespace, table = dict(template[1]), {}
+        drop = self.path(crossed, None, hops)
+
+        def slow(out: list) -> int:
+            records = walker._finish(u, resume, None, out, hops, v)
+            for cell in crossed:
+                cell[0] += 1
+            stats.record(records)
+            return 0
+
+        def link(tag: int):
+            def pause_link(f) -> int:
+                try:
+                    cell = pause.get((v, tag)) or walker._pause_cell(
+                        pause, program, u, v, tag
+                    )
+                except DataPlaneError:  # _finish raises it again
+                    return slow([(f, tag)])
+                if hops + cell[1] > MAX_HOPS:
+                    return slow([(f, tag)])
+                run = namespace[f"p{tag}"] = self.context(
+                    cell[4], u, cell[3], hops + cell[1], crossed + (cell,)
+                )
+                return run(f)
+            return pause_link
+
+        def emit(f) -> int:
+            egress = f.get("outport")
+            if egress not in walker.network.topology.ports:
+                path = drop
+            else:
+                try:
+                    cell = walker.done_cell(program.switch, u, egress)
+                except DataPlaneError:
+                    return slow([(f, DONE_TAG)])
+                if hops + cell[1] > MAX_HOPS:
+                    return slow([(f, DONE_TAG)])
+                path = self.path(crossed + (cell,), egress, hops + cell[1])
+            table[egress] = path
+            return path
+
+        def fork(f, targets: tuple) -> int:
+            run, out = program.functions(), []
+            for target in targets[:-1]:
+                run[target](dict(f), out)
+            run[targets[-1]](f, out)
+            return slow(out)
+
+        namespace.update(E=table, D=drop, emit=emit, fork=fork, CROSSED=crossed)
+        for tag in template[2]:
+            namespace[f"p{tag}"] = link(tag)
+        exec(template[0], namespace)  # noqa: S102 - generated by netasm
+        return namespace[f"b{entry}"]
 
 
 # -- execution-spec serialization (worker processes and cluster daemons) ------

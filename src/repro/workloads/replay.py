@@ -42,9 +42,11 @@ class ReplayStats:
         self.packets_delivered = 0
         self.per_egress: dict[int, int] = {}
         self.total_hops = 0
-        #: Packets counted without a record (the sequential engine's
-        #: :meth:`~repro.dataplane.network.Walker.fold`): how a replay
-        #: ran, not what it delivered; 0 on every other engine.
+        #: Packets counted without a record — the sequential engine's
+        #: :meth:`~repro.dataplane.network.Walker.fold` counts a packet
+        #: whose walk stays one copy, delivered or dropped, by its path:
+        #: how a replay ran, not what it delivered; 0 on every other
+        #: engine.
         self.folded = 0
 
     def record(self, records) -> None:
@@ -63,15 +65,17 @@ class ReplayStats:
         if any_delivered:
             self.packets_delivered += 1
 
-    def add_folded(self, packets: int, hops: int) -> None:
-        """Count ``packets`` unicast deliveries, ``hops`` hops in all,
-        that :meth:`~repro.dataplane.network.Walker.fold` made no record
-        for (it adds their ``per_egress`` counts itself, in order)."""
-        self.sent += packets
-        self.delivered += packets
-        self.packets_delivered += packets
+    def add_folded(self, delivered: int, hops: int, dropped: int) -> None:
+        """Count ``delivered`` unicast deliveries, ``hops`` hops in all,
+        and ``dropped`` packets whose one copy was dropped, that
+        :meth:`~repro.dataplane.network.Walker.fold` made no record for
+        (it adds their ``per_egress`` counts itself, in order)."""
+        self.sent += delivered + dropped
+        self.delivered += delivered
+        self.packets_delivered += delivered
+        self.dropped += dropped
         self.total_hops += hops
-        self.folded += packets
+        self.folded += delivered + dropped
 
     @property
     def delivery_rate(self) -> float:
@@ -112,9 +116,12 @@ def replay(trace: Trace, network: Network, engine=None) -> ReplayStats:
     delivery-equivalent to per-packet :meth:`~Network.inject` calls.
 
     On the sequential engine the statistics are folded straight from
-    the walk (:meth:`~repro.dataplane.network.Walker.fold`): a packet
-    whose walk stays unicast through built continuation cells makes no
-    record (:attr:`ReplayStats.folded`, the ``replay`` span's ``folded``
+    the walk (:meth:`~repro.dataplane.network.Walker.fold`), which runs
+    each packet through the switch programs' generated code fused along
+    its continuation cells — a PAUSE falls through into the next
+    switch's code — and counts one path per packet: a packet whose walk
+    stays one copy, delivered or dropped, makes no record
+    (:attr:`ReplayStats.folded`, the ``replay`` span's ``folded``
     attribute).  Every other engine's statistics are folded from the
     list its ``run`` returns.  If a packet raises, the packets that ran
     before it still reach the span and ``snap_replay_packets_total``.

@@ -30,7 +30,7 @@ from repro.dataplane.rules import build_rule_tables
 from repro.dataplane.split import NodeIndex, split_summary
 from repro.lang import ast
 from repro.lang.ast import state_variables
-from repro.lang.errors import DataPlaneError, RetiredNetworkError
+from repro.lang.errors import DataPlaneError, RetiredNetworkError, SnapError
 from repro.lang.packet import make_packet
 from repro.lang.state import StateVariable, Store
 from repro.milp.placement import build_placement_model
@@ -580,13 +580,39 @@ class TestFailuresAreNeverMemoised:
             replay(arrivals, replayed)
         attrs = TRACER.spans("replay")[-1]["attrs"]
         assert attrs["packets"] == total.value - before == len(ran) == 3
-        assert (attrs["delivered"], attrs["folded"]) == (3, 2)
+        assert (attrs["delivered"], attrs["folded"]) == (3, 3)
         assert replayed.link_packets == streamed.link_packets == {
             ("s0", "s1"): 3, ("s1", "s2"): 3,
         }
         store = replayed.global_store()
         assert store == streamed.global_store()
         assert (store.read("c", (5,)), store.read("c", (6,))) == (1, 3)
+
+    def test_replay_raising_in_a_program_after_a_pause(self):
+        """An increment on a non-numeric cell raises at the owner switch,
+        two links after ingress: the raising packet's links are counted
+        in ``replay()`` as in ``Network.stream``."""
+        def network():
+            net = self._network(
+                ast.Seq(
+                    ast.StateIncr("c", ast.Field("srcip")), ast.Mod("outport", 2)
+                ),
+                placement={"c": "s2"}, defaults={"c": 0},
+            )
+            net.switches["s2"].store.write("c", (5,), "text")
+            return net
+
+        good, bad = (make_packet(srcip=6), 1), (make_packet(srcip=5), 1)
+        arrivals = [good, good, bad, good]
+        streamed, replayed = network(), network()
+        with pytest.raises(SnapError, match="non-numeric"):
+            list(streamed.stream(arrivals))
+        with pytest.raises(SnapError, match="non-numeric"):
+            replay(arrivals, replayed)
+        assert replayed.link_packets == streamed.link_packets == {
+            ("s0", "s1"): 3, ("s1", "s2"): 3,
+        }
+        assert replayed.global_store() == streamed.global_store()
 
     def test_routing_loop(self):
         net = self._network(ast.If(
@@ -672,9 +698,9 @@ class TestContinuationCells:
     #: 9616888, the last commit whose walker wrote the SNAP header into
     #: every packet and looked the route up per packet.
     GOLDEN = "3fc7250781af811df2148bcfddc085d9"
-    #: Packets ``replay()`` folds without a record: all but the forks,
-    #: the drops, the packets that build a cell and the sampled ones.
-    FOLDED = {0: 1522, 7: 1316}
+    #: Packets ``replay()`` folds without a record: all but the forks
+    #: (386 of the 2 000) and the sampled ones.
+    FOLDED = {0: 1614, 7: 1393}
 
     def test_records_and_link_counts_equal_the_per_packet_walk(self, mixed_campus):
         snapshot, arrivals = mixed_campus
@@ -699,9 +725,10 @@ class TestContinuationCells:
         assert (forked, headers) == (386, 67)
         assert hasher.hexdigest() == self.GOLDEN
 
-    def test_header_of_a_copy_dropped_after_a_pause(self):
-        """Dropped and port-less copies keep the header they carried:
-        ingress port, the egress they were tagged with, the last tag."""
+    @staticmethod
+    def _dropping_after_a_pause():
+        """Every copy of a line network's ``s``-counting policy is
+        dropped: after the pause to ``s``'s switch, or given port 9."""
         policy = ast.Seq(
             ast.StateIncr("s", ast.Field("srcip")),
             ast.If(ast.Test("srcip", 5), ast.Drop(), ast.Mod("outport", 9)),
@@ -709,9 +736,14 @@ class TestContinuationCells:
         topo = line_topology(3)
         xfdd, _, mapping, demands, solution, routing = compile_case(policy, topo)
         assert solution.placement == {"s": "s2"}
-        net = Network(
+        return SimpleNamespace(build_network=lambda: Network(
             topo, xfdd, solution.placement, routing, mapping, demands, {"s": 0}
-        )
+        ))
+
+    def test_header_of_a_copy_dropped_after_a_pause(self):
+        """Dropped and port-less copies keep the header they carried:
+        ingress port, the egress they were tagged with, the last tag."""
+        net = self._dropping_after_a_pause().build_network()
         got = [
             (record.fields, record.egress, record.hops)
             for srcip, port in [(5, 1), (6, 1), (5, 2), (6, 2)]
@@ -728,6 +760,33 @@ class TestContinuationCells:
               SNAP_NODE: ROOT_TAG}, None, 0),
         ]
         assert net.link_packets == {("s0", "s1"): 2, ("s1", "s2"): 2}
+
+    def test_replay_folds_drops_after_a_pause_and_copies_with_no_port(self):
+        """The drops above, replayed: each walk is one dropped copy, so
+        every packet is counted by its path."""
+        arrivals = [
+            (make_packet(srcip=srcip), port)
+            for srcip, port in [(5, 1), (6, 1), (5, 2), (6, 2)] * 3
+        ]
+        stats = assert_replay_folds_run(self._dropping_after_a_pause(), arrivals)
+        assert (stats.dropped, stats.folded) == (12, 12)
+
+    def test_a_rebuilt_network_replays_on_cached_code(
+        self, mixed_campus, monkeypatch
+    ):
+        """The fused walk's templates share the switch modules' code
+        cache: a replay on a second, identically rebuilt network
+        compiles nothing."""
+        monkeypatch.setattr(obs.REGISTRY, "enabled", True)
+        snapshot, arrivals = mixed_campus
+        family = obs.REGISTRY.counter("snap_netasm_codegen_total")
+        compiled, hits = (
+            family.labels(result=result) for result in ("compiled", "cache_hit")
+        )
+        replay(arrivals, snapshot.build_network())
+        before = (compiled.value, hits.value)
+        replay(arrivals, snapshot.build_network())
+        assert compiled.value == before[0] and hits.value > before[1]
 
     @pytest.mark.parametrize("every", [0, 7], ids=["unsampled", "postcards"])
     def test_replay_folds_the_records(self, mixed_campus, every):
@@ -778,7 +837,7 @@ class TestContinuationCells:
         ))
         arrivals = [(make_packet(srcip=k, dstip=2 + k % 3), 1) for k in range(9)]
         stats = assert_replay_folds_run(snapshot, arrivals)
-        assert (stats.per_egress, stats.dropped, stats.folded) == ({2: 3, 3: 3}, 3, 4)
+        assert (stats.per_egress, stats.dropped, stats.folded) == ({2: 3, 3: 3}, 3, 9)
         network = snapshot.build_network()
         replay(arrivals, network)
         assert network.link_packets[("s1", "a")] == 3

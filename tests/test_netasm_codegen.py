@@ -540,3 +540,23 @@ def test_code_cache_is_bounded():
         assert len(netasm._CODE_CACHE) <= netasm._CODE_CACHE_LIMIT
     assert len(netasm._CODE_CACHE) == netasm._CODE_CACHE_LIMIT
     assert program.source() in netasm._CODE_CACHE  # oldest out, newest kept
+
+
+def test_code_cache_keeps_the_entries_it_hits(monkeypatch):
+    """Least recently used out: a module hit between every two inserts
+    survives ``_CODE_CACHE_LIMIT`` of them."""
+    monkeypatch.setattr(netasm, "_CODE_CACHE", {})
+
+    def program(value):
+        return SwitchProgram(
+            "s0", [ISet("outport", value), IJump(2), IEmit()], {ROOT_TAG: 0},
+            Store(),
+        )
+
+    hot = program("hot")
+    hot.functions()
+    for i in range(netasm._CODE_CACHE_LIMIT):
+        program(i).functions()
+        assert hot.source() in netasm._CODE_CACHE
+        program("hot").functions()  # a hit: the entry is the newest again
+    assert len(netasm._CODE_CACHE) == netasm._CODE_CACHE_LIMIT

@@ -9,6 +9,7 @@ Appendix D's candidate-egress trick.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, given, settings
@@ -34,7 +35,7 @@ from repro.xfdd.order import TestOrder
 from repro.xfdd.compose import Composer
 from repro.xfdd.build import to_xfdd
 
-from tests.test_engine import flat, record_view
+from tests.test_engine import assert_replay_folds_run, flat, record_view
 from tests.strategies import STATE_VARS, VALUES, packets, policies, registry
 
 PORTS = (1, 2, 3)
@@ -185,3 +186,19 @@ def test_run_to_completion_matches_the_hop_granular_driver(body, arrivals):
     assert walked.link_packets == stepped.link_packets
     assert walked.global_store() == stepped.global_store()
     assert copies(flat(per_packet)) == copies(flat(per_step))
+
+
+@SETTINGS
+@given(
+    body=st.one_of(stateful_bodies(), policies(4)), arrivals=ARRIVALS,
+    every=st.sampled_from([0, 2]),
+)
+def test_replay_fold_equals_the_records(body, arrivals, every):
+    """``replay()``'s fused walk counts each packet by its path; the
+    trace runs three times over, so later rounds take the links and
+    tables the first one built.  Its :class:`ReplayStats`, state, link
+    counts and postcards must be those of the per-packet records."""
+    _, make_network = compile_onto_diamond(body)
+    assert_replay_folds_run(
+        SimpleNamespace(build_network=make_network), arrivals * 3, every
+    )
