@@ -172,14 +172,19 @@ OP_EMIT = 8
 # the same straight-line path is loaded once, into ``v``), a branch's
 # false arm continues at the same indent (every true arm returns), SET
 # writes ``f`` in place, state instructions call the bound
-# ``StateVariable`` methods and FORK makes the only dict copies.  Roots
+# ``StateVariable`` methods and FORK copies ``f`` per extra copy.  Roots
 # are the entries, whatever :meth:`SwitchProgram.resolve_inport_entry`
 # can return, fork targets, instructions with several predecessors and
 # branches nested deeper than ``_MAX_NEST``; the rest is inlined into its
 # one predecessor.
 # State tables and non-literal constants reach the code through the
 # ``exec`` namespace, never the text, so the text can key the code cache.
-# The same ``block()`` emits the fused walk's per-entry templates.
+# The same ``block()`` emits the fused walk's per-entry templates, which
+# only read ``f``, a trace packet's own fields: ``inport`` (the context's
+# ``U``) and each field a SET wrote are constants in the text, a SET emits
+# nothing.  EMIT's table miss and FORK hand on an owned copy, ``{**f,
+# <known fields>}``; a PAUSE or split-off root gets ``f`` itself until a SET
+# writes a field other than ``inport``, whose value names the callee.
 
 #: Deepest ``if`` nest inside one generated function (CPython's tokenizer
 #: stops at 100 indent levels).
@@ -192,6 +197,8 @@ _CODE_CACHE_LIMIT = 256
 _CODE_LOCK = threading.Lock()
 #: Values emitted as ``repr()`` literals; any other constant is bound by name.
 _LITERAL_TYPES = (int, str, bool, type(None))
+#: ``inport`` in a template no SET has written: the context's ``U``.
+ARRIVAL = object()
 
 _CODEGEN_TOTAL = counter(
     "snap_netasm_codegen_total",
@@ -248,16 +255,17 @@ def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
 
     ``entry`` selects the fused-walk template of that entry: ``b<idx>(f)``
     for the roots it reaches, each terminal returning a path id — PAUSE
-    ``p<tag>(f)``, EMIT ``E.get(outport) or emit(f)``, DROP ``D``, FORK
-    ``fork(f, targets)`` — and the PAUSE tags third.
+    ``p<tag>(f)``, EMIT ``E.get(outport) or emit(copy)``, DROP ``D``,
+    FORK ``fork(copy, targets)`` — and third ``(link name, tag, inport)``
+    of its PAUSEs, ``inport`` a SET's value or :data:`ARRIVAL`.
     """
     instructions, store = program.instructions, program.store
     if program._roots is None:
         program._roots = _function_roots(instructions, program.entries)
     roots = set(program._roots)  # grows while nests are split off
-    pending = [entry] if entry is not None else sorted(roots)
-    scheduled = set(pending)
-    links: set = set()  # the template's PAUSE tags
+    names: dict = {}  # (kind, index, inport) -> function or link name
+    pending: list = []  # (name, root index, inport) of each function
+    links: list = []  # (name, tag, inport) of each of a template's PAUSE links
     namespace: dict = {"matches": matches}
     slots: dict = {}  # state variable -> suffix of its bound accessors
     lines: list = []
@@ -279,29 +287,51 @@ def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
             namespace[f"add{slots[var]}"] = variable.increment
         return slots[var]
 
-    def field(name) -> str:
-        return f"f.get({const(name)})"
+    def field(name, known) -> str:
+        if name not in known:
+            return f"f.get({const(name)})"
+        return "U" if known[name] is ARRIVAL else const(known[name])
 
-    def expr(e) -> str:
-        return field(e.name) if isinstance(e, ast.Field) else const(e.value)
+    def expr(e, known) -> str:
+        return field(e.name, known) if isinstance(e, ast.Field) else const(e.value)
 
-    def key(exprs) -> str:
-        return "(" + "".join(expr(e) + "," for e in exprs) + ")"
+    def key(exprs, known) -> str:
+        return "(" + "".join(expr(e, known) + "," for e in exprs) + ")"
 
-    def packed(exprs) -> str:
-        return expr(exprs[0]) if len(exprs) == 1 else key(exprs)
+    def packed(exprs, known) -> str:
+        return expr(exprs[0], known) if len(exprs) == 1 else key(exprs, known)
 
-    def call(idx: int, fields: str = "f") -> str:
-        if idx not in scheduled:
-            scheduled.add(idx)
-            pending.append(idx)
-        return f"b{idx}({fields}{params[1:]})"
+    def owned(known) -> str:
+        """The copy a template's exit hands on: ``f`` with every known
+        field written out, ``inport`` included."""
+        writes = ", ".join(f"{const(k)}: {field(k, known)}" for k in known)
+        return "{**f, " + writes + "}"
 
-    def condition(test, pad: str, held) -> tuple:
+    def carried(known) -> str:
+        """What a PAUSE or a split-off root is handed: ``f`` itself
+        until a SET writes a field other than ``inport``, whose value
+        the callee's name carries."""
+        return "f" if len(known) <= 1 else owned(known)
+
+    def target(kind: str, num: int, known) -> str:
+        """The name of function ``b<num>`` or PAUSE link ``p<num>`` with
+        ``inport`` as ``known`` has it, suffixed once a SET wrote it."""
+        inport = known.get("inport", ARRIVAL)
+        ident = (kind, num, type(inport), inport)
+        if ident not in names:
+            suffix = "" if inport is ARRIVAL else f"_{len(names)}"
+            names[ident] = f"{kind}{num}{suffix}"
+            (pending if kind == "b" else links).append((names[ident], num, inport))
+        return names[ident]
+
+    def call(idx: int, known, fields: str = "f") -> str:
+        return f"{target('b', idx, known)}({fields}{params[1:]})"
+
+    def condition(test, pad: str, held, known) -> tuple:
         """The test as an expression (after any statements it needs) and
         the field the local ``v`` holds once it has been evaluated."""
         if isinstance(test, FieldValueTest):
-            value, loaded = test.value, field(test.field)
+            value, loaded = test.value, field(test.field, known)
             if held == test.field:
                 loaded = "v"
             elif isinstance(value, IPPrefix):
@@ -314,33 +344,35 @@ def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
                 f"else matches(v, {const(value)})"
             ), held
         if isinstance(test, FieldFieldTest):
-            return f"{field(test.field1)} == {field(test.field2)}", held
+            return f"{field(test.field1, known)} == {field(test.field2, known)}", held
         if not isinstance(test, StateVarTest):
             raise DataPlaneError(f"cannot compile test {test!r}")
-        get = f"get{slot(test.var)}"
+        get, k = f"get{slot(test.var)}", key(test.index, known)
         if not traced:
-            return f"{get}({key(test.index)}) == {packed(test.value)}", held
-        lines.append(f"{pad}k = {key(test.index)}")
+            return f"{get}({k}) == {packed(test.value, known)}", held
+        lines.append(f"{pad}k = {k}")
         lines.append(f"{pad}v = {get}(k)")
-        lines.append(f"{pad}r = v == {packed(test.value)}")
+        lines.append(f"{pad}r = v == {packed(test.value, known)}")
         lines.append(f"{pad}rec.state_test({const(test.var)}, k, v, r)")
         return "r", None
 
-    def finish(pad: str, kind: str, tag, var=None) -> None:
+    def finish(pad: str, kind: str, tag, var, known) -> None:
         if entry is not None:
             if kind == "pause":
-                links.add(tag)
-            terminal = {"pause": f"p{tag}(f)", "drop": "D"}.get(
-                kind, "E.get(f.get('outport')) or emit(f)"
-            )
+                terminal = f"{target('p', tag, known)}({carried(known)})"
+            elif kind == "drop":
+                terminal = "D"
+            else:
+                terminal = f"E.get({field('outport', known)}) or emit({owned(known)})"
             return lines.append(f"{pad}return {terminal}")
         lines.append(f"{pad}out.append((f, {const(tag)}))")
         if traced:
             lines.append(f"{pad}rec.outcome({kind!r}, {const(var)})")
         lines.append(f"{pad}return")
 
-    def block(idx: int, pad: str, root: bool = False, held=None) -> None:
+    def block(idx: int, pad: str, known, root: bool = False, held=None) -> None:
         """Emit the code that runs from ``idx`` to every terminal;
+        ``known`` maps the fields a template knows to their values,
         ``held`` is the field whose value the local ``v`` holds here."""
         while True:
             instr = instructions[idx]
@@ -348,25 +380,26 @@ def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
             if kind is IBranch and len(pad) > _MAX_NEST:
                 roots.add(idx)
             if idx in roots and not root:
-                lines.append(f"{pad}return {call(idx)}")
+                lines.append(f"{pad}return {call(idx, known, carried(known))}")
                 return
             root = False
             if kind is IBranch:
-                test, held = condition(instr.test, pad, held)
+                test, held = condition(instr.test, pad, held, known)
                 lines.append(f"{pad}if {test}:")
-                block(instr.on_true, pad + " ", held=held)
+                block(instr.on_true, pad + " ", known, held=held)
                 idx = instr.on_false
             elif kind is IJump:
                 idx = instr.target
             elif kind is ISet:
-                lines.append(
-                    f"{pad}f[{const(instr.field)}] = {const(instr.value)}"
-                )
+                if entry is None:
+                    lines.append(f"{pad}f[{const(instr.field)}] = {const(instr.value)}")
+                else:  # copy on write: the true arms hold the same dict
+                    known = {**known, instr.field: instr.value}
                 if instr.field == held:
                     held = None
                 idx += 1
             elif kind is IStateWrite:
-                k, v = key(instr.index), packed(instr.value)
+                k, v = key(instr.index, known), packed(instr.value, known)
                 if traced:
                     lines.append(f"{pad}k = {k}")
                     lines.append(f"{pad}v = {v}")
@@ -377,7 +410,7 @@ def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
                 lines.append(f"{pad}put{slot(instr.var)}({k}, {v})")
                 idx += 1
             elif kind is IStateDelta:
-                k, delta = key(instr.index), const(instr.delta)
+                k, delta = key(instr.index, known), const(instr.delta)
                 if traced:
                     lines.append(f"{pad}k = {k}")
                     lines.append(
@@ -388,26 +421,28 @@ def _generate_source(program: "SwitchProgram", traced: bool, entry=None):
                 idx += 1
             elif kind is IFork:
                 if entry is not None:
-                    lines.append(f"{pad}return fork(f, {instr.targets!r})")
+                    lines.append(f"{pad}return fork({owned(known)}, {instr.targets!r})")
                     return
-                for target in instr.targets[:-1]:
-                    lines.append(f"{pad}{call(target, 'dict(f)')}")
-                lines.append(f"{pad}return {call(instr.targets[-1])}")
+                for target_idx in instr.targets[:-1]:
+                    lines.append(f"{pad}{call(target_idx, known, 'dict(f)')}")
+                lines.append(f"{pad}return {call(instr.targets[-1], known)}")
                 return
             elif kind is IPause:
-                return finish(pad, "pause", instr.tag, instr.var)
+                return finish(pad, "pause", instr.tag, instr.var, known)
             elif kind is IEmit:
-                return finish(pad, "emit", DONE_TAG)
+                return finish(pad, "emit", DONE_TAG, None, known)
             elif kind is IDrop:
-                return finish(pad, "drop", None)
+                return finish(pad, "drop", None, None, known)
             else:
                 raise DataPlaneError(f"unknown instruction {instr!r}")
 
-    for idx in pending:  # grows while roots are reached and nests split off
-        lines.append(f"def b{idx}({params}):")
-        block(idx, " ", root=True)
+    for idx in sorted(roots) if entry is None else [entry]:
+        target("b", idx, {} if entry is None else {"inport": ARRIVAL})
+    for name, idx, inport in pending:  # grows while roots are reached
+        lines.append(f"def {name}({params}):")
+        block(idx, " ", {} if entry is None else {"inport": inport}, root=True)
     return "\n".join(lines) + "\n", namespace, (
-        scheduled if entry is None else links
+        [idx for _, idx, _ in pending] if entry is None else links
     )
 
 
@@ -477,6 +512,7 @@ class SwitchProgram:
         # The generated executor, plain and traced; built by `functions`
         # on the first packet, so a program that is never run costs nothing.
         self._functions: list = [None, None]
+        self._templates: dict = {}  # entry -> template(entry)
         self._roots = None  # _function_roots, once per program
         # (tag, inport) -> pre-resolved entry, see resolve_inport_entry.
         self._inport_entries: dict = {}
@@ -519,10 +555,14 @@ class SwitchProgram:
         return functions
 
     def template(self, entry: int) -> tuple:
-        """``(code, namespace, PAUSE tags)`` of the fused-walk template at
-        ``entry``, ``exec``-ed once per context by ``network._Fold``."""
-        source, namespace, tags = _generate_source(self, False, entry)
-        return _compiled(source), namespace, tags
+        """``(code, namespace, PAUSE links)`` of the fused-walk template at
+        ``entry``, generated once per program (states adopted from another
+        network unbind it) and ``exec``-ed once per context by
+        ``network._Fold``."""
+        if entry not in self._templates:
+            source, namespace, links = _generate_source(self, False, entry)
+            self._templates[entry] = (_compiled(source), namespace, links)
+        return self._templates[entry]
 
     def process(
         self, packet: Packet, entry: int | None = None, recorder=None

@@ -39,7 +39,7 @@ from repro.dataplane.header import (
     add_header,
     strip_header,
 )
-from repro.dataplane.netasm import SwitchProgram, compile_switch
+from repro.dataplane.netasm import ARRIVAL, SwitchProgram, compile_switch
 from repro.dataplane.rules import RuleTables, build_rule_tables
 from repro.dataplane.split import NodeIndex, owned_entries
 from repro.lang.errors import DataPlaneError, RetiredNetworkError
@@ -234,7 +234,7 @@ class Network:
             if len(variable):
                 variable.default = program.store.variable(variable.name).default
                 program.store.adopt(variable)
-                program._functions = [None, None]  # rebound on the next packet
+                program._functions, program._templates = [None, None], {}  # rebound
         previous.retired_by = "the network that adopted it"
 
     # -- per-shard state transfer (process and cluster lanes) ---------------
@@ -568,13 +568,11 @@ class Walker:
                 if sampler is not None and sampler.should(index):
                     stats.record(self.run_sampled(packet, port, index))
                     continue
-                fields = dict(packet._fields)
-                fields["inport"] = port
                 run = entries.get(port)
                 if run is None:
                     resume = self._ingress.get(port) or self._enter(port)
-                    run = entries[port] = walk.context(resume, port, None, 0, ())
-                counts[run(fields)] += 1
+                    run = entries[port] = walk.context(resume, port, None, 0, (), port)
+                counts[run(packet._fields)] += 1
         except BaseException as exc:
             walk.raised(exc.__traceback__)
             raise
@@ -749,24 +747,25 @@ class _Fold:
     """One :meth:`Walker.fold`: the walk fused into generated code.
 
     A *context* — a ``resume``, ingress port ``u``, egress tag ``v``,
-    hops so far and cells crossed — runs its own instance of
-    :meth:`~repro.dataplane.netasm.SwitchProgram.template`: PAUSE calls
-    a link that builds the cell, then is replaced by the next context's
-    function; EMIT probes a table that a miss fills from
-    :meth:`Walker.done_cell`; DROP returns the drop path.  Every
-    terminal returns a *path id*.  A fork, a cell that raises and the hop
-    limit (read when a link is made) go through :meth:`Walker._finish`
-    and return path 0; they, and a packet that raises (:meth:`raised`),
-    bump the cells already crossed, so link counts are the stream's.
+    hops so far, cells crossed and ``inport`` (``U``) — runs its own
+    :meth:`~repro.dataplane.netasm.SwitchProgram.template` on a trace
+    packet's own, unwritten fields: PAUSE calls a link (per tag and
+    ``inport``) that builds the cell, then is replaced by the next
+    context's function; EMIT probes a table that a miss fills from
+    :meth:`Walker.done_cell`; DROP returns the drop path.  Every terminal
+    returns a *path id*.  A fork, a cell that raises and the hop limit
+    (read when a link is made) go through :meth:`Walker._finish` with an
+    owned copy and return path 0; they, and a packet that raises
+    (:meth:`raised`), bump the cells already crossed, so link counts are
+    the stream's.
     """
 
-    __slots__ = ("walker", "stats", "paths", "counts", "templates")
+    __slots__ = ("walker", "stats", "paths", "counts")
 
     def __init__(self, walker: Walker, stats):
         self.walker, self.stats = walker, stats
         self.paths: list = [None]  # path id -> (cells, egress or None, hops)
         self.counts: list = [0]  # path id -> packets
-        self.templates: dict = {}  # (program, entry) -> program.template()
 
     def path(self, cells: tuple, egress, hops: int) -> int:
         """A new path id; its egress key enters ``per_egress`` now, so
@@ -802,14 +801,12 @@ class _Fold:
         for cell in crossed:
             cell[0] += 1
 
-    def context(self, resume, u: int, v, hops: int, crossed: tuple):
+    def context(self, resume, u: int, v, hops: int, crossed: tuple, inport):
         """The function of the context of the class docstring."""
         walker, stats = self.walker, self.stats
         _, program, entry, (_, pause), _ = resume
-        template = self.templates.get((program, entry))
-        if template is None:
-            template = self.templates[program, entry] = program.template(entry)
-        namespace, table = dict(template[1]), {}
+        code, namespace, links = program.template(entry)
+        namespace, table = dict(namespace), {}
         drop = self.path(crossed, None, hops)
 
         def slow(out: list) -> int:
@@ -819,18 +816,19 @@ class _Fold:
             stats.record(records)
             return 0
 
-        def link(tag: int):
+        def link(name: str, tag: int, at):
             def pause_link(f) -> int:
                 try:
                     cell = pause.get((v, tag)) or walker._pause_cell(
                         pause, program, u, v, tag
                     )
+                    over = hops + cell[1] > MAX_HOPS
                 except DataPlaneError:  # _finish raises it again
-                    return slow([(f, tag)])
-                if hops + cell[1] > MAX_HOPS:
-                    return slow([(f, tag)])
-                run = namespace[f"p{tag}"] = self.context(
-                    cell[4], u, cell[3], hops + cell[1], crossed + (cell,)
+                    over = True
+                if over:
+                    return slow([({**f, "inport": at}, tag)])
+                run = namespace[name] = self.context(
+                    cell[4], u, cell[3], hops + cell[1], crossed + (cell,), at
                 )
                 return run(f)
             return pause_link
@@ -857,10 +855,12 @@ class _Fold:
             run[targets[-1]](f, out)
             return slow(out)
 
-        namespace.update(E=table, D=drop, emit=emit, fork=fork, CROSSED=crossed)
-        for tag in template[2]:
-            namespace[f"p{tag}"] = link(tag)
-        exec(template[0], namespace)  # noqa: S102 - generated by netasm
+        namespace.update(
+            E=table, D=drop, U=inport, emit=emit, fork=fork, CROSSED=crossed
+        )
+        for name, tag, at in links:
+            namespace[name] = link(name, tag, inport if at is ARRIVAL else at)
+        exec(code, namespace)  # noqa: S102 - generated by netasm
         return namespace[f"b{entry}"]
 
 

@@ -24,6 +24,7 @@ from repro.dataplane.header import (
     SNAP_NODE,
     SNAP_OUTPORT,
 )
+from repro.dataplane import netasm
 from repro.dataplane.netasm import compile_switch
 from repro.dataplane.network import Network, Walker
 from repro.dataplane.rules import build_rule_tables
@@ -614,6 +615,31 @@ class TestFailuresAreNeverMemoised:
         }
         assert replayed.global_store() == streamed.global_store()
 
+    def test_replay_never_writes_a_trace_packet(self, mixed_campus, monkeypatch):
+        """The fused walk reads each arrival's own field dict and copies it
+        only where it leaves the template: the golden's forks, pauses,
+        drops and header-bearing drops, a cell that raises and the hop
+        limit (on a PAUSE link and on an EMIT) leave every packet as it
+        was."""
+        snapshot, arrivals = mixed_campus
+        raising = self._network(
+            ast.Seq(ast.StateIncr("c", ast.Field("srcip")), ast.Mod("outport", 2)),
+            placement={"c": "s2"}, defaults={"c": 0},
+        )
+        raising.switches["s2"].store.write("c", (5,), "text")
+        bad = [(make_packet(srcip=6), 1), (make_packet(srcip=5), 1)]
+        looping = [(make_packet(srcip=1), 1)]
+        packets = [packet for packet, _ in arrivals + bad + looping]
+        before = [dict(packet._fields) for packet in packets]
+        assert replay(arrivals, snapshot.build_network()).folded > 0
+        with pytest.raises(SnapError, match="non-numeric"):
+            replay(bad, raising)
+        for limit in (0, 1):  # SIMPLE's two legs are one link each
+            monkeypatch.setattr(network_module, "MAX_HOPS", limit)
+            with pytest.raises(DataPlaneError, match="hop limit"):
+                replay(looping, self._network(SIMPLE, placement={"s": "s1"}))
+        assert [packet._fields for packet in packets] == before
+
     def test_routing_loop(self):
         net = self._network(ast.If(
             ast.Test("srcip", 1), ast.Mod("outport", 2), ast.Mod("outport", 1)
@@ -787,6 +813,45 @@ class TestContinuationCells:
         before = (compiled.value, hits.value)
         replay(arrivals, snapshot.build_network())
         assert compiled.value == before[0] and hits.value > before[1]
+
+    def test_templates_are_generated_once_per_program(
+        self, mixed_campus, monkeypatch
+    ):
+        """``SwitchProgram.template`` keeps its text on the program: a
+        second replay on the same network, or on a rewired one (which
+        shares its programs), generates nothing.  Adopting state unbinds
+        the templates: a replay after it writes the adopted tables, as
+        ``Network.stream`` does."""
+        snapshot, arrivals = mixed_campus
+        entries = []
+        generate = netasm._generate_source
+        monkeypatch.setattr(
+            netasm, "_generate_source",
+            lambda program, traced, entry=None: entries.append(entry)
+            or generate(program, traced, entry),
+        )
+        network = snapshot.build_network()
+        replay(arrivals, network)
+        assert any(entry is not None for entry in entries)
+        entries.clear()
+        replay(arrivals, network)
+        replay(arrivals, network.rewire(network.topology, network.routing))
+        assert entries == []
+
+        drops = self._dropping_after_a_pause()  # counts per srcip
+        trace = [(make_packet(srcip=srcip), 1) for srcip in (5, 6, 6)]
+
+        def successor(run):
+            previous, network = drops.build_network(), drops.build_network()
+            run(trace, previous)
+            run(trace, network)
+            network.adopt_state(previous)
+            run(trace, network)
+            return network.global_store()
+
+        counted = successor(replay)
+        assert counted == successor(lambda trace, net: list(net.stream(trace)))
+        assert (counted.read("s", (5,)), counted.read("s", (6,))) == (2, 4)
 
     @pytest.mark.parametrize("every", [0, 7], ids=["unsampled", "postcards"])
     def test_replay_folds_the_records(self, mixed_campus, every):

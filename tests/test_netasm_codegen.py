@@ -273,6 +273,32 @@ def test_process_leaves_the_callers_packet_alone():
     assert packet.fields() == {"fa": 1, SNAP_NODE: ROOT_TAG}
 
 
+def test_a_template_reads_the_packet_and_carries_its_writes():
+    """A fused-walk template only reads the field dict it is handed: its
+    SETs are constants in the text, a split-off root reached after them
+    is handed an owned copy, and the written ``inport`` is carried by
+    that root's name, as the plain module computes it."""
+    program = SwitchProgram(
+        "s0",
+        [ISet("inport", 7), ISet("fb", 5),
+         IBranch(FieldValueTest("fa", 0), 3, 4), IJump(5), IJump(5),
+         IStateDelta("hits", (ast.Field("inport"), ast.Field("fb")), 1),
+         IEmit()],
+        {ROOT_TAG: 0}, Store({"hits": 0}),
+    )
+    code, namespace, links = program.template(0)
+    assert links == [] and "def b5_" in netasm._generate_source(program, False, 0)[0]
+    emitted: list = []
+    namespace = dict(namespace, E={}, D=0, U=3, emit=emitted.append, fork=None)
+    exec(code, namespace)
+    packet = {"fa": 0, "inport": 3}
+    namespace["b0"](packet)
+    assert packet == {"fa": 0, "inport": 3}
+    (outcome,) = program.process(Packet(packet), entry=0)
+    assert emitted == [outcome.packet.fields()] == [{"fa": 0, "inport": 7, "fb": 5}]
+    assert program.store.read("hits", (7, 5)) == 2
+
+
 # -- generator robustness ------------------------------------------------------------
 
 DEPTH = 150

@@ -24,6 +24,7 @@ from repro.lang.errors import (
     PlacementError,
     RaceConditionError,
 )
+from repro.lang.packet import Packet
 from repro.lang.semantics import eval_policy
 from repro.lang.state import Store
 from repro.milp.placement import build_placement_model
@@ -34,6 +35,7 @@ from repro.xfdd.build import build_xfdd
 from repro.xfdd.order import TestOrder
 from repro.xfdd.compose import Composer
 from repro.xfdd.build import to_xfdd
+from repro.workloads import replay
 
 from tests.test_engine import assert_replay_folds_run, flat, record_view
 from tests.strategies import STATE_VARS, VALUES, packets, policies, registry
@@ -202,3 +204,56 @@ def test_replay_fold_equals_the_records(body, arrivals, every):
     assert_replay_folds_run(
         SimpleNamespace(build_network=make_network), arrivals * 3, every
     )
+
+
+def test_replay_reads_the_arrival_port_not_a_carried_inport():
+    """Trace packets that carry an ``inport`` field of their own: the
+    fused walk reads the arrival port, at ingress, after a PAUSE and in
+    a forked copy's module, exactly as ``run_packet`` does."""
+    body = ast.Seq(
+        ast.StateIncr("sA", ast.Field("inport")),
+        ast.Parallel(
+            ast.Seq(ast.Mod("fc", 1), ast.StateIncr("sB", ast.Field("inport"))),
+            ast.Mod("fc", 2),
+        ),
+    )
+    _, make_network = compile_onto_diamond(body)
+    arrivals = [
+        (Packet({"fa": k % 3, "fb": k % 2, "inport": 9}), PORTS[k % 3])
+        for k in range(12)
+    ]
+    assert_replay_folds_run(SimpleNamespace(build_network=make_network), arrivals)
+    network = make_network()
+    replay(arrivals, network)
+    assert network.global_store().read("sB", (9,)) == 0
+
+
+def test_replay_carries_a_written_inport_across_a_pause():
+    """``inport <- 7`` at the ingress switch, read after the PAUSE to the
+    switch of the state it indexes: the next switch's code sees 7, and
+    the state is ``eval_policy``'s."""
+    body = ast.Seq(
+        ast.Mod("inport", 7),
+        ast.Seq(
+            ast.StateIncr("sA", ast.Field("fb")),
+            ast.StateIncr("sB", ast.Field("inport")),
+        ),
+    )
+    policy, make_network = compile_onto_diamond(body)
+    network = make_network()
+    owner = network.switches[network.placement["sB"]]
+    assert "Field('inport')" in owner.to_text()
+    for port in PORTS:  # the write and the PAUSE are the ingress's
+        ingress = network.switches[network.topology.port_switch(port)]
+        assert network.placement["sB"] != ingress.switch
+        assert {"SET inport <- 7", "PAUSE"} <= {
+            repr(instr).split(" tag=")[0] for instr in ingress.instructions
+        }
+    arrivals = [(Packet({"fa": k % 3, "fb": k % 2}), PORTS[k % 3]) for k in range(9)]
+    assert_replay_folds_run(SimpleNamespace(build_network=make_network), arrivals)
+    replay(arrivals, network)
+    store = Store(DEFAULTS)
+    for packet, port in arrivals:
+        store, _, _ = eval_policy(policy, store, packet.modify("inport", port))
+    assert network.global_store() == store
+    assert store.read("sB", (7,)) == len(arrivals)
