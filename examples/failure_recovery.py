@@ -5,9 +5,11 @@ A long-lived ``SnapController`` session handles a stream of network
 events.  After the cold start, a link no installed path uses fails: the
 routing in force is still optimal, so the controller keeps it and solves
 nothing.  Then a core link fails: instead of re-solving the joint
-placement problem, the session patches its *standing* TE model (failed
-link pinned to zero, §6.2.2) and re-solves only the routing LP — the
-P5-TE + P6 path of Table 4.  Its repair hands back the cold-start
+placement problem, the session re-optimizes only the routing — the
+P5-TE + P6 path of Table 4 — by each flow's cheapest walk through its
+state switches, which is optimal while the walks fit the links (when
+they do not, it patches its *standing* TE model, failed link pinned to
+zero, §6.2.2, and solves the routing LP).  Its repair hands back the cold-start
 routing, again without a solve.  Each event yields an immutable,
 generation-numbered snapshot; the rerouted paths still respect every
 state constraint.
@@ -56,13 +58,17 @@ def main():
     print(f"routing kept, no solve (generation {idle.generation}, "
           f"TE solves so far: {controller.backend.calls['te_solves']})")
 
-    print("\n== Event: link C1-C5 fails (standing model patched, §6.2.2) ==")
+    print("\n== Event: link C1-C5 fails (routing re-optimized, §6.2) ==")
     recovered = controller.fail_link("C1", "C5")
     te_time = recovered.timer.durations["P5"]
     print(f"snapshot:  generation {recovered.generation}, "
           f"event {recovered.event!r}")
+    # "walk": every flow's cheapest walk through its state switches fits
+    # the links, so it is optimal and no LP is built; otherwise the
+    # reason, and the standing TE model is patched and solved (§6.2.2).
     print(f"TE re-optimization: {te_time * 1000:.1f} ms "
-          f"(placement untouched: {recovered.placement == cold.placement})")
+          f"(route: {recovered.model_stats['te_route']}; "
+          f"placement untouched: {recovered.placement == cold.placement})")
     new_path = recovered.routing.path(1, 6)
     print(f"new path 1->6: {' -> '.join(new_path)}")
     assert ("C1", "C5") not in list(zip(new_path, new_path[1:]))
@@ -90,13 +96,13 @@ def main():
           f"(was {recovered.objective:.3f})")
     print(f"path 2->6: {' -> '.join(shifted.routing.path(2, 6))}")
 
-    te_builds = controller.backend.calls["te_model_builds"]
-    te_solves = controller.backend.calls["te_solves"]
+    calls = controller.backend.calls
     reuses = sum(
         bool(s.model_stats.get("solve_reused")) for s in controller.history()[1:]
     )
-    print(f"\nstanding TE model: built {te_builds} time(s), "
-          f"re-solved {te_solves} times, a certified routing reused "
+    print(f"\nTE events: {calls['te_walks']} routed by certified walks, "
+          f"standing TE model built {calls['te_model_builds']} time(s) and "
+          f"solved {calls['te_solves']} times, a certified routing reused "
           f"{reuses} times across {controller.generation} events")
     print("snapshots:", ", ".join(
         f"gen {s.generation}={s.event}" for s in controller.history()

@@ -15,24 +15,30 @@ event method       Table 4 scenario       phases run
 =================  =====================  ==========================
 ``submit``         cold start             P1 P2 P3 P4 P5(ST) P6
 ``update_policy``  policy change          P1 P2 P3 P4 P5(ST) P6 [#]_
-``update_topology``  topology/TM change   P5(TE, fresh model) P6
-``fail_link``      topology/TM change     P5(TE, patched model or reuse) P6
-``restore_link``   topology/TM change     P5(TE, patched model or reuse) P6
-``set_demands``    topology/TM change     P5(TE, patched model) P6
+``update_topology``  topology/TM change   P5(TE, walk or fresh model) P6
+``fail_link``      topology/TM change     P5(TE, walk, patched model or reuse) P6
+``restore_link``   topology/TM change     P5(TE, walk, patched model or reuse) P6
+``set_demands``    topology/TM change     P5(TE, walk or patched model) P6
 =================  =====================  ==========================
 
 .. [#] The paper updates the standing MILP incrementally; we rebuild it
    and report the rebuild separately as P4 so scenario totals can follow
    Table 4's phase sets (``Snapshot.scenario_time``).
 
-Link events patch the *standing* TE model — built once per placement and
-re-solved with failed links pinned to zero / demand coefficients
-rewritten — instead of rebuilding it (§6.2.2).  Policy events invalidate
-it, since a new placement makes the old routing LP meaningless.
+A TE event first routes every flow by its cheapest walk through its
+owner switches (:func:`~repro.milp.te.shortest_walk_routing`); walks that
+are simple, fit every capacity and take the cheapest waypoint order are
+optimal, and nothing is built or solved (``model_stats["te_route"]`` is
+``"walk"``).  Otherwise (``te_route`` names why) the event patches the
+*standing* TE LP — built once per placement and re-solved with failed
+links pinned to zero / demand coefficients rewritten — instead of
+rebuilding it (§6.2.2).  Policy events invalidate it, since a new
+placement makes the old routing LP meaningless.
 
 A link event solves only when it must.  A routing optimal for failure set
 F0 stays optimal for any F ⊇ F0 whose links it does not use, so every
-optimal (status 0) ST or TE solve leaves a certificate, and a link event
+optimal (status 0) ST solve, certified walk or TE solve leaves a
+certificate, and a link event
 reuses the newest one that covers the new failure set (P6 re-validates
 it on the degraded graph; ``model_stats["solve_reused"]``).  An ST
 certificate is optimal only to ``mip_rel_gap``.  Certificates die with
@@ -661,12 +667,14 @@ class SnapController:
             snapshot = self._reoptimize_traced(event, demands_changed)
             span.set_attr("generation", snapshot.generation)
             span.set_attr("solve_reused", snapshot.model_stats["solve_reused"])
+            span.set_attr("te_route", snapshot.model_stats.get("te_route"))
             return snapshot
 
     def _reoptimize_traced(self, event: str, demands_changed: bool) -> Snapshot:
         """TE solve, or the newest certificate that covers ``_failed``."""
         previous = self._current
         timer = PhaseTimer()
+        topology = self.effective_topology()
         if demands_changed:
             self._certificates.clear()
         with timer.phase("P5"):
@@ -674,15 +682,15 @@ class SnapController:
                 c for c in reversed(self._certificates)
                 if c.failed <= self._failed and c.used.isdisjoint(self._failed)
             ), None)
+            rules = None
             if reused is None:
-                solution, stats = self._solve_te(previous, demands_changed)
-                routing = rules = None
+                solution, routing, stats = self._solve_te(previous, topology)
             else:
                 solution, routing, rules, stats = (
                     reused.solution, reused.routing, reused.rules, reused.stats
                 )
         snapshot = self._finish(
-            self.effective_topology(), previous.program, previous.dependencies,
+            topology, previous.program, previous.dependencies,
             previous.xfdd, previous.mapping, solution, routing, timer, event,
             {**stats, "solve_reused": reused is not None},
             previous.diagram_factory, artifacts=previous.artifacts,
@@ -692,13 +700,21 @@ class SnapController:
             self._certify(snapshot, solution, stats)
         return snapshot
 
-    def _solve_te(self, previous: Snapshot, demands_changed: bool) -> tuple:
-        """Patch the standing model (built on first need) and solve it.
+    def _solve_te(self, previous: Snapshot, topology: Topology) -> tuple:
+        """``(solution, routing, stats)`` of a TE event on ``topology``.
 
-        A traffic matrix that adds or drops a flow is not a patch: the
-        model is rebuilt for it."""
+        Certified shortest walks come with their routing; only when they
+        fail is the standing model patched (built on first need) and
+        solved, and P6 extracts its paths.  A traffic matrix that adds or
+        drops a flow is not a patch: the model is rebuilt for it."""
+        walk = self._backend.route_te(
+            topology, self._demands, previous.mapping, previous.dependencies,
+            dict(previous.placement), self._options.stateful_switches,
+        )
+        if not isinstance(walk, str):
+            return (*walk, {"te_route": "walk"})
         model = self._te_model
-        if model is not None and demands_changed and (
+        if model is not None and (
             model.inputs.flows_of(self._demands) != model.inputs.flows
         ):
             model = None
@@ -713,7 +729,8 @@ class SnapController:
             )
             self._te_model = model
             self._model_failed = set()
-        elif demands_changed:
+        elif model.inputs.demands != {f: self._demands[f] for f in model.inputs.flows}:
+            # Also a change an earlier walk-routed event never patched in.
             model.set_demands(self._demands)
         wanted = set(self._failed)
         for a, b in sorted(self._model_failed - wanted):
@@ -724,7 +741,7 @@ class SnapController:
         solution = self._backend.solve_te(
             model, time_limit=self._options.solver_time_limit
         )
-        return solution, model.stats()
+        return solution, None, {**model.stats(), "te_route": walk}
 
     def _finish(
         self, topology, program, dependencies, xfdd, mapping, solution,

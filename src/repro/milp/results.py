@@ -12,7 +12,8 @@ dependency order.
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
+import math
 
 from repro.lang.errors import PlacementError
 from repro.topology.graph import Topology, port_node
@@ -118,22 +119,75 @@ def _path_respects_order(path, required_switches) -> bool:
     return positions == sorted(positions)
 
 
-def _stitch_path(graph: nx.DiGraph, waypoints):
-    """Shortest-path concatenation through the waypoint sequence.
+class Segments:
+    """Cheapest switch paths under the objective's link weight ``1/c``.
+
+    One Dijkstra tree per source, built on first use.  Between equally
+    cheap paths a node keeps the predecessor that comes first in the
+    graph's node order (``Topology.switches()``), so a path does not
+    depend on the hash seed.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.rank = {node: i for i, node in enumerate(graph.nodes)}
+        self._trees: dict = {}
+
+    def tree(self, source) -> tuple:
+        """``(cost, predecessor)`` maps of every node reachable from ``source``."""
+        tree = self._trees.get(source)
+        if tree is None and source not in self.rank:
+            tree = self._trees[source] = ({}, {})
+        if tree is None:
+            rank, adjacency = self.rank, self.graph.adj
+            cost, parent, settled = {source: 0.0}, {source: None}, set()
+            heap = [(0.0, rank[source], source)]
+            while heap:
+                here, _, node = heapq.heappop(heap)
+                if node in settled:
+                    continue
+                settled.add(node)
+                for succ, data in adjacency[node].items():
+                    total = here + 1.0 / data["capacity"]
+                    known = cost.get(succ)
+                    if known is None or total < known:
+                        cost[succ], parent[succ] = total, node
+                        heapq.heappush(heap, (total, rank[succ], succ))
+                    elif (total == known and succ not in settled
+                          and rank[node] < rank[parent[succ]]):
+                        parent[succ] = node
+            tree = self._trees[source] = (cost, parent)
+        return tree
+
+    def cost(self, a, b) -> float:
+        return self.tree(a)[0].get(b, math.inf)
+
+    def path(self, a, b) -> list:
+        cost, parent = self.tree(a)
+        if b not in cost:
+            raise PlacementError(f"no path between waypoints {a!r} and {b!r}")
+        path = [b]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
+
+    def walk(self, waypoints) -> list:
+        """The concatenated cheapest segments through ``waypoints``."""
+        full = [waypoints[0]]
+        for a, b in zip(waypoints, waypoints[1:]):
+            full.extend(self.path(a, b)[1:])
+        return full
+
+
+def _stitch_path(graph, waypoints):
+    """Cheapest-segment concatenation through the waypoint sequence.
 
     The concatenation may revisit nodes; loops that contain no waypoint
     are excised so the result stays a simple path (required by the
     per-(u, v) match-action next-hop tables).
     """
-    full = [waypoints[0]]
-    for a, b in zip(waypoints, waypoints[1:]):
-        if a == b:
-            continue
-        try:
-            segment = nx.shortest_path(graph, a, b)
-        except nx.NetworkXNoPath:
-            raise PlacementError(f"no path between waypoints {a!r} and {b!r}")
-        full.extend(segment[1:])
+    full = Segments(graph).walk(waypoints)
     required = set(waypoints)
     simplified: list = []
     position: dict = {}

@@ -36,6 +36,8 @@ from repro.workloads import (
     background_traffic, dns_tunnel_attack, replay, replay_obs,
 )
 
+from test_te_program import binding_campus
+
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import dns_tunnel_program  # noqa: E402
 
@@ -71,6 +73,23 @@ def session():
         controller.restore_link("C1", "C5"),
         controller.set_demands(
             {k: v * 2 for k, v in controller.demands.items()}
+        ),
+    ]
+    return controller, snapshots
+
+
+@pytest.fixture(scope="module")
+def binding_session():
+    """The same sequence where every TE event solves the standing LP: core
+    links too small for the shortest walks (``binding_campus``)."""
+    controller = SnapController(binding_campus(), campus_program())
+    snapshots = [
+        controller.submit(),
+        controller.update_policy(campus_program(threshold=5)),
+        controller.fail_link("C1", "C5"),
+        controller.restore_link("C1", "C5"),
+        controller.set_demands(
+            {k: v * 1.05 for k, v in controller.demands.items()}
         ),
     ]
     return controller, snapshots
@@ -134,13 +153,26 @@ class TestEventSequence:
             for s in snapshots[2:]
         )
 
-    def test_standing_te_model_reused(self, session):
+    def test_te_events_route_by_walks(self, session):
+        """With no capacity in the way, the failure and the demand change
+        are certified shortest walks: no TE model is built."""
+        controller, snapshots = session
+        calls = controller.backend.calls
+        assert (calls["te_walks"], calls["te_model_builds"], calls["te_solves"]) == (2, 0, 0)
+        assert [s.model_stats["te_route"] for s in snapshots[2::2]] == ["walk", "walk"]
+        assert snapshots[3].model_stats["solve_reused"] is True
+        assert snapshots[3].routing is snapshots[1].routing
+
+    def test_standing_te_model_reused(self, binding_session):
         """§6.2.2: the TE events share ONE standing model build, and the
         restore hands back the pre-failure routing without a solve."""
-        controller, snapshots = session
+        controller, snapshots = binding_session
         calls = controller.backend.calls
         assert calls["te_model_builds"] == 1
         assert calls["te_solves"] == 2
+        assert [s.model_stats["te_route"] for s in snapshots[2::2]] == [
+            "binding capacity", "binding capacity",
+        ]
         assert snapshots[3].model_stats["solve_reused"] is True
         assert snapshots[3].routing is snapshots[1].routing
         # submit only: the update_policy edit (a threshold tweak) leaves
@@ -167,12 +199,12 @@ class TestEventSequence:
         )
 
     def test_policy_change_invalidates_standing_model(self):
-        controller = SnapController(campus_topology(), campus_program())
+        controller = SnapController(binding_campus(), campus_program())
         controller.submit()
         controller.fail_link("C1", "C5")
         assert controller.backend.calls["te_model_builds"] == 1
         controller.update_policy(campus_program(stateful_firewall()))
-        controller.fail_link("C3", "C5")
+        controller.fail_link("C3", "C4")
         # New placement -> the old standing model could not be patched.
         assert controller.backend.calls["te_model_builds"] == 2
 
@@ -249,13 +281,13 @@ class TestEventSequence:
     def test_reroute_replaces_the_failure_set(self):
         """The bulk TE event: ``failed_links`` is the whole new set (``[]``
         restores everything, ``None`` keeps it) on one standing model."""
-        controller = SnapController(campus_topology(), campus_program())
+        controller = SnapController(binding_campus(), campus_program())
         controller.submit()
         failed = controller.reroute(failed_links=[("C1", "C5")])
         assert failed.event == "topology_change"
         assert controller.failed_links == {("C1", "C5")}
-        doubled = {k: v * 2 for k, v in controller.demands.items()}
-        assert controller.reroute(demands=doubled).demands[(1, 6)] == doubled[(1, 6)]
+        scaled = {k: v * 1.05 for k, v in controller.demands.items()}
+        assert controller.reroute(demands=scaled).demands[(1, 6)] == scaled[(1, 6)]
         assert controller.failed_links == {("C1", "C5")}
         restored = controller.reroute(failed_links=[])
         assert controller.failed_links == frozenset()
@@ -268,7 +300,7 @@ class TestEventSequence:
         call rebuilds the standing model (one build) and answers what a
         model built for that matrix answers; a later scale-only change
         patches it again."""
-        controller = SnapController(campus_topology(), campus_program())
+        controller = SnapController(binding_campus(), campus_program())
         controller.submit()
         controller.fail_link("C1", "C5")
         calls = controller.backend.calls
@@ -282,14 +314,14 @@ class TestEventSequence:
         snap = apply(zeroed)
         assert calls["te_model_builds"] == builds + 1
         assert (1, 6) not in snap.routing.paths
-        reference = SnapController(campus_topology(), campus_program())
+        reference = SnapController(binding_campus(), campus_program())
         reference.submit()
-        reference.update_topology(campus_topology(), demands=zeroed)
+        reference.update_topology(binding_campus(), demands=zeroed)
         expected = reference.fail_link("C1", "C5")
         assert snap.objective == expected.objective
         assert snap.routing.paths == expected.routing.paths
         assert dict(snap.placement) == dict(expected.placement)
-        apply({flow: demand * 2 for flow, demand in zeroed.items()})
+        apply({flow: demand * 1.05 for flow, demand in zeroed.items()})
         assert calls["te_model_builds"] == builds + 1
 
     @pytest.mark.parametrize("event", [
@@ -402,7 +434,7 @@ class TestRoutingCertificates:
         )
         failed = controller.fail_link("C3", "C5")
         assert controller.backend.calls == {
-            "st_solves": 1, "te_model_builds": 0, "te_solves": 0,
+            "st_solves": 1, "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
         }
         assert failed.model_stats["solve_reused"] is True
         assert failed.routing is cold.routing and failed.rules is cold.rules
@@ -425,11 +457,11 @@ class TestRoutingCertificates:
         restored = controller.restore_link("C1", "C5")
         assert restored.model_stats["solve_reused"] is True
         assert restored.routing is cold.routing
-        assert controller.backend.calls["te_solves"] == 1
+        assert controller.backend.calls["te_walks"] == 1
         # A second failure of the same link reuses the TE certificate.
         again = controller.fail_link("C1", "C5")
         assert again.routing is failed.routing
-        assert controller.backend.calls["te_solves"] == 1
+        assert controller.backend.calls["te_walks"] == 1
 
     def test_demand_changes_force_a_solve(self):
         controller = SnapController(campus_topology(), campus_program())
@@ -437,14 +469,14 @@ class TestRoutingCertificates:
         controller.fail_link("C3", "C5")
         doubled = {k: v * 2 for k, v in controller.demands.items()}
         assert controller.set_demands(doubled).model_stats["solve_reused"] is False
-        assert controller.backend.calls["te_solves"] == 1
+        assert controller.backend.calls["te_walks"] == 1
         # The TE certificate just recorded covers an unused-link failure ...
         assert controller.fail_link("C4", "C6").model_stats["solve_reused"] is True
         # ... until the traffic matrix moves again.
         halved = {k: v / 2 for k, v in controller.demands.items()}
         snap = controller.reroute(demands=halved)
         assert snap.model_stats["solve_reused"] is False
-        assert controller.backend.calls["te_solves"] == 2
+        assert controller.backend.calls["te_walks"] == 2
 
     def test_span_says_which_events_solved(self, monkeypatch):
         monkeypatch.setattr(TRACER, "enabled", True)
@@ -837,17 +869,25 @@ class TestSolverStatus:
         controller = SnapController(
             campus_topology(), campus_program(), solver_time_limit=60.0
         )
-        for snapshot in (controller.submit(), controller.fail_link("C1", "C5")):
+        # The TE LP runs where the shortest walks do not fit.
+        binding = SnapController(
+            binding_campus(), campus_program(), solver_time_limit=60.0
+        )
+        binding.submit()
+        walked = controller.submit(), controller.fail_link("C1", "C5")
+        for snapshot in (*walked, binding.fail_link("C1", "C5")):
             solver = snapshot.model_stats["solver"]
             assert solver["status"] == 0
             assert "Optimal" in solver["message"]
+            assert set(solver) == {"status", "message", "mip_gap", "nodes", "lp_iterations"}
         # The ST MILP proves its gap at the root node; the TE LP has
-        # neither a gap nor nodes to report, only its simplex iterations.
-        st = controller.history()[0].model_stats["solver"]
+        # neither a gap nor nodes to report, only its simplex iterations;
+        # a certified walk ran no simplex at all.
+        st, walk = (s.model_stats["solver"] for s in walked)
         assert (st["mip_gap"], st["nodes"]) == (0.0, 1)
         assert (solver["mip_gap"], solver["nodes"]) == (None, None)
         assert st["lp_iterations"] > 0 and solver["lp_iterations"] > 0
-        assert set(solver) == {"status", "message", "mip_gap", "nodes", "lp_iterations"}
+        assert (walk["mip_gap"], walk["nodes"], walk["lp_iterations"]) == (None, None, 0)
 
     def test_time_limited_incumbent_is_distinguishable(self, monkeypatch):
         from repro.milp import modeling
@@ -870,7 +910,7 @@ class TestSolverStatus:
 
         monkeypatch.setattr(modeling, "run_highs", at_the_limit)
         controller = SnapController(
-            campus_topology(), campus_program(), solver_time_limit=0.5
+            binding_campus(), campus_program(), solver_time_limit=0.5
         )
         assert controller.submit().model_stats["solver"] == {
             "status": 1,
@@ -883,3 +923,9 @@ class TestSolverStatus:
         # is re-solved.
         assert controller.fail_link("C3", "C5").model_stats["solve_reused"] is False
         assert controller.fail_link("C1", "C5").model_stats["solver"]["status"] == 1
+        # A certified walk proves its own optimum, whatever the ST said.
+        walked = SnapController(
+            campus_topology(), campus_program(), solver_time_limit=0.5
+        )
+        walked.submit()
+        assert walked.fail_link("C1", "C5").model_stats["solver"]["status"] == 0

@@ -14,11 +14,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import dns_tunnel_program  # noqa: E402
+from test_te_program import binding_campus  # noqa: E402
 
 
 @pytest.fixture(scope="module")
 def compiled():
     controller = SnapController(campus_topology(), dns_tunnel_program(6))
+    cold = controller.submit()
+    return controller, cold
+
+
+@pytest.fixture(scope="module")
+def binding():
+    """Where the shortest walks do not fit, so link events solve the LP."""
+    controller = SnapController(binding_campus(), dns_tunnel_program(6))
     cold = controller.submit()
     return controller, cold
 
@@ -68,13 +77,15 @@ class TestIncrementalFailure:
         assert incremental.objective == pytest.approx(rebuilt.objective, rel=1e-6)
         controller.update_topology(campus_topology())
 
-    def test_repeated_fail_restore_cycles_are_idempotent(self, compiled):
+    def test_repeated_fail_restore_cycles_are_idempotent(self, binding):
         """Each fail/restore cycle patches the *same* standing model and
         lands on the same answer: restore reinstates the original variable
         bounds it recorded, instead of resetting them wholesale."""
-        controller, _ = compiled
-        controller.reroute(failed_links=[])  # ensure a standing model
+        controller, _ = binding
+        controller.fail_link("C1", "C5")  # ensure a standing model
+        controller.restore_link("C1", "C5")
         builds_before = controller.backend.calls["te_model_builds"]
+        assert builds_before == 1
         baseline = controller.reroute(failed_links=[])
         failed_objectives, restored_objectives = [], []
         for _ in range(3):
@@ -109,9 +120,10 @@ class TestIncrementalDemands:
         assert result.objective > base.objective
         controller.reroute(demands=dict(cold.demands))  # restore
 
-    def test_new_flow_set_rejected(self, compiled):
-        controller, cold = compiled
-        controller.reroute(failed_links=[])  # ensure standing model
+    def test_new_flow_set_rejected(self, binding):
+        controller, cold = binding
+        controller.reroute(failed_links=[("C1", "C5")])  # ensure standing model
+        controller.reroute(failed_links=[])
         bad = dict(controller.demands)
         bad.pop(sorted(bad)[0])
         with pytest.raises(PlacementError):

@@ -30,6 +30,7 @@ from repro.xfdd.incremental import CompileSession
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import composed_program, dns_tunnel_program  # noqa: E402
+from test_te_program import binding_campus  # noqa: E402
 
 from tests.reference_dependency import st_dep  # noqa: E402
 from tests.reference_packet_state import packet_state_mapping_paths  # noqa: E402
@@ -330,7 +331,8 @@ class TestShimSetters:
     mutators (what the removed ``Compiler`` shim's setters called)."""
 
     def test_program_setter_invalidates_standing_model(self):
-        controller = SnapController(campus_topology(), dns_tunnel_program(NUM_PORTS))
+        # Where the shortest walks do not fit, a link event builds the LP.
+        controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
         controller.submit()
         controller.fail_link("C1", "C5")
         assert controller._te_model is not None
@@ -338,9 +340,10 @@ class TestShimSetters:
         assert controller._te_model is None
 
     def test_topology_setter_resets_failures(self):
-        controller = SnapController(campus_topology(), dns_tunnel_program(NUM_PORTS))
+        controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
         controller.submit()
         controller.fail_link("C1", "C5")
+        assert controller._te_model is not None
         controller.replace_topology(campus_topology())
         assert controller.failed_links == frozenset()
         assert controller._te_model is None

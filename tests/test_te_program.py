@@ -14,6 +14,7 @@ from repro.analysis.dependency import DependencyInfo
 from repro.analysis.packet_state import PacketStateMapping
 from repro.milp.results import extract_paths
 from repro.milp.te import build_te_model
+from repro.topology.campus import campus_topology
 from repro.topology.graph import Topology
 
 from reference_milp import ReferenceInputs, ReferenceModel, assert_te_equivalent
@@ -27,6 +28,18 @@ def topology(links, ports) -> Topology:
         topo.add_link(a, b, capacity)
     for port, switch in ports.items():
         topo.attach_port(port, switch)
+    return topo
+
+
+def binding_campus():
+    """The campus with its core-core links cut to 250: under the default
+    traffic matrix the cheapest walks overload a core link whichever link
+    is down, so every TE event that is not a certificate's solves the
+    standing LP.  Failing ``C2``-``C6`` leaves no feasible routing."""
+    topo = campus_topology()
+    for a, b in topo.graph.edges:
+        if a.startswith("C") and b.startswith("C"):
+            topo.graph.edges[a, b]["capacity"] = 250.0
     return topo
 
 
