@@ -755,8 +755,9 @@ class SnapController:
         temporarily mutated to smuggle it in.  ``rules`` come with a
         routing that was validated when they were built (a solve-memo
         hit) — on this topology unless ``revalidate`` (a certificate
-        reused on a degraded graph); without them P6 extracts, validates
-        and builds.
+        reused on a degraded graph); a routing without them (certified
+        walks) is validated and built; with neither, P6 extracts,
+        validates and builds.
         """
         with timer.phase("P6"):
             if routing is None:

@@ -25,7 +25,7 @@ from repro.util.timer import PhaseTimer
 
 
 class MilpBackend:
-    """The exact ST MILP (Table 2) plus the TE LP."""
+    """The exact ST MILP (Table 2) plus TE by certified walks or the LP."""
 
     def __init__(self):
         self.calls = {

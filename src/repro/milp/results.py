@@ -7,7 +7,8 @@ provably visits every switch holding a state variable the flow needs (the
 visit constraint forces *all* flow through those switches); the rare
 shared-node decomposition artifact that breaks state *ordering* is
 repaired by re-stitching the path through the state switches in
-dependency order.
+dependency order, with the cheapest ``1/c`` segments (:class:`Segments`)
+that TE's certified walks are made of.
 """
 
 from __future__ import annotations
@@ -136,27 +137,26 @@ class Segments:
     def tree(self, source) -> tuple:
         """``(cost, predecessor)`` maps of every node reachable from ``source``."""
         tree = self._trees.get(source)
-        if tree is None and source not in self.rank:
-            tree = self._trees[source] = ({}, {})
-        if tree is None:
-            rank, adjacency = self.rank, self.graph.adj
-            cost, parent, settled = {source: 0.0}, {source: None}, set()
-            heap = [(0.0, rank[source], source)]
-            while heap:
-                here, _, node = heapq.heappop(heap)
-                if node in settled:
-                    continue
-                settled.add(node)
-                for succ, data in adjacency[node].items():
-                    total = here + 1.0 / data["capacity"]
-                    known = cost.get(succ)
-                    if known is None or total < known:
-                        cost[succ], parent[succ] = total, node
-                        heapq.heappush(heap, (total, rank[succ], succ))
-                    elif (total == known and succ not in settled
-                          and rank[node] < rank[parent[succ]]):
-                        parent[succ] = node
-            tree = self._trees[source] = (cost, parent)
+        if tree is not None:
+            return tree
+        rank, adjacency = self.rank, self.graph.adj
+        cost, parent, settled = {source: 0.0}, {source: None}, set()
+        heap = [(0.0, rank[source], source)] if source in rank else []
+        while heap:
+            here, _, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            for succ, data in adjacency[node].items():
+                total = here + 1.0 / data["capacity"]
+                known = cost.get(succ)
+                if known is None or total < known:
+                    cost[succ], parent[succ] = total, node
+                    heapq.heappush(heap, (total, rank[succ], succ))
+                elif (total == known and succ not in settled
+                      and rank[node] < rank[parent[succ]]):
+                    parent[succ] = node
+        tree = self._trees[source] = (cost, parent)
         return tree
 
     def cost(self, a, b) -> float:

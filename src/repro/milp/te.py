@@ -24,6 +24,8 @@ become one commodity per destination port, and a stateful flow tracks
 
 from __future__ import annotations
 
+import math
+
 from repro.analysis.dependency import DependencyInfo
 from repro.analysis.packet_state import PacketStateMapping
 from repro.milp.placement import PlacementInputs, PlacementModel, PlacementSolution
@@ -79,7 +81,7 @@ def shortest_walk_routing(
             return "inconsistent order"
         stops = [topology.ports[u], *waypoints, topology.ports[v]]
         cost = sum(segments.cost(a, b) for a, b in zip(stops, stops[1:]))
-        if cost == float("inf"):
+        if cost == math.inf:
             return "no path"
         if len(waypoints) > 1 and (
             cost - _cheapest_order(stops, before, segments.cost) > ORDER_TOLERANCE * cost
@@ -120,6 +122,6 @@ def _cheapest_order(stops, before, cost) -> float:
             for w in inner:
                 if w not in done and before[w] <= done:
                     key = (done | {w}, w)
-                    grown[key] = min(grown.get(key, float("inf")), total + cost(last, w))
+                    grown[key] = min(grown.get(key, math.inf), total + cost(last, w))
         best = grown
     return min(total + cost(last, stops[-1]) for (_, last), total in best.items())

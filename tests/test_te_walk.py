@@ -33,7 +33,7 @@ from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
 
 from snapbench_programs import WORKLOADS, workload
-from test_controller import campus_program
+from test_controller import campus_program, undirected_links
 from test_te_program import binding_campus, chorded_ring, funnel, topology
 
 
@@ -43,10 +43,6 @@ def problem(needed=None, dep=(), ports=(1, 2, 3)):
     graph = nx.DiGraph(list(dep))
     graph.add_nodes_from(sorted(mapping.all_state_vars()))
     return mapping, DependencyInfo(graph)
-
-
-def switch_links(topo) -> list:
-    return sorted({tuple(sorted((a, b))) for a, b, _ in topo.links()})
 
 
 class TestSegments:
@@ -108,7 +104,7 @@ def test_walks_equal_the_lp_on_every_failed_link(name):
     # A failure the intact optimum does not route over leaves it optimal.
     used = {frozenset(hop) for fractions in intact.routing.values() for hop in fractions}
     certified = 0
-    for a, b in switch_links(w.topology):
+    for a, b in undirected_links(w.topology):
         degraded = w.topology.without_link(a, b)
         walk = shortest_walk_routing(degraded, *args)
         model.fail_link(a, b)
@@ -125,7 +121,7 @@ def test_walks_equal_the_lp_on_every_failed_link(name):
             validate_solution(walk[1], degraded, cold.mapping, cold.dependencies)
             certified += 1
         model.restore_link(a, b)
-    assert certified >= len(switch_links(w.topology)) * 3 // 4
+    assert certified >= len(undirected_links(w.topology)) * 3 // 4
 
 
 @st.composite
@@ -183,10 +179,10 @@ import sys
 sys.path.insert(0, {tests!r})
 from repro.milp.te import shortest_walk_routing
 from test_milp_assembly import CASES, problem_inputs
-from test_te_walk import switch_links
+from test_controller import undirected_links
 topology, demands, mapping, dependencies = problem_inputs(*CASES["igen14-dns"]())
 placement = {{"orphan": "r12", "susp-client": "r12", "blacklist": "r2"}}
-for a, b in switch_links(topology):
+for a, b in undirected_links(topology):
     walk = shortest_walk_routing(
         topology.without_link(a, b), demands, mapping, dependencies, placement
     )
