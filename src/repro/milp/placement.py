@@ -3,8 +3,7 @@
 One routing commodity per OBS flow (u, v) with positive demand; binary
 placement variables ``P[s, n]``; auxiliary "passed s" flow ``PS`` used to
 enforce state-ordering.  Exactly the constraint system of Table 2 (for
-ST; with ``P`` fixed, TE solves a reduced form of it — see
-:class:`PlacementModel`):
+ST; TE is the same program with ``P`` pinned — see :class:`PlacementModel`):
 
 Routing (per flow uv):
     sum_j R[uv, u->j] = 1                       source emits all flow
@@ -41,7 +40,6 @@ from repro.analysis.dependency import DependencyInfo
 from repro.analysis.packet_state import PacketStateMapping
 from repro.lang.errors import PlacementError
 from repro.milp.modeling import Model, Solution
-from repro.milp.results import split_aggregate
 from repro.topology.graph import Topology, port_node
 
 #: Demands at or below this are no flow (see :meth:`PlacementInputs.flows_of`).
@@ -196,34 +194,26 @@ class _Rows:
         return keys
 
 
-ROUTING, CAPACITY, PLACEMENT, VISIT, PASSED, AGGREGATE = range(6)
+ROUTING, CAPACITY, PLACEMENT, VISIT, PASSED = range(5)
 
 
 class PlacementModel:
     """The built program plus the column layout for patching and extraction.
 
-    **ST** (``fixed_placement`` is None) is Table 2 verbatim.  Columns:
-    ``P[s, n]`` (state-major), then ``R[f, l]`` over the set bits of
-    ``inputs.mask`` (flow-major), then ``PS[s, f, l]`` per (flow, tracked
-    variable) over the flow's links.  Rows: routing per flow, link
-    capacity, placement, visit, then per (flow, variable) the PS
+    Table 2 verbatim.  Columns: ``P[s, n]`` (state-major), then ``R[f, l]``
+    over the set bits of ``inputs.mask`` (flow-major), then ``PS[s, f, l]``
+    per (flow, tracked variable) over the flow's links.  Rows: routing per
+    flow, link capacity, placement, visit, then per (flow, variable) the PS
     coupling / source / sink / conservation / ordering rows.  The order is
     the row-by-row builder's (``tests/reference_milp.py``) and is pinned:
     among equally cheap optima HiGHS's answer depends on it.
 
-    **TE** (placement fixed) is Table 2 with ``P`` a constant, made
-    smaller by two reductions a constant ``P`` allows (why each keeps the
-    optimum: docs/performance.md, "The TE program"):
-
-    * a variable *is* its switch, so a flow tracks one ``PS`` family per
-      waypoint switch (carrying the ordering rows of every variable
-      there) instead of one per variable, and an ordering pair is the
-      single row at the later switch that is not trivially true;
-    * a flow that needs no state has routing rows only, so all such flows
-      to one port are one commodity ``Y[t, l]`` over the switch-switch
-      links, in demand units: supplies at the sources' switches, the sink
-      at ``t``'s, coefficient 1 in the capacity rows.  :meth:`solve`
-      peels each aggregate back into per-flow fractions.
+    **ST** (``fixed_placement`` is None) solves it as a MILP.  **TE** is
+    the same arrays with every ``P`` column pinned to the given placement
+    (1 at the owner, 0 elsewhere) and no column integer: an LP whose
+    optimum is Table 2's with ``P`` a constant.  A variable whose owner is
+    not in ``stateful_switches`` has no column to pin to 1, so its
+    placement row makes the program infeasible.
     """
 
     def __init__(self, inputs: PlacementInputs, fixed_placement: dict | None = None):
@@ -231,14 +221,17 @@ class PlacementModel:
         self.fixed_placement = (
             dict(fixed_placement) if fixed_placement is not None else None
         )
-        self.model = Model("snap-te" if fixed_placement else "snap-st")
+        self.model = Model("snap-st" if fixed_placement is None else "snap-te")
         #: link -> the (lb, ub) of its routing columns, recorded by
         #: :meth:`fail_link` so :meth:`restore_link` reinstates exactly those.
         self._saved_bounds: dict = {}
-        #: TE only: how many flows kept columns of their own, how many were
-        #: aggregated into how many destinations, and the PS family count.
-        self.te_commodities: dict | None = None
+        if fixed_placement is not None:
+            missing = [s for s in inputs.state_vars if s not in fixed_placement]
+            if missing:
+                raise PlacementError(f"fixed placement missing variables {missing}")
         self._build()
+        if fixed_placement is not None:
+            self._pin_placement()
 
     def _build(self) -> None:
         inputs = self.inputs
@@ -251,39 +244,15 @@ class PlacementModel:
         S, K = len(state_vars), len(switches)
         k = np.arange(K)
         inner, on_switch = ~inputs.is_port, rank >= 0
-        tracked = [inputs.ps_vars[flow] for flow in flows]
+        mask, item = inputs.mask, inputs.state_id
 
         # -- columns ----------------------------------------------------------
-        #: ST: the (state x switch) table of P[s, n] columns; what a flow
-        #: tracks (``item``) is the variable, and every flow has R columns.
-        #: TE: P is a constant, so the item is the rank of the variable's
-        #: switch (-1: outside ``stateful_switches`` — no visit row, no
-        #: injection), and only the flows that track something — or are
-        #: malformed (hairpin, unattached port: infeasible in Table 2, and
-        #: kept so) — have R columns; the rest are aggregated below.
-        P = None
-        if self.fixed_placement is None:
-            first = model.add_vars(
-                S * K, 0.0, 1.0, integer=True,
-                name=lambda i: f"P[{state_vars[i // K]},{switches[i % K]}]",
-            )
-            P = first + np.arange(S * K).reshape(S, K)
-            item = inputs.state_id
-            own = np.ones(len(flows), dtype=bool)
-        else:
-            missing = [s for s in state_vars if s not in self.fixed_placement]
-            if missing:
-                raise PlacementError(f"fixed placement missing variables {missing}")
-            item = {
-                s: inputs.switch_id.get(self.fixed_placement[s], -1) for s in state_vars
-            }
-            routable = (
-                (inputs.flow_src >= 0) & (inputs.flow_dst >= 0)
-                & (inputs.flow_src != inputs.flow_dst)
-            )
-            own = ~routable | np.array([bool(needs) for needs in tracked], dtype=bool)
-        self._place_index = P
-        mask = inputs.mask & own[:, None]
+        # P[s, n]: the (state x switch) table.
+        first = model.add_vars(
+            S * K, 0.0, 1.0, integer=True,
+            name=lambda i: f"P[{state_vars[i // K]},{switches[i % K]}]",
+        )
+        P = self._place_index = first + np.arange(S * K).reshape(S, K)
 
         # R[f, l]: one column per set bit of the mask, flow-major.
         f, l = np.nonzero(mask)
@@ -293,39 +262,29 @@ class PlacementModel:
         )
         self._routes = slice(first, first + f.size)
         r = np.arange(first, first + f.size)
-        #: (flow x link) -> routing column, -1 where the flow may not use
-        #: it or (TE) has no column of its own.
+        #: (flow x link) -> routing column, -1 where the flow may not use it.
         self.route_index = np.full(mask.shape, -1, dtype=np.intp)
         self.route_index[f, l] = r
 
-        # The sorted (flow, item) ``pairs``, and the ``orderings``
-        # (pair, later item) for the dependencies (s, t) a flow must honour.
+        # The sorted (flow, variable) ``pairs``, and the ``orderings``
+        # (pair, later variable) for the dependencies (s, t) a flow must honour.
         pairs, orderings = [], []
-        for i, needs in enumerate(tracked):
-            items = sorted({item[s] for s in needs})
-            position = {w: len(pairs) + j for j, w in enumerate(items)}
-            pairs += [(i, w) for w in items]
+        for i, needs in enumerate(inputs.ps_vars[flow] for flow in flows):
+            position = {item[s]: len(pairs) + j for j, s in enumerate(needs)}
+            pairs += [(i, item[s]) for s in needs]
             orderings += [
                 (position[item[s]], item[t])
                 for s, t in inputs.dep_pairs if s in needs and t in needs
             ]
-        if P is None:
-            # Variables on one switch are one family (ordering among them
-            # is vacuous), and dependencies between the same two switches
-            # are the same row.
-            orderings = sorted(
-                {(pair, w) for pair, w in orderings if w >= 0 and w != pairs[pair][1]}
-            )
         pflow, pitem = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         opair, later = np.array(orderings, dtype=np.intp).reshape(-1, 2).T
 
-        # PS[item, f, l]: a pair's columns mirror its flow's R columns.
+        # PS[s, f, l]: a pair's columns mirror its flow's R columns.
         def ps_name(i):
             # Recomputed per call: a name is for a message, and the model
             # should not keep per-column arrays alive for it.
             q, ql = np.nonzero(mask[pflow])
-            tracked_names = state_vars if P is not None else (*switches, None)
-            return f"PS[{tracked_names[pitem[q[i]]]},{flows[pflow[q[i]]]},{links[ql[i]]}]"
+            return f"PS[{state_vars[pitem[q[i]]]},{flows[pflow[q[i]]]},{links[ql[i]]}]"
 
         q, ql = np.nonzero(mask[pflow])
         ps = np.arange(q.size) + model.add_vars(q.size, 0.0, 1.0, name=ps_name)
@@ -335,7 +294,6 @@ class PlacementModel:
         # -- rows ---------------------------------------------------------------
         rows = _Rows()
         key = rows.key
-        y, yl = self._build_aggregates(rows, ~own)
 
         # Table 2, left column.  Per flow: the source emits all of it and
         # takes none back, the sink absorbs all and emits none ...
@@ -345,7 +303,7 @@ class PlacementModel:
             (b, inputs.flow_dst, 1.0), (a, inputs.flow_dst, 0.0),
         ]
         for kind, (end, terminal, rhs) in enumerate(ends):
-            rows.add(key(ROUTING, np.nonzero(own)[0], kind), rhs, rhs)
+            rows.add(key(ROUTING, np.arange(len(flows)), kind), rhs, rhs)
             at = end == terminal[f]
             rows.put(key(ROUTING, f[at], kind), r[at], 1.0)
         # ... and per inner node, conservation (if it has a usable edge),
@@ -363,61 +321,48 @@ class PlacementModel:
         rows.put(key(ROUTING, f[out_of], 4, 2 * a[out_of]), r[out_of], -1.0)
         rows.put(key(ROUTING, f[into], 4, 2 * b[into] + 1), r[into], 1.0)
 
-        # Link capacity: sum_uv d_uv R[uv, ij] (+ sum_t Y[t, ij]) <= c_ij.
-        used = mask.any(axis=0)
-        used[yl] = True
-        capped = used & np.isfinite(inputs.capacity)
+        # Link capacity: sum_uv d_uv R[uv, ij] <= c_ij.
+        capped = mask.any(axis=0) & np.isfinite(inputs.capacity)
         rows.add(key(CAPACITY, np.nonzero(capped)[0]), -np.inf, inputs.capacity[capped])
         on = capped[l]
         rows.put(key(CAPACITY, l[on]), r[on], inputs.demand_vector()[f[on]])
-        on = capped[yl]
-        rows.put(key(CAPACITY, yl[on]), y[on], 1.0)
 
-        # Table 2, right column: placement (ST only).
-        if P is not None:
-            # Each s on exactly one switch.
-            rows.add(key(PLACEMENT, 0, 0, np.arange(S)), 1.0, 1.0)
-            rows.put(key(PLACEMENT, 0, 0, np.repeat(np.arange(S), K)), P.ravel(), 1.0)
-            # Tied variables share a switch: P[s, n] - P[t, n] = 0.
-            tied = np.array(
-                [(item[s], item[t]) for s, t in inputs.tied_pairs], dtype=np.intp
-            ).reshape(-1, 2)
-            every = key(PLACEMENT, 1, 0, np.arange(len(tied) * K))
-            rows.add(every, 0.0, 0.0)
-            rows.put(every, P[tied[:, 0]].ravel(), 1.0)
-            rows.put(every, P[tied[:, 1]].ravel(), -1.0)
-            # Optional switch-memory budget (§7.3 extension).
-            budgets = [
-                (inputs.switch_id[n], float(capacity))
-                for n, capacity in inputs.state_capacity.items()
-                if n in inputs.switch_id
-            ]
-            hosts = np.array([n for n, _ in budgets], dtype=np.intp)
-            rows.add(
-                key(PLACEMENT, 2, 0, np.arange(hosts.size)),
-                -np.inf, np.array([capacity for _, capacity in budgets]),
-            )
-            rows.put(
-                key(PLACEMENT, 2, 0, np.repeat(np.arange(hosts.size), S)),
-                P[:, hosts].T.ravel(), 1.0,
-            )
+        # Table 2, right column: each s on exactly one switch.
+        rows.add(key(PLACEMENT, 0, 0, np.arange(S)), 1.0, 1.0)
+        rows.put(key(PLACEMENT, 0, 0, np.repeat(np.arange(S), K)), P.ravel(), 1.0)
+        # Tied variables share a switch: P[s, n] - P[t, n] = 0.
+        tied = np.array(
+            [(item[s], item[t]) for s, t in inputs.tied_pairs], dtype=np.intp
+        ).reshape(-1, 2)
+        every = key(PLACEMENT, 1, 0, np.arange(len(tied) * K))
+        rows.add(every, 0.0, 0.0)
+        rows.put(every, P[tied[:, 0]].ravel(), 1.0)
+        rows.put(every, P[tied[:, 1]].ravel(), -1.0)
+        # Optional switch-memory budget (§7.3 extension).
+        budgets = [
+            (inputs.switch_id[n], float(capacity))
+            for n, capacity in inputs.state_capacity.items()
+            if n in inputs.switch_id
+        ]
+        hosts = np.array([n for n, _ in budgets], dtype=np.intp)
+        rows.add(
+            key(PLACEMENT, 2, 0, np.arange(hosts.size)),
+            -np.inf, np.array([capacity for _, capacity in budgets]),
+        )
+        rows.put(
+            key(PLACEMENT, 2, 0, np.repeat(np.arange(hosts.size), S)),
+            P[:, hosts].T.ravel(), 1.0,
+        )
 
         # Flows visit the switches of the variables they need:
-        # sum_i R[uv, i->n] >= P[s, n] — per (flow, s) a row per stateful
-        # switch (ST), or per (flow, switch) the one row there (TE).
-        if P is not None:
-            every = key(VISIT, np.repeat(np.arange(pflow.size), K), 0, np.tile(k, pflow.size))
-            rows.add(every, 0.0, np.inf)
-            rows.put(every, P[pitem].ravel(), -1.0)
-            v, vl = np.nonzero(mask[pflow] & on_switch[head])
-            rows.put(key(VISIT, v, 0, rank[head[vl]]), self.route_index[pflow[v], vl], 1.0)
-        else:
-            waypoint = np.append(inputs.switch_node, -1)[pitem]
-            rows.add(key(VISIT, np.nonzero(pitem >= 0)[0]), 1.0, np.inf)
-            v, vl = np.nonzero(mask[pflow] & (head == waypoint[:, None]))
-            rows.put(key(VISIT, v), self.route_index[pflow[v], vl], 1.0)
+        # sum_i R[uv, i->n] >= P[s, n], per (flow, s) a row per stateful switch.
+        every = key(VISIT, np.repeat(np.arange(pflow.size), K), 0, np.tile(k, pflow.size))
+        rows.add(every, 0.0, np.inf)
+        rows.put(every, P[pitem].ravel(), -1.0)
+        v, vl = np.nonzero(mask[pflow] & on_switch[head])
+        rows.put(key(VISIT, v, 0, rank[head[vl]]), self.route_index[pflow[v], vl], 1.0)
 
-        # "Passed s", per (flow, item).  PS <= R, link for link ...
+        # "Passed s", per (flow, s).  PS <= R, link for link ...
         a, b = tail[ql], head[ql]
         coupling = key(PASSED, q, 0, ql)
         rows.add(coupling, -np.inf, 0.0)
@@ -432,109 +377,41 @@ class PlacementModel:
         at = b == inputs.flow_dst[pflow[q]]
         rows.put(key(PASSED, q[at], 2), ps[at], 1.0)
         # ... conservation at inner nodes, growing by P[s, n] at s's switch
-        # (ST: a term of every stateful switch's row, edges or not) ...
-        cq, cn = np.nonzero(inner & (has_edge[pflow] | (on_switch if P is not None else False)))
-        grows = 0.0 if P is not None else (waypoint[cq] == cn).astype(float)
-        rows.add(key(PASSED, cq, 3, cn), grows, grows)
+        # (a term of every stateful switch's row, edges or not) ...
+        cq, cn = np.nonzero(inner & (has_edge[pflow] | on_switch))
+        rows.add(key(PASSED, cq, 3, cn), 0.0, 0.0)
         out_of, into = inner[a], inner[b]
         rows.put(key(PASSED, q[out_of], 3, a[out_of]), ps[out_of], 1.0)
         rows.put(key(PASSED, q[into], 3, b[into]), ps[into], -1.0)
+        at = on_switch[cn]
+        rows.put(key(PASSED, cq[at], 3, cn[at]), P[pitem[cq[at]], rank[cn[at]]], -1.0)
         # ... and ordering: for (s, t) in dep with t needed, at every
-        # stateful switch P[s, n] + sum_i PS[s, uv, i->n] >= P[t, n] —
-        # which with P fixed says something only at t's switch.
-        if P is not None:
-            at = on_switch[cn]
-            rows.put(key(PASSED, cq[at], 3, cn[at]), P[pitem[cq[at]], rank[cn[at]]], -1.0)
-            every = key(PASSED, np.repeat(opair, K), 4, (later[:, None] * K + k).ravel())
-            rows.add(every, 0.0, np.inf)
-            rows.put(every, P[pitem[opair]].ravel(), 1.0)
-            rows.put(every, P[later].ravel(), -1.0)
-            o, ol = np.nonzero(mask[pflow[opair]] & on_switch[head])
-            rows.put(
-                key(PASSED, opair[o], 4, later[o] * K + rank[head[ol]]),
-                ps_index[opair[o], ol], 1.0,
-            )
-        else:
-            rows.add(key(PASSED, opair, 4, later), 1.0, np.inf)
-            o, ol = np.nonzero(
-                mask[pflow[opair]] & (head == inputs.switch_node[later][:, None])
-            )
-            rows.put(key(PASSED, opair[o], 4, later[o]), ps_index[opair[o], ol], 1.0)
+        # stateful switch P[s, n] + sum_i PS[s, uv, i->n] >= P[t, n].
+        every = key(PASSED, np.repeat(opair, K), 4, (later[:, None] * K + k).ravel())
+        rows.add(every, 0.0, np.inf)
+        rows.put(every, P[pitem[opair]].ravel(), 1.0)
+        rows.put(every, P[later].ravel(), -1.0)
+        o, ol = np.nonzero(mask[pflow[opair]] & on_switch[head])
+        rows.put(
+            key(PASSED, opair[o], 4, later[o] * K + rank[head[ol]]),
+            ps_index[opair[o], ol], 1.0,
+        )
 
         keys = rows.emit(model)
-        #: the capacity rows are one contiguous block: [first, stop) ...
+        #: the capacity rows are one contiguous block: [first, stop).
         self._capacity_block = np.searchsorted(keys, [key(CAPACITY), key(PLACEMENT)])
-        #: ... and the aggregates' conservation rows are the last one.
-        self._supply_rows = slice(np.searchsorted(keys, key(AGGREGATE)), keys.size)
         model.cost[self._routes] = self._route_costs()
-        model.cost[y] = 1.0 / inputs.capacity[yl]
-        if P is None:
-            self.te_commodities = {
-                "stateful_flows": int(own.sum()),
-                "aggregated_flows": int((~own).sum()),
-                "destinations": len(self._aggregate_index),
-                "waypoint_families": len(pairs),
-            }
 
-    def _build_aggregates(self, rows: _Rows, aggregated: np.ndarray):
-        """Columns and conservation rows of the per-destination commodities.
-
-        ``Y[t, l]`` carries, in demand units, every ``aggregated`` flow
-        to port ``t`` over the switch-switch links: at each switch what
-        leaves minus what enters is what the sources attached there
-        supply (less the whole commodity at ``t``'s switch).  Returns the
-        columns and, entry for entry, their links.
-        """
-        inputs = self.inputs
-        tail, head = inputs.link_src, inputs.link_dst
-        inner = ~inputs.is_port
-        # The switch each port node hangs off.
-        attached = np.full(len(inputs.nodes), -1, dtype=np.intp)
-        attached[tail[~inner[tail]]] = head[~inner[tail]]
-
-        members = np.nonzero(aggregated)[0]
-        ports = sorted({inputs.flows[i][1] for i in members})
-        commodity = {port: j for j, port in enumerate(ports)}
-        #: per aggregated flow: its index, commodity, ingress and egress switch.
-        self._aggregated = (
-            members,
-            np.array([commodity[inputs.flows[i][1]] for i in members], dtype=np.intp),
-            attached[inputs.flow_src[members]],
-            attached[inputs.flow_dst[members]],
-        )
-
-        core = np.nonzero(inner[tail] & inner[head])[0]
-        D, E = len(ports), core.size
-        first = self.model.add_vars(
-            D * E, 0.0, np.inf,
-            name=lambda i: f"Y[{ports[i // E]},{inputs.links[core[i % E]]}]",
-        )
-        y, yl = first + np.arange(D * E), np.tile(core, D)
-        #: (commodity x link) -> aggregate column, -1 on port links.
-        self._aggregate_index = np.full((D, len(inputs.links)), -1, dtype=np.intp)
-        self._aggregate_index[:, core] = y.reshape(D, E)
-
-        switches = np.nonzero(inner)[0]
-        supplies = self._supplies()
-        rows.add(
-            rows.key(AGGREGATE, np.repeat(np.arange(D), switches.size), 0,
-                     np.tile(switches, D)),
-            supplies, supplies,
-        )
-        j = np.repeat(np.arange(D), E)
-        rows.put(rows.key(AGGREGATE, j, 0, tail[yl]), y, 1.0)
-        rows.put(rows.key(AGGREGATE, j, 0, head[yl]), y, -1.0)
-        return y, yl
-
-    def _supplies(self) -> np.ndarray:
-        """Per (commodity, switch), in the conservation rows' order: the
-        demand entering the aggregate there minus the demand leaving it."""
-        members, commodity, ingress, egress = self._aggregated
-        demand = self.inputs.demand_vector()[members]
-        supplies = np.zeros((len(self._aggregate_index), len(self.inputs.nodes)))
-        np.add.at(supplies, (commodity, ingress), demand)
-        np.add.at(supplies, (commodity, egress), -demand)
-        return supplies[:, ~self.inputs.is_port].ravel()
+    def _pin_placement(self) -> None:
+        """TE: fix every ``P[s, n]`` to the given placement; an LP remains."""
+        inputs, model = self.inputs, self.model
+        pinned = np.zeros(self._place_index.shape)
+        for s, i in inputs.state_id.items():
+            k = inputs.switch_id.get(self.fixed_placement[s])
+            if k is not None:
+                pinned[i, k] = 1.0
+        model.lb[self._place_index] = model.ub[self._place_index] = pinned
+        model.integrality[:] = 0
 
     def _route_costs(self) -> np.ndarray:
         """Objective: total link utilization sum R[uv, ij] * d_uv / c_ij
@@ -548,8 +425,7 @@ class PlacementModel:
     # -- incremental updates (§6.2.2) ---------------------------------------------
 
     def route_var(self, flow, link):
-        """The column of ``R[flow, link]``; None if the flow may not use
-        the link or (TE) is routed inside an aggregate."""
+        """The column of ``R[flow, link]``; None if the flow may not use the link."""
         inputs = self.inputs
         if link not in inputs.link_id:
             return None
@@ -557,13 +433,11 @@ class PlacementModel:
         return col if col >= 0 else None
 
     def _link_columns(self, a: str, b: str):
-        """Per direction of the link, its R and Y columns."""
+        """Per direction of the link, its R columns."""
         for link in ((a, b), (b, a)):
             index = self.inputs.link_id.get(link)
             if index is not None:
-                cols = np.concatenate(
-                    [self.route_index[:, index], self._aggregate_index[:, index]]
-                )
+                cols = self.route_index[:, index]
                 yield link, cols[cols >= 0]
 
     def fail_link(self, a: str, b: str) -> None:
@@ -597,8 +471,7 @@ class PlacementModel:
         """Patch the traffic matrix in place (same flow set required).
 
         Rewrites the demand coefficients of the capacity rows inside the
-        assembled matrix, the cost vector, and the aggregates' supplies;
-        nothing is regenerated.
+        assembled matrix and the cost vector; nothing is regenerated.
         """
         flows, new_flows = self.inputs.flows, self.inputs.flows_of(new_demands)
         if new_flows != flows:
@@ -612,12 +485,10 @@ class PlacementModel:
         matrix = self.model.matrix
         first, stop = self._capacity_block
         entries = np.arange(matrix.indptr[first], matrix.indptr[stop])
-        entries = entries[matrix.indices[entries] < self._routes.stop]  # not Y's
         matrix.data[entries] = self.inputs.demand_vector()[
             self._route_flow[matrix.indices[entries] - self._routes.start]
         ]
         self.model.cost[self._routes] = self._route_costs()
-        self.model.lo[self._supply_rows] = self.model.hi[self._supply_rows] = self._supplies()
 
     # -- solving -----------------------------------------------------------------
 
@@ -655,38 +526,15 @@ class PlacementModel:
             values[used].tolist(),
         ):
             routing[inputs.flows[f]][inputs.links[l]] = value
-        # Each aggregate, peeled into its flows (sources in sorted order)
-        # with the two port links a flow of its own would have used.
-        members, commodity, ingress, egress = self._aggregated
-        demand = inputs.demand_vector()
-        for j, columns in enumerate(self._aggregate_index):
-            of = commodity == j
-            on = np.nonzero(columns >= 0)[0]
-            split = split_aggregate(
-                dict(zip(
-                    (inputs.links[l] for l in on),
-                    solution.value_array()[columns[on]].tolist(),
-                )),
-                inputs.nodes[egress[of][0]],
-                [(inputs.nodes[n], demand[i]) for i, n in zip(members[of], ingress[of])],
-            )
-            for i, n, m, fractions in zip(members[of], ingress[of], egress[of], split):
-                u, v = inputs.flows[i]
-                fractions[port_node(u), inputs.nodes[n]] = 1.0
-                fractions[inputs.nodes[m], port_node(v)] = 1.0
-                routing[(u, v)] = fractions
         return routing
 
     def stats(self) -> dict:
         """The program's size, as a snapshot's ``model_stats`` records it."""
-        stats = {
+        return {
             "variables": self.model.num_vars,
             "integer_variables": self.model.num_integer_vars,
             "constraints": self.model.num_constraints,
         }
-        if self.te_commodities is not None:
-            stats["te_commodities"] = dict(self.te_commodities)
-        return stats
 
 
 class PlacementSolution:

@@ -20,17 +20,18 @@ from repro.lang.errors import PlacementError
 from repro.topology.graph import Topology, port_node
 
 
-def _peel(residual: dict, source: str, sink: str, amount: float = float("inf")):
-    """Take up to ``amount`` of source->sink path flow out of ``residual``.
+def decompose_flow(fractions: dict, source: str, sink: str):
+    """Decompose edge fractions into simple paths with weights.
 
-    Repeatedly find a path over positive-residual edges (BFS — flow
-    conservation guarantees one exists while residual flow remains) and
-    subtract the bottleneck.  Returns ``(path_nodes, weight)`` in the
-    order found; ``residual`` is updated in place.
+    Standard flow decomposition: repeatedly find a path over
+    positive-residual edges (BFS — flow conservation guarantees one exists
+    while residual flow remains) and subtract the bottleneck.  Returns a
+    list of ``(path_nodes, weight)`` sorted by descending weight.
     """
+    residual = {e: f for e, f in fractions.items() if f > 1e-9}
     paths = []
     for _ in range(1000):
-        if amount <= 1e-9 or not residual or source == sink:
+        if not residual or source == sink:
             break
         adjacency: dict = {}
         for i, j in residual:
@@ -52,49 +53,14 @@ def _peel(residual: dict, source: str, sink: str, amount: float = float("inf")):
             path.append(parent[path[-1]])
         path.reverse()
         hops = list(zip(path, path[1:]))
-        bottleneck = min(amount, min(residual[hop] for hop in hops))
+        bottleneck = min(residual[hop] for hop in hops)
         for hop in hops:
             residual[hop] -= bottleneck
             if residual[hop] <= 1e-9:
                 del residual[hop]
-        amount -= bottleneck
         paths.append((tuple(path), bottleneck))
-    return paths
-
-
-def decompose_flow(fractions: dict, source: str, sink: str):
-    """Decompose edge fractions into simple paths with weights.
-
-    Standard flow decomposition (:func:`_peel` until nothing is left);
-    returns a list of ``(path_nodes, weight)`` sorted by descending weight.
-    """
-    paths = _peel({e: f for e, f in fractions.items() if f > 1e-9}, source, sink)
     paths.sort(key=lambda p: -p[1])
     return paths
-
-
-def split_aggregate(volumes: dict, sink: str, sources) -> list:
-    """Per-source link fractions of a single-sink aggregate.
-
-    ``volumes`` maps each link to the aggregate's volume on it and
-    ``sources`` lists the ``(node, volume)`` supplies.  Each source in
-    turn takes its volume out of what the earlier ones left, along the
-    paths :func:`decompose_flow` walks (conservation of the aggregate
-    guarantees they exist); what remains at the end is circulation.
-    Returns one ``{link: fraction}`` per source, fractions of that
-    source's volume.
-    """
-    total = sum(volume for _, volume in sources)
-    residual = {e: v / total for e, v in volumes.items() if v > 1e-9 * total}
-    split = []
-    for node, volume in sources:
-        share = volume / total
-        fractions: dict = {}
-        for path, weight in _peel(residual, node, sink, share):
-            for hop in zip(path, path[1:]):
-                fractions[hop] = fractions.get(hop, 0.0) + weight / share
-        split.append(fractions)
-    return split
 
 
 def _state_sequence(flow, mapping, dependencies, placement):

@@ -14,12 +14,10 @@ every capacity and take the cheapest order, they are feasible for Table 2
 and cost exactly the relaxation's bound, hence optimal: no LP is built.
 
 Otherwise the event solves the standing LP of :func:`build_te_model`
-cold (presolve off, see :meth:`~repro.milp.modeling.Model.solve`), so a
-smaller program is a cheaper event.  A constant ``P`` allows two
-reductions that leave the optimum where Table 2 puts it (see
-:class:`~repro.milp.placement.PlacementModel`): flows that need no state
-become one commodity per destination port, and a stateful flow tracks
-"passed" per waypoint switch rather than per variable.
+cold (presolve off, see :meth:`~repro.milp.modeling.Model.solve`): the
+ST program's arrays with every ``P`` column pinned to the placement (see
+:class:`~repro.milp.placement.PlacementModel`), Table 2 with ``P`` a
+constant.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ constraint, assembled into a canonical CSR by walking every row.  It is
 slow and it is the specification: ``tests/test_milp_assembly.py`` asserts
 that the vectorised builder in ``src/repro/milp/placement.py`` hands HiGHS
 an array-equal ST problem (same column order, same row order, same
-coefficients), cold and after every patch, and a TE program — smaller
-than this module's, which is Table 2 with ``P`` fixed and nothing else —
-with the same optimum (:func:`assert_te_equivalent`).  Nothing in
+coefficients), cold and after every patch, and a TE program array-equal
+to this module's ST program with its ``P`` bounds pinned, whose optimum
+is this module's TE program's — Table 2 with ``P`` a constant
+(:func:`assert_te_equivalent`).  Nothing in
 ``src/`` imports this module; do not "fix" or speed it up.
 """
 
@@ -245,7 +246,7 @@ class ReferenceModel:
         self.fixed_placement = (
             dict(fixed_placement) if fixed_placement is not None else None
         )
-        self.model = Model("snap-te" if fixed_placement else "snap-st")
+        self.model = Model("snap-st" if fixed_placement is None else "snap-te")
         self.route_vars: dict = {}
         self.place_vars: dict = {}
         #: (flow, link) -> original bounds, recorded by :meth:`fail_link`
@@ -534,7 +535,7 @@ def reference_optimum(reference: ReferenceModel):
 
 
 def assert_te_equivalent(model, reference: ReferenceModel, failed=()):
-    """``model`` (the reduced TE program) answers as ``reference`` does.
+    """``model`` (a TE program) answers as ``reference`` does.
 
     Both are infeasible, or: the optima agree to 1e-9; every OBS flow's
     ``routing[flow]`` is a unit flow from its port to its port on no

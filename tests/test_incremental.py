@@ -156,12 +156,8 @@ class TestModelPatchingDirect:
 
     @staticmethod
     def _own_column(model, link):
-        """A column of a flow that has its own (a stateful one: the
-        stateless flows ride per-destination aggregates)."""
-        flow = next(f for f in model.inputs.flows if model.inputs.ps_vars[f])
-        stateless = next(f for f in model.inputs.flows if not model.inputs.ps_vars[f])
-        assert model.route_var(stateless, link) is None
-        return model.route_var(flow, link)
+        """The routing column of the first flow on ``link``."""
+        return model.route_var(model.inputs.flows[0], link)
 
     def test_fail_and_restore_roundtrip(self, compiled):
         model = self._model(compiled)

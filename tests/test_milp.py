@@ -263,6 +263,16 @@ class TestTE:
         with pytest.raises(PlacementError):
             build_te_model(topo, demands, mapping, deps, {})
 
+    def test_a_stateless_programs_te_model_is_named_snap_te(self):
+        # A stateless program's placement is {}: still a TE model, so its
+        # solver errors name the TE program.
+        topo = line_topology(3)
+        deps, mapping, _ = build_case(ast.Mod("outport", 2), topo)
+        model = build_te_model(topo, {(1, 2): 0.0}, mapping, deps, {})
+        assert model.model.name == "snap-te"
+        with pytest.raises(PlacementError, match="^snap-te:"):
+            model.solve()
+
     def test_te_reroutes_around_failure(self):
         # Square: two paths between ports; failing one must shift traffic.
         topo = Topology("square")

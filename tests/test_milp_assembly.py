@@ -5,10 +5,12 @@ verbatim, for ST and for TE.  **ST**, cold and after every kind of patch:
 the objective, canonical CSR, row bounds, variable bounds and integrality
 must be array-equal — same column order, same row order — because among
 equally cheap optima HiGHS's answer depends on the order it is handed.
-**TE** is a smaller program (per-destination aggregates, PS per waypoint
-switch), so there the contract is the optimum: equal to the reference's
-to 1e-9, cold and after every patch, with a routing that is a unit flow
-per OBS flow, inside every capacity, off every failed link.
+**TE** is the ST program with its ``P`` columns pinned, so its arrays
+must equal the reference ST model's with ``place_vars`` pinned the same
+way (:func:`pinned_st`); and its optimum must equal the reference's own
+constant-``P`` TE program's to 1e-9, cold and after every patch, with a
+routing that is a unit flow per OBS flow, inside every capacity, off
+every failed link.
 """
 
 import json
@@ -138,6 +140,16 @@ def both(case, placement=None, **input_options):
     )
 
 
+def pinned_st(case, placement, **input_options) -> ReferenceModel:
+    """The reference ST program with every ``P[s, n]`` pinned to
+    ``placement`` and no column integer: what a TE model hands HiGHS."""
+    reference = ReferenceModel(ReferenceInputs(*case, **input_options))
+    for (s, n), var in reference.place_vars.items():
+        var.lower = var.upper = float(placement[s] == n)
+        var.integer = False
+    return reference
+
+
 def some_placement(case, offset=0):
     """A fixed placement that spreads variables over distinct switches."""
     topology, _, mapping, dependencies = case
@@ -153,10 +165,11 @@ class TestAssemblyOracle:
         assert_same_problem(*both(case))
 
     def test_te(self, case, te_placements):
-        feasible = [
-            assert_te_equivalent(*both(case, placement)) is not None
-            for placement in te_placements
-        ]
+        feasible = []
+        for placement in te_placements:
+            model, reference = both(case, placement)
+            assert_same_problem(model, pinned_st(case, placement))
+            feasible.append(assert_te_equivalent(model, reference) is not None)
         assert any(feasible) or len(te_placements) == 1
 
     def test_st_with_state_capacity_and_stateful_switches(self, case):
@@ -180,7 +193,11 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("fixed", [False, True], ids=["st", "te"])
     def test_patch_sequence(self, case, te_placements, fixed):
         topology, demands = case[0], case[1]
-        model, reference = both(case, te_placements[-1] if fixed else None)
+        placement = te_placements[-1] if fixed else None
+        model, reference = both(case, placement)
+        # TE: the arrays against the pinned ST reference, the optimum
+        # against the reference's constant-P program.
+        arrays = pinned_st(case, placement) if fixed else reference
         links = sorted((a, b) for a, b, _ in topology.links())
         first, second = links[0], links[len(links) // 2]
         shifted = {
@@ -194,9 +211,9 @@ class TestAssemblyOracle:
             getattr(model, name)(*args)
             getattr(reference, name)(*args)
             if fixed:
+                getattr(arrays, name)(*args)
                 assert_te_equivalent(model, reference, failed)
-            else:
-                assert_same_problem(model, reference)
+            assert_same_problem(model, arrays)
 
     def test_variable_names_are_derived_on_demand(self, case):
         model, reference = both(case)
@@ -252,26 +269,14 @@ class TestStandingModelReuse:
             assert standing.routing == expected.routing
 
     def test_te_snapshot_records_the_size_of_its_program(self):
-        topology, program = binding_campus(), dns_tunnel_program(6)
-        controller = SnapController(topology, program)
-        cold = controller.submit()
+        controller = SnapController(binding_campus(), dns_tunnel_program(6))
+        controller.submit()
         stats = controller.fail_link("C1", "C5").model_stats
         assert stats["te_route"] == "binding capacity"
         model = controller._te_model.model
         assert (stats["variables"], stats["constraints"]) == (
             model.num_vars, model.num_constraints,
         )
-        commodities = stats["te_commodities"]
-        flows = len(controller._te_model.inputs.flows)
-        assert commodities["stateful_flows"] + commodities["aggregated_flows"] == flows
-        assert 0 < commodities["destinations"] <= len(topology.ports)
-        assert commodities["stateful_flows"] <= commodities["waypoint_families"]
-        reference = ReferenceModel(
-            ReferenceInputs(topology, dict(controller.demands), cold.mapping,
-                            cold.dependencies),
-            dict(cold.placement),
-        )
-        assert stats["variables"] < len(reference.model._vars) / 2
 
 
 HASH_SEED_PROBE = """

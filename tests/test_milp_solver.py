@@ -288,7 +288,8 @@ def test_the_controller_loads_highs_without_scipy_optimize(order):
 
 def main() -> None:
     """Print solve times on the four snapbench workloads' TE LP (built
-    cold on the ST placement) and ST MILP: ``milp``, the binding with
+    cold on the ST placement, the workload's link failed, as a TE event
+    that reaches the LP solves it) and ST MILP: ``milp``, the binding with
     HiGHS's defaults, and ``Model.solve``; best of three, wall seconds.
     The last column is the work of the two binding solves: nodes (``-``
     for an LP) / simplex iterations."""
@@ -318,6 +319,7 @@ def main() -> None:
         inputs = (w.topology, dict(controller.demands), snapshot.mapping,
                   snapshot.dependencies)
         te = build_te_model(*inputs, dict(snapshot.placement))
+        te.fail_link(*w.link)
         st = PlacementModel(PlacementInputs(*inputs))
         for kind, model in (("TE", te.model), ("ST", st.model)):
             (milp_s, expected), (defaults_s, defaults), (solve_s, solution) = (

@@ -213,9 +213,19 @@ class TestFallbackReasons:
         mapping, dependencies = problem()
         args = (demands, mapping, dependencies, {})
         assert shortest_walk_routing(funnel(), *args) == "binding capacity"
-        # 6 of the 8 units fit m-t; the LP sends the rest over y.
-        routing = build_te_model(funnel(), *args).solve().routing
-        assert routing[2, 3][("m", "y")] == pytest.approx(0.5)
+        # 6 of the 8 units fit m-t; the LP sends the rest over y (which
+        # source sends them is an equal-cost tie).
+        solution = build_te_model(funnel(), *args).solve()
+        to_t = 8 / 100 + 6 / 6 + 2 / 4 + 2 / 4  # a1/a2-m, then m-t or m-y-t
+        assert solution.objective == pytest.approx(to_t + 1 / 6 + 1 / 100)
+        load = {}
+        for flow, fractions in solution.routing.items():
+            for link, share in fractions.items():
+                load[link] = load.get(link, 0.0) + share * demands[flow]
+        assert load[("m", "t")] == pytest.approx(6.0)
+        assert load[("m", "y")] == pytest.approx(2.0)
+        paths = extract_paths(solution, funnel(), mapping, dependencies)
+        validate_solution(paths, funnel(), mapping, dependencies)
         # Half the demand fits the cheapest links: that is a walk.
         half = {flow: demand / 2 for flow, demand in demands.items()}
         assert not isinstance(shortest_walk_routing(funnel(), half, *args[1:]), str)
