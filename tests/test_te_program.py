@@ -112,6 +112,22 @@ class TestAggregates:
         assert standing.objective == fresh.objective
         assert standing.routing == fresh.routing
 
+    def test_a_stateless_flow_has_a_column_of_its_own(self):
+        # Every flow, stateless or not, routes in its own R columns: one
+        # per switch link and per link of its own two ports.
+        model, _ = both(funnel(), self.DEMANDS)
+        columns = set()
+        for flow in self.DEMANDS:
+            for link in (("m", "t"), ("t", "m"), ("m", "y"), ("y", "t")):
+                col = model.route_var(flow, link)
+                assert model.model.var_name(col) == f"R[{flow},{link}]"
+                columns.add(col)
+        assert len(columns) == 4 * len(self.DEMANDS)
+        assert model.route_var((1, 3), ("port:1", "a1")) is not None
+        # Another flow's port is no link of this one; nor is a missing link.
+        assert model.route_var((1, 3), ("port:2", "a2")) is None
+        assert model.route_var((1, 3), ("no", "link")) is None
+
     def test_ports_on_one_switch_exchange_traffic_without_a_link(self):
         topo = topology([("a", "b", 10.0)], {1: "a", 2: "a", 3: "b"})
         model, reference = both(topo, {(1, 2): 3.0, (1, 3): 1.0, (3, 2): 1.0})
