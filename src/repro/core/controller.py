@@ -10,20 +10,27 @@ previously returned one.
 
 Event → phase-set mapping (Table 4):
 
-=================  =====================  ==========================
+=================  =====================  ===================================
 event method       Table 4 scenario       phases run
-=================  =====================  ==========================
-``submit``         cold start             P1 P2 P3 P4 P5(ST) P6
-``update_policy``  policy change          P1 P2 P3 P4 P5(ST) P6 [#]_
+=================  =====================  ===================================
+``submit``         cold start             P1 P2 P3 P4 P5(ST, walk or MILP) P6
+``update_policy``  policy change          P1 P2 P3 P4 P5(ST, walk or MILP) P6 [#]_
 ``update_topology``  topology/TM change   P5(TE, walk or fresh model) P6
 ``fail_link``      topology/TM change     P5(TE, walk, patched model or reuse) P6
 ``restore_link``   topology/TM change     P5(TE, walk, patched model or reuse) P6
 ``set_demands``    topology/TM change     P5(TE, walk or patched model) P6
-=================  =====================  ==========================
+=================  =====================  ===================================
 
 .. [#] The paper updates the standing MILP incrementally; we rebuild it
    and report the rebuild separately as P4 so scenario totals can follow
    Table 4's phase sets (``Snapshot.scenario_time``).
+
+An ST event first searches the placement whose cheapest walks cost
+least with capacities and the visit-once rule dropped (a lower bound on
+the MILP) and certifies those walks
+(:class:`~repro.milp.st_walk.WalkSearch`); only when that fails
+(``model_stats["st_route"]`` names why, else it is ``"walk"``) does it
+build and solve the Table 2 MILP.
 
 A TE event first routes every flow by its cheapest walk through its
 owner switches (:func:`~repro.milp.te.shortest_walk_routing`); walks that
@@ -41,7 +48,8 @@ optimal (status 0) ST solve, certified walk or TE solve leaves a
 certificate, and a link event
 reuses the newest one that covers the new failure set (P6 re-validates
 it on the degraded graph; ``model_stats["solve_reused"]``).  An ST
-certificate is optimal only to ``mip_rel_gap``.  Certificates die with
+certificate from the MILP fallback is optimal only to ``mip_rel_gap``
+(a walk-placed one exactly).  Certificates die with
 the standing model, and with any demand change.
 
 :meth:`network` returns the session's live data plane.  When a later
@@ -599,6 +607,7 @@ class SnapController:
                 "incremental_recompiled", stats.get("incremental_recompiled")
             )
             span.set_attr("solve_reused", stats.get("solve_reused"))
+            span.set_attr("st_route", stats.get("st_route"))
             return snapshot
 
     def _compile_st_traced(self, event: str) -> Snapshot:
@@ -623,8 +632,8 @@ class SnapController:
                 pass
             self._solve_memo.move_to_end(solve_key)
         else:
-            routing = rules = None
-            solution, solve_stats = self._backend.solve_st(
+            rules = None
+            solution, routing, solve_stats = self._backend.solve_st(
                 topology,
                 self._demands,
                 analysis.mapping,

@@ -2,8 +2,10 @@
 
 The pipeline needs two solving capabilities:
 
-* **ST** (§4.4): the joint state-placement + routing MILP (Table 2)
-  solved at cold start and on policy changes;
+* **ST** (§4.4): the joint state-placement + routing problem (Table 2)
+  solved at cold start and on policy changes — by the certified walks of
+  :class:`~repro.milp.st_walk.WalkSearch`, or, when they cannot prove
+  themselves optimal, by the MILP;
 * **TE** (§6.2): routing re-optimized on topology and traffic-matrix
   events — by certified shortest walks, or, when they cannot prove
   themselves optimal, by the routing-only LP against a *standing* model
@@ -11,8 +13,10 @@ The pipeline needs two solving capabilities:
   ``set_demands``, §6.2.2).
 
 :class:`MilpBackend` counts its own work in :attr:`MilpBackend.calls`
-(``st_solves`` / ``te_walks`` / ``te_model_builds`` / ``te_solves``) so
-sessions and tests can verify which path a TE event took, and that a
+(``st_walks`` / ``st_solves`` / ``te_walks`` / ``te_model_builds`` /
+``te_solves``) so sessions and tests can verify which path an ST or TE
+event took (a walk is counted when it is tried, a solve when the MILP or
+LP runs), and that a
 standing TE model really is being reused across link events rather than
 rebuilt.
 """
@@ -20,36 +24,51 @@ rebuilt.
 from __future__ import annotations
 
 from repro.milp.placement import PlacementInputs, PlacementModel
+from repro.milp.st_walk import WalkSearch
 from repro.milp.te import build_te_model, shortest_walk_routing
 from repro.util.timer import PhaseTimer
 
 
 class MilpBackend:
-    """The exact ST MILP (Table 2) plus TE by certified walks or the LP."""
+    """ST and TE by certified walks, or the Table 2 MILP / LP."""
 
     def __init__(self):
         self.calls = {
-            "st_solves": 0, "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
+            "st_walks": 0, "st_solves": 0,
+            "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
         }
 
     def solve_st(
         self, topology, demands, mapping, dependencies, stateful_switches,
         timer: PhaseTimer, *, time_limit=None, mip_rel_gap=None,
     ):
-        """Run P4 (model creation) and P5 (ST solve) under ``timer``.
+        """Run P4 and P5 under ``timer``: the walk search's distance table
+        and its certified minimum, and only when that fails the MILP's
+        model creation and solve.
 
-        Returns ``(solution, model_stats)``; P6 extracts the routing.
+        Returns ``(solution, paths, model_stats)``: ``paths`` is the
+        certified walks' routing (None after the MILP: P6 extracts it),
+        and ``model_stats["st_route"]`` is ``"walk"`` or why not.
         """
+        self.calls["st_walks"] += 1
+        with timer.phase("P4"):
+            search = WalkSearch(
+                topology, demands, mapping, dependencies, stateful_switches
+            )
+        with timer.phase("P5"):
+            walk = search.run()
+        if not isinstance(walk, str):
+            return (*walk, {"st_route": "walk"})
         with timer.phase("P4"):
             inputs = PlacementInputs(
                 topology, demands, mapping, dependencies, stateful_switches
             )
             model = PlacementModel(inputs)
-        stats = model.stats()
+        stats = {**model.stats(), "st_route": walk}
         with timer.phase("P5"):
             solution = model.solve(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
         self.calls["st_solves"] += 1
-        return solution, stats
+        return solution, None, stats
 
     def route_te(
         self, topology, demands, mapping, dependencies, placement,

@@ -314,7 +314,11 @@ class TestSessionLifecycle:
             assert engine.last_run_stats["program_bytes"] == 0
             assert engine.last_run_stats["network_bytes"] > 0
 
-            controller.update_policy(program)  # policy rebuild
+            # The same placement keeps the compiled programs: a program edit
+            # (counters per inport and srcip) rebuilds them.
+            controller.update_policy(sharded_monitor(
+                ast.Vector([ast.Field("inport"), ast.Field("srcip")])
+            )[1])
             net_policy = controller.network()
             assert net_policy.default_engine is engine
             assert engine.coordinator is None  # cluster restarted

@@ -15,6 +15,8 @@ from repro.lang.packet import make_packet
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
 
+from test_te_program import binding_campus
+
 
 def campus_program(app_program=None, num_ports=6):
     subnets = default_subnets(num_ports)
@@ -52,7 +54,14 @@ class TestColdStart:
 
     def test_model_stats_recorded(self, cold_result):
         _, result = cold_result
-        assert result.model_stats["integer_variables"] > 0
+        # Certified shortest walks placed the state: no MILP was built.
+        assert result.model_stats["st_route"] == "walk"
+        solver = result.model_stats["solver"]
+        assert (solver["mip_gap"], solver["nodes"], solver["lp_iterations"]) == (None, None, 0)
+        # Where capacity binds the MILP decides, and says how big it was.
+        solved = SnapController(binding_campus(), campus_program()).submit()
+        assert solved.model_stats["st_route"] == "binding capacity"
+        assert solved.model_stats["integer_variables"] > 0
 
     def test_scenario_time_sums_table4_phases(self, cold_result):
         _, result = cold_result

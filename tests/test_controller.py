@@ -346,7 +346,8 @@ class TestEventSequence:
         # ... and an unchanged program still hits the solve memo.
         snap = controller.update_policy(controller.program)
         assert snap.model_stats["solve_reused"] is True
-        assert controller.backend.calls["st_solves"] == 1
+        calls = controller.backend.calls
+        assert (calls["st_walks"], calls["st_solves"]) == (1, 0)
 
     def test_history_records_every_snapshot(self, session):
         controller, snapshots = session
@@ -434,7 +435,8 @@ class TestRoutingCertificates:
         )
         failed = controller.fail_link("C3", "C5")
         assert controller.backend.calls == {
-            "st_solves": 1, "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
+            "st_walks": 1, "st_solves": 0,
+            "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
         }
         assert failed.model_stats["solve_reused"] is True
         assert failed.routing is cold.routing and failed.rules is cold.rules
@@ -869,25 +871,26 @@ class TestSolverStatus:
         controller = SnapController(
             campus_topology(), campus_program(), solver_time_limit=60.0
         )
-        # The TE LP runs where the shortest walks do not fit.
+        # The ST MILP and the TE LP run where the shortest walks do not fit.
         binding = SnapController(
             binding_campus(), campus_program(), solver_time_limit=60.0
         )
-        binding.submit()
+        solved = binding.submit(), binding.fail_link("C1", "C5")
         walked = controller.submit(), controller.fail_link("C1", "C5")
-        for snapshot in (*walked, binding.fail_link("C1", "C5")):
+        for snapshot in (*solved, *walked):
             solver = snapshot.model_stats["solver"]
             assert solver["status"] == 0
             assert "Optimal" in solver["message"]
             assert set(solver) == {"status", "message", "mip_gap", "nodes", "lp_iterations"}
         # The ST MILP proves its gap at the root node; the TE LP has
         # neither a gap nor nodes to report, only its simplex iterations;
-        # a certified walk ran no simplex at all.
-        st, walk = (s.model_stats["solver"] for s in walked)
+        # a certified walk, ST or TE, ran no simplex at all.
+        st, te = (s.model_stats["solver"] for s in solved)
         assert (st["mip_gap"], st["nodes"]) == (0.0, 1)
-        assert (solver["mip_gap"], solver["nodes"]) == (None, None)
-        assert st["lp_iterations"] > 0 and solver["lp_iterations"] > 0
-        assert (walk["mip_gap"], walk["nodes"], walk["lp_iterations"]) == (None, None, 0)
+        assert (te["mip_gap"], te["nodes"]) == (None, None)
+        assert st["lp_iterations"] > 0 and te["lp_iterations"] > 0
+        for walk in (s.model_stats["solver"] for s in walked):
+            assert (walk["mip_gap"], walk["nodes"], walk["lp_iterations"]) == (None, None, 0)
 
     def test_time_limited_incumbent_is_distinguishable(self, monkeypatch):
         from repro.milp import modeling

@@ -722,8 +722,12 @@ class TestContinuationCells:
     #: blake2b-16 over every record's ``(sorted fields, egress, hops)``
     #: in stream order, then the sorted ``link_packets`` — taken at
     #: 9616888, the last commit whose walker wrote the SNAP header into
-    #: every packet and looked the route up per packet.
-    GOLDEN = "3fc7250781af811df2148bcfddc085d9"
+    #: every packet and looked the route up per packet, on the placement
+    #: and paths the walk search certifies: p1.* and p4.blacklist and
+    #: p5.* on I1, p2.* on I2, p3.* on D1, p4.orphan and p4.susp-client
+    #: on D2, p6.* on D4 (HiGHS's placement, with p4.blacklist and p5.*
+    #: on C6 and p4.orphan on C2, read 3fc7250781af811df2148bcfddc085d9).
+    GOLDEN = "6e12514bcc8c9e47bd5107f86fb3d06c"
     #: Packets ``replay()`` folds without a record: all but the forks
     #: (386 of the 2 000) and the sampled ones.
     FOLDED = {0: 1614, 7: 1393}

@@ -70,11 +70,10 @@ def compiled(app=None, policy=None, defaults=None, name="case",
     return controller.submit(), program
 
 
-def sharded_monitor():
-    """§7.3's example: ``count[inport]++`` split into per-port shards."""
-    body = ast.Seq(
-        ast.StateIncr("count", ast.Field("inport")), assign_egress(SUBNETS)
-    )
+def sharded_monitor(index=ast.Field("inport")):
+    """§7.3's example: ``count[inport]++`` split into per-port shards
+    (``index``: what the counters are indexed by, inport among it)."""
+    body = ast.Seq(ast.StateIncr("count", index), assign_egress(SUBNETS))
     return compiled(
         policy=shard_by_inport(body, "count", PORTS),
         defaults=shard_defaults({"count": 0}, "count", PORTS),

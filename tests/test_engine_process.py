@@ -302,7 +302,11 @@ class TestPoolLifecycle:
             assert net_te._exec_network_key != net_cold._exec_network_key
             assert replay(trace, net_te).sent == 60
 
-            controller.update_policy(program)  # policy rebuild
+            # The same placement keeps the compiled programs: a program edit
+            # (counters per inport and srcip) rebuilds them.
+            controller.update_policy(sharded_monitor(
+                ast.Vector([ast.Field("inport"), ast.Field("srcip")])
+            )[1])
             net_policy = controller.network()
             assert net_policy.default_engine is engine
             assert engine._pool is None  # pool restarted

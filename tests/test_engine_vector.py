@@ -349,7 +349,11 @@ class TestKernelCache:
             assert stats_delta(before, "cache_hits") > 0  # warm kernels
             assert stats_delta(before, "plans") == 0  # not even re-planned
 
-            controller.update_policy(program)  # policy rebuild
+            # The same placement keeps the compiled programs: a program edit
+            # (counters per inport and srcip) rebuilds them.
+            controller.update_policy(sharded_monitor(
+                ast.Vector([ast.Field("inport"), ast.Field("srcip")])
+            )[1])
             net_new = controller.network()
             assert net_new._exec_program_key != net_cold._exec_program_key
             before = kernel_cache_stats()

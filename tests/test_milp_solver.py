@@ -28,7 +28,7 @@ from repro.core.controller import SnapController
 from repro.lang.errors import PlacementError
 from repro.milp import modeling
 from repro.milp.modeling import Model
-from repro.milp.placement import PlacementInputs, PlacementModel
+from repro.milp.placement import PlacementInputs, PlacementModel, build_placement_model
 from repro.milp.results import extract_paths, validate_solution
 
 from snapbench_programs import WORKLOADS, workload
@@ -76,28 +76,22 @@ def test_st_is_milps_answer(case):
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_snapbench_st_is_milps_answer_at_the_root(name, monkeypatch):
-    """A snapbench program's ST MILP, as its controller solves it: the
-    ``x`` HiGHS's defaults (feasibility jump on) return, array-equal, and
-    found at the root node — so turning the heuristic off moves no
-    placement and no switch program."""
-    solved = []
-    real_run = modeling.run_highs
-
-    def spy(model, options):
-        solution = real_run(model, options)
-        if model.num_integer_vars:
-            solved.append((model, solution))
-        return solution
-
-    monkeypatch.setattr(modeling, "run_highs", spy)
+def test_snapbench_st_is_milps_answer_at_the_root(name):
+    """A snapbench program's ST MILP, solved as the controller's fallback
+    solves it, on the inputs of its cold start (which certified walks
+    place without it): the ``x`` HiGHS's defaults (feasibility jump on)
+    return, array-equal, and found at the root node — so turning the
+    heuristic off moves no placement and no switch program."""
     w = workload(name)
     controller = SnapController(w.topology, w.program())
     try:
-        controller.submit()
+        cold = controller.submit()
     finally:
         controller.close()
-    [(model, solution)] = solved
+    model = build_placement_model(
+        w.topology, dict(controller.demands), cold.mapping, cold.dependencies
+    ).model
+    solution = model.solve()
     expected = reference(model)
     assert np.array_equal(solution.value_array(), expected.x)
     assert solution.objective == expected.fun

@@ -314,7 +314,8 @@ class TestControllerRoutesByWalks:
         assert failed.model_stats["solve_reused"] is False
         assert controller._te_model is None
         assert controller.backend.calls == {
-            "st_solves": 1, "te_walks": 1, "te_model_builds": 0, "te_solves": 0,
+            "st_walks": 1, "st_solves": 0,
+            "te_walks": 1, "te_model_builds": 0, "te_solves": 0,
         }
         assert ("C1", "C5") not in set(zip(failed.routing.path(1, 6), failed.routing.path(1, 6)[1:]))
         assert failed.objective > cold.objective
@@ -338,7 +339,8 @@ class TestControllerRoutesByWalks:
         assert snapshot.model_stats["te_route"] == "binding capacity"
         assert snapshot.model_stats["variables"] == solved._te_model.model.num_vars
         assert solved.backend.calls == {
-            "st_solves": 1, "te_walks": 1, "te_model_builds": 1, "te_solves": 1,
+            "st_walks": 1, "st_solves": 1,
+            "te_walks": 1, "te_model_builds": 1, "te_solves": 1,
         }
         assert [
             span["attrs"]["te_route"] for span in TRACER.spans("controller.link_failure")
