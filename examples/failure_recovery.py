@@ -8,8 +8,8 @@ nothing.  Then a core link fails: instead of re-solving the joint
 placement problem, the session re-optimizes only the routing — the
 P5-TE + P6 path of Table 4 — by each flow's cheapest walk through its
 state switches, which is optimal while the walks fit the links (when
-they do not, it patches its *standing* TE model, failed link pinned to
-zero, §6.2.2, and solves the routing LP).  Its repair hands back the cold-start
+they do not, it builds the routing LP on the degraded topology and
+solves it).  Its repair hands back the cold-start
 routing, again without a solve.  Each event yields an immutable,
 generation-numbered snapshot; the rerouted paths still respect every
 state constraint.
@@ -65,7 +65,7 @@ def main():
           f"event {recovered.event!r}")
     # "walk": every flow's cheapest walk through its state switches fits
     # the links, so it is optimal and no LP is built; otherwise the
-    # reason, and the standing TE model is patched and solved (§6.2.2).
+    # reason, and the routing LP is built on the degraded topology and solved.
     print(f"TE re-optimization: {te_time * 1000:.1f} ms "
           f"(route: {recovered.model_stats['te_route']}; "
           f"placement untouched: {recovered.placement == cold.placement})")
@@ -100,10 +100,9 @@ def main():
     reuses = sum(
         bool(s.model_stats.get("solve_reused")) for s in controller.history()[1:]
     )
-    print(f"\nTE events: {calls['te_walks']} routed by certified walks, "
-          f"standing TE model built {calls['te_model_builds']} time(s) and "
-          f"solved {calls['te_solves']} times, a certified routing reused "
-          f"{reuses} times across {controller.generation} events")
+    print(f"\nTE events: {calls['te_walks']} tried certified walks, "
+          f"{calls['te_solves']} fell back to the routing LP, a certified "
+          f"routing reused {reuses} times across {controller.generation} events")
     print("snapshots:", ", ".join(
         f"gen {s.generation}={s.event}" for s in controller.history()
     ))

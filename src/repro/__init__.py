@@ -16,7 +16,7 @@ Public API highlights::
 
     snap = controller.update_policy(p2)  # recompile; network() hot-swapped,
                                          # state tables moved (re-fetch it)
-    snap = controller.fail_link("C1", "C5")   # standing TE model re-solved
+    snap = controller.fail_link("C1", "C5")   # re-routed, placement fixed
     snap = controller.restore_link("C1", "C5")
     snap = controller.set_demands(matrix)
 

@@ -183,7 +183,9 @@ def analyze_dependencies(
     if slicer is None:
         slicer = DependencySlicer()
     sliced = slicer.slice(policy)
+    # Sorted, not set order: the ranks of variables with no dependency
+    # between them follow the insertion order.
     graph = nx.DiGraph()
-    graph.add_nodes_from(sliced.reads | sliced.writes)
-    graph.add_edges_from(sliced.edges)
+    graph.add_nodes_from(sorted(sliced.reads | sliced.writes))
+    graph.add_edges_from(sorted(sliced.edges))
     return DependencyInfo(graph)

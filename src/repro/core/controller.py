@@ -3,8 +3,8 @@
 SNAP's Table 4 scenarios — cold start, policy change, topology/TM change
 — are events arriving at a controller that outlives any one compilation.
 :class:`SnapController` models exactly that: one session owns the base
-topology, the current program, the traffic matrix, the standing TE model
-(§6.2.2), and the live data plane; every event method returns a new
+topology, the current program, the traffic matrix, the routing
+certificates, and the live data plane; every event method returns a new
 immutable :class:`~repro.core.result.Snapshot` and never mutates a
 previously returned one.
 
@@ -15,10 +15,10 @@ event method       Table 4 scenario       phases run
 =================  =====================  ===================================
 ``submit``         cold start             P1 P2 P3 P4 P5(ST, walk or MILP) P6
 ``update_policy``  policy change          P1 P2 P3 P4 P5(ST, walk or MILP) P6 [#]_
-``update_topology``  topology/TM change   P5(TE, walk or fresh model) P6
-``fail_link``      topology/TM change     P5(TE, walk, patched model or reuse) P6
-``restore_link``   topology/TM change     P5(TE, walk, patched model or reuse) P6
-``set_demands``    topology/TM change     P5(TE, walk or patched model) P6
+``update_topology``  topology/TM change   P5(TE, walk or LP) P6
+``fail_link``      topology/TM change     P5(TE, reuse, walk or LP) P6
+``restore_link``   topology/TM change     P5(TE, reuse, walk or LP) P6
+``set_demands``    topology/TM change     P5(TE, walk or LP) P6
 =================  =====================  ===================================
 
 .. [#] The paper updates the standing MILP incrementally; we rebuild it
@@ -36,11 +36,10 @@ A TE event first routes every flow by its cheapest walk through its
 owner switches (:func:`~repro.milp.te.shortest_walk_routing`); walks that
 are simple, fit every capacity and take the cheapest waypoint order are
 optimal, and nothing is built or solved (``model_stats["te_route"]`` is
-``"walk"``).  Otherwise (``te_route`` names why) the event patches the
-*standing* TE LP — built once per placement and re-solved with failed
-links pinned to zero / demand coefficients rewritten — instead of
-rebuilding it (§6.2.2).  Policy events invalidate it, since a new
-placement makes the old routing LP meaningless.
+``"walk"``).  Otherwise (``te_route`` names why) it builds Table 2 on the
+effective topology with the placement pinned (an LP,
+:func:`~repro.milp.te.build_te_model`) and solves it, as an ST event
+falls back to the MILP.  No solver state outlives the event.
 
 A link event solves only when it must.  A routing optimal for failure set
 F0 stays optimal for any F ⊇ F0 whose links it does not use, so every
@@ -50,7 +49,7 @@ reuses the newest one that covers the new failure set (P6 re-validates
 it on the degraded graph; ``model_stats["solve_reused"]``).  An ST
 certificate from the MILP fallback is optimal only to ``mip_rel_gap``
 (a walk-placed one exactly).  Certificates die with
-the standing model, and with any demand change.
+the placement they route, and with any demand change.
 
 :meth:`network` returns the session's live data plane.  When a later
 event produces a new snapshot, the live network is *hot-swapped*: a new
@@ -184,9 +183,6 @@ class SnapController:
         # resources (the process pool) must be one instance per session,
         # not one per replay call — created lazily in network().
         self._engine_runner = None
-        # Standing TE model (§6.2.2) and the failure set applied to it.
-        self._te_model = None
-        self._model_failed: set = set()
         self._certificates: deque = deque(maxlen=SOLVE_MEMO_CAP)
         # Every compilation runs on one persistent CompileSession: it
         # carries the hash-consing factory, apply-cache, sub-xFDD/effects
@@ -253,7 +249,7 @@ class SnapController:
     def submit(self, program: Program | None = None) -> Snapshot:
         """Cold start: compile ``program`` from scratch (all phases, ST).
 
-        Resets session event state (failed links, standing TE model) and
+        Resets session event state (failed links, certificates) and
         every incremental cache — a resubmit is a genuine cold start.
         """
         with self._event_transaction():
@@ -286,16 +282,16 @@ class SnapController:
     def update_topology(
         self, topology: Topology, demands: dict | None = None
     ) -> Snapshot:
-        """Replace the base topology; re-route with a fresh TE model.
+        """Replace the base topology and re-route.
 
-        The failure set and standing model are discarded — they describe
-        the old graph.
+        The failure set and the certificates are discarded — they
+        describe the old graph.
         """
         self._require_current("update_topology")
         with self._event_transaction():
             self._topology = topology
             self._failed = frozenset()
-            self._invalidate_te()
+            self._certificates.clear()
             if demands is not None:
                 self._demands = dict(demands)
             return self._reoptimize("topology_change")
@@ -368,24 +364,24 @@ class SnapController:
         """Set the session's program without compiling it yet.
 
         The next ST event (``submit``/``update_policy``) compiles it.
-        The standing TE model and the solve-retention key are dropped:
+        The certificates and the solve-retention key are dropped:
         they describe the previous program, and a later TE event must
         not re-route against inputs the session no longer holds.
         """
         self._program = program
-        self._invalidate_te()
+        self._certificates.clear()
         self._last_solve_key = None
 
     def replace_topology(self, topology: Topology) -> None:
         """Replace the base topology without re-routing yet.
 
         The failure set is reset (it names links of the old graph) and
-        the standing TE model and solve-retention key are dropped.
+        the certificates and solve-retention key are dropped.
         ``update_topology`` is the compiling form of this.
         """
         self._topology = topology
         self._failed = frozenset()
-        self._invalidate_te()
+        self._certificates.clear()
         self._last_solve_key = None
 
     # -- the live data plane -----------------------------------------------
@@ -463,22 +459,16 @@ class SnapController:
         ``_failed`` before compiling; if the solve then raises (bad
         program, infeasible model), those inputs are restored so the
         session still describes ``current`` — the caller can catch the
-        error and keep issuing events.  The standing TE model is
-        invalidated on failure rather than unpatched: the next TE event
-        rebuilds it from the (restored) session state.
+        error and keep issuing events.  The certificates are dropped on
+        failure.
         """
         saved = (self._program, self._topology, self._demands, self._failed)
         try:
             yield
         except Exception:
             self._program, self._topology, self._demands, self._failed = saved
-            self._invalidate_te()
+            self._certificates.clear()
             raise
-
-    def _invalidate_te(self) -> None:
-        self._te_model = None
-        self._model_failed = set()
-        self._certificates.clear()
 
     def _certify(self, snapshot: Snapshot, solution, stats: dict) -> None:
         """Keep ``snapshot``'s routing if its solve proved optimality."""
@@ -569,7 +559,7 @@ class SnapController:
 
         Two compilations with equal keys get byte-identical solutions
         (the MILP backend is deterministic given identical inputs), so
-        the solve memo and standing-model retention are sound exactly
+        the solve memo and certificate retention are sound exactly
         when this key captures every solve input: the effective graph,
         the traffic matrix, S_uv, the dependency constraints, and the
         solver options.
@@ -643,11 +633,11 @@ class SnapController:
                 time_limit=self._options.solver_time_limit,
                 mip_rel_gap=self._options.mip_rel_gap,
             )
-        # The standing TE model is fixed to a placement; it survives this
-        # recompilation only when the solve inputs (hence the placement)
-        # are provably unchanged.
+        # Certificates route a placement; they survive this recompilation
+        # only when the solve inputs (hence the placement) are provably
+        # unchanged.
         if solve_key != self._last_solve_key:
-            self._invalidate_te()
+            self._certificates.clear()
         self._last_solve_key = solve_key
         stats = {
             **solve_stats,
@@ -671,7 +661,7 @@ class SnapController:
         return snapshot
 
     def _reoptimize(self, event: str, demands_changed: bool = False) -> Snapshot:
-        """TE event: a certified routing, or a standing-model re-solve."""
+        """TE event: a certified routing, or a re-solve."""
         with TRACER.span(f"controller.{event}", event=event) as span:
             snapshot = self._reoptimize_traced(event, demands_changed)
             span.set_attr("generation", snapshot.generation)
@@ -713,44 +703,19 @@ class SnapController:
         """``(solution, routing, stats)`` of a TE event on ``topology``.
 
         Certified shortest walks come with their routing; only when they
-        fail is the standing model patched (built on first need) and
-        solved, and P6 extracts its paths.  A traffic matrix that adds or
-        drops a flow is not a patch: the model is rebuilt for it."""
-        walk = self._backend.route_te(
+        fail is the pinned LP built on ``topology`` and solved, and P6
+        extracts its paths."""
+        inputs = (
             topology, self._demands, previous.mapping, previous.dependencies,
             dict(previous.placement), self._options.stateful_switches,
         )
+        walk = self._backend.route_te(*inputs)
         if not isinstance(walk, str):
             return (*walk, {"te_route": "walk"})
-        model = self._te_model
-        if model is not None and (
-            model.inputs.flows_of(self._demands) != model.inputs.flows
-        ):
-            model = None
-        if model is None:
-            # Fresh standing model: built on the *base* topology with
-            # current demands; failures are applied as patches below,
-            # keeping model state and self._failed in one scheme.
-            model = self._backend.build_te_model(
-                self._topology, self._demands, previous.mapping,
-                previous.dependencies, dict(previous.placement),
-                self._options.stateful_switches,
-            )
-            self._te_model = model
-            self._model_failed = set()
-        elif model.inputs.demands != {f: self._demands[f] for f in model.inputs.flows}:
-            # Also a change an earlier walk-routed event never patched in.
-            model.set_demands(self._demands)
-        wanted = set(self._failed)
-        for a, b in sorted(self._model_failed - wanted):
-            model.restore_link(a, b)
-        for a, b in sorted(wanted - self._model_failed):
-            model.fail_link(a, b)
-        self._model_failed = wanted
-        solution = self._backend.solve_te(
-            model, time_limit=self._options.solver_time_limit
+        solution, stats = self._backend.solve_te(
+            *inputs, time_limit=self._options.solver_time_limit
         )
-        return solution, None, {**model.stats(), "te_route": walk}
+        return solution, None, {**stats, "te_route": walk}
 
     def _finish(
         self, topology, program, dependencies, xfdd, mapping, solution,

@@ -129,15 +129,12 @@ class Network:
 
     def _init_routing_indices(self) -> None:
         """(Re)build everything derived from routing/topology/demands."""
-        # Per-flow path indices: (u, v) -> {switch: position} and
-        # (u, v) -> {switch: next_hop}, so the per-hop "is this switch on
-        # the installed path / what comes after it" questions are dict
-        # lookups instead of list scans.
+        # Per-flow path index: (u, v) -> {switch: position}, so the
+        # per-hop "is this switch on the installed path" question is a
+        # dict lookup instead of a list scan.
         self._path_pos: dict = {}
-        self._path_next: dict = {}
         for (u, v), path in self.routing.paths.items():
             self._path_pos[(u, v)] = {sw: i for i, sw in enumerate(path)}
-            self._path_next[(u, v)] = dict(zip(path, path[1:]))
         # Candidate-egress index (Appendix D): (u, var) -> flows needing
         # ``var``, highest demand first (stable, so ties keep the mapping's
         # iteration order — the same flow the per-query scan used to pick).
@@ -317,16 +314,11 @@ class Network:
     def next_hop(self, switch: str, u: int, v: int, tag: int) -> str:
         """Where ``switch`` sends a packet of flow ``(u, v)`` carrying ``tag``.
 
-        The rule table first; a retagged packet may join the ``(u, v)``
-        path midway, where no rule matches, so the installed path chain
-        is second; a DONE packet has no state constraints left, so any
-        route to its egress will do and the default route is third.
+        The rule table first (it holds every installed path's next hops);
+        a DONE packet has no state constraints left, so any route to its
+        egress will do and the default route is second.
         """
         nxt = self.rules.next_hop(switch, u, v)
-        if nxt is None:
-            chain = self._path_next.get((u, v))
-            if chain is not None:
-                nxt = chain.get(switch)
         if nxt is None and tag == DONE_TAG:
             nxt = self._default_next_hop(switch, self.topology.port_switch(v))
         if nxt is None:

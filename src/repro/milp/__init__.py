@@ -1,4 +1,4 @@
-"""Optimization: the ST MILP, the standing TE model, and path extraction."""
+"""Optimization: the ST MILP, the TE LP, and path extraction."""
 
 from repro.milp.backends import MilpBackend
 from repro.milp.modeling import Model, Solution

@@ -8,17 +8,14 @@ The pipeline needs two solving capabilities:
   themselves optimal, by the MILP;
 * **TE** (§6.2): routing re-optimized on topology and traffic-matrix
   events — by certified shortest walks, or, when they cannot prove
-  themselves optimal, by the routing-only LP against a *standing* model
-  that supports incremental patching (``fail_link`` / ``restore_link`` /
-  ``set_demands``, §6.2.2).
+  themselves optimal, by the routing-only LP built on the event's
+  effective topology.
 
 :class:`MilpBackend` counts its own work in :attr:`MilpBackend.calls`
-(``st_walks`` / ``st_solves`` / ``te_walks`` / ``te_model_builds`` /
-``te_solves``) so sessions and tests can verify which path an ST or TE
-event took (a walk is counted when it is tried, a solve when the MILP or
-LP runs), and that a
-standing TE model really is being reused across link events rather than
-rebuilt.
+(``st_walks`` / ``st_solves`` / ``te_walks`` / ``te_solves``) so
+sessions and tests can verify which path an ST or TE event took (a walk
+is counted when it is tried, a solve when the MILP or LP is built and
+solved).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ class MilpBackend:
     def __init__(self):
         self.calls = {
             "st_walks": 0, "st_solves": 0,
-            "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
+            "te_walks": 0, "te_solves": 0,
         }
 
     def solve_st(
@@ -83,20 +80,15 @@ class MilpBackend:
             stateful_switches,
         )
 
-    def build_te_model(
+    def solve_te(
         self, topology, demands, mapping, dependencies, placement,
-        stateful_switches=None,
+        stateful_switches=None, *, time_limit: float | None = None,
     ):
-        """Construct the standing TE model (placement fixed): an object
-        with ``fail_link`` / ``restore_link`` / ``set_demands`` patches and
-        a ``stats()`` dict that TE snapshots record as ``model_stats``."""
-        self.calls["te_model_builds"] += 1
-        return build_te_model(
+        """Build the routing-only LP (placement fixed) on ``topology`` and
+        solve it: returns ``(solution, model_stats)``."""
+        self.calls["te_solves"] += 1
+        model = build_te_model(
             topology, demands, mapping, dependencies, placement,
             stateful_switches,
         )
-
-    def solve_te(self, model, *, time_limit: float | None = None):
-        """Re-solve a (possibly patched) standing TE model."""
-        self.calls["te_solves"] += 1
-        return model.solve(time_limit=time_limit)
+        return model.solve(time_limit=time_limit), model.stats()

@@ -8,11 +8,9 @@ canonical CSR with ``lo`` / ``hi`` vectors, grown by COO blocks
 
 Builders append whole constraint families with :meth:`Model.add_vars` /
 :meth:`Model.add_rows`; the scalar ``add_var`` / ``add_constraint`` calls
-are one-element blocks of the same store.  A standing model is patched by
-writing into ``lb`` / ``ub`` / ``cost`` / ``lo`` / ``hi`` / ``matrix.data``
-in place (§6.2.2: "incremental additions and modifications of variables
-and constraints in a few milliseconds") — nothing is assembled at solve
-time.
+are one-element blocks of the same store.  A built model is patched by
+writing into those arrays in place (``PlacementModel.fail_link`` pins
+``lb`` / ``ub``) — nothing is assembled at solve time.
 
 A solve hands these arrays to HiGHS's own binding, which SciPy (>= 1.17,
 HiGHS 1.12) vendors as ``scipy.optimize._highspy``, loaded on its own.
@@ -119,7 +117,7 @@ class Solution:
 
 
 class Model:
-    """An LP/MILP under construction, and the standing model afterwards."""
+    """An LP/MILP under construction, and the solvable model afterwards."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -129,7 +127,7 @@ class Model:
         self.ub = np.empty(0)
         self.cost = np.empty(0)
         self.integrality = np.empty(0, dtype=np.uint8)
-        #: ``lo <= matrix @ x <= hi``; coefficient patches go into ``matrix.data``.
+        #: ``lo <= matrix @ x <= hi``.
         self.matrix = CSR()
         self.lo = np.empty(0)
         self.hi = np.empty(0)

@@ -173,8 +173,8 @@ class _Rows:
     def put(self, keys, cols, coef) -> None:
         self._entries.append((keys, cols, coef))
 
-    def emit(self, model: Model) -> np.ndarray:
-        """Append everything declared to ``model``; returns the sorted keys."""
+    def emit(self, model: Model) -> None:
+        """Append everything declared to ``model``."""
         def column(parts, position):
             return np.concatenate(
                 [np.broadcast_to(part[position], part[0].shape) for part in parts]
@@ -191,14 +191,13 @@ class _Rows:
             column(self._rows, 1)[order],
             column(self._rows, 2)[order],
         )
-        return keys
 
 
 ROUTING, CAPACITY, PLACEMENT, VISIT, PASSED = range(5)
 
 
 class PlacementModel:
-    """The built program plus the column layout for patching and extraction.
+    """The built program plus the column layout for extraction.
 
     Table 2 verbatim.  Columns: ``P[s, n]`` (state-major), then ``R[f, l]``
     over the set bits of ``inputs.mask`` (flow-major), then ``PS[s, f, l]``
@@ -222,9 +221,6 @@ class PlacementModel:
             dict(fixed_placement) if fixed_placement is not None else None
         )
         self.model = Model("snap-st" if fixed_placement is None else "snap-te")
-        #: link -> the (lb, ub) of its routing columns, recorded by
-        #: :meth:`fail_link` so :meth:`restore_link` reinstates exactly those.
-        self._saved_bounds: dict = {}
         if fixed_placement is not None:
             missing = [s for s in inputs.state_vars if s not in fixed_placement]
             if missing:
@@ -397,10 +393,10 @@ class PlacementModel:
             ps_index[opair[o], ol], 1.0,
         )
 
-        keys = rows.emit(model)
-        #: the capacity rows are one contiguous block: [first, stop).
-        self._capacity_block = np.searchsorted(keys, [key(CAPACITY), key(PLACEMENT)])
-        model.cost[self._routes] = self._route_costs()
+        rows.emit(model)
+        # Objective: total link utilization sum R[uv, ij] * d_uv / c_ij
+        # (an uncapacitated link costs nothing).
+        model.cost[self._routes] = inputs.demand_vector()[f] / inputs.capacity[l]
 
     def _pin_placement(self) -> None:
         """TE: fix every ``P[s, n]`` to the given placement; an LP remains."""
@@ -413,16 +409,7 @@ class PlacementModel:
         model.lb[self._place_index] = model.ub[self._place_index] = pinned
         model.integrality[:] = 0
 
-    def _route_costs(self) -> np.ndarray:
-        """Objective: total link utilization sum R[uv, ij] * d_uv / c_ij
-        (an uncapacitated link costs nothing)."""
-        inputs = self.inputs
-        return (
-            inputs.demand_vector()[self._route_flow]
-            / inputs.capacity[self._route_link]
-        )
-
-    # -- incremental updates (§6.2.2) ---------------------------------------------
+    # -- columns and link failures --------------------------------------------
 
     def route_var(self, flow, link):
         """The column of ``R[flow, link]``; None if the flow may not use the link."""
@@ -432,63 +419,15 @@ class PlacementModel:
         col = int(self.route_index[inputs.flows.index(flow), inputs.link_id[link]])
         return col if col >= 0 else None
 
-    def _link_columns(self, a: str, b: str):
-        """Per direction of the link, its R columns."""
+    def fail_link(self, a: str, b: str) -> None:
+        """Take a link out of service by pinning its routing columns, both
+        directions, to 0 (``PS`` follows through ``PS <= R``)."""
         for link in ((a, b), (b, a)):
             index = self.inputs.link_id.get(link)
             if index is not None:
                 cols = self.route_index[:, index]
-                yield link, cols[cols >= 0]
-
-    def fail_link(self, a: str, b: str) -> None:
-        """Take a link out of service by pinning its routing variables to 0.
-
-        This is the paper's "incremental modification" path: the standing
-        model is patched by two vector writes instead of being rebuilt.
-        PS variables follow automatically through ``PS <= R``.
-
-        The variables' original bounds are recorded (once — repeated
-        failures of the same link don't overwrite them with the pinned
-        zeros) so :meth:`restore_link` can reinstate exactly what the
-        model had before, making fail/restore cycles idempotent.
-        """
-        lb, ub = self.model.lb, self.model.ub
-        for link, cols in self._link_columns(a, b):
-            self._saved_bounds.setdefault(link, (lb[cols], ub[cols]))
-            lb[cols] = ub[cols] = 0.0
-
-    def restore_link(self, a: str, b: str) -> None:
-        """Undo :meth:`fail_link`, restoring the recorded original bounds.
-
-        A no-op for links that were never failed: restoring such a link
-        must not touch bounds the model never changed.
-        """
-        for link, cols in self._link_columns(a, b):
-            if link in self._saved_bounds:
-                self.model.lb[cols], self.model.ub[cols] = self._saved_bounds.pop(link)
-
-    def set_demands(self, new_demands: dict) -> None:
-        """Patch the traffic matrix in place (same flow set required).
-
-        Rewrites the demand coefficients of the capacity rows inside the
-        assembled matrix and the cost vector; nothing is regenerated.
-        """
-        flows, new_flows = self.inputs.flows, self.inputs.flows_of(new_demands)
-        if new_flows != flows:
-            missing = sorted(set(flows) - set(new_flows))
-            extra = sorted(set(new_flows) - set(flows))
-            raise PlacementError(
-                "incremental demand update requires the same flow set "
-                f"(missing={missing[:3]}, extra={extra[:3]}); rebuild instead"
-            )
-        self.inputs.demands = {f: float(new_demands[f]) for f in self.inputs.flows}
-        matrix = self.model.matrix
-        first, stop = self._capacity_block
-        entries = np.arange(matrix.indptr[first], matrix.indptr[stop])
-        matrix.data[entries] = self.inputs.demand_vector()[
-            self._route_flow[matrix.indices[entries] - self._routes.start]
-        ]
-        self.model.cost[self._routes] = self._route_costs()
+                cols = cols[cols >= 0]
+                self.model.lb[cols] = self.model.ub[cols] = 0.0
 
     # -- solving -----------------------------------------------------------------
 

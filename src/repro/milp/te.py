@@ -13,9 +13,10 @@ under link weight ``1/c``.  When the walks it installs are simple, fit
 every capacity and take the cheapest order, they are feasible for Table 2
 and cost exactly the relaxation's bound, hence optimal: no LP is built.
 
-Otherwise the event solves the standing LP of :func:`build_te_model`
-cold (presolve off, see :meth:`~repro.milp.modeling.Model.solve`): the
-ST program's arrays with every ``P`` column pinned to the placement (see
+Otherwise the event builds the LP of :func:`build_te_model` on its
+effective topology and solves it (presolve off, see
+:meth:`~repro.milp.modeling.Model.solve`): the ST program's arrays with
+every ``P`` column pinned to the placement (see
 :class:`~repro.milp.placement.PlacementModel`), Table 2 with ``P`` a
 constant.
 """

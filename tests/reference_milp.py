@@ -6,7 +6,7 @@ constraint, assembled into a canonical CSR by walking every row.  It is
 slow and it is the specification: ``tests/test_milp_assembly.py`` asserts
 that the vectorised builder in ``src/repro/milp/placement.py`` hands HiGHS
 an array-equal ST problem (same column order, same row order, same
-coefficients), cold and after every patch, and a TE program array-equal
+coefficients), cold and after link failures, and a TE program array-equal
 to this module's ST program with its ``P`` bounds pinned, whose optimum
 is this module's TE program's — Table 2 with ``P`` a constant
 (:func:`assert_te_equivalent`).  Nothing in
@@ -72,24 +72,10 @@ class Model:
     # -- constraints ----------------------------------------------------------
 
     def add_constraint(self, terms, lower: float, upper: float) -> int:
-        """``lower <= sum(coef * var) <= upper`` with terms ``(var, coef)``.
-
-        Returns the row index, usable with :meth:`set_row_bounds` and
-        :meth:`set_row_terms` for incremental model updates.
-        """
+        """``lower <= sum(coef * var) <= upper`` with terms ``(var, coef)``;
+        returns the row index."""
         self._rows.append((tuple(terms), float(lower), float(upper)))
         return len(self._rows) - 1
-
-    # -- incremental updates (§6.2.2: "incremental additions and
-    # modifications of variables and constraints in a few milliseconds") --
-
-    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
-        terms, _, _ = self._rows[row]
-        self._rows[row] = (terms, float(lower), float(upper))
-
-    def set_row_terms(self, row: int, terms) -> None:
-        _, lower, upper = self._rows[row]
-        self._rows[row] = (tuple(terms), lower, upper)
 
     def set_var_bounds(self, var: Variable, lower: float, upper: float) -> None:
         var.lower = float(lower)
@@ -249,9 +235,6 @@ class ReferenceModel:
         self.model = Model("snap-st" if fixed_placement is None else "snap-te")
         self.route_vars: dict = {}
         self.place_vars: dict = {}
-        #: (flow, link) -> original bounds, recorded by :meth:`fail_link`
-        #: so :meth:`restore_link` reinstates exactly those.
-        self._saved_bounds: dict = {}
         self._build()
 
     # -- placement value helpers (variable in ST, constant in TE) -----------
@@ -324,7 +307,6 @@ class ReferenceModel:
                     model.add_eq(incoming + outgoing, 0.0)
                 if incoming:
                     model.add_le(incoming, 1.0)
-        self.capacity_rows: dict = {}
         for link in inputs.links:
             capacity = inputs.capacities[link]
             if math.isinf(capacity):
@@ -335,7 +317,7 @@ class ReferenceModel:
                 if (flow, link) in self.route_vars
             ]
             if terms:
-                self.capacity_rows[link] = model.add_le(terms, capacity)
+                model.add_le(terms, capacity)
 
     # -- Table 2, right column: placement ---------------------------------------
 
@@ -451,71 +433,16 @@ class ReferenceModel:
                 terms.append((self.route_vars[flow, link], demand / capacity))
         self.model.minimize(terms)
 
-    # -- incremental updates (§6.2.2) ---------------------------------------------
+    # -- link failures ---------------------------------------------------------
 
     def fail_link(self, a: str, b: str) -> None:
-        """Take a link out of service by pinning its routing variables to 0.
-
-        This is the paper's "incremental modification" path: the standing
-        model is patched in O(flows) time instead of being rebuilt.
-        PS variables follow automatically through ``PS <= R``.
-
-        The variables' original bounds are recorded (once — repeated
-        failures of the same link don't overwrite them with the pinned
-        zeros) so :meth:`restore_link` can reinstate exactly what the
-        model had before, making fail/restore cycles idempotent.
-        """
-        saved = self._saved_bounds
+        """Take a link out of service by pinning its routing variables to 0
+        (``PS`` variables follow through ``PS <= R``)."""
         for link in ((a, b), (b, a)):
             for flow in self.inputs.flows:
                 var = self.route_vars.get((flow, link))
                 if var is not None:
-                    if (flow, link) not in saved:
-                        saved[(flow, link)] = (var.lower, var.upper)
                     self.model.set_var_bounds(var, 0.0, 0.0)
-
-    def restore_link(self, a: str, b: str) -> None:
-        """Undo :meth:`fail_link`, restoring the recorded original bounds.
-
-        A no-op for links that were never failed: restoring such a link
-        must not touch bounds the model never changed.
-        """
-        saved = self._saved_bounds
-        for link in ((a, b), (b, a)):
-            for flow in self.inputs.flows:
-                bounds = saved.pop((flow, link), None)
-                if bounds is None:
-                    continue
-                var = self.route_vars.get((flow, link))
-                if var is not None:
-                    self.model.set_var_bounds(var, *bounds)
-
-    def set_demands(self, new_demands: dict) -> None:
-        """Patch the traffic matrix in place (same flow set required).
-
-        Updates the demand coefficients in every capacity row and in the
-        objective, without regenerating the model.
-        """
-        missing = [f for f in self.inputs.flows if new_demands.get(f, 0.0) <= 0.0]
-        extra = [
-            f for f, d in new_demands.items()
-            if d > 0.0 and f not in set(self.inputs.flows)
-        ]
-        if missing or extra:
-            raise PlacementError(
-                "incremental demand update requires the same flow set "
-                f"(missing={missing[:3]}, extra={extra[:3]}); rebuild instead"
-            )
-        self.inputs.demands = {f: float(new_demands[f]) for f in self.inputs.flows}
-        inputs = self.inputs
-        for link, row in self.capacity_rows.items():
-            terms = [
-                (self.route_vars[flow, link], inputs.demands[flow])
-                for flow in inputs.flows
-                if (flow, link) in self.route_vars
-            ]
-            self.model.set_row_terms(row, terms)
-        self._objective()
 
 
 # -- the TE contract ------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for dependency analysis (§4.1) and packet-state mapping (§4.3)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
@@ -75,6 +80,32 @@ class TestAnalyzeDependencies:
     def test_untouched_vars_absent(self):
         info = analyze_dependencies(ast.Id())
         assert info.order == []
+
+    def test_the_order_does_not_depend_on_the_hash_seed(self):
+        """Variables with no dependency between them are ranked by the
+        graph's insertion order, which must not be set order: the order is
+        the xFDD's state-test order and the installed waypoint order."""
+        probe = HASH_SEED_PROBE.format(tests=str(Path(__file__).parent))
+        answers = [
+            subprocess.run(
+                [sys.executable, "-c", probe], check=True, capture_output=True,
+                text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "2", "5")
+        ]
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[0].count("\n") == 4
+
+
+HASH_SEED_PROBE = """
+import sys
+sys.path.insert(0, {tests!r})
+from snapbench_programs import WORKLOADS, workload
+from repro.analysis.dependency import analyze_dependencies
+for name in WORKLOADS:
+    info = analyze_dependencies(workload(name).program().full_policy())
+    print(name, info.order, sorted(info.state_rank.items()), sorted(info.dep))
+"""
 
 
 class TestPacketStateMapping:

@@ -80,8 +80,9 @@ def session():
 
 @pytest.fixture(scope="module")
 def binding_session():
-    """The same sequence where every TE event solves the standing LP: core
-    links too small for the shortest walks (``binding_campus``)."""
+    """The same sequence where every TE event that reuses no certificate
+    solves the LP: core links too small for the shortest walks
+    (``binding_campus``)."""
     controller = SnapController(binding_campus(), campus_program())
     snapshots = [
         controller.submit(),
@@ -158,17 +159,16 @@ class TestEventSequence:
         are certified shortest walks: no TE model is built."""
         controller, snapshots = session
         calls = controller.backend.calls
-        assert (calls["te_walks"], calls["te_model_builds"], calls["te_solves"]) == (2, 0, 0)
+        assert (calls["te_walks"], calls["te_solves"]) == (2, 0)
         assert [s.model_stats["te_route"] for s in snapshots[2::2]] == ["walk", "walk"]
         assert snapshots[3].model_stats["solve_reused"] is True
         assert snapshots[3].routing is snapshots[1].routing
 
-    def test_standing_te_model_reused(self, binding_session):
-        """§6.2.2: the TE events share ONE standing model build, and the
+    def test_te_fallbacks_solve_and_the_restore_reuses(self, binding_session):
+        """The failure and the demand change each solve an LP, and the
         restore hands back the pre-failure routing without a solve."""
         controller, snapshots = binding_session
         calls = controller.backend.calls
-        assert calls["te_model_builds"] == 1
         assert calls["te_solves"] == 2
         assert [s.model_stats["te_route"] for s in snapshots[2::2]] == [
             "binding capacity", "binding capacity",
@@ -198,15 +198,18 @@ class TestEventSequence:
             controller.topology.num_directed_edges()
         )
 
-    def test_policy_change_invalidates_standing_model(self):
+    def test_policy_change_drops_the_old_placements_certificates(self):
         controller = SnapController(binding_campus(), campus_program())
         controller.submit()
-        controller.fail_link("C1", "C5")
-        assert controller.backend.calls["te_model_builds"] == 1
-        controller.update_policy(campus_program(stateful_firewall()))
-        controller.fail_link("C3", "C4")
-        # New placement -> the old standing model could not be patched.
-        assert controller.backend.calls["te_model_builds"] == 2
+        old = controller.fail_link("C1", "C5")
+        controller.restore_link("C1", "C5")
+        new = controller.update_policy(campus_program(stateful_firewall()))
+        assert dict(new.placement) != dict(old.placement)
+        # The first failure's certificate routes the old placement: the
+        # same failure again must re-route the new one.
+        failed = controller.fail_link("C1", "C5")
+        assert failed.model_stats["solve_reused"] is False
+        assert dict(failed.placement) == dict(new.placement)
 
     def test_events_require_submit(self):
         controller = SnapController(campus_topology(), campus_program())
@@ -237,7 +240,7 @@ class TestEventSequence:
         assert controller.failed_links == frozenset({("C1", "C5")})
         assert controller.current.event == "link_failure"
         assert controller.generation == 1
-        # ...and the session keeps working (model rebuilt on demand).
+        # ...and the session keeps working.
         restored = controller.restore_link("C1", "C5")
         assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
 
@@ -280,7 +283,7 @@ class TestEventSequence:
 
     def test_reroute_replaces_the_failure_set(self):
         """The bulk TE event: ``failed_links`` is the whole new set (``[]``
-        restores everything, ``None`` keeps it) on one standing model."""
+        restores everything, ``None`` keeps it)."""
         controller = SnapController(binding_campus(), campus_program())
         controller.submit()
         failed = controller.reroute(failed_links=[("C1", "C5")])
@@ -292,27 +295,23 @@ class TestEventSequence:
         restored = controller.reroute(failed_links=[])
         assert controller.failed_links == frozenset()
         assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
-        assert controller.backend.calls["te_model_builds"] == 1
 
     @pytest.mark.parametrize("change", ["set_demands", "reroute"])
-    def test_flow_set_change_rebuilds_the_standing_model(self, change):
-        """A traffic matrix that drops a flow is not a patch: the first
-        call rebuilds the standing model (one build) and answers what a
-        model built for that matrix answers; a later scale-only change
-        patches it again."""
+    def test_a_flow_set_change_answers_as_a_fresh_session(self, change):
+        """A traffic matrix that drops a flow solves for that matrix and
+        answers what a session given it from the start answers."""
         controller = SnapController(binding_campus(), campus_program())
         controller.submit()
         controller.fail_link("C1", "C5")
         calls = controller.backend.calls
-        builds = calls["te_model_builds"]
-        assert builds == 1
+        solves = calls["te_solves"]
         zeroed = {**controller.demands, (1, 6): 0.0}
         apply = {
             "set_demands": controller.set_demands,
             "reroute": lambda demands: controller.reroute(demands=demands),
         }[change]
         snap = apply(zeroed)
-        assert calls["te_model_builds"] == builds + 1
+        assert calls["te_solves"] == solves + 1
         assert (1, 6) not in snap.routing.paths
         reference = SnapController(binding_campus(), campus_program())
         reference.submit()
@@ -321,8 +320,6 @@ class TestEventSequence:
         assert snap.objective == expected.objective
         assert snap.routing.paths == expected.routing.paths
         assert dict(snap.placement) == dict(expected.placement)
-        apply({flow: demand * 1.05 for flow, demand in zeroed.items()})
-        assert calls["te_model_builds"] == builds + 1
 
     @pytest.mark.parametrize("event", [
         lambda c: c.fail_link("C1", "NOPE"),
@@ -435,16 +432,13 @@ class TestRoutingCertificates:
         )
         failed = controller.fail_link("C3", "C5")
         assert controller.backend.calls == {
-            "st_walks": 1, "st_solves": 0,
-            "te_walks": 0, "te_model_builds": 0, "te_solves": 0,
+            "st_walks": 1, "st_solves": 0, "te_walks": 0, "te_solves": 0,
         }
         assert failed.model_stats["solve_reused"] is True
         assert failed.routing is cold.routing and failed.rules is cold.rules
         assert failed.objective == cold.objective
         assert ("C3", "C5") not in undirected_links(failed.topology)
         assert_obs_equivalent(controller.network(), trace, program, store)
-        # The standing TE model is still lazily unbuilt.
-        assert controller._te_model is None
 
     def test_restore_hands_back_the_pre_failure_routing(self):
         controller = SnapController(campus_topology(), campus_program())

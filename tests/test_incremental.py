@@ -1,4 +1,4 @@
-"""Tests for incremental MILP updates (§6.2.2)."""
+"""Tests for TE re-routing under link and demand events (§6.2)."""
 
 import pytest
 
@@ -78,14 +78,13 @@ class TestIncrementalFailure:
         controller.update_topology(campus_topology())
 
     def test_repeated_fail_restore_cycles_are_idempotent(self, binding):
-        """Each fail/restore cycle patches the *same* standing model and
-        lands on the same answer: restore reinstates the original variable
-        bounds it recorded, instead of resetting them wholesale."""
+        """Each fail/restore cycle lands on the same answer, and after the
+        first failure's LP every cycle reuses a certificate."""
         controller, _ = binding
-        controller.fail_link("C1", "C5")  # ensure a standing model
+        controller.fail_link("C1", "C5")
         controller.restore_link("C1", "C5")
-        builds_before = controller.backend.calls["te_model_builds"]
-        assert builds_before == 1
+        solves_before = controller.backend.calls["te_solves"]
+        assert solves_before == 1
         baseline = controller.reroute(failed_links=[])
         failed_objectives, restored_objectives = [], []
         for _ in range(3):
@@ -105,8 +104,8 @@ class TestIncrementalFailure:
             obj == pytest.approx(baseline.objective, rel=1e-9)
             for obj in restored_objectives
         )
-        # The whole sequence patched one standing model — never a rebuild.
-        assert controller.backend.calls["te_model_builds"] == builds_before
+        # The whole sequence reused the first failure's solve.
+        assert controller.backend.calls["te_solves"] == solves_before
 
 
 class TestIncrementalDemands:
@@ -120,30 +119,22 @@ class TestIncrementalDemands:
         assert result.objective > base.objective
         controller.reroute(demands=dict(cold.demands))  # restore
 
-    def test_new_flow_set_rejected(self, binding):
-        controller, cold = binding
-        controller.reroute(failed_links=[("C1", "C5")])  # ensure standing model
-        controller.reroute(failed_links=[])
-        bad = dict(controller.demands)
-        bad.pop(sorted(bad)[0])
-        with pytest.raises(PlacementError):
-            controller._te_model.set_demands(bad)
-
     def test_a_demand_below_the_floor_is_no_flow(self, compiled):
-        """``set_demands`` counts flows as ``PlacementInputs`` does: a
-        demand at or below ``DEMAND_FLOOR`` is no flow, whatever its sign."""
+        """The TE model counts flows as ``PlacementInputs`` does: a demand
+        at or below ``DEMAND_FLOOR`` is no flow, whatever its sign."""
         controller, cold = compiled
-        model = build_te_model(
-            campus_topology(), dict(controller.demands), cold.mapping,
-            cold.dependencies, dict(cold.placement),
-        )
-        flows = list(model.inputs.flows)
-        tiny = {**controller.demands, sorted(controller.demands)[0]: 1e-12}
-        assert model.inputs.flows_of(tiny) != flows
-        with pytest.raises(PlacementError):
-            model.set_demands(tiny)
-        model.set_demands({**controller.demands, (1, 1): 1e-12})
-        assert model.inputs.flows == flows
+
+        def flows(demands):
+            return build_te_model(
+                campus_topology(), demands, cold.mapping, cold.dependencies,
+                dict(cold.placement),
+            ).inputs.flows
+
+        first = sorted(controller.demands)[0]
+        every = flows(dict(controller.demands))
+        assert flows({**controller.demands, first: 1e-12}) == every[1:]
+        assert flows({**controller.demands, first: -1.0}) == every[1:]
+        assert flows({**controller.demands, (1, 1): 1e-12}) == every
 
 
 class TestModelPatchingDirect:
@@ -154,19 +145,23 @@ class TestModelPatchingDirect:
             cold.dependencies, dict(cold.placement),
         )
 
-    @staticmethod
-    def _own_column(model, link):
-        """The routing column of the first flow on ``link``."""
-        return model.route_var(model.inputs.flows[0], link)
-
-    def test_fail_and_restore_roundtrip(self, compiled):
+    def test_fail_link_pins_the_links_columns(self, compiled):
+        """``fail_link`` zeroes the link's routing columns, both ways, and
+        the patched optimum is the one built on the degraded graph."""
+        controller, cold = compiled
         model = self._model(compiled)
         before = model.solve().objective
         model.fail_link("C1", "C5")
+        for link in (("C1", "C5"), ("C5", "C1")):
+            column = model.route_var(model.inputs.flows[0], link)
+            assert model.model.var_bounds(column) == (0.0, 0.0)
         degraded = model.solve().objective
         assert degraded >= before - 1e-9
-        model.restore_link("C1", "C5")
-        assert model.solve().objective == pytest.approx(before, rel=1e-6)
+        rebuilt = build_te_model(
+            campus_topology().without_link("C1", "C5"), dict(controller.demands),
+            cold.mapping, cold.dependencies, dict(cold.placement),
+        ).solve()
+        assert degraded == pytest.approx(rebuilt.objective, rel=1e-9)
 
     def test_patched_solution_validates(self, compiled):
         _, cold = compiled
@@ -176,31 +171,3 @@ class TestModelPatchingDirect:
         degraded = campus_topology().without_link("C1", "C5")
         routing = extract_paths(solution, degraded, cold.mapping, cold.dependencies)
         validate_solution(routing, degraded, cold.mapping, cold.dependencies)
-
-    def test_restore_of_never_failed_link_is_a_noop(self, compiled):
-        """Restoring a healthy link must not touch bounds the model never
-        changed — previously it reset every route variable to [0, 1]."""
-        model = self._model(compiled)
-        target = self._own_column(model, ("C1", "C5"))
-        # A caller-customized bound (e.g. a pinned route) survives a
-        # restore of a link that was never failed.
-        model.model.set_var_bounds(target, 0.0, 0.5)
-        model.restore_link("C1", "C5")
-        assert model.model.var_bounds(target) == (0.0, 0.5)
-
-    def test_restore_reinstates_recorded_bounds(self, compiled):
-        """fail/restore reinstates exactly the pre-failure bounds, and a
-        double failure doesn't overwrite the recording with zeros."""
-        model = self._model(compiled)
-        target = self._own_column(model, ("C1", "C5"))
-        bounds = model.model.var_bounds
-        model.model.set_var_bounds(target, 0.0, 0.5)
-        model.fail_link("C1", "C5")
-        model.fail_link("C1", "C5")  # repeated failure: still recorded once
-        assert bounds(target) == (0.0, 0.0)
-        model.restore_link("C1", "C5")
-        assert bounds(target) == (0.0, 0.5)
-        # A second restore is a no-op, not another reset.
-        model.model.set_var_bounds(target, 0.0, 0.25)
-        model.restore_link("C1", "C5")
-        assert bounds(target) == (0.0, 0.25)

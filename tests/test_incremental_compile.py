@@ -330,20 +330,21 @@ class TestShimSetters:
     """``replace_program`` / ``replace_topology``: the non-compiling
     mutators (what the removed ``Compiler`` shim's setters called)."""
 
-    def test_program_setter_invalidates_standing_model(self):
-        # Where the shortest walks do not fit, a link event builds the LP.
+    def test_program_setter_drops_the_certificates(self):
+        # Where the shortest walks do not fit, a link event solves the LP
+        # and leaves a certificate a second failure of the link reuses.
         controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
         controller.submit()
         controller.fail_link("C1", "C5")
-        assert controller._te_model is not None
+        controller.restore_link("C1", "C5")
         controller.replace_program(dns_tunnel_program(NUM_PORTS))
-        assert controller._te_model is None
+        again = controller.fail_link("C1", "C5")
+        assert again.model_stats["solve_reused"] is False
 
     def test_topology_setter_resets_failures(self):
         controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
         controller.submit()
         controller.fail_link("C1", "C5")
-        assert controller._te_model is not None
         controller.replace_topology(campus_topology())
         assert controller.failed_links == frozenset()
-        assert controller._te_model is None
+        assert controller.fail_link("C1", "C5").model_stats["solve_reused"] is False

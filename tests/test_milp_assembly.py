@@ -1,14 +1,14 @@
 """The columnar builder against the row-by-row builder, the oracle.
 
 ``tests/reference_milp.py`` is the previous ``repro.milp`` builder: Table 2
-verbatim, for ST and for TE.  **ST**, cold and after every kind of patch:
+verbatim, for ST and for TE.  **ST**, cold and after link failures:
 the objective, canonical CSR, row bounds, variable bounds and integrality
 must be array-equal — same column order, same row order — because among
 equally cheap optima HiGHS's answer depends on the order it is handed.
 **TE** is the ST program with its ``P`` columns pinned, so its arrays
 must equal the reference ST model's with ``place_vars`` pinned the same
 way (:func:`pinned_st`); and its optimum must equal the reference's own
-constant-``P`` TE program's to 1e-9, cold and after every patch, with a
+constant-``P`` TE program's to 1e-9, cold and after link failures, with a
 routing that is a unit flow per OBS flow, inside every capacity, off
 every failed link.
 """
@@ -192,7 +192,7 @@ class TestAssemblyOracle:
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["st", "te"])
     def test_patch_sequence(self, case, te_placements, fixed):
-        topology, demands = case[0], case[1]
+        topology = case[0]
         placement = te_placements[-1] if fixed else None
         model, reference = both(case, placement)
         # TE: the arrays against the pinned ST reference, the optimum
@@ -200,18 +200,11 @@ class TestAssemblyOracle:
         arrays = pinned_st(case, placement) if fixed else reference
         links = sorted((a, b) for a, b, _ in topology.links())
         first, second = links[0], links[len(links) // 2]
-        shifted = {
-            flow: demand * (1.5 if i % 2 else 0.25)
-            for i, (flow, demand) in enumerate(sorted(demands.items()))
-        }
-        for name, args, failed in [
-            ("fail_link", first, [first]), ("restore_link", first, []),
-            ("fail_link", second, [second]), ("set_demands", (shifted,), [second]),
-        ]:
-            getattr(model, name)(*args)
-            getattr(reference, name)(*args)
+        patched = [model, reference] + ([arrays] if fixed else [])
+        for failed in [[first], [first, second]]:
+            for program in patched:
+                program.fail_link(*failed[-1])
             if fixed:
-                getattr(arrays, name)(*args)
                 assert_te_equivalent(model, reference, failed)
             assert_same_problem(model, arrays)
 
@@ -222,11 +215,12 @@ class TestAssemblyOracle:
             assert model.model.var_name(index) == reference.model._vars[index].name
 
 
-class TestStandingModelReuse:
+class TestFallbackLP:
     """On ``binding_campus`` the shortest walks overload a core link, so
-    every TE event that reuses no certificate patches the standing LP."""
+    every TE event that reuses no certificate builds and solves the LP on
+    its effective topology."""
 
-    def test_one_build_no_reassembly_and_fresh_equal(self):
+    def test_each_fallback_equals_the_base_lp_with_its_links_failed(self):
         controller = SnapController(binding_campus(), dns_tunnel_program(6))
         cold = controller.submit()
         shifted = {flow: demand * 1.05 for flow, demand in controller.demands.items()}
@@ -236,44 +230,43 @@ class TestStandingModelReuse:
             ("fail_link", ("C3", "C4"), {("C3", "C4")}),
             ("set_demands", (shifted,), {("C3", "C4")}),
         ]
-        layout = None
         for event, args, failed in events:
             snapshot = getattr(controller, event)(*args)
-            matrix = controller._te_model.model.matrix
-            if layout is None:
-                layout = (matrix, matrix.indptr, matrix.indices, matrix.data)
-            assert controller.backend.calls["te_model_builds"] == 1
-            assert all(
-                kept is now for kept, now in
-                zip(layout, (matrix, matrix.indptr, matrix.indices, matrix.data))
-            )
             inputs = (
                 binding_campus(), dict(controller.demands),
                 cold.mapping, cold.dependencies,
             )
-            fresh = build_te_model(*inputs, dict(cold.placement))
+            base = build_te_model(*inputs, dict(cold.placement))
             reference = ReferenceModel(ReferenceInputs(*inputs), dict(cold.placement))
             for link in failed:
-                fresh.fail_link(*link)
+                base.fail_link(*link)
                 reference.fail_link(*link)
-            expected = fresh.solve()
+            expected = base.solve()
             if snapshot.model_stats["solve_reused"]:
                 # A certificate (here the cold ST solve's) is optimal to
-                # the MIP gap; the standing model was not touched.
+                # the MIP gap.
                 assert snapshot.objective == pytest.approx(
                     expected.objective, rel=MIP_REL_GAP
                 )
                 continue
-            assert snapshot.objective == expected.objective
-            standing = assert_te_equivalent(controller._te_model, reference, failed)
-            assert standing.routing == expected.routing
+            # The controller's LP, built on the effective topology.
+            fallback = build_te_model(
+                snapshot.topology, *inputs[1:], dict(cold.placement)
+            )
+            solved = assert_te_equivalent(fallback, reference, failed)
+            assert snapshot.objective == solved.objective
+            assert snapshot.objective == pytest.approx(expected.objective, rel=1e-9)
 
     def test_te_snapshot_records_the_size_of_its_program(self):
         controller = SnapController(binding_campus(), dns_tunnel_program(6))
-        controller.submit()
-        stats = controller.fail_link("C1", "C5").model_stats
+        cold = controller.submit()
+        snapshot = controller.fail_link("C1", "C5")
+        stats = snapshot.model_stats
         assert stats["te_route"] == "binding capacity"
-        model = controller._te_model.model
+        model = build_te_model(
+            snapshot.topology, dict(controller.demands), cold.mapping,
+            cold.dependencies, dict(cold.placement),
+        ).model
         assert (stats["variables"], stats["constraints"]) == (
             model.num_vars, model.num_constraints,
         )

@@ -118,12 +118,13 @@ def test_te_matches_milp_cold_and_after_every_patch(case):
         flow: demand * (1.5 if i % 2 else 0.25)
         for i, (flow, demand) in enumerate(sorted(demands.items()))
     }
-    for event, args, failed in [
-        (None, (), []), ("fail_link", link, [link]),
-        ("restore_link", link, []), ("set_demands", (shifted,), []),
-    ]:
-        if event is not None:
-            getattr(te, event)(*args)
+    for event, failed in [(None, []), ("fail_link", [link]), ("shift", [])]:
+        if event == "fail_link":
+            te.fail_link(*link)
+        elif event == "shift":  # a new traffic matrix is a new program
+            te = PlacementModel(
+                PlacementInputs(topology, shifted, *case[2:]), te_placement(case)
+            )
         expected = reference(te.model)
         if expected.status == 2:
             with pytest.raises(PlacementError, match=r"status=2\): The problem is infeasible"):

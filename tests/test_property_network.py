@@ -12,6 +12,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from repro.analysis.dependency import analyze_dependencies
@@ -20,6 +21,7 @@ from repro.dataplane.network import Network
 from repro.lang import ast
 from repro.lang.errors import (
     CompileError,
+    DataPlaneError,
     InconsistentStateError,
     PlacementError,
     RaceConditionError,
@@ -257,3 +259,35 @@ def test_replay_carries_a_written_inport_across_a_pause():
         store, _, _ = eval_policy(policy, store, packet.modify("inport", port))
     assert network.global_store() == store
     assert store.read("sB", (7,)) == len(arrivals)
+
+
+@pytest.mark.xfail(
+    raises=DataPlaneError, strict=True,
+    reason="a hairpin flow (u, u) has no installed path, so a packet that "
+    "leaves by its arrival port and pauses off its ingress switch finds "
+    "no candidate egress (Network.pause_egress)",
+)
+def test_a_hairpin_packet_that_pauses_off_its_ingress_is_delivered():
+    """``fa := 2`` sends every packet to port 3, so the one arriving there
+    leaves by its arrival port after visiting the switches of ``sA`` and
+    ``sB``, which are not its ingress ``e3``: delivered as ``eval_policy``
+    delivers it."""
+    body = ast.seq_all([
+        ast.Mod("fa", 2),
+        ast.StateMod("sA", ast.Value(0), ast.Value(0)),
+        ast.StateMod("sB", ast.Value(0), ast.Value(0)),
+    ])
+    policy, make_network = compile_onto_diamond(body)
+    network = make_network()
+    assert network.placement["sA"] != network.topology.port_switch(3)
+    store = Store(DEFAULTS)
+    for port in (1, 3):
+        packet = Packet({"fa": 0, "fb": 0, "fc": 0})
+        store, expected, _ = eval_policy(policy, store, packet.modify("inport", port))
+        delivered = frozenset(
+            record.packet.without("inport")
+            for record in network.inject(packet, port)
+            if record.egress is not None
+        )
+        assert delivered == frozenset(p.without("inport") for p in expected)
+    assert network.global_store() == store

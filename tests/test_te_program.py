@@ -35,7 +35,7 @@ def binding_campus():
     """The campus with its core-core links cut to 250: under the default
     traffic matrix the cheapest walks overload a core link whichever link
     is down, so every TE event that is not a certificate's solves the
-    standing LP.  Failing ``C2``-``C6`` leaves no feasible routing."""
+    LP.  Failing ``C2``-``C6`` leaves no feasible routing."""
     topo = campus_topology()
     for a, b in topo.graph.edges:
         if a.startswith("C") and b.startswith("C"):
@@ -86,7 +86,7 @@ class TestAggregates:
         assert load(("m", "y")) == pytest.approx(2.0)
         assert load(("y", "t")) == pytest.approx(2.0)
 
-    def test_links_fail_and_come_back_under_an_aggregate(self):
+    def test_a_link_fails_under_an_aggregate(self):
         model, reference = both(
             funnel(), {(1, 3): 2.0, (2, 3): 1.5, (3, 1): 1.0, (3, 2): 0.5}
         )
@@ -96,21 +96,6 @@ class TestAggregates:
         degraded = assert_te_equivalent(model, reference, failed=[("m", "t")])
         assert degraded.objective > before
         assert degraded.routing[1, 3][("m", "y")] == pytest.approx(1.0)
-        for patched in (model, reference):
-            patched.restore_link("m", "t")
-        assert assert_te_equivalent(model, reference).objective == pytest.approx(before)
-
-    def test_set_demands_moves_a_stateless_flow_on_the_standing_model(self):
-        model, reference = both(funnel(), {(1, 3): 2.0, (2, 3): 2.0, (3, 1): 1.0})
-        assert_te_equivalent(model, reference)
-        matrix = model.model.matrix
-        for patched in (model, reference):
-            patched.set_demands(self.DEMANDS)  # now 8 units to port 3: they split
-        assert model.model.matrix is matrix
-        standing = assert_te_equivalent(model, reference)
-        fresh = both(funnel(), self.DEMANDS)[0].solve()
-        assert standing.objective == fresh.objective
-        assert standing.routing == fresh.routing
 
     def test_a_stateless_flow_has_a_column_of_its_own(self):
         # Every flow, stateless or not, routes in its own R columns: one
