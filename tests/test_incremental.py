@@ -107,6 +107,18 @@ class TestIncrementalFailure:
         # The whole sequence reused the first failure's solve.
         assert controller.backend.calls["te_solves"] == solves_before
 
+    def test_restore_of_a_never_failed_link_is_a_noop(self):
+        """Restoring a healthy link leaves the failure set empty and
+        answers with the cold solve's certificate: no LP, same routing."""
+        controller = SnapController(binding_campus(), dns_tunnel_program(6))
+        cold = controller.submit()
+        restored = controller.restore_link("C1", "C5")
+        assert controller.failed_links == frozenset()
+        assert restored.model_stats["solve_reused"]
+        assert controller.backend.calls["te_solves"] == 0
+        assert restored.objective == cold.objective
+        assert restored.routing.paths == cold.routing.paths
+
 
 class TestIncrementalDemands:
     def test_demand_shift_changes_objective(self, compiled):
@@ -171,3 +183,25 @@ class TestModelPatchingDirect:
         degraded = campus_topology().without_link("C1", "C5")
         routing = extract_paths(solution, degraded, cold.mapping, cold.dependencies)
         validate_solution(routing, degraded, cold.mapping, cold.dependencies)
+
+    def test_failing_an_unknown_link_is_a_noop(self, compiled):
+        """``fail_link`` touches only the columns of a link it knows: a
+        bound a caller set elsewhere survives."""
+        model = self._model(compiled)
+        target = model.route_var(model.inputs.flows[0], ("C1", "C5"))
+        model.model.set_var_bounds(target, 0.0, 0.5)
+        lb, ub = model.model.lb.copy(), model.model.ub.copy()
+        model.fail_link("C1", "nowhere")
+        assert model.model.var_bounds(target) == (0.0, 0.5)
+        assert (model.model.lb == lb).all() and (model.model.ub == ub).all()
+
+    def test_a_repeated_failure_is_idempotent(self, compiled):
+        """Failing a link twice pins the same columns as failing it once,
+        and the optimum does not move."""
+        model = self._model(compiled)
+        model.fail_link("C1", "C5")
+        once = (model.model.lb.copy(), model.model.ub.copy())
+        objective = model.solve().objective
+        model.fail_link("C5", "C1")
+        assert (model.model.lb == once[0]).all() and (model.model.ub == once[1]).all()
+        assert model.solve().objective == objective

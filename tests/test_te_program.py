@@ -97,6 +97,21 @@ class TestAggregates:
         assert degraded.objective > before
         assert degraded.routing[1, 3][("m", "y")] == pytest.approx(1.0)
 
+    def test_a_heavier_traffic_matrix_moves_a_stateless_flow(self):
+        # 4 units to port 3 fit the direct link; under DEMANDS 8 do not,
+        # and the LP built for the new matrix sends 2 of them over y.
+        light = {(1, 3): 2.0, (2, 3): 2.0, (3, 1): 1.0}
+        routing = assert_te_equivalent(*both(funnel(), light)).routing
+        for flow in ((1, 3), (2, 3)):
+            assert routing[flow][("m", "t")] == pytest.approx(1.0)
+            assert routing[flow].get(("m", "y"), 0.0) == pytest.approx(0.0)
+        routing = assert_te_equivalent(*both(funnel(), self.DEMANDS)).routing
+        moved = sum(
+            self.DEMANDS[flow] * routing[flow].get(("m", "y"), 0.0)
+            for flow in ((1, 3), (2, 3))
+        )
+        assert moved == pytest.approx(2.0)
+
     def test_a_stateless_flow_has_a_column_of_its_own(self):
         # Every flow, stateless or not, routes in its own R columns: one
         # per switch link and per link of its own two ports.
