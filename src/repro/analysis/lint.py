@@ -42,14 +42,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from repro.analysis.effects import analyze_effects
 from repro.lang import ast
 from repro.lang.errors import CompileError, RaceConditionError
-from repro.lang.values import matches, values_disjoint
-from repro.util.ipaddr import IPPrefix
-from repro.xfdd.tests import FieldValueTest
+from repro.lang.values import values_disjoint
+from repro.xfdd.paths import feasible_paths
 
 
 @dataclass(frozen=True)
@@ -158,69 +158,26 @@ def _unsat_parallel_findings(policy) -> list:
 
 # -- xFDD-level checks --------------------------------------------------------
 
-#: Path-sensitive walks on a hash-consed DAG can revisit nodes once per
-#: path; cap the visit budget so lint stays cheap on adversarial inputs.
+#: A hash-consed DAG can hold exponentially many paths; lint reads at
+#: most this many so it stays cheap on adversarial inputs.
 _WALK_BUDGET = 50_000
 
 
-def _implied(test, exact: dict, known: dict, excluded: dict):
-    """The branch outcome its ancestors force, or None."""
-    if test in exact:
-        return exact[test]
-    if isinstance(test, FieldValueTest):
-        known_value = known.get(test.field)
-        if known_value is not None:
-            try:
-                return matches(known_value, test.value)
-            except Exception:
-                return None
-        if test.value in excluded.get(test.field, ()):
-            return False
-    return None
-
-
-def _unreachable_findings(root) -> list:
-    from repro.xfdd.diagram import Branch
-
+def _decided_findings(root) -> list:
+    """SNAP-W201 for each test a feasible path's facts already decide."""
     findings: dict = {}
-    budget = _WALK_BUDGET
 
-    def walk(node, exact, known, excluded):
-        nonlocal budget
-        if not isinstance(node, Branch) or budget <= 0:
-            return
-        budget -= 1
-        test = node.test
-        forced = _implied(test, exact, known, excluded)
-        if forced is not None:
-            key = (test, forced)
-            if key not in findings:
-                dead = "true" if not forced else "false"
-                findings[key] = _finding(
-                    "SNAP-W201",
-                    f"branch test '{test}' is already {forced} on this "
-                    f"path; its {dead} arm is unreachable",
-                )
-            walk(node.hi if forced else node.lo, exact, known, excluded)
-            return
-        hi_exact = dict(exact)
-        hi_exact[test] = True
-        hi_known, hi_excluded = known, excluded
-        lo_exact = dict(exact)
-        lo_exact[test] = False
-        lo_known, lo_excluded = known, excluded
-        if isinstance(test, FieldValueTest):
-            if not isinstance(test.value, IPPrefix):
-                hi_known = dict(known)
-                hi_known[test.field] = test.value
-                lo_excluded = dict(excluded)
-                lo_excluded[test.field] = (
-                    excluded.get(test.field, frozenset()) | {test.value}
-                )
-        walk(node.hi, hi_exact, hi_known, hi_excluded)
-        walk(node.lo, lo_exact, lo_known, lo_excluded)
+    def report(test, forced):
+        if (test, forced) not in findings:
+            dead = "true" if not forced else "false"
+            findings[(test, forced)] = _finding(
+                "SNAP-W201",
+                f"branch test '{test}' is already {forced} on this "
+                f"path; its {dead} arm is unreachable",
+            )
 
-    walk(root, {}, {}, {})
+    for _ in islice(feasible_paths(root, on_decided=report), _WALK_BUDGET):
+        pass
     return list(findings.values())
 
 
@@ -254,7 +211,7 @@ def lint_program(program) -> list:
             "SNAP-E002", f"policy fails xFDD composition: {exc}"
         ))
     else:
-        findings.extend(_unreachable_findings(xfdd))
+        findings.extend(_decided_findings(xfdd))
     findings.sort(key=lambda f: (f.code, f.message))
     return findings
 
@@ -262,7 +219,7 @@ def lint_program(program) -> list:
 def lint_diagram(root) -> list:
     """The xFDD-only checks, for callers holding a compiled diagram."""
     return sorted(
-        _unreachable_findings(root), key=lambda f: (f.code, f.message)
+        _decided_findings(root), key=lambda f: (f.code, f.message)
     )
 
 

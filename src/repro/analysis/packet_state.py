@@ -4,7 +4,8 @@
 gather information associating each flow with the set of state variables
 read or written."  A *flow* is a pair of OBS (ingress, egress) ports.
 
-For every root-to-leaf path we compute:
+The traversal is :func:`repro.xfdd.paths.feasible_paths`, one depth-first
+walk over the paths a fresh packet can take.  Each path gives:
 
 * which ingress ports are compatible with the path's ``inport`` tests,
 * which egress ports the leaf can emit to (the last ``outport <- v``
@@ -27,19 +28,16 @@ Egress attribution:
   stateful firewall (which read state and drop) would force *every* flow
   through the state switch and often make placement infeasible.
 
-Fresh packets enter the OBS with no ``outport``, so a path that requires
-a *positive* outport test is unreachable and is skipped.
+Fresh packets enter the OBS with no ``outport``, so the walk never enters
+the arm of a *positive* outport test, nor an arm the path's earlier
+tests decide.
 """
 
 from __future__ import annotations
 
-from repro.lang.values import matches
 from repro.xfdd.actions import DropAction, FieldAssign
-from repro.xfdd.diagram import XFDD, Leaf
-from repro.xfdd.tests import FieldValueTest, StateVarTest
-
-INPORT = "inport"
-OUTPORT = "outport"
+from repro.xfdd.diagram import XFDD
+from repro.xfdd.paths import OUTPORT, feasible_paths
 
 
 class PacketStateMapping:
@@ -91,97 +89,31 @@ def _leaf_targets(leaf):
     return frozenset(targets)
 
 
-def path_summaries(xfdd: XFDD, memo: dict | None = None) -> frozenset:
-    """Port-independent digest of every reachable root-to-leaf path.
-
-    Returns a frozenset of ``(constraints, states, targets)`` triples:
-    ``constraints`` is a frozenset of ``(value, positive)`` inport tests
-    taken along the path, ``states`` the variables its tests read and
-    its leaf writes, ``targets`` the leaf's :func:`_leaf_targets`.
-    Paths through a *positive* outport test are pruned (fresh packets
-    carry no outport), and paths that attribute the same states to the
-    same flows collapse into one triple — which is both the speedup (the
-    diagram is walked as a DAG, one visit per node, over sets that stay
-    a few dozen triples however many leaves there are) and the
-    memoization hook: the summary of a shared sub-diagram is computed
-    once and, with a caller-supplied ``memo`` keyed by node identity,
-    survives across compilations that splice the same interned subtrees
-    (node identity is pinned by the owning
-    :class:`~repro.xfdd.diagram.DiagramFactory`).
-    """
-    if memo is None:
-        memo = {}
-
-    def summarize(node) -> frozenset:
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Leaf):
-            result = frozenset(
-                ((frozenset(), node.written_state_vars(), _leaf_targets(node)),)
-            )
-        else:
-            hi = summarize(node.hi)
-            lo = summarize(node.lo)
-            test = node.test
-            if isinstance(test, StateVarTest):
-                # Both branches read the variable: deciding the test
-                # requires it regardless of which way the packet goes.
-                read = frozenset((test.var,))
-                result = frozenset((c, s | read, t) for c, s, t in hi | lo)
-            elif isinstance(test, FieldValueTest) and test.field == INPORT:
-                result = frozenset(
-                    (c | {(test.value, positive)}, s, t)
-                    for side, positive in ((hi, True), (lo, False))
-                    for c, s, t in side
-                )
-            elif isinstance(test, FieldValueTest) and test.field == OUTPORT:
-                result = lo  # positive outport test: unreachable
-            else:
-                result = hi | lo
-        memo[key] = result
-        return result
-
-    return summarize(xfdd)
-
-
-def _constrained_inports(constraints, inports):
-    """Ingress ports compatible with a summary's inport constraints."""
-    allowed = set(inports)
-    for value, positive in constraints:
-        allowed = {p for p in allowed if matches(p, value) == positive}
-    return allowed
-
-
 def packet_state_mapping(
     xfdd: XFDD, inports, outports, memo: dict | None = None
 ) -> PacketStateMapping:
-    """Compute S_uv for every OBS port pair from the xFDD's path summaries.
+    """Compute S_uv for every OBS port pair from the xFDD's feasible paths.
 
-    A fold over :func:`path_summaries`: each triple attributes its states
-    to (its sources) x (its targets), pure-drop triples deferred (see
-    module docstring).  Attribution and the deferred fallback are
-    idempotent set unions into per-pair frozensets, so neither the order
-    the triples arrive in nor how many paths collapsed into one can
-    change the result (``tests/reference_packet_state.py`` enumerates
-    the paths instead; the suite holds the two equal).  ``memo``
-    (optional) is whatever a long-lived session lets this function keep:
-    sub-diagram summaries by node identity, and the finished mapping by
-    ``(root identity, ports)`` — a recompilation that splices the same
-    interned subtrees re-summarises only the spine above the edit, and
-    one that rebuilds the same root pays a lookup.
+    Each ``(sources, reads, leaf)`` the walk yields attributes its states
+    to (its sources) x (its leaf's targets), pure-drop paths deferred
+    (see module docstring).  Attribution and the deferred
+    fallback are idempotent set unions into per-pair frozensets, so the
+    order the paths arrive in cannot change the result
+    (``tests/reference_packet_state.py`` enumerates every path without
+    pruning; the suite holds the two equal).  ``memo`` (optional) keeps
+    finished mappings by ``(root identity, ports)``: sound while the
+    caller pins the roots, as a :class:`~repro.xfdd.incremental
+    .CompileSession`'s factory does until its next reset, so a
+    recompilation that rebuilds the same root pays a lookup.
     """
-    if memo is None:
-        memo = {}
     inports, outports = tuple(inports), tuple(outports)
-    done = memo.get((id(xfdd), inports, outports))
-    if done is not None:
-        return done
+    key = (id(xfdd), inports, outports)
+    if memo is not None and key in memo:
+        return memo[key]
     needed: dict = {}
     everywhere = frozenset(outports)
-    deferred: list = []  # (sources, states) of pure-drop summaries
-    sources_of: dict = {}
+    deferred: list = []  # (sources, states) of pure-drop paths
+    targets_of: dict = {}
 
     def attribute(sources, targets, states):
         for u in sources:
@@ -189,14 +121,13 @@ def packet_state_mapping(
                 if u != v:
                     needed[(u, v)] = needed.get((u, v), frozenset()) | states
 
-    for constraints, states, targets in path_summaries(xfdd, memo):
-        if not states:
+    for sources, reads, leaf in feasible_paths(xfdd, inports):
+        states = reads | leaf.written_state_vars()
+        if not states or not sources:
             continue
-        sources = sources_of.get(constraints)
-        if sources is None:
-            sources = sources_of[constraints] = _constrained_inports(
-                constraints, inports
-            )
+        if leaf not in targets_of:  # few leaves, many paths to each
+            targets_of[leaf] = _leaf_targets(leaf)
+        targets = targets_of[leaf]
         reach = everywhere if targets is None else targets & everywhere
         if reach:
             attribute(sources, reach, states)
@@ -215,7 +146,7 @@ def packet_state_mapping(
                     attribute((u,), everywhere, frozenset((s,)))
     # Sorted pairs: the dict's insertion order — which downstream model
     # construction sees — must not depend on set-hash order.
-    done = memo[(id(xfdd), inports, outports)] = PacketStateMapping(
-        dict(sorted(needed.items())), inports, outports
-    )
-    return done
+    mapping = PacketStateMapping(dict(sorted(needed.items())), inports, outports)
+    if memo is not None:
+        memo[key] = mapping
+    return mapping

@@ -186,7 +186,7 @@ class SnapController:
         self._certificates: deque = deque(maxlen=SOLVE_MEMO_CAP)
         # Every compilation runs on one persistent CompileSession: it
         # carries the hash-consing factory, apply-cache, sub-xFDD/effects
-        # memos, dependency slicer, and path-summary memo across
+        # memos, dependency slicer, and S_uv root memo across
         # generations; the solve memo reuses whole ST solutions when
         # nothing the MILP sees changed.
         self._session = CompileSession()
@@ -485,10 +485,10 @@ class SnapController:
         """Phases P1-P3 against an explicit topology (never ``self``'s).
 
         P1-P3 run the session's delta paths: the dependency slicer, the
-        fingerprint-memoized sub-xFDD build, and the node-id path-summary
-        memo all reuse prior-generation work, and the reported xfdd
-        counters are *per-compile deltas* of the session's cumulative
-        counters, so they describe this compilation.
+        fingerprint-memoized sub-xFDD build, and the S_uv memo of
+        finished mappings by root all reuse prior-generation work, and the
+        reported xfdd counters are *per-compile deltas* of the session's
+        cumulative counters, so they describe this compilation.
         """
         session = self._session
         full = program.full_policy()

@@ -5,9 +5,9 @@ per-port shards "without worrying about synchronization, as the shards
 store disjoint parts of s".  This module turns that observation into an
 execution engine:
 
-1. **Prove disjointness.**  Walking the xFDD's root-to-leaf paths (the
-   same machinery as :func:`repro.analysis.packet_state
-   .packet_state_mapping`) yields, for every OBS ingress port, the set of
+1. **Prove disjointness.**  The xFDD's feasible root-to-leaf paths
+   (:func:`repro.xfdd.paths.feasible_paths`, the walk S_uv reads too)
+   yield, for every OBS ingress port, the set of
    state variables a packet entering there can read or write — its
    *ingress state footprint*.
 2. **Plan shards.**  Ports sharing any state variable are unioned into
@@ -78,7 +78,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.analysis.packet_state import _constrained_inports, path_summaries
 from repro.dataplane.netasm import revive_programs
 from repro.dataplane.network import (
     _EXEC_KEYS,
@@ -93,6 +92,7 @@ from repro.obs import postcards
 from repro.obs.runstats import publish_run
 from repro.obs.tracing import TRACER
 from repro.util.registry import EngineRegistry
+from repro.xfdd.paths import feasible_paths
 
 
 # -- shard analysis -----------------------------------------------------------
@@ -108,10 +108,9 @@ def ingress_state_footprint(xfdd, inports) -> dict:
     that actually races.
     """
     footprint: dict = {port: set() for port in inports}
-    for constraints, states, _ in path_summaries(xfdd):
-        if states:
-            for port in _constrained_inports(constraints, inports):
-                footprint[port] |= states
+    for sources, reads, leaf in feasible_paths(xfdd, inports):
+        for port in sources:
+            footprint[port] |= reads | leaf.written_state_vars()
     return {port: frozenset(states) for port, states in footprint.items()}
 
 

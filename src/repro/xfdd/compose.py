@@ -84,21 +84,15 @@ class Composer:
     Without this cache, structurally identical subproblems recur
     exponentially often in deep compositions.
 
-    Pass ``use_cache=False`` for a reference engine that recomputes
-    everything; the property tests assert both produce the *same interned
-    nodes* when sharing a factory.
+    ``tests/reference_compose.py`` subclasses it with every cached entry
+    point calling its uncached body; the property tests assert both
+    produce the *same interned nodes* when sharing a factory.
     """
 
-    def __init__(
-        self,
-        order: TestOrder,
-        factory: DiagramFactory | None = None,
-        use_cache: bool = True,
-    ):
+    def __init__(self, order: TestOrder, factory: DiagramFactory | None = None):
         self.order = order
         self.factory = factory if factory is not None else default_factory()
         self.factory.register_composer(self)
-        self.use_cache = use_cache
         self._cache: dict = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -152,8 +146,6 @@ class Composer:
     def union(self, d1: XFDD, d2: XFDD, ctx: Context | None = None) -> XFDD:
         if ctx is None:
             ctx = self.root_context
-        if not self.use_cache:
-            return self._union(d1, d2, ctx)
         key = ("u", id(d1), id(d2),
                ctx.projected_key(d1._support | d2._support))
         hit = self._cache_lookup(key)
@@ -205,8 +197,6 @@ class Composer:
     # -- ⊖ negation ----------------------------------------------------------
 
     def negate(self, d: XFDD) -> XFDD:
-        if not self.use_cache:
-            return self._negate(d)
         key = ("n", id(d))
         hit = self._cache_lookup(key)
         if hit is not None:
@@ -229,8 +219,6 @@ class Composer:
     # -- restriction (Figure 7, d|t and d|~t) ---------------------------------
 
     def restrict(self, d: XFDD, test: XTest, positive: bool) -> XFDD:
-        if not self.use_cache:
-            return self._restrict(d, test, positive)
         key = ("r", id(d), test, positive)
         hit = self._cache_lookup(key)
         if hit is not None:
@@ -262,8 +250,6 @@ class Composer:
     def sequence(self, d1: XFDD, d2: XFDD, ctx: Context | None = None) -> XFDD:
         if ctx is None:
             ctx = self.root_context
-        if not self.use_cache:
-            return self._sequence(d1, d2, ctx)
         key = ("s", id(d1), id(d2),
                ctx.projected_key(d1._support | d2._support))
         hit = self._cache_lookup(key)
@@ -294,8 +280,6 @@ class Composer:
         return result
 
     def _seq_actions(self, seq: tuple, d: XFDD, ctx: Context) -> XFDD:
-        if not self.use_cache:
-            return self._seq_actions_impl(seq, d, ctx)
         key = ("a", seq, id(d),
                ctx.projected_key(seq_read_fields(seq) | d._support))
         hit = self._cache_lookup(key)

@@ -4,9 +4,9 @@ One :class:`CompileSession` lives on the controller across ``update_policy``
 generations and owns everything whose lifetime used to be one compilation:
 the hash-consing :class:`~repro.xfdd.diagram.DiagramFactory`, the
 :class:`~repro.xfdd.compose.Composer` apply-cache, a fingerprint-keyed memo
-of sub-policy xFDDs, the node-id-keyed path-summary memo for the packet-
-state mapping, a :class:`~repro.analysis.dependency.DependencySlicer`, and
-a fingerprint-keyed effect-report memo.
+of sub-policy xFDDs, a root-keyed memo of finished packet-state mappings,
+a :class:`~repro.analysis.dependency.DependencySlicer`, and a
+fingerprint-keyed effect-report memo.
 
 The xFDD memo is the subtree-splice path: ``build(p)`` translates ``p``
 with :func:`~repro.xfdd.build.to_xfdd`, handing it the memoized build as
@@ -74,8 +74,8 @@ class CompileSession:
         self.factory = DiagramFactory()
         self.composer: Composer | None = None
         self.dep_slicer = DependencySlicer()
-        #: node-id keyed path summaries for packet_state_mapping; sound
-        #: while self.factory pins the node ids, i.e. until the next reset.
+        #: packet_state_mapping's answers by (root id, ports); sound
+        #: while self.factory pins the roots, i.e. until the next reset.
         self.mapping_memo: dict = {}
         self._xfdd_memo: dict = {}
         self._effects_memo: dict = {}

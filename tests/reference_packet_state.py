@@ -1,21 +1,27 @@
 """Reference packet-state mapping: explicit root-to-leaf path enumeration.
 
 This is the S_uv computation ``repro.analysis.packet_state`` ran before
-it walked the xFDD as a DAG.  It is kept, unchanged in behaviour and
-self-contained (it shares no helper with the production fold), as the
-oracle ``tests/test_packet_state_equivalence.py`` holds
+it walked the xFDD's feasible paths.  It is kept, unchanged in behaviour
+and self-contained (it shares no helper with the production walk), as
+the oracle ``tests/test_packet_state_equivalence.py`` holds
 :func:`~repro.analysis.packet_state.packet_state_mapping` equal to, pair
-for pair.  Exponential in the diagram's depth where the fold is linear in
-its nodes — fine for the programs the suite compiles.
+for pair.  It enumerates every path and prunes only a positive
+``outport`` test; the production walk also skips arms that earlier tests
+on the path decide, which ``Composer.refine`` never builds —
+``test_a_decided_arm_is_the_named_difference`` pins the one place the two
+part.  Fine for the programs the suite compiles.
 """
 
 from __future__ import annotations
 
-from repro.analysis.packet_state import INPORT, OUTPORT, PacketStateMapping
+from repro.analysis.packet_state import PacketStateMapping
 from repro.lang.values import matches
 from repro.xfdd.actions import DropAction, FieldAssign
 from repro.xfdd.diagram import XFDD, iter_paths
 from repro.xfdd.tests import FieldValueTest, StateVarTest
+
+INPORT = "inport"
+OUTPORT = "outport"
 
 
 def _path_inports(path, inports):

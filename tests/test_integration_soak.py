@@ -26,6 +26,7 @@ from repro.lang.state import Store
 from repro.topology.campus import campus_topology
 from repro.util.ipaddr import IPPrefix
 from repro.workloads import background_traffic, replay
+from repro.xfdd.diagram import DROP, IDENTITY
 
 from tests.test_engine import SUBNETS, sharded_monitor
 
@@ -234,11 +235,11 @@ def test_caches_plateau_over_alternating_events(monkeypatch):
     """300 alternating ``update_policy`` / ``fail_link`` / ``restore_link``
     events on the six-app campus composite: every cross-generation cache
     of the compile session — the apply-cache (always on: nothing switches
-    it off mid-compile), the arm memo, the effects memo, the S_uv memo
-    (node summaries and finished mappings) and the intern table — stops
-    growing once each edit has been seen, and events 200–300 peak within
-    1.2x of events 100–200.  Structurally novel generations are bounded
-    by the session reset instead, apply-cache included.
+    it off mid-compile), the arm memo, the effects memo, the S_uv root
+    memo and the intern table — stops growing once each edit has been
+    seen, and events 200–300 peak within 1.2x of events 100–200.
+    Structurally novel generations are bounded by the session reset
+    instead, apply-cache included.
 
     The data plane holds a thousand state entries throughout: every
     event hands the same table objects on, writing no entry and copying
@@ -328,8 +329,13 @@ def test_caches_plateau_over_alternating_events(monkeypatch):
         monkeypatch.setattr(
             incremental, "FACTORY_SIZE_CAP", warm["apply_cache"] - 1
         )
+        old = session.factory  # pins its nodes: no id of one is reused
         controller.update_policy(wl.edits[1])  # the intern table is under it
         assert len(session.composer._cache) < warm["apply_cache"]
-        assert len(session.mapping_memo) < warm["mapping_memo"]
+        # The S_uv memo went with the old factory: no key names its roots.
+        assert session.factory is not old and session.mapping_memo
+        stale = {id(node) for node in old._intern.values()}
+        stale -= {id(DROP), id(IDENTITY)}  # shared by every factory
+        assert not stale & {root for root, _, _ in session.mapping_memo}
     finally:
         controller.close()

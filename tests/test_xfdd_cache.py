@@ -2,9 +2,9 @@
 
 Two guarantees:
 
-* caching is *invisible*: a cached Composer and a cache-disabled reference
-  Composer sharing one DiagramFactory produce the **same interned node**
-  (``is``-identity) for every generated policy;
+* caching is *invisible*: a cached Composer and the uncached reference
+  (``tests/reference_compose.py``) sharing one DiagramFactory produce the
+  **same interned node** (``is``-identity) for every generated policy;
 * hash-consing sessions are *isolated*: one compilation cannot grow (or
   alias into) the intern table of another.
 """
@@ -32,6 +32,7 @@ from repro.xfdd.order import TestOrder as XFDDTestOrder
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest
 from repro.workloads import replay
 
+from tests.reference_compose import UncachedComposer
 from tests.snapbench_programs import store_digest, traffic, workload
 from tests.test_packet_state_equivalence import compile_in
 from tests.strategies import policies, registry
@@ -64,8 +65,8 @@ class TestCacheEquivalence:
     def test_cached_composition_is_node_identical(self, policy):
         """Cached and reference composition agree to the node (``is``)."""
         factory = DiagramFactory()
-        cached = Composer(_order(), factory=factory, use_cache=True)
-        reference = Composer(_order(), factory=factory, use_cache=False)
+        cached = Composer(_order(), factory=factory)
+        reference = UncachedComposer(_order(), factory=factory)
         try:
             d_ref = to_xfdd(policy, reference)
         except (RaceConditionError, CompileError):
@@ -77,8 +78,8 @@ class TestCacheEquivalence:
     @given(policies(), policies())
     def test_cached_union_and_sequence_identical(self, p, q):
         factory = DiagramFactory()
-        cached = Composer(_order(), factory=factory, use_cache=True)
-        reference = Composer(_order(), factory=factory, use_cache=False)
+        cached = Composer(_order(), factory=factory)
+        reference = UncachedComposer(_order(), factory=factory)
         try:
             dp_ref, dq_ref = to_xfdd(p, reference), to_xfdd(q, reference)
             u_ref = reference.union(dp_ref, dq_ref)
@@ -101,10 +102,12 @@ class TestCacheEquivalence:
         factory = DiagramFactory()
         composer = Composer(order, factory=factory)
         cached = to_xfdd(policy, composer)
-        reference = Composer(order, factory=factory, use_cache=False)
+        reference = UncachedComposer(order, factory=factory)
         assert to_xfdd(policy, reference) is cached
-        # The cache must be caching *something* on every app.
+        # The cache must be caching *something* on every app; the
+        # reference nothing.
         assert composer.cache_stats()["cache_hit_rate"] > 0
+        assert reference.cache_stats()["cache_entries"] == 0
 
     def test_churn_edits_in_one_session_are_node_identical(self):
         """The twelve ``policy-churn`` edits, in the benchmark's order,
@@ -117,8 +120,8 @@ class TestCacheEquivalence:
         session = CompileSession()
         for program in [wl.program(), *wl.edits]:
             root = compile_in(session, program)
-            reference = Composer(
-                session.composer.order, factory=session.factory, use_cache=False
+            reference = UncachedComposer(
+                session.composer.order, factory=session.factory
             )
             assert to_xfdd(program.full_policy(), reference) is root
         assert session.composer.cache_stats()["cache_hits"] > 0
