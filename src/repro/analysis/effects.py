@@ -452,7 +452,7 @@ def _parallel_findings(overlaps: list, variables: dict) -> tuple:
     return tuple(findings)
 
 
-def _atomic_groups(policy, written: set, slicer) -> tuple:
+def _atomic_groups(policy, written: set) -> tuple:
     """Partition the written variables by the co-location groups.
 
     Each group (a dependency SCC of more than one variable) is
@@ -461,7 +461,7 @@ def _atomic_groups(policy, written: set, slicer) -> tuple:
     """
     from repro.analysis.dependency import analyze_dependencies
 
-    deps = analyze_dependencies(policy, slicer=slicer)
+    deps = analyze_dependencies(policy)
     grouped: dict = {}
     for group in deps.groups:
         members = group & written
@@ -507,11 +507,8 @@ def _transaction_findings(report_vars: dict, groups: tuple) -> tuple:
     ),)
 
 
-def analyze_effects(policy: ast.Policy, slicer=None) -> EffectReport:
-    """Classify every state write in ``policy`` and find its races.
-
-    ``slicer`` is :func:`~repro.analysis.dependency.analyze_dependencies`'s
-    own: the same report, from slices a session has already memoized."""
+def analyze_effects(policy: ast.Policy) -> EffectReport:
+    """Classify every state write in ``policy`` and find its races."""
     walker = _Walker()
     walker.walk(policy, (), False)
     variables = {
@@ -525,7 +522,7 @@ def analyze_effects(policy: ast.Policy, slicer=None) -> EffectReport:
                 read_sites=tuple(read_sites),
             )
     written = set(walker.sites)
-    groups = _atomic_groups(policy, written, slicer) if written else ()
+    groups = _atomic_groups(policy, written) if written else ()
     written_vars = {
         var: effect for var, effect in variables.items() if effect.sites
     }

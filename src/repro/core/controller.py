@@ -15,7 +15,7 @@ event method       Table 4 scenario       phases run
 =================  =====================  ===================================
 ``submit``         cold start             P1 P2 P3 P4 P5(ST, walk or MILP) P6
 ``update_policy``  policy change          P1 P2 P3 P4 P5(ST, walk or MILP) P6 [#]_
-``update_topology``  topology/TM change   P5(TE, walk or LP) P6
+``update_topology``  topology/TM change   P5(TE, walk or LP) P6 [#r]_
 ``fail_link``      topology/TM change     P5(TE, reuse, walk or LP) P6
 ``restore_link``   topology/TM change     P5(TE, reuse, walk or LP) P6
 ``set_demands``    topology/TM change     P5(TE, walk or LP) P6
@@ -24,6 +24,10 @@ event method       Table 4 scenario       phases run
 .. [#] The paper updates the standing MILP incrementally; we rebuild it
    and report the rebuild separately as P4 so scenario totals can follow
    Table 4's phase sets (``Snapshot.scenario_time``).
+
+.. [#r] When the pinned placement has no route on the new graph, the
+   event re-places the state as a cold start on that graph (event
+   ``topology_replace``: P1-P6, P1-P3 from the session memos).
 
 An ST event first searches the placement whose cheapest walks cost
 least with capacities and the visit-once rule dropped (a lower bound on
@@ -71,15 +75,13 @@ from typing import NamedTuple
 
 from repro.analysis.dependency import analyze_dependencies
 from repro.analysis.packet_state import packet_state_mapping
-from repro.core.artifacts import SubPolicyArtifact, split_units
 from repro.core.options import CompilerOptions
 from repro.core.program import Program
 from repro.core.result import EVENT_SCENARIOS, Snapshot
 from repro.dataplane.engine import make_session_engine
 from repro.dataplane.network import Network
 from repro.dataplane.rules import build_rule_tables
-from repro.lang.errors import SnapError, TopologyError
-from repro.lang.fingerprint import fingerprint_hex
+from repro.lang.errors import PlacementError, SnapError, TopologyError
 from repro.milp.backends import MilpBackend
 from repro.milp.results import extract_paths, validate_solution
 from repro.topology.graph import Topology
@@ -143,7 +145,6 @@ class AnalysisResult(NamedTuple):
     mapping: object
     stats: dict
     factory: object
-    artifacts: dict
     reused: int
     recompiled: int
 
@@ -185,10 +186,10 @@ class SnapController:
         self._engine_runner = None
         self._certificates: deque = deque(maxlen=SOLVE_MEMO_CAP)
         # Every compilation runs on one persistent CompileSession: it
-        # carries the hash-consing factory, apply-cache, sub-xFDD/effects
-        # memos, dependency slicer, and S_uv root memo across
-        # generations; the solve memo reuses whole ST solutions when
-        # nothing the MILP sees changed.
+        # carries the hash-consing factory, apply-cache, sub-xFDD memo,
+        # dependency slicer, and S_uv root memo across generations; the
+        # solve memo reuses whole ST solutions when nothing the MILP
+        # sees changed.
         self._session = CompileSession()
         self._solve_memo: OrderedDict = OrderedDict()
         self._last_solve_key = None
@@ -285,7 +286,11 @@ class SnapController:
         """Replace the base topology and re-route.
 
         The failure set and the certificates are discarded — they
-        describe the old graph.
+        describe the old graph.  When the placement has no route on the
+        new graph (the pinned TE LP raises), the event re-places the
+        state instead: an ST compile of the current program on the new
+        graph (event ``topology_replace``), whose hot swap moves the
+        state tables to their new owners.
         """
         self._require_current("update_topology")
         with self._event_transaction():
@@ -294,7 +299,10 @@ class SnapController:
             self._certificates.clear()
             if demands is not None:
                 self._demands = dict(demands)
-            return self._reoptimize("topology_change")
+            try:
+                return self._reoptimize("topology_change")
+            except PlacementError:
+                return self._compile_st("topology_replace")
 
     def fail_link(self, a, b) -> Snapshot:
         """A link went down: keep a routing that avoids it, or re-route."""
@@ -357,32 +365,6 @@ class SnapController:
             if failed_links is not None:
                 self._failed = failed_links
             return self._reoptimize(event, demands_changed=demands_changed)
-
-    # -- session input mutators (no compilation) ---------------------------
-
-    def replace_program(self, program: Program | None) -> None:
-        """Set the session's program without compiling it yet.
-
-        The next ST event (``submit``/``update_policy``) compiles it.
-        The certificates and the solve-retention key are dropped:
-        they describe the previous program, and a later TE event must
-        not re-route against inputs the session no longer holds.
-        """
-        self._program = program
-        self._certificates.clear()
-        self._last_solve_key = None
-
-    def replace_topology(self, topology: Topology) -> None:
-        """Replace the base topology without re-routing yet.
-
-        The failure set is reset (it names links of the old graph) and
-        the certificates and solve-retention key are dropped.
-        ``update_topology`` is the compiling form of this.
-        """
-        self._topology = topology
-        self._failed = frozenset()
-        self._certificates.clear()
-        self._last_solve_key = None
 
     # -- the live data plane -----------------------------------------------
 
@@ -528,30 +510,10 @@ class SnapController:
         )
         stats["session_memo_entries"] = memo_post["session_memo_entries"]
         stats["session_compile_no"] = memo_post["session_compile_no"]
-        # Per-unit provenance artifacts (after the counter capture, so
-        # the re-translation below cannot pollute per-compile numbers —
-        # it is apply-cache/memo hits over already-interned nodes).
-        artifacts: dict = {}
-        reused = recompiled = 0
-        for label, unit in split_units(full):
-            was_reused = session.was_reused(unit)
-            unit_slice = session.dep_slicer.slice(unit)
-            reused += 1 if was_reused else 0
-            recompiled += 0 if was_reused else 1
-            artifacts[label] = SubPolicyArtifact(
-                fingerprint=fingerprint_hex(unit),
-                label=label,
-                policy=unit,
-                xfdd=session.subdiagram(unit),
-                dep_edges=unit_slice.edges,
-                state_vars=frozenset(unit_slice.reads | unit_slice.writes),
-                effects=session.effect_report(unit),
-                reused=was_reused,
-            )
         xfdd_stats = {f"xfdd_{name}": value for name, value in stats.items()}
         return AnalysisResult(
             dependencies, xfdd, mapping, xfdd_stats, session.factory,
-            artifacts, reused, recompiled,
+            *session.unit_reuse(full),
         )
 
     def _solve_key(self, topology: Topology, mapping, dependencies) -> tuple:
@@ -649,7 +611,7 @@ class SnapController:
         snapshot = self._finish(
             topology, self._program, analysis.dependencies, analysis.xfdd,
             analysis.mapping, solution, routing, timer, event, stats,
-            analysis.factory, artifacts=analysis.artifacts, rules=rules,
+            analysis.factory, rules=rules,
         )
         self._certify(snapshot, solution, solve_stats)
         if cached is None:
@@ -692,8 +654,7 @@ class SnapController:
             topology, previous.program, previous.dependencies,
             previous.xfdd, previous.mapping, solution, routing, timer, event,
             {**stats, "solve_reused": reused is not None},
-            previous.diagram_factory, artifacts=previous.artifacts,
-            rules=rules, revalidate=True,
+            previous.diagram_factory, rules=rules, revalidate=True,
         )
         if reused is None:
             self._certify(snapshot, solution, stats)
@@ -719,8 +680,8 @@ class SnapController:
 
     def _finish(
         self, topology, program, dependencies, xfdd, mapping, solution,
-        routing, timer, event, stats, diagram_factory, artifacts,
-        rules=None, revalidate=False,
+        routing, timer, event, stats, diagram_factory, rules=None,
+        revalidate=False,
     ) -> Snapshot:
         """P6 + snapshot construction + live-network hot swap.
 
@@ -740,13 +701,9 @@ class SnapController:
                 validate_solution(routing, topology, mapping, dependencies)
             if rules is None:
                 rules = build_rule_tables(routing)
-        # Every snapshot carries the static effect report (update-kind
-        # classification + race findings).  The session memoizes it by
-        # fingerprint across generations and reuses P1's slices.
-        effects = self._session.effect_report(program.policy)
-        # ... and what the solver said about its answer (status 1 is a
+        # What the solver said about its answer (status 1 is a
         # time-limited incumbent, not an optimum).
-        stats = {**stats, "effects": effects, "solver": dict(solution.solver)}
+        stats = {**stats, "solver": dict(solution.solver)}
         snapshot = Snapshot(
             generation=self._generation + 1,
             event=event,
@@ -763,7 +720,6 @@ class SnapController:
             timer=timer,
             rules=rules,
             model_stats=stats,
-            artifacts=artifacts,
             diagram_factory=diagram_factory,
         )
         # Build the successor network first, publish second, move state

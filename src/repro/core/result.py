@@ -35,6 +35,7 @@ EVENT_SCENARIOS = {
     "cold_start": "cold_start",
     "policy_change": "policy_change",
     "topology_change": "topology_change",
+    "topology_replace": "cold_start",
     "link_failure": "topology_change",
     "link_restore": "topology_change",
     "demand_change": "topology_change",
@@ -74,11 +75,6 @@ class Snapshot:
     #: data planes built from this snapshot reuse them, not rebuild).
     rules: Any = None
     model_stats: Mapping = field(default_factory=dict)
-    #: Per-subpolicy provenance: label -> :class:`~repro.core.artifacts.
-    #: SubPolicyArtifact` (fingerprint, sub-xFDD, dependency slice,
-    #: effect report, reused/recompiled flag).  TE events carry the
-    #: previous compilation's artifacts over unchanged.
-    artifacts: Mapping = field(default_factory=dict)
     #: The hash-consing session that built ``xfdd`` (TE events carry the
     #: previous compilation's factory, since they reuse its diagram).
     diagram_factory: DiagramFactory | None = None
@@ -87,7 +83,7 @@ class Snapshot:
         # Mapping-typed fields are defensively copied and exposed through
         # read-only proxies: a snapshot's contents cannot drift even if
         # the caller still holds the dict it passed in.
-        for name in ("demands", "placement", "model_stats", "artifacts"):
+        for name in ("demands", "placement", "model_stats"):
             object.__setattr__(
                 self, name, MappingProxyType(dict(getattr(self, name)))
             )

@@ -95,9 +95,4 @@ def fingerprint(node) -> bytes:
     return digest
 
 
-def fingerprint_hex(node) -> str:
-    """Hex spelling of :func:`fingerprint` (for artifact keys and docs)."""
-    return fingerprint(node).hex()
-
-
-__all__ = ["DIGEST_SIZE", "fingerprint", "fingerprint_hex"]
+__all__ = ["DIGEST_SIZE", "fingerprint"]

@@ -5,15 +5,16 @@ generations and owns everything whose lifetime used to be one compilation:
 the hash-consing :class:`~repro.xfdd.diagram.DiagramFactory`, the
 :class:`~repro.xfdd.compose.Composer` apply-cache, a fingerprint-keyed memo
 of sub-policy xFDDs, a root-keyed memo of finished packet-state mappings,
-a :class:`~repro.analysis.dependency.DependencySlicer`, and a
-fingerprint-keyed effect-report memo.
+and a :class:`~repro.analysis.dependency.DependencySlicer`.
 
 The xFDD memo is the subtree-splice path: ``build(p)`` translates ``p``
 with :func:`~repro.xfdd.build.to_xfdd`, handing it the memoized build as
 its recursion, so every composite subtree is memoized by its structural
 fingerprint and a recompilation after a single-app edit replays the
 unchanged arms as O(1) lookups and only composes the dirty subtree (plus
-the spine above it).
+the spine above it).  :meth:`CompileSession.unit_reuse` reports how
+many of the policy's top-level units (:func:`split_units`) were spliced
+and how many were compiled this generation.
 
 Reuse validity.  A cached sub-diagram's internal branch ordering depends
 on (i) the field registry's ranks and (ii) the absolute ``(rank, var)``
@@ -37,7 +38,6 @@ mixing generations of nodes stays sound.
 from __future__ import annotations
 
 from repro.analysis.dependency import DependencySlicer
-from repro.analysis.effects import analyze_effects
 from repro.lang import ast
 from repro.lang.fields import FieldRegistry
 from repro.lang.fingerprint import fingerprint
@@ -52,6 +52,34 @@ from repro.xfdd.order import TestOrder
 #: trips after hundreds of structurally novel generations, bounding
 #: long-controller memory without ever firing in a steady-state workload.
 FACTORY_SIZE_CAP = 400_000
+
+
+def _operands(policy: ast.Policy, composition: type) -> list:
+    """The operands of ``policy``'s ``composition`` spine (``Seq`` or
+    ``Parallel``), left to right."""
+    operands, stack = [], [policy]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, composition):
+            stack.extend((node.right, node.left))
+        else:
+            operands.append(node)
+    return operands
+
+
+def split_units(policy: ast.Policy) -> list:
+    """The top-level units of ``policy``: the segments of its sequential
+    spine, left to right, each parallel segment flattened into its arms.
+
+    The split only counts reuse: compilation still translates the whole
+    policy, so ``p ; (q + r)`` is never rewritten to ``(p;q) + (p;r)``
+    (unsound with state).
+    """
+    return [
+        arm
+        for segment in _operands(policy, ast.Seq)
+        for arm in _operands(segment, ast.Parallel)
+    ]
 
 
 class _MemoEntry:
@@ -78,7 +106,6 @@ class CompileSession:
         #: while self.factory pins the roots, i.e. until the next reset.
         self.mapping_memo: dict = {}
         self._xfdd_memo: dict = {}
-        self._effects_memo: dict = {}
         self._registry_names: tuple | None = None
         self._state_rank: dict = {}
         self._order_sig: tuple | None = None
@@ -154,23 +181,13 @@ class CompileSession:
         entry = self._xfdd_memo.get(fingerprint(policy))
         return entry is not None and entry.born < self.compile_no
 
-    def subdiagram(self, policy: ast.Policy) -> XFDD:
-        """The diagram recorded for ``policy``, without touching counters
-        (for artifact recording after the main build)."""
-        if isinstance(policy, ast.COMPOSITE):
-            entry = self._xfdd_memo.get(fingerprint(policy))
-            if entry is not None:
-                return entry.xfdd
-        return to_xfdd(policy, self.composer)
-
-    def effect_report(self, policy: ast.Policy):
-        """Fingerprint-memoized :func:`~repro.analysis.effects.analyze_effects`."""
-        key = fingerprint(policy)
-        report = self._effects_memo.get(key)
-        if report is None:
-            report = analyze_effects(policy, slicer=self.dep_slicer)
-            self._effects_memo[key] = report
-        return report
+    def unit_reuse(self, policy: ast.Policy) -> tuple:
+        """``(reused, recompiled)``: how many of ``policy``'s
+        :func:`split_units` were spliced from an earlier generation, and
+        how many were compiled by this one."""
+        units = split_units(policy)
+        reused = sum(map(self.was_reused, units))
+        return reused, len(units) - reused
 
     def stats(self) -> dict:
         return {

@@ -154,6 +154,30 @@ class TestEventSequence:
             for s in snapshots[2:]
         )
 
+    @pytest.mark.parametrize("name", [
+        "campus-ops", "isp-compile", "policy-churn", "monitor-replay",
+    ])
+    def test_no_event_runs_the_effect_analysis(self, name, monkeypatch):
+        """The effect report is built on request (``analyze_effects``,
+        lint), never by a compile event."""
+        from repro.analysis import effects
+        from tests.snapbench_programs import workload
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a compile event built an EffectReport")
+
+        monkeypatch.setattr(effects, "EffectReport", refuse)
+        wl = workload(name)
+        controller = SnapController(wl.topology, wl.program())
+        snapshots = [
+            controller.submit(),
+            controller.update_policy(wl.edits[0]),
+            controller.fail_link(*wl.link),
+            controller.restore_link(*wl.link),
+        ]
+        for snap in snapshots:
+            assert "effects" not in snap.model_stats
+
     def test_te_events_route_by_walks(self, session):
         """With no capacity in the way, the failure and the demand change
         are certified shortest walks: no TE model is built."""
@@ -446,9 +470,8 @@ class TestRoutingCertificates:
         failed = controller.fail_link("C1", "C5")
         assert failed.model_stats["solve_reused"] is False
         # A TE event re-routes the compilation it inherits: the same
-        # per-subpolicy artifacts and the same hash-consing factory.
-        assert len(failed.artifacts) == len(cold.artifacts) == 3
-        assert dict(failed.artifacts) == dict(cold.artifacts)
+        # xFDD and the same hash-consing factory.
+        assert failed.xfdd is cold.xfdd
         assert failed.diagram_factory is cold.diagram_factory
         restored = controller.restore_link("C1", "C5")
         assert restored.model_stats["solve_reused"] is True
@@ -686,6 +709,80 @@ class TestHotSwap:
         # State still carried over via adopt_state on the rebuild path.
         assert swapped.global_store().read("susp-client", (client,)) == 1
 
+    def test_an_unroutable_topology_change_re_places_the_state(self):
+        """Port 6 re-homed beside port 5 on D3: flows 5-6 cannot reach
+        the D4 state without revisiting D3, so the pinned TE route has no
+        solution and the event re-places the state on the new graph."""
+        controller = SnapController(campus_topology(), campus_program())
+        cold = controller.submit()
+        assert set(cold.placement.values()) == {"D4"}
+        rehomed = campus_topology()
+        rehomed.ports[6] = "D3"
+        snap = controller.update_topology(rehomed)
+        assert (snap.event, snap.scenario) == ("topology_replace", "cold_start")
+        assert set(snap.timer.durations) == set(SCENARIO_PHASES["cold_start"])
+        assert set(snap.placement.values()) == {"D3"}
+        assert controller.topology is rehomed
+        assert controller.network().placement == snap.placement
+
+    def test_a_routable_topology_change_keeps_the_placement(self):
+        """The re-place is only a fallback: a graph the pinned placement
+        can route gets a TE event, with no ST search or solve."""
+        controller = SnapController(campus_topology(), campus_program())
+        cold = controller.submit()
+        calls = dict(controller.backend.calls)
+        bigger = campus_topology()
+        bigger.add_link("C1", "C4", 10.0)
+        snap = controller.update_topology(bigger)
+        assert (snap.event, snap.scenario) == ("topology_change", "topology_change")
+        assert dict(snap.placement) == dict(cold.placement)
+        after = controller.backend.calls
+        assert (after["st_walks"], after["st_solves"]) == (
+            calls["st_walks"], calls["st_solves"]
+        )
+
+    def test_a_re_place_takes_the_given_demands(self):
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        doubled = {k: 2 * v for k, v in controller.demands.items()}
+        rehomed = campus_topology()
+        rehomed.ports[6] = "D3"
+        snap = controller.update_topology(rehomed, demands=doubled)
+        assert snap.event == "topology_replace"
+        assert dict(snap.demands) == doubled == dict(controller.demands)
+
+    def test_link_events_after_a_re_place_keep_its_placement(self):
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        rehomed = campus_topology()
+        rehomed.ports[6] = "D3"
+        placed = controller.update_topology(rehomed)
+        failed = controller.fail_link("C1", "C5")
+        assert failed.event == "link_failure"
+        assert dict(failed.placement) == dict(placed.placement)
+        path = failed.routing.path(1, 6)
+        assert ("C1", "C5") not in set(zip(path, path[1:]))
+
+    def test_a_graph_no_placement_can_serve_rolls_back(self):
+        """Cut off ports 1 and 3 (C1 loses both core links): the pinned
+        route and the re-place both fail, and the session is as before."""
+        controller = SnapController(campus_topology(), campus_program())
+        cold = controller.submit()
+        live = controller.network()
+        cut = campus_topology().without_link("C1", "C5").without_link("C1", "C3")
+        with pytest.raises(PlacementError):
+            controller.update_topology(cut)
+        assert controller.current is cold
+        assert controller.generation == cold.generation
+        assert controller.topology is not cut
+        assert controller.network() is live
+
+    def test_reroute_takes_no_re_place_label(self):
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        with pytest.raises(SnapError):
+            controller.reroute(event="topology_replace")
+
     @staticmethod
     def _held_tables(network):
         return {
@@ -718,7 +815,7 @@ class TestHotSwap:
         # Port 6 re-homed on D3: the ST solve moves every variable there.
         rehomed = campus_topology()
         rehomed.ports[6] = "D3"
-        controller.replace_topology(rehomed)
+        controller.update_topology(rehomed)
         controller.update_policy()
         moved = controller.network()
         assert set(moved.placement.values()) == {"D3"}

@@ -5,7 +5,7 @@ The claim is that ``update_policy`` on a warm
 solve memo) produces snapshots *semantically identical* to a fresh
 session's compile of the same program — same placement, same routing,
 byte-identical data-plane behaviour — while reusing unchanged
-sub-policies' artifacts.
+sub-policies' diagrams.
 """
 
 import pickle
@@ -23,10 +23,10 @@ from repro.core.controller import SnapController
 from repro.core.program import Program
 from repro.lang import ast, make_packet
 from repro.lang.ast import state_variables
-from repro.lang.fingerprint import fingerprint, fingerprint_hex
+from repro.lang.fingerprint import fingerprint
 from repro.topology.campus import campus_topology
 from repro.xfdd.build import build_xfdd
-from repro.xfdd.incremental import CompileSession
+from repro.xfdd.incremental import CompileSession, split_units
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 from workloads import composed_program, dns_tunnel_program  # noqa: E402
@@ -112,10 +112,10 @@ class TestFingerprint:
         # The encoding is a persistent cache key: these break ONLY if the
         # canonical encoding changes, which invalidates cross-session
         # artifact comparison and must be deliberate.
-        assert fingerprint_hex(ast.Id()) == "6bcaff488d3449ff36d5b9025380bd13"
-        assert fingerprint_hex(ast.Drop()) == "799072067350cd4c11039e51206730a3"
+        assert fingerprint(ast.Id()).hex() == "6bcaff488d3449ff36d5b9025380bd13"
+        assert fingerprint(ast.Drop()).hex() == "799072067350cd4c11039e51206730a3"
         assert (
-            fingerprint_hex(ast.Test("srcport", 53))
+            fingerprint(ast.Test("srcport", 53)).hex()
             == "fd459ea1bc136aafe7cf9514c55708c9"
         )
 
@@ -260,24 +260,91 @@ class TestIncrementalEquivalence:
         stats = snap.model_stats
         # Units: NUM_APPS parallel arms + the egress segment + the
         # assumption segment; exactly one arm was dirtied.
-        assert stats["incremental_reused"] + stats["incremental_recompiled"] == len(
-            snap.artifacts
+        assert (
+            stats["incremental_reused"] + stats["incremental_recompiled"]
+            == NUM_APPS + 2
         )
         assert stats["incremental_recompiled"] == 1
-        recompiled = [a for a in snap.artifacts.values() if not a.reused]
-        assert len(recompiled) == 1
-        assert recompiled[0].label.startswith("seq1.arm")
 
-    def test_artifacts_record_unit_slices(self, fresh_controller):
-        snap = fresh_controller.update_policy(
-            composed_program(NUM_APPS, NUM_PORTS)
-        )
-        for artifact in snap.artifacts.values():
-            assert artifact.fingerprint == fingerprint_hex(artifact.policy)
-            assert artifact.dep_edges == st_dep(artifact.policy)
-            assert artifact.state_vars == frozenset(
-                state_variables(artifact.policy)
+    def test_the_recompiled_unit_is_the_edited_arm(self, fresh_controller):
+        """The one unit the session compiles is the dirtied arm; every
+        unit's memo key names each state variable the unit touches."""
+        edited = edit_arm(composed_program(NUM_APPS, NUM_PORTS), 0, 55)
+        fresh_controller.update_policy(edited)
+        session = fresh_controller._session
+        units = split_units(edited.full_policy())
+        assert len(units) == NUM_APPS + 2
+        recompiled = [u for u in units if not session.was_reused(u)]
+        assert recompiled == [flatten_parallel(edited.policy.left)[0]]
+        for unit in units:
+            touched = session.dep_slicer.slice(unit)
+            assert touched.reads | touched.writes == frozenset(
+                state_variables(unit)
             )
+
+
+_A, _B, _C, _D = (ast.Mod(f, 1) for f in ("srcport", "dstport", "vlan", "tos"))
+_T = ast.Test("srcport", 7)
+
+#: policy -> its units: the sequential spine left to right, a parallel
+#: segment flattened into its arms, anything else one unit.
+SPLIT_CASES = {
+    "atom": (_A, [_A]),
+    "left-nested seq": (ast.Seq(ast.Seq(_A, _B), _C), [_A, _B, _C]),
+    "right-nested seq": (ast.Seq(_A, ast.Seq(_B, _C)), [_A, _B, _C]),
+    "parallel segment": (
+        ast.Seq(_A, ast.Seq(ast.Parallel(_B, _C), _D)), [_A, _B, _C, _D]
+    ),
+    "nested parallel": (
+        ast.Parallel(ast.Parallel(_A, _B), ast.Parallel(_C, _D)),
+        [_A, _B, _C, _D],
+    ),
+    "seq inside an arm": (
+        ast.Parallel(ast.Seq(_A, _B), _C), [ast.Seq(_A, _B), _C]
+    ),
+    "if is one unit": (
+        ast.Seq(ast.If(_T, ast.Seq(_A, _B), _C), _D),
+        [ast.If(_T, ast.Seq(_A, _B), _C), _D],
+    ),
+}
+
+
+class TestSplitUnits:
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_units_of_a_shape(self, case):
+        policy, units = SPLIT_CASES[case]
+        assert split_units(policy) == units
+
+    @pytest.mark.parametrize("name", [
+        "campus-ops", "isp-compile", "policy-churn", "monitor-replay",
+    ])
+    def test_a_unit_is_reused_iff_an_earlier_generation_compiled_it(
+        self, name
+    ):
+        """Over a workload's edits in one session, the counts the explain
+        record reads: a composite unit is spliced exactly when some
+        earlier generation had a unit of its fingerprint, and each edit
+        compiles one."""
+        from tests.snapbench_programs import workload
+
+        wl = workload(name)
+        controller = SnapController(wl.topology, wl.program())
+        seen = set()
+        for k, program in enumerate([wl.program(), *wl.edits]):
+            snap = (
+                controller.update_policy(program) if k else controller.submit()
+            )
+            units = split_units(program.full_policy())
+            reused = sum(
+                isinstance(u, ast.COMPOSITE) and fingerprint(u) in seen
+                for u in units
+            )
+            stats = snap.model_stats
+            assert (
+                stats["incremental_reused"], stats["incremental_recompiled"]
+            ) == (reused, len(units) - reused)
+            assert k == 0 or stats["incremental_recompiled"] == 1
+            seen |= {fingerprint(u) for u in units}
 
 
 class TestInterleavedEvents:
@@ -309,7 +376,7 @@ class TestInterleavedEvents:
         controller.submit()
         bigger = campus_topology()
         bigger.add_link("C1", "C4", 10.0)
-        controller.replace_topology(bigger)
+        controller.update_topology(bigger)
         snap = controller.update_policy(
             composed_program(NUM_APPS, NUM_PORTS)
         )
@@ -325,26 +392,34 @@ class TestInterleavedEvents:
         assert snap.model_stats["incremental_reused"] == 0
         assert snap.model_stats["solve_reused"] is False
 
-
-class TestShimSetters:
-    """``replace_program`` / ``replace_topology``: the non-compiling
-    mutators (what the removed ``Compiler`` shim's setters called)."""
-
-    def test_program_setter_drops_the_certificates(self):
+    def test_topology_update_drops_the_certificates(self):
         # Where the shortest walks do not fit, a link event solves the LP
         # and leaves a certificate a second failure of the link reuses.
         controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
         controller.submit()
         controller.fail_link("C1", "C5")
         controller.restore_link("C1", "C5")
-        controller.replace_program(dns_tunnel_program(NUM_PORTS))
+        controller.update_topology(binding_campus())
         again = controller.fail_link("C1", "C5")
         assert again.model_stats["solve_reused"] is False
 
-    def test_topology_setter_resets_failures(self):
+    def test_topology_update_resets_failures(self):
         controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
         controller.submit()
         controller.fail_link("C1", "C5")
-        controller.replace_topology(campus_topology())
+        controller.update_topology(campus_topology())
         assert controller.failed_links == frozenset()
         assert controller.fail_link("C1", "C5").model_stats["solve_reused"] is False
+
+    def test_an_unchanged_policy_update_keeps_the_certificates(self):
+        # Same program, same graph: the solve inputs (hence the placement)
+        # are provably unchanged, so the link's certificate still routes.
+        controller = SnapController(binding_campus(), dns_tunnel_program(NUM_PORTS))
+        controller.submit()
+        controller.fail_link("C1", "C5")
+        controller.restore_link("C1", "C5")
+        solves = controller.backend.calls["te_solves"]
+        controller.update_policy(dns_tunnel_program(NUM_PORTS))
+        again = controller.fail_link("C1", "C5")
+        assert again.model_stats["solve_reused"] is True
+        assert controller.backend.calls["te_solves"] == solves

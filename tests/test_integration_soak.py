@@ -235,8 +235,8 @@ def test_caches_plateau_over_alternating_events(monkeypatch):
     """300 alternating ``update_policy`` / ``fail_link`` / ``restore_link``
     events on the six-app campus composite: every cross-generation cache
     of the compile session — the apply-cache (always on: nothing switches
-    it off mid-compile), the arm memo, the effects memo, the S_uv root
-    memo and the intern table — stops growing once each edit has been
+    it off mid-compile), the arm memo, the S_uv root memo and the
+    intern table — stops growing once each edit has been
     seen, and events 200–300 peak within 1.2x of events 100–200.
     Structurally novel generations are bounded by the session reset
     instead, apply-cache included.
@@ -282,7 +282,6 @@ def test_caches_plateau_over_alternating_events(monkeypatch):
         return {
             "apply_cache": len(session.composer._cache),
             "xfdd_memo": len(session._xfdd_memo),
-            "effects_memo": len(session._effects_memo),
             "mapping_memo": len(session.mapping_memo),
             "factory": len(session.factory),
             "history": len(controller.history()),
